@@ -9,12 +9,12 @@ a pass/fail threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import EigenSequence, GaussianMeasureSpec
+from .spectral import EigenSequence
 
 __all__ = [
     "Prop1Constants",

@@ -55,11 +55,23 @@ def _load_config(path) -> dict:
     overrides = cfg.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ConfigError("overrides must be an object")
-    allowed = ex.PRESET_DEFAULTS[cfg["preset"]]
-    for key in overrides:
-        if key not in allowed:
-            raise ConfigError(f"unknown override key {key!r} for preset {cfg['preset']!r}")
+    _check_overrides(cfg["preset"], overrides)
     return cfg
+
+
+def _check_overrides(preset: str, overrides: dict):
+    """Raise ConfigError unless every override is a key of the preset with a valid value."""
+    try:
+        ex._merged(ex.PRESET_DEFAULTS[preset], overrides, preset)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0]) from exc
+
+
+def _seed(args, cfg: dict) -> int:
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _config_hash(cfg: dict) -> str:
@@ -101,13 +113,10 @@ def _write_artifacts(result: ex.ExperimentResult, out_dir: Path, config_hash: st
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     out_dir = Path(args.out or cfg.get("output_dir", "out")) / cfg["preset"]
     try:
         result = ex.run_preset(cfg["preset"], seed=seed, overrides=cfg.get("overrides", {}))
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ChainDivergedError as exc:
         print(f"runtime divergence: {exc}", file=sys.stderr)
         return 3
@@ -125,16 +134,18 @@ def _cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:
-        print(f"config error: bad sweep values: {exc}", file=sys.stderr)
-        return 2
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+        raise ConfigError(f"bad sweep values: {exc}") from exc
+    if not values:
+        raise ConfigError("no sweep values given")
+    seed = _seed(args, cfg)
     preset = cfg["preset"]
-    base_overrides = dict(cfg.get("overrides", {}))
+    base_overrides = cfg.get("overrides", {})
+    # every value is checked against the preset's own keys before any run starts
+    for value in values:
+        _check_overrides(preset, {**base_overrides, args.axis: value})
 
     def one(value):
-        ov = dict(base_overrides)
-        ov[args.axis] = value
-        return ex.run_preset(preset, seed=seed, overrides=ov)
+        return ex.run_preset(preset, seed=seed, overrides={**base_overrides, args.axis: value})
 
     try:
         if args.threads > 1:
@@ -142,9 +153,6 @@ def _cmd_sweep(args) -> int:
                 results = list(pool.map(one, values))
         else:
             results = [one(v) for v in values]
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ChainDivergedError as exc:
         print(f"runtime divergence: {exc}", file=sys.stderr)
         return 3
@@ -171,7 +179,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     preset = cfg["preset"]
     from . import analysis as an
     from . import models as md
@@ -223,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="preset name (instead of a config file)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="concurrent runs for sweeps")
         if name == "sweep":
             p.add_argument("--axis", required=True, help="parameter to sweep")
             p.add_argument("--values", required=True, help="comma-separated values")
+            p.add_argument("--threads", type=int, default=1, help="concurrent runs")
     return parser
 
 

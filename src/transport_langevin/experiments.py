@@ -8,6 +8,7 @@ calls them directly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,8 +19,8 @@ from . import langevin as lg
 from . import losses as ls
 from . import models as md
 from . import oracle as orc
-from .spectral import (GaussianMeasureSpec, cosine_basis, diagonal_basis,
-                       eval_basis, gram_eigenbasis, make_eigen_sequence)
+from .spectral import (GaussianMeasureSpec, cosine_basis, eval_basis,
+                       gram_eigenbasis, make_eigen_sequence)
 
 __all__ = ["ExperimentResult", "CriterionResult", "PRESETS", "PRESET_DEFAULTS",
            "run_preset", "SWEEPABLE_AXES", "sweep_fit"]
@@ -88,12 +89,35 @@ PRESET_DEFAULTS = {
 
 
 def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
+    """Defaults updated by overrides, each coerced to the type of its default.
+
+    Unknown keys raise KeyError and bad values ValueError.  Integer keys take
+    integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
+    >= 0); list keys take non-empty lists of numbers.
+    """
     out = dict(defaults)
     for key, val in overrides.items():
         if key not in defaults:
             raise KeyError(f"unknown override key {key!r} for preset {preset!r}")
-        out[key] = type(defaults[key])(val) if not isinstance(defaults[key], (list, tuple)) else list(val)
+        default, where = defaults[key], f"override {key!r} for preset {preset!r}"
+        if isinstance(default, list):
+            if not (isinstance(val, (list, tuple)) and val and all(map(_is_number, val))):
+                raise ValueError(f"{where} must be a non-empty list of numbers, got {val!r}")
+            out[key] = list(val)
+        elif not _is_number(val):
+            raise ValueError(f"{where} must be a number, got {val!r}")
+        elif isinstance(default, int):
+            low = 0 if key == "burn_in" else 1
+            if not float(val).is_integer() or val < low:
+                raise ValueError(f"{where} must be an integer >= {low}, got {val!r}")
+            out[key] = int(val)
+        else:
+            out[key] = float(val)
     return out
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +239,27 @@ def ou_moment(seed=0, overrides=None):
 # preset: stepsize-bias
 # ---------------------------------------------------------------------------
 
-def _mean_sq_norm_of_chain(cfg, model, data):
-    traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True,
-                        record_observables=False)
-    sq = np.sum(traj.coeffs[:, :, 0] ** 2, axis=1)
-    return float(sq.mean()), orc.batch_means_stderr(sq)
+def _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept):
+    """Rows [eta, E||W||^2, stderr, bias], biases against one eta_min/8 reference chain."""
+    rng = np.random.default_rng(seed)
+    basis, model, data, _ = _linear_gaussian_setup(rng, n_modes, n)
+    eta_ref = min(etas) / 8.0
+
+    def run(eta, steps, chain_seed):
+        burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
+        cfg = lg.DynamicsConfig(eta=eta, beta=beta, lam=lam, n_modes=n_modes,
+                                steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
+        traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True,
+                            record_observables=False)
+        sq = np.sum(traj.coeffs[:, :, 0] ** 2, axis=1)
+        return float(sq.mean()), orc.batch_means_stderr(sq)
+
+    ref_mean, ref_se = run(eta_ref, ref_kept, seed + 1)
+    rows = []
+    for i, eta in enumerate(sorted(etas, reverse=True)):
+        m, se = run(eta, kept, seed + 2 + i)
+        rows.append([eta, m, se, abs(m - ref_mean)])
+    return rows, (ref_mean, ref_se, eta_ref)
 
 
 def stepsize_bias_suite(seed=0, etas=(0.2, 0.1, 0.05, 0.025), n_modes=3, n=24,
@@ -229,53 +269,24 @@ def stepsize_bias_suite(seed=0, etas=(0.2, 0.1, 0.05, 0.025), n_modes=3, n=24,
     The reference runs at eta_min/8; the biases over the eta grid are fitted
     log-log and the slope is the measured discretization order.
     """
-    rng = np.random.default_rng(seed)
-    basis, model, data, _ = _linear_gaussian_setup(rng, n_modes, n)
-    eta_ref = min(etas) / 8.0
-
-    def run(eta, steps, chain_seed):
-        burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
-        cfg = lg.DynamicsConfig(eta=eta, beta=beta, lam=lam, n_modes=n_modes,
-                                steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
-        return _mean_sq_norm_of_chain(cfg, model, data)
-
-    ref_mean, ref_se = run(eta_ref, ref_kept, seed + 1)
-    rows, biases = [], []
-    for i, eta in enumerate(sorted(etas, reverse=True)):
-        m, se = run(eta, kept, seed + 2 + i)
-        bias = abs(m - ref_mean)
-        biases.append(bias)
-        rows.append([eta, m, se, bias])
-    slope = an.fit_stepsize_bias(sorted(etas, reverse=True), biases)
-    return slope, rows, (ref_mean, ref_se, eta_ref)
+    rows, ref = _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept)
+    slope = an.fit_stepsize_bias([r[0] for r in rows], [r[3] for r in rows])
+    return slope, rows, ref
 
 
 def stepsize_bias(seed=0, overrides=None):
     p = _merged(PRESET_DEFAULTS["stepsize-bias"], overrides or {}, "stepsize-bias")
+    header = ["eta", "mean_sq_norm", "stderr", "bias"]
+    setup = (p["n_modes"], p["n"], p["beta"], p["lam"], p["kept"], p["ref_kept"])
     if p["eta"]:
         # single-eta mode (used by axis sweeps): bias against its own eta/8 reference
-        p["etas"] = [p["eta"]]
-        rng = np.random.default_rng(seed)
-        basis, model, data, _ = _linear_gaussian_setup(rng, p["n_modes"], p["n"])
-        eta = p["eta"]
-        def run(e, steps, s):
-            burn = int(min(steps // 5, 40.0 / e) + 2000)
-            cfg = lg.DynamicsConfig(eta=e, beta=p["beta"], lam=p["lam"], n_modes=p["n_modes"],
-                                    steps=steps + burn, burn_in=burn, thin=1, seed=s)
-            return _mean_sq_norm_of_chain(cfg, model, data)
-        ref_mean, _ = run(eta / 8.0, p["ref_kept"], seed + 1)
-        m, se = run(eta, p["kept"], seed + 2)
-        bias = abs(m - ref_mean)
-        rows = [[eta, m, se, bias]]
-        return ExperimentResult("stepsize-bias", seed, [],
-                                ["eta", "mean_sq_norm", "stderr", "bias"], rows,
-                                extras={"bias": bias, "eta": eta})
-    slope, rows, _ = stepsize_bias_suite(seed, tuple(p["etas"]), p["n_modes"], p["n"],
-                                         p["beta"], p["lam"], p["kept"], p["ref_kept"])
+        rows, _ = _stepsize_bias_rows(seed, [p["eta"]], *setup)
+        return ExperimentResult("stepsize-bias", seed, [], header, rows,
+                                extras={"bias": rows[0][3], "eta": p["eta"]})
+    slope, rows, _ = stepsize_bias_suite(seed, tuple(p["etas"]), *setup)
     crit = CriterionResult("stepsize-bias-slope", 0.4 <= slope <= 1.2, slope,
                            "in [0.4, 1.2]", "log-log slope of |E||W||^2 - reference|")
-    return ExperimentResult("stepsize-bias", seed, [crit],
-                            ["eta", "mean_sq_norm", "stderr", "bias"], rows,
+    return ExperimentResult("stepsize-bias", seed, [crit], header, rows,
                             extras={"slope": slope})
 
 
@@ -374,8 +385,9 @@ def grad_check(seed=0, overrides=None):
     p = _merged(PRESET_DEFAULTS["grad-check"], overrides or {}, "grad-check")
     header = ["arch", "config", "rel_err"]
     rows, criteria = [], []
-    for arch in ("two-layer", "identity", "resnet"):
-        rng = np.random.default_rng(seed + hash(arch) % 1000)
+    # each architecture draws from its own stream, keyed by its position here
+    for k, arch in enumerate(("two-layer", "identity", "resnet")):
+        rng = np.random.default_rng([seed, k])
         worst = 0.0
         for i in range(int(p["n_configs"])):
             model, W, data = _random_model_config(arch, rng)

@@ -17,7 +17,7 @@ conventions are implemented separately and never mixed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,56 +114,33 @@ class Trajectory:
                          f"{self.norm_HK[i]:.17g},{self.phi[i]:.17g}\n")
 
 
-def _make_objective(model, loss_kind, dataset, basis, gamma):
-    """Closures value(coeffs) / grad(coeffs) with per-chain caching.
+def _retained_resolvent(cfg: DynamicsConfig, basis) -> tuple[int, np.ndarray]:
+    """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N."""
+    N = min(cfg.n_modes, basis.n_modes)
+    s = np.ones(basis.n_modes)
+    s[:N] = 1.0 / (1.0 + cfg.eta * cfg.lam / basis.eigen.mu[:N])
+    return N, s[:, None]
 
-    The coefficient-linear architecture caches its feature matrix: the
-    gradient is then two small matmuls per step.
+
+def _implicit_euler(coeffs, g, eta: float, amp: float, N: int, s_col, rng) -> np.ndarray:
+    """The chain update S_eta(P_N(coeffs - eta*g) + amp*eps).
+
+    Noise is drawn for the N retained modes only, and not at all when amp is 0.
     """
-    if model.arch == "identity-map":
-        from .losses import loss_eval_derivs
-        from .spectral import eval_basis, fractional_power_scale
-        Phi = eval_basis(basis, dataset.x)
-        if gamma != 0.0:
-            Phi = Phi * (basis.mu ** (gamma / 2.0))[None, :]
-        y = dataset.y
-        n = Phi.shape[0]
-
-        def value(coeffs):
-            f = Phi @ coeffs[:, 0]
-            return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
-
-        def grad(coeffs):
-            f = Phi @ coeffs[:, 0]
-            lp = loss_eval_derivs(loss_kind, y, f, 1)
-            return (Phi.T @ lp)[:, None] / n
-
-        return value, grad
-
-    def value(coeffs):
-        W = _models.TransportMap(coeffs=coeffs, basis=basis, gamma=gamma)
-        return _models.empirical_risk(model, W, loss_kind, dataset)
-
-    def grad(coeffs):
-        W = _models.TransportMap(coeffs=coeffs, basis=basis, gamma=gamma)
-        return _models.gradient(model, W, dataset, loss_kind)
-
-    return value, grad
+    drift = coeffs - eta * g
+    drift[N:] = 0.0
+    if amp > 0.0:
+        drift[:N] += amp * rng.standard_normal((N, coeffs.shape[1]))
+    return drift * s_col
 
 
 def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
              rng: np.random.Generator, grad_fn: Optional[Callable] = None) -> ChainState:
     """One implicit-Euler update of the chain."""
     W = state.map
-    if grad_fn is None:
-        grad_fn = lambda m: _models.gradient(model, m, dataset, loss_kind)
-    g = grad_fn(W)
-    N = min(cfg.n_modes, W.basis.n_modes)
-    noise = np.zeros_like(W.coeffs)
-    if cfg.noise_amp > 0.0:
-        noise[:N] = rng.standard_normal((N, W.coeffs.shape[1]))
-    drift = W.coeffs - cfg.eta * project_P_N(g, N) + cfg.noise_amp * noise
-    new = resolvent_S_eta(project_P_N(drift, N), cfg.eta, cfg.lam, W.basis.eigen)
+    g = grad_fn(W) if grad_fn is not None else _models.gradient(model, W, dataset, loss_kind)
+    N, s_col = _retained_resolvent(cfg, W.basis)
+    new = _implicit_euler(W.coeffs, g, cfg.eta, cfg.noise_amp, N, s_col, rng)
     if not np.all(np.isfinite(new)):
         raise ChainDivergedError(state)
     return ChainState(step=state.step + 1, map=W.copy_with(new),
@@ -196,10 +173,10 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     """Run the chain for cfg.steps updates, recording observables.
 
     Deterministic given (cfg.seed, inputs); the initial state is the identity
-    map projected on the basis unless overridden.  The inner loop applies the
-    same update as :func:`gld_step` with the per-mode contraction factors
-    hoisted out of the loop; ``record_observables=False`` skips the loss and
-    norm columns for estimators that only need coefficient samples.
+    map projected on the basis unless overridden.  Each step is the update of
+    :func:`gld_step`, made by the same function, on the gradient of
+    :func:`models.risk_objective`; ``record_observables=False`` skips the loss
+    and norm columns for estimators that only need coefficient samples.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -212,20 +189,14 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
         W0 = W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes))
         state = ChainState(step=0, map=W0)
     gamma = state.map.gamma
-    value_fn, grad_fn = _make_objective(model, loss_kind, dataset, basis, gamma)
+    value_fn, grad_fn = _models.risk_objective(model, loss_kind, dataset, gamma)
     test_value = None
     if test_dataset is not None:
-        test_value, _ = _make_objective(model, loss_kind, test_dataset, basis, gamma)
-
-    N = min(cfg.n_modes, basis.n_modes)
-    mu = basis.eigen.mu
-    s_fac = np.ones(basis.n_modes)
-    s_fac[:N] = 1.0 / (1.0 + cfg.eta * cfg.lam / mu[:N])
-    amp = cfg.noise_amp
-    eta = cfg.eta
+        test_value, _ = _models.risk_objective(model, loss_kind, test_dataset, gamma)
+    N, s_col = _retained_resolvent(cfg, basis)
+    eta, amp = cfg.eta, cfg.noise_amp
 
     coeffs = state.map.coeffs.copy()
-    d_out = coeffs.shape[1]
     step_no = state.step
 
     rec_steps, rec_train, rec_test, rec_H, rec_HK, rec_phi, rec_coeffs = [], [], [], [], [], [], []
@@ -243,16 +214,11 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
             rec_coeffs.append(coeffs.copy())
 
     g = np.zeros_like(coeffs)
-    s_col = s_fac[:, None]
     # overflow on the way to divergence is handled by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.steps):
             g = grad_fn(coeffs)
-            drift = coeffs - eta * g
-            drift[N:] = 0.0
-            if amp > 0.0:
-                drift[:N] += amp * rng.standard_normal((N, d_out))
-            new_coeffs = drift * s_col
+            new_coeffs = _implicit_euler(coeffs, g, eta, amp, N, s_col, rng)
             if not np.all(np.isfinite(new_coeffs)):
                 raise ChainDivergedError(ChainState(
                     step=step_no, map=_models.TransportMap(coeffs=coeffs, basis=basis, gamma=gamma)))
@@ -264,19 +230,15 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     final = ChainState(step=step_no,
                        map=_models.TransportMap(coeffs=coeffs, basis=basis, gamma=gamma),
                        last_grad_norm=float(np.linalg.norm(g)))
-    n_rec = len(rec_steps)
-    nanpad = np.full(n_rec, np.nan)
-    traj = Trajectory(
-        steps=np.array(rec_steps, dtype=int),
-        train_loss=np.array(rec_train) if record_observables else nanpad.copy(),
-        test_loss=np.array(rec_test) if record_observables else nanpad.copy(),
-        norm_H=np.array(rec_H) if record_observables else nanpad.copy(),
-        norm_HK=np.array(rec_HK) if record_observables else nanpad.copy(),
-        phi=np.array(rec_phi) if record_observables else nanpad.copy(),
-        coeffs=np.array(rec_coeffs) if record_coeffs else None,
-        final_state=final,
-    )
-    return traj
+
+    def column(rec):
+        return np.array(rec) if record_observables else np.full(len(rec_steps), np.nan)
+
+    return Trajectory(steps=np.array(rec_steps, dtype=int), train_loss=column(rec_train),
+                      test_loss=column(rec_test), norm_H=column(rec_H),
+                      norm_HK=column(rec_HK), phi=column(rec_phi),
+                      coeffs=np.array(rec_coeffs) if record_coeffs else None,
+                      final_state=final)
 
 
 # ---------------------------------------------------------------------------

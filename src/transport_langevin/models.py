@@ -17,14 +17,14 @@ differences of the empirical risk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .losses import loss_eval_derivs
 from .spectral import (EigenSequence, SpectralBasis, eval_basis,
-                       fractional_power_scale, gram_eigenbasis)
+                       fractional_power_scale)
 
 __all__ = [
     "Dataset",
@@ -39,6 +39,7 @@ __all__ = [
     "forward",
     "empirical_risk",
     "gradient",
+    "risk_objective",
     "lipschitz_gap",
     "wasserstein_objective",
     "wasserstein_gradient",
@@ -143,9 +144,7 @@ class TransportMap:
             raise ValueError("gamma must be non-negative")
 
     def effective_coeffs(self) -> np.ndarray:
-        if self.gamma == 0.0:
-            return self.coeffs
-        return fractional_power_scale(self.coeffs, self.basis.eigen, self.gamma)
+        return _gamma_scale(self.coeffs, self.basis.eigen, self.gamma)
 
     def copy_with(self, coeffs) -> "TransportMap":
         return TransportMap(coeffs=np.asarray(coeffs, dtype=float), basis=self.basis, gamma=self.gamma)
@@ -240,17 +239,6 @@ def attach_basis(model: ModelSpec, basis: SpectralBasis) -> ModelSpec:
                      resnet_blocks=model.resnet_blocks, resnet_readout=model.resnet_readout,
                      wasserstein_penalty=model.wasserstein_penalty,
                      mmd_bandwidth=model.mmd_bandwidth)
-
-
-def default_basis(model: ModelSpec, n_modes: Optional[int] = None,
-                  kernel_bandwidth: float = 1.0) -> SpectralBasis:
-    """Gram eigenbasis on the model's cloud (joint (w, a) domain for two-layer)."""
-    if model.cloud is None:
-        raise ValueError("model has no cloud to build a basis from")
-    if n_modes is None:
-        n_modes = model.cloud.size
-    include_a = model.arch == "two-layer"
-    return gram_eigenbasis(model.cloud, kernel_bandwidth, n_modes, include_a=include_a)
 
 
 def map_values(model: ModelSpec, W: TransportMap) -> np.ndarray:
@@ -373,12 +361,8 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
         return wasserstein_gradient(model, W, dataset.x, dataset.y)
     n = dataset.x.shape[0]
     if model.arch == "identity-map":
-        basis = model_basis(model)
-        Phi = eval_basis(basis, dataset.x)
-        f = Phi @ W.effective_coeffs()[:, 0]
-        lp = loss_eval_derivs(loss_kind, dataset.y, f, 1)
-        g = (Phi.T @ lp)[:, None] / n
-        return _gamma_chain(g, W)
+        _, grad = risk_objective(model, loss_kind, dataset, W.gamma)
+        return grad(W.coeffs)
     if model.arch == "two-layer":
         X = np.asarray(dataset.x, dtype=float)
         R = model.clip.R
@@ -395,7 +379,7 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
         dV1 = (omega * Vb[:, -1])[:, None] * (kernel @ X) / n * Cd[:, :-1]
         dV2 = omega * (act(Z) @ lp) / n * Cd[:, -1]
         dV = np.column_stack([dV1, dV2])
-        return _gamma_chain(E.T @ dV, W)
+        return _gamma_scale(E.T @ dV, W.basis.eigen, W.gamma)
     if model.arch == "resnet":
         X = np.asarray(dataset.x, dtype=float)
         n = X.shape[0]
@@ -418,14 +402,44 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
             dV = (Q.T @ z_in) * omega[:, None] * clip_deriv(V, R)
             dC[:, t, :] = E.T @ dV
             G = G + (Q * omega[None, :]) @ Vb
-        return _gamma_chain(dC.reshape(W.basis.n_modes, T * d), W)
+        return _gamma_scale(dC.reshape(W.basis.n_modes, T * d), W.basis.eigen, W.gamma)
     raise ValueError(f"unknown architecture {model.arch!r}")
 
 
-def _gamma_chain(g: np.ndarray, W: TransportMap) -> np.ndarray:
-    if W.gamma == 0.0:
-        return g
-    return fractional_power_scale(g, W.basis.eigen, W.gamma)
+def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: float = 0.0):
+    """Closures value(coeffs) and grad(coeffs) of the empirical risk on raw coefficients.
+
+    The identity-map feature matrix is evaluated once, here; gamma scales the
+    coefficients before it and the gradient after it.
+    """
+    basis = model_basis(model)
+    if model.arch == "identity-map":
+        Phi = eval_basis(basis, dataset.x)
+        y, n = dataset.y, Phi.shape[0]
+
+        def value(coeffs):
+            f = Phi @ _gamma_scale(coeffs, basis.eigen, gamma)[:, 0]
+            return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
+
+        def grad(coeffs):
+            f = Phi @ _gamma_scale(coeffs, basis.eigen, gamma)[:, 0]
+            lp = loss_eval_derivs(loss_kind, y, f, 1)
+            return _gamma_scale((Phi.T @ lp)[:, None] / n, basis.eigen, gamma)
+
+        return value, grad
+
+    def value(coeffs):
+        return empirical_risk(model, TransportMap(coeffs, basis, gamma), loss_kind, dataset)
+
+    def grad(coeffs):
+        return gradient(model, TransportMap(coeffs, basis, gamma), dataset, loss_kind)
+
+    return value, grad
+
+
+def _gamma_scale(c: np.ndarray, eigen: EigenSequence, gamma: float) -> np.ndarray:
+    """Mode k scaled by mu_k^(gamma/2); ``c`` itself when gamma is 0."""
+    return c if gamma == 0.0 else fractional_power_scale(c, eigen, gamma)
 
 
 def lipschitz_gap(model: ModelSpec, W: TransportMap, W2: TransportMap, x_grid) -> tuple[float, float]:
@@ -488,7 +502,7 @@ def wasserstein_gradient(model: ModelSpec, W: TransportMap, source_samples, targ
     dmmd = (-2.0 / (m ** 2 * h ** 2)) * (Kff.sum(axis=1)[:, None] * F - Kff @ F) \
         + (2.0 / (m * t * h ** 2)) * (Kft.sum(axis=1)[:, None] * F - Kft @ Tgt)
     dF = dF + model.wasserstein_penalty * dmmd
-    return _gamma_chain(Phi.T @ dF, W)
+    return _gamma_scale(Phi.T @ dF, W.basis.eigen, W.gamma)
 
 
 # ---------------------------------------------------------------------------

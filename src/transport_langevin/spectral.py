@@ -9,7 +9,7 @@ eigenvalue sequence (mu_k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

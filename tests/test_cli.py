@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import transport_langevin
 from transport_langevin import cli
 from transport_langevin import experiments as ex
 
@@ -39,6 +44,23 @@ def test_run_is_byte_reproducible(tmp_path):
         assert a == b, name
 
 
+def test_grad_check_is_byte_identical_across_hash_seeds(tmp_path):
+    # string hashing is salted per process; no draw may depend on it
+    cfg = _write_cfg(tmp_path, {"preset": "grad-check", "seed": 3,
+                                "overrides": {"n_configs": 4}})
+    src = str(Path(transport_langevin.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = tmp_path / f"h{hash_seed}"
+        proc = subprocess.run([sys.executable, "-m", "transport_langevin", "run", "--config", cfg,
+                               "--out", str(out)], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out / "grad-check")
+    for name in ("results.csv", "report.txt", "provenance.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_unknown_top_level_key_is_status_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"preset": "grad-check", "bogus": 1})
     rc = cli.main(["run", "--config", cfg])
@@ -51,6 +73,37 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
     rc = cli.main(["run", "--config", cfg])
     assert rc == 2
     assert "n_cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, needle", [
+    ({"preset": "regression-rate", "overrides": {"n": 64.7}}, "'n'"),
+    ({"preset": "grad-check", "overrides": {"n_configs": 0}}, "'n_configs'"),
+    ({"preset": "stepsize-bias", "overrides": {"etas": "abc"}}, "'etas'"),
+    ({"preset": "posterior-validate", "overrides": {"eta": "0.1"}}, "'eta'"),
+    ({"preset": "bernstein-suite", "seed": -1}, "seed"),
+], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
+        "negative-seed"])
+def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
+    cfg = _write_cfg(tmp_path, payload)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in (err := capsys.readouterr().err) and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_internal_key_error_is_not_a_config_error(monkeypatch):
+    def broken(seed=0, overrides=None):
+        return {}["missing"]
+
+    monkeypatch.setitem(ex.PRESETS, "bernstein-suite", broken)
+    with pytest.raises(KeyError, match="missing"):
+        cli.main(["run", "--preset", "bernstein-suite"])
+
+
+def test_threads_is_a_sweep_only_flag():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--preset", "bernstein-suite", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_parse_failure_reports_line_and_column(tmp_path, capsys):
@@ -85,10 +138,17 @@ def test_sweep_single_value_flags_insufficient(tmp_path):
     assert "insufficient-points" in text
 
 
-def test_sweep_bad_axis_is_status_2(capsys):
-    rc = cli.main(["sweep", "--preset", "regression-rate", "--axis", "color",
-                   "--values", "1,2"])
-    assert rc == 2
+def test_sweep_bad_axis_is_status_2(tmp_path, capsys):
+    # an unknown axis, an axis the preset lacks, and a value its key rejects
+    # all end before anything runs
+    for preset, axis, values in (("regression-rate", "color", "1,2"),
+                                 ("grad-check", "n", "1,2"),
+                                 ("regression-rate", "M", "0.5")):
+        rc = cli.main(["sweep", "--preset", preset, "--axis", axis, "--values", values,
+                       "--out", str(tmp_path / "s")])
+        assert rc == 2, (preset, axis)
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 def test_sweep_threads_matches_serial(tmp_path):

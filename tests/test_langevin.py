@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transport_langevin import langevin as lg
 from transport_langevin import models as md
@@ -93,7 +95,7 @@ def test_zero_gradient_chain_matches_discrete_stationary_variance():
 
 
 def test_run_chain_matches_stepwise_updates():
-    # the hoisted inner loop must reproduce gld_step exactly, noise included
+    # run_chain and gld_step share one update function: equal bit for bit, noise included
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=100, burn_in=0, thin=1, seed=21)
@@ -105,7 +107,58 @@ def test_run_chain_matches_stepwise_updates():
     state = lg.ChainState(step=0, map=W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes)))
     for k in range(cfg.steps):
         state = lg.gld_step(state, cfg, model, "squared", data, rng)
-        np.testing.assert_allclose(state.map.coeffs, traj.coeffs[k], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(state.map.coeffs, traj.coeffs[k])
+
+
+def test_run_chain_divergence_carries_last_finite_state():
+    # eta * lambda_max(H) > 2 on the retained modes: the squared-loss chain blows up
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=5000, seed=21)
+    with pytest.raises(lg.ChainDivergedError) as exc:
+        lg.run_chain(cfg, model, "squared", data)
+    last = exc.value.state
+    assert 0 < last.step < cfg.steps
+    assert np.all(np.isfinite(last.map.coeffs))
+    assert f"after step {last.step}" in str(exc.value)
+    # the carried state is the chain's own state at that step
+    upto = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=last.step, seed=21)
+    with np.errstate(over="ignore"):   # the last gradient norm overflows
+        traj = lg.run_chain(upto, model, "squared", data, record_observables=False)
+    np.testing.assert_array_equal(traj.final_state.map.coeffs, last.map.coeffs)
+
+
+_coeff = st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: abs(v) > 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(min_value=1e-3, max_value=10.0), lam=st.floats(min_value=1e-3, max_value=10.0),
+       coeffs=st.lists(_coeff, min_size=1, max_size=6))
+def test_update_strictly_contracts_without_gradient_or_noise(eta, lam, coeffs):
+    basis = diagonal_basis(len(coeffs))
+    model = md.ModelSpec(arch="identity-map", basis=basis)
+    W = md.TransportMap(coeffs=np.array(coeffs)[:, None], basis=basis)
+    cfg = lg.DynamicsConfig(eta=eta, beta=np.inf, lam=lam, n_modes=len(coeffs))
+    out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
+                      np.random.default_rng(0), grad_fn=lambda m: np.zeros_like(m.coeffs))
+    assert np.all(np.abs(out.map.coeffs) < np.abs(W.coeffs))
+    assert np.all(np.sign(out.map.coeffs) == np.sign(W.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_modes=st.integers(min_value=1, max_value=6),
+       d_out=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2 ** 32 - 1))
+def test_update_with_eta_zero_is_identity_on_retained_modes(data, n_modes, d_out, seed):
+    rng = np.random.default_rng(seed)
+    basis = diagonal_basis(n_modes)
+    model = md.ModelSpec(arch="identity-map", basis=basis)
+    W = md.TransportMap(coeffs=rng.standard_normal((n_modes, d_out)), basis=basis)
+    N = data.draw(st.integers(min_value=1, max_value=n_modes + 2))
+    cfg = lg.DynamicsConfig(eta=0.0, beta=1.0, lam=1.0, n_modes=N)
+    grad = rng.standard_normal((n_modes, d_out))
+    out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
+                      rng, grad_fn=lambda m: grad)
+    np.testing.assert_array_equal(out.map.coeffs[:N], W.coeffs[:N])
+    assert np.all(out.map.coeffs[N:] == 0.0)
 
 
 def test_run_chain_single_step_and_determinism():
