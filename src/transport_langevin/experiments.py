@@ -88,12 +88,19 @@ PRESET_DEFAULTS = {
 }
 
 
+# lower limits (value, strict) of the float keys the chain and clip configs check
+_FLOAT_LOW = {"eta": (0.0, False), "etas": (0.0, False), "beta": (0.0, True),
+              "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False)}
+
+
 def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
     """Defaults updated by overrides, each coerced to the type of its default.
 
     Unknown keys raise KeyError and bad values ValueError.  Integer keys take
     integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
-    >= 0); list keys take non-empty lists of numbers.
+    >= 0); list keys take non-empty lists of numbers.  Float values must be
+    finite and within the limits of ``_FLOAT_LOW``, and a preset's ``beta``
+    must exceed its step sizes.
     """
     out = dict(defaults)
     for key, val in overrides.items():
@@ -103,6 +110,8 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         if isinstance(default, list):
             if not (isinstance(val, (list, tuple)) and val and all(map(_is_number, val))):
                 raise ValueError(f"{where} must be a non-empty list of numbers, got {val!r}")
+            for v in val:
+                _checked_float(key, v, where)
             out[key] = list(val)
         elif not _is_number(val):
             raise ValueError(f"{where} must be a number, got {val!r}")
@@ -112,8 +121,21 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
                 raise ValueError(f"{where} must be an integer >= {low}, got {val!r}")
             out[key] = int(val)
         else:
-            out[key] = float(val)
+            out[key] = _checked_float(key, val, where)
+    eta_max = max([out.get("eta", 0.0)] + out.get("etas", []))
+    if "beta" in out and not out["beta"] > eta_max:
+        raise ValueError(f"overrides for preset {preset!r} need 'beta' > 'eta', "
+                         f"got beta={out['beta']!r} and eta={eta_max!r}")
     return out
+
+
+def _checked_float(key: str, val, where: str) -> float:
+    val = float(val)
+    low, strict = _FLOAT_LOW.get(key, (-np.inf, False))
+    if not np.isfinite(val) or val < low or (strict and val == low):
+        limit = f" {'>' if strict else '>='} {low:g}" if key in _FLOAT_LOW else ""
+        raise ValueError(f"{where} must be a finite number{limit}, got {val!r}")
+    return val
 
 
 def _is_number(val) -> bool:
@@ -312,6 +334,12 @@ def ergodicity(seed=0, overrides=None):
     def phi(coeffs):
         return float(np.tanh(c_dir @ coeffs[:, 0]))
 
+    # the feature matrix on the fixed data is evaluated once, not once per step
+    _, grad = md.risk_objective(model, "squared", data)
+
+    def grad_fn(W):
+        return grad(W.coeffs)
+
     value_gaps = np.zeros(p["steps"])
     for pair in range(p["n_pairs"]):
         noise_seed = seed * 1000 + pair
@@ -323,8 +351,8 @@ def ergodicity(seed=0, overrides=None):
         sa = lg.ChainState(step=0, map=Wa)
         sb = lg.ChainState(step=0, map=Wb)
         for k in range(p["steps"]):
-            sa = lg.gld_step(sa, cfg, model, "squared", data, rng_a)
-            sb = lg.gld_step(sb, cfg, model, "squared", data, rng_b)
+            sa = lg.gld_step(sa, cfg, model, "squared", data, rng_a, grad_fn)
+            sb = lg.gld_step(sb, cfg, model, "squared", data, rng_b, grad_fn)
             value_gaps[k] += abs(phi(sa.map.coeffs) - phi(sb.map.coeffs))
     value_gaps /= p["n_pairs"]
     usable = value_gaps > p["gap_floor"]

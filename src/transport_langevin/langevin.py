@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import models as _models
 from .spectral import EigenSequence, project_P_N, resolvent_S_eta, weighted_norm
@@ -114,6 +113,10 @@ class Trajectory:
                          f"{self.norm_HK[i]:.17g},{self.phi[i]:.17g}\n")
 
 
+# steps per block of run_chain: one noise draw, one finiteness check, one record slab
+_BLOCK = 1024
+
+
 def _retained_resolvent(cfg: DynamicsConfig, basis) -> tuple[int, np.ndarray]:
     """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N."""
     N = min(cfg.n_modes, basis.n_modes)
@@ -122,16 +125,17 @@ def _retained_resolvent(cfg: DynamicsConfig, basis) -> tuple[int, np.ndarray]:
     return N, s[:, None]
 
 
-def _implicit_euler(coeffs, g, eta: float, amp: float, N: int, s_col, rng) -> np.ndarray:
-    """The chain update S_eta(P_N(coeffs - eta*g) + amp*eps).
+def _implicit_euler(coeffs, g, eta: float, N: int, s_col, noise, out=None) -> np.ndarray:
+    """The chain update S_eta(P_N(coeffs - eta*g) + noise), written into ``out``.
 
-    Noise is drawn for the N retained modes only, and not at all when amp is 0.
+    ``noise`` is the scaled draw amp*eps for the N retained modes, or None
+    when the amplitude is 0.
     """
-    drift = coeffs - eta * g
+    drift = np.subtract(coeffs, eta * g, out=out)
     drift[N:] = 0.0
-    if amp > 0.0:
-        drift[:N] += amp * rng.standard_normal((N, coeffs.shape[1]))
-    return drift * s_col
+    if noise is not None:
+        drift[:N] += noise
+    return np.multiply(drift, s_col, out=drift)
 
 
 def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
@@ -140,7 +144,9 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
     W = state.map
     g = grad_fn(W) if grad_fn is not None else _models.gradient(model, W, dataset, loss_kind)
     N, s_col = _retained_resolvent(cfg, W.basis)
-    new = _implicit_euler(W.coeffs, g, cfg.eta, cfg.noise_amp, N, s_col, rng)
+    amp = cfg.noise_amp
+    noise = amp * rng.standard_normal((N, W.coeffs.shape[1])) if amp > 0.0 else None
+    new = _implicit_euler(W.coeffs, g, cfg.eta, N, s_col, noise)
     if not np.all(np.isfinite(new)):
         raise ChainDivergedError(state)
     return ChainState(step=state.step + 1, map=W.copy_with(new),
@@ -177,6 +183,13 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     :func:`gld_step`, made by the same function, on the gradient of
     :func:`models.risk_objective`; ``record_observables=False`` skips the loss
     and norm columns for estimators that only need coefficient samples.
+
+    The steps run in blocks of up to ``_BLOCK``.  Each block draws its noise
+    in one call (the same numbers as one draw per step) and checks
+    finiteness once; the first non-finite step of a block raises
+    :class:`ChainDivergedError` carrying the last finite state and its step
+    number.  Only then are the block's steps on the burn-in/thin schedule
+    recorded, in step order.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -196,48 +209,60 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     N, s_col = _retained_resolvent(cfg, basis)
     eta, amp = cfg.eta, cfg.noise_amp
 
+    def as_map(c):
+        return _models.TransportMap(coeffs=c, basis=basis, gamma=gamma)
+
     coeffs = state.map.coeffs.copy()
     step_no = state.step
+    block = min(_BLOCK, cfg.steps)
+    buf = np.empty((block,) + coeffs.shape)
+    rec_steps, rec_coeffs = [], []
+    rec_train, rec_test, rec_H, rec_HK, rec_phi = [], [], [], [], []
 
-    rec_steps, rec_train, rec_test, rec_H, rec_HK, rec_phi, rec_coeffs = [], [], [], [], [], [], []
-
-    def record():
-        rec_steps.append(step_no)
-        if record_observables:
-            rec_train.append(value_fn(coeffs))
-            rec_test.append(test_value(coeffs) if test_value is not None else np.nan)
-            rec_H.append(weighted_norm(coeffs, basis.eigen, 0.0))
-            rec_HK.append(weighted_norm(coeffs, basis.eigen, -0.5))
-            W = _models.TransportMap(coeffs=coeffs.copy(), basis=basis, gamma=gamma)
-            rec_phi.append(phi(W) if phi is not None else np.nan)
-        if record_coeffs:
-            rec_coeffs.append(coeffs.copy())
-
-    g = np.zeros_like(coeffs)
     # overflow on the way to divergence is handled by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.steps):
-            g = grad_fn(coeffs)
-            new_coeffs = _implicit_euler(coeffs, g, eta, amp, N, s_col, rng)
-            if not np.all(np.isfinite(new_coeffs)):
-                raise ChainDivergedError(ChainState(
-                    step=step_no, map=_models.TransportMap(coeffs=coeffs, basis=basis, gamma=gamma)))
-            coeffs = new_coeffs
-            step_no += 1
-            if step_no > cfg.burn_in and (step_no - cfg.burn_in) % cfg.thin == 0:
-                record()
+        for start in range(0, cfg.steps, block):
+            b = min(block, cfg.steps - start)
+            noise = amp * rng.standard_normal((b, N, coeffs.shape[1])) if amp > 0.0 else None
+            prev = coeffs
+            for i in range(b):
+                g = grad_fn(prev)
+                prev = _implicit_euler(prev, g, eta, N, s_col,
+                                       None if noise is None else noise[i], out=buf[i])
+            finite = np.isfinite(buf[:b]).all(axis=(1, 2))
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                last = buf[bad - 1].copy() if bad else coeffs
+                raise ChainDivergedError(ChainState(step=step_no + bad, map=as_map(last)))
+            steps = np.arange(step_no + 1, step_no + b + 1)
+            keep = (steps > cfg.burn_in) & ((steps - cfg.burn_in) % cfg.thin == 0)
+            kept = buf[:b][keep]
+            rec_steps.append(steps[keep])
+            if record_coeffs:
+                rec_coeffs.append(kept)
+            if record_observables:
+                for row in kept:
+                    rec_train.append(value_fn(row))
+                    rec_test.append(test_value(row) if test_value is not None else np.nan)
+                    rec_H.append(weighted_norm(row, basis.eigen, 0.0))
+                    rec_HK.append(weighted_norm(row, basis.eigen, -0.5))
+                    rec_phi.append(phi(as_map(row.copy())) if phi is not None else np.nan)
+            coeffs = buf[b - 1].copy()
+            step_no += b
+        final = ChainState(step=step_no, map=as_map(coeffs),
+                           last_grad_norm=float(np.linalg.norm(g)))
 
-    final = ChainState(step=step_no,
-                       map=_models.TransportMap(coeffs=coeffs, basis=basis, gamma=gamma),
-                       last_grad_norm=float(np.linalg.norm(g)))
+    rec_steps = np.concatenate(rec_steps)
+    if record_coeffs:   # a run with no record keeps the 1-d empty array of np.array([])
+        rec_coeffs = np.concatenate(rec_coeffs) if rec_steps.size else np.array([])
 
     def column(rec):
-        return np.array(rec) if record_observables else np.full(len(rec_steps), np.nan)
+        return np.array(rec) if record_observables else np.full(rec_steps.size, np.nan)
 
-    return Trajectory(steps=np.array(rec_steps, dtype=int), train_loss=column(rec_train),
+    return Trajectory(steps=rec_steps, train_loss=column(rec_train),
                       test_loss=column(rec_test), norm_H=column(rec_H),
                       norm_HK=column(rec_HK), phi=column(rec_phi),
-                      coeffs=np.array(rec_coeffs) if record_coeffs else None,
+                      coeffs=rec_coeffs if record_coeffs else None,
                       final_state=final)
 
 
@@ -261,6 +286,8 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     The recursion is linear per mode, so it is realized exactly as an AR(1)
     filter over the noise sequence.
     """
+    from scipy.signal import lfilter   # scipy.signal dominates the package's import time
+
     mu = eigen.mu[: cfg.n_modes]
     s = 1.0 / (1.0 + cfg.eta * cfg.lam / mu)
     amp = np.sqrt(cfg.eta / cfg.beta)

@@ -81,8 +81,14 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
     ({"preset": "stepsize-bias", "overrides": {"etas": "abc"}}, "'etas'"),
     ({"preset": "posterior-validate", "overrides": {"eta": "0.1"}}, "'eta'"),
     ({"preset": "bernstein-suite", "seed": -1}, "seed"),
+    ({"preset": "posterior-validate", "overrides": {"eta": -1.0}}, "'eta'"),
+    ({"preset": "regression-rate", "overrides": {"R": 0.5}}, "'R'"),
+    ({"preset": "ergodicity", "overrides": {"lam": float("nan")}}, "'lam'"),
+    ({"preset": "stepsize-bias", "overrides": {"etas": [0.1, float("inf")]}}, "'etas'"),
+    ({"preset": "ergodicity", "overrides": {"beta": 0.01}}, "'beta' > 'eta'"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
-        "negative-seed"])
+        "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
+        "inf-in-list", "beta-not-above-eta"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])

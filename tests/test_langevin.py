@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,19 +97,26 @@ def test_zero_gradient_chain_matches_discrete_stationary_variance():
 
 
 def test_run_chain_matches_stepwise_updates():
-    # run_chain and gld_step share one update function: equal bit for bit, noise included
+    # run_chain and gld_step share one update function: equal bit for bit, noise included,
+    # across two block boundaries and with a record schedule that does not divide the block
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
-                            steps=100, burn_in=0, thin=1, seed=21)
+                            steps=2 * lg._BLOCK + 3, burn_in=5, thin=7, seed=21)
     traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True)
     rng = np.random.default_rng(cfg.seed)
     basis = model.basis
     from transport_langevin.spectral import project_P_N
     W0 = lg.initial_map(model, basis, "identity")
     state = lg.ChainState(step=0, map=W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes)))
+    stepwise = []
     for k in range(cfg.steps):
         state = lg.gld_step(state, cfg, model, "squared", data, rng)
-        np.testing.assert_array_equal(state.map.coeffs, traj.coeffs[k])
+        stepwise.append(state.map.coeffs)
+    expected_steps = np.arange(cfg.burn_in + cfg.thin, cfg.steps + 1, cfg.thin)
+    np.testing.assert_array_equal(traj.steps, expected_steps)
+    np.testing.assert_array_equal(traj.coeffs, np.array(stepwise)[expected_steps - 1])
+    np.testing.assert_array_equal(traj.final_state.map.coeffs, state.map.coeffs)
+    assert traj.final_state.last_grad_norm == state.last_grad_norm
 
 
 def test_run_chain_divergence_carries_last_finite_state():
@@ -120,11 +129,63 @@ def test_run_chain_divergence_carries_last_finite_state():
     assert 0 < last.step < cfg.steps
     assert np.all(np.isfinite(last.map.coeffs))
     assert f"after step {last.step}" in str(exc.value)
-    # the carried state is the chain's own state at that step
+    # the carried state is the chain's own state at that step, reached without a warning
     upto = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=last.step, seed=21)
-    with np.errstate(over="ignore"):   # the last gradient norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = lg.run_chain(upto, model, "squared", data, record_observables=False)
     np.testing.assert_array_equal(traj.final_state.map.coeffs, last.map.coeffs)
+
+
+_B = lg._BLOCK
+
+
+@settings(max_examples=12, deadline=None)
+@given(block=st.integers(min_value=0, max_value=2),
+       row=st.one_of(st.just(0), st.integers(min_value=1, max_value=_B - 2), st.just(_B - 1)))
+def test_block_divergence_reports_exact_last_finite_step(block, row):
+    # the gradient turns infinite at step k + 1: on the first step (block 0, row 0) or
+    # on the first, a middle or the last row of a block
+    k = block * _B + row
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=3 * _B + 5, seed=4)
+    risk_objective = md.risk_objective
+
+    def tripping_objective(*args):
+        value, grad = risk_objective(*args)
+        calls = []
+
+        def tripping_grad(coeffs):
+            calls.append(None)
+            g = grad(coeffs)
+            return np.full_like(g, np.inf) if len(calls) == k + 1 else g
+
+        return value, tripping_grad
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "risk_objective", tripping_objective)
+        with pytest.raises(lg.ChainDivergedError) as exc:
+            lg.run_chain(cfg, model, "squared", data)
+    last = exc.value.state
+    assert last.step == k
+    if k == 0:
+        expected = lg.initial_map(model, model.basis, "identity").coeffs
+        expected[cfg.n_modes:] = 0.0
+    else:
+        upto = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=k, seed=4)
+        expected = lg.run_chain(upto, model, "squared", data,
+                                record_observables=False).final_state.map.coeffs
+    np.testing.assert_array_equal(last.map.coeffs, expected)
+
+
+def test_run_chain_with_no_record_keeps_empty_shapes():
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+                            steps=_B + 1, burn_in=_B + 1, seed=2)
+    traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True)
+    assert traj.coeffs.shape == (0,)
+    assert traj.steps.shape == traj.train_loss.shape == traj.phi.shape == (0,)
+    assert traj.final_state.step == cfg.steps
 
 
 _coeff = st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: abs(v) > 1e-6)
