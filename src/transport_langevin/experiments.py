@@ -23,7 +23,7 @@ from .spectral import (GaussianMeasureSpec, cosine_basis, eval_basis,
                        gram_eigenbasis, make_eigen_sequence)
 
 __all__ = ["ExperimentResult", "CriterionResult", "PRESETS", "PRESET_DEFAULTS",
-           "run_preset", "SWEEPABLE_AXES", "sweep_fit"]
+           "run_preset", "SWEEPABLE_AXES", "sweep", "sweep_fit"]
 
 
 @dataclass
@@ -83,8 +83,6 @@ PRESET_DEFAULTS = {
     "wasserstein-demo": dict(n_source=24, n_modes=12, penalty=25.0, mmd_bandwidth=0.8,
                              eta=0.05, beta=1e5, lam=1e-6, steps=20_000, target_shift=1.0,
                              target_scale=0.5),
-    "pac-bayes": dict(M=6, d=2, R=2.0, noise=0.2, eta=0.1, steps=4000, burn_in=2000,
-                      thin=10, ref_eta_factor=0.25, ref_steps=12_000),
 }
 
 
@@ -99,8 +97,7 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
     Unknown keys raise KeyError and bad values ValueError.  Integer keys take
     integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
     >= 0); list keys take non-empty lists of numbers.  Float values must be
-    finite and within the limits of ``_FLOAT_LOW``, and a preset's ``beta``
-    must exceed its step sizes.
+    finite and within ``_FLOAT_LOW``, and a preset's beta must exceed its eta.
     """
     out = dict(defaults)
     for key, val in overrides.items():
@@ -123,9 +120,12 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         else:
             out[key] = _checked_float(key, val, where)
     eta_max = max([out.get("eta", 0.0)] + out.get("etas", []))
-    if "beta" in out and not out["beta"] > eta_max:
-        raise ValueError(f"overrides for preset {preset!r} need 'beta' > 'eta', "
-                         f"got beta={out['beta']!r} and eta={eta_max!r}")
+    # two presets run their chain at beta = n instead of a declared beta
+    beta_key = "n" if preset in ("posterior-validate", "regression-rate") else "beta"
+    if beta_key in out and not out[beta_key] > eta_max:
+        runs_at = " (the chain runs at beta = n)" if beta_key == "n" else ""
+        raise ValueError(f"overrides for preset {preset!r} need {beta_key!r} > 'eta'{runs_at}, "
+                         f"got {beta_key}={out[beta_key]!r} and eta={eta_max!r}")
     return out
 
 
@@ -262,7 +262,8 @@ def ou_moment(seed=0, overrides=None):
 # ---------------------------------------------------------------------------
 
 def _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept):
-    """Rows [eta, E||W||^2, stderr, bias], biases against one eta_min/8 reference chain."""
+    """Rows [eta, E||W||^2, stderr, bias], biases against one eta_min/8 reference
+    chain, the reference and the fit row of the biases over eta."""
     rng = np.random.default_rng(seed)
     basis, model, data, _ = _linear_gaussian_setup(rng, n_modes, n)
     eta_ref = min(etas) / 8.0
@@ -281,7 +282,8 @@ def _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept):
     for i, eta in enumerate(sorted(etas, reverse=True)):
         m, se = run(eta, kept, seed + 2 + i)
         rows.append([eta, m, se, abs(m - ref_mean)])
-    return rows, (ref_mean, ref_se, eta_ref)
+    fit = _fit_row("stepsize-bias", "eta", [r[0] for r in rows], [r[3] for r in rows])
+    return rows, (ref_mean, ref_se, eta_ref), fit
 
 
 def stepsize_bias_suite(seed=0, etas=(0.2, 0.1, 0.05, 0.025), n_modes=3, n=24,
@@ -291,9 +293,8 @@ def stepsize_bias_suite(seed=0, etas=(0.2, 0.1, 0.05, 0.025), n_modes=3, n=24,
     The reference runs at eta_min/8; the biases over the eta grid are fitted
     log-log and the slope is the measured discretization order.
     """
-    rows, ref = _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept)
-    slope = an.fit_stepsize_bias([r[0] for r in rows], [r[3] for r in rows])
-    return slope, rows, ref
+    rows, ref, fit = _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept)
+    return fit[2], rows, ref
 
 
 def stepsize_bias(seed=0, overrides=None):
@@ -302,11 +303,11 @@ def stepsize_bias(seed=0, overrides=None):
     setup = (p["n_modes"], p["n"], p["beta"], p["lam"], p["kept"], p["ref_kept"])
     if p["eta"]:
         # single-eta mode (used by axis sweeps): bias against its own eta/8 reference
-        rows, _ = _stepsize_bias_rows(seed, [p["eta"]], *setup)
+        rows, _, _ = _stepsize_bias_rows(seed, [p["eta"]], *setup)
         return ExperimentResult("stepsize-bias", seed, [], header, rows,
                                 extras={"bias": rows[0][3], "eta": p["eta"]})
-    slope, rows, _ = stepsize_bias_suite(seed, tuple(p["etas"]), *setup)
-    crit = CriterionResult("stepsize-bias-slope", 0.4 <= slope <= 1.2, slope,
+    rows, _, (_, _, slope, ok) = _stepsize_bias_rows(seed, p["etas"], *setup)
+    crit = CriterionResult("stepsize-bias-slope", ok is True, slope,
                            "in [0.4, 1.2]", "log-log slope of |E||W||^2 - reference|")
     return ExperimentResult("stepsize-bias", seed, [crit], header, rows,
                             extras={"slope": slope})
@@ -560,20 +561,14 @@ def regression_rate(seed=0, overrides=None):
 
 def regression_rate_sweep(seed=0, ns=(64, 128, 256, 512, 1024), overrides=None):
     """Full sample-size sweep with the fitted excess-risk slope."""
-    rows = []
-    risks = []
-    for n in ns:
-        ov = dict(overrides or {})
-        ov["n"] = n
-        res = regression_rate(seed, ov)
-        risks.append(res.extras["excess_risk"])
-        rows.append(res.table_rows[0])
-    slope = an.excess_risk_rate_fit(list(ns), risks)
-    crit = CriterionResult("regression-rate-slope", slope <= -0.5, slope, "<= -0.5",
+    results, (_, _, slope, ok) = sweep("regression-rate", "n", ns, seed, overrides)
+    crit = CriterionResult("regression-rate-slope", ok is True, slope, "<= -0.5",
                            f"log-log excess risk over n in {list(ns)}")
     return ExperimentResult("regression-rate", seed, [crit],
-                            ["n", "excess_risk", "final_train_loss"], rows,
-                            extras={"slope": slope, "risks": risks})
+                            ["n", "excess_risk", "final_train_loss"],
+                            [r.table_rows[0] for r in results],
+                            extras={"slope": slope,
+                                    "risks": [r.extras["excess_risk"] for r in results]})
 
 
 # ---------------------------------------------------------------------------
@@ -627,33 +622,23 @@ def classification_rate(seed=0, overrides=None):
 
 
 def classification_rate_sweep(seed=0, betas=(25.0, 50.0, 100.0, 200.0), overrides=None):
-    rows, errs = [], []
-    gap = None
-    for b in betas:
-        ov = dict(overrides or {})
-        ov["beta"] = b
-        res = classification_rate(seed, ov)
-        errs.append(res.extras["error_prob"])
-        gap = res.extras["low_noise_gap"]
-        rows.append(res.table_rows[0])
-    errs = np.array(errs)
-    audit_ok = gap >= 0.3
-    if errs[-1] == 0.0:
-        passed, measured, detail = True, 0.0, "error probability exactly 0 at the largest beta"
-    elif np.all(errs > 0):
-        corr = float(np.corrcoef(np.asarray(betas), np.log(errs))[0, 1])
-        passed, measured, detail = corr <= -0.9, corr, "correlation of log error vs beta"
-    else:
-        passed, measured, detail = False, float("nan"), "zero error at an intermediate beta only"
+    """Temperature sweep with the low-noise audit and the exponential-rate fit."""
+    results, (_, name, measured, ok) = sweep("classification-rate", "beta", betas, seed,
+                                             overrides)
+    gap = results[-1].extras["low_noise_gap"]
+    detail = {"log-error-beta": "error probability exactly 0 at the largest beta",
+              "zero-error-below-max-beta": "zero error at a smaller beta only"}.get(
+                  name, "correlation of log error vs beta")
     criteria = [
-        CriterionResult("classification-low-noise-audit", audit_ok, gap, ">= 0.3",
+        CriterionResult("classification-low-noise-audit", gap >= 0.3, gap, ">= 0.3",
                         "min |P(Y=1|x) - 1/2| on the generator grid"),
-        CriterionResult("classification-exp-rate", passed, measured,
-                        "corr <= -0.9 or exact 0 at max beta", detail),
+        CriterionResult("classification-exp-rate", ok is True, measured,
+                        "log-error/beta correlation <= -0.9 or exact 0 at max beta", detail),
     ]
     return ExperimentResult("classification-rate", seed, criteria,
-                            ["beta", "error_prob", "low_noise_gap", "n_samples"], rows,
-                            extras={"errors": errs.tolist()})
+                            ["beta", "error_prob", "low_noise_gap", "n_samples"],
+                            [r.table_rows[0] for r in results],
+                            extras={"errors": [r.extras["error_prob"] for r in results]})
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +715,15 @@ def wasserstein_demo(seed=0, overrides=None):
 # generalization-gap check (runs on the regression machinery)
 # ---------------------------------------------------------------------------
 
+# override keys and defaults of pac_bayes_check, which is not a registered preset
+_PAC_BAYES_DEFAULTS = dict(M=6, d=2, R=2.0, noise=0.2, eta=0.1, steps=4000, burn_in=2000,
+                           thin=10, ref_eta_factor=0.25, ref_steps=12_000)
+
+
 def pac_bayes_check(seed=0, n_seeds=10, n=64, overrides=None):
     """Bound vs observed train/test gap across seeds, with the optimization
     term replaced by the measured chain-vs-reference gap."""
-    p = _merged(PRESET_DEFAULTS["pac-bayes"], overrides or {}, "pac-bayes")
+    p = _merged(_PAC_BAYES_DEFAULTS, overrides or {}, "pac-bayes")
     rows = []
     ok_all = True
     for s in range(seed, seed + n_seeds):
@@ -798,26 +788,59 @@ def run_preset(name: str, seed: int = 0, overrides: Optional[dict] = None) -> Ex
     return PRESETS[name](seed=seed, overrides=overrides or {})
 
 
+# ---------------------------------------------------------------------------
+# sweeps: one run loop, one fit per (preset, axis)
+# ---------------------------------------------------------------------------
+
+def _regression_rule(ns, risks):
+    slope = an.excess_risk_rate_fit(ns, risks)
+    return "excess-risk-slope", slope, slope <= -0.5
+
+
+def _classification_rule(betas, errs):
+    """Exactly zero error at the largest beta passes and zero error at a
+    smaller beta only fails; otherwise log error must fall with beta."""
+    betas, errs = np.asarray(betas, dtype=float), np.asarray(errs, dtype=float)
+    if errs[np.argmax(betas)] == 0.0:
+        return "log-error-beta", 0.0, True
+    if np.any(errs == 0.0):
+        return "zero-error-below-max-beta", float("nan"), False
+    corr = float(np.corrcoef(betas, np.log(errs))[0, 1])
+    return "log-error-beta-corr", corr, corr <= -0.9
+
+
+def _bias_rule(etas, biases):
+    slope = an.fit_stepsize_bias(etas, biases)
+    return "bias-slope", slope, 0.4 <= slope <= 1.2
+
+
+# (preset, axis) -> (extras key of each run, fewest values the fit needs, fit
+# name when there are fewer, rule (values, ys) -> (name, measured, verdict))
+_SWEEP_FITS = {
+    ("regression-rate", "n"): ("excess_risk", 4, "excess-risk-slope", _regression_rule),
+    ("classification-rate", "beta"): ("error_prob", 3, "log-error-beta-corr",
+                                      _classification_rule),
+    ("stepsize-bias", "eta"): ("bias", 3, "bias-slope", _bias_rule),
+}
+
+
+def sweep(preset: str, axis: str, values, seed: int = 0, overrides: Optional[dict] = None):
+    """Run a preset once per value of one override key, serially: (results, fit row)."""
+    results = [run_preset(preset, seed, {**(overrides or {}), axis: v}) for v in values]
+    return results, sweep_fit(preset, axis, values, results)
+
+
 def sweep_fit(preset: str, axis: str, values, results: list[ExperimentResult]):
-    """Aggregate fit row for a sweep, chosen by preset and axis."""
-    if preset == "regression-rate" and axis == "n":
-        risks = [r.extras["excess_risk"] for r in results]
-        if len(values) >= 4:
-            slope = an.excess_risk_rate_fit(list(values), risks)
-            return ["fit", "excess-risk-slope", slope, slope <= -0.5]
-        return ["fit", "excess-risk-slope", float("nan"), "insufficient-points"]
-    if preset == "classification-rate" and axis == "beta":
-        errs = np.array([r.extras["error_prob"] for r in results])
-        if errs[-1] == 0.0:
-            return ["fit", "log-error-beta", 0.0, True]
-        if len(values) >= 3 and np.all(errs > 0):
-            corr = float(np.corrcoef(np.asarray(values, dtype=float), np.log(errs))[0, 1])
-            return ["fit", "log-error-beta-corr", corr, corr <= -0.9]
-        return ["fit", "log-error-beta-corr", float("nan"), "insufficient-points"]
-    if preset == "stepsize-bias" and axis == "eta":
-        biases = [r.extras["bias"] for r in results]
-        if len(values) >= 3:
-            slope = an.fit_stepsize_bias(list(values), biases)
-            return ["fit", "bias-slope", slope, 0.4 <= slope <= 1.2]
-        return ["fit", "bias-slope", float("nan"), "insufficient-points"]
-    return ["fit", "none", float("nan"), "no fit defined for this preset/axis"]
+    """Fit row ``["fit", name, measured, verdict]``; the verdict is True or
+    False, or a string when there is no fit or too few values for one."""
+    if (preset, axis) not in _SWEEP_FITS:
+        return ["fit", "none", float("nan"), "no fit defined for this preset/axis"]
+    key = _SWEEP_FITS[preset, axis][0]
+    return _fit_row(preset, axis, values, [r.extras[key] for r in results])
+
+
+def _fit_row(preset: str, axis: str, values, ys) -> list:
+    _, min_points, name, rule = _SWEEP_FITS[preset, axis]
+    if len(values) < min_points:
+        return ["fit", name, float("nan"), "insufficient-points"]
+    return ["fit", *rule(values, ys)]

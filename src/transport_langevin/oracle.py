@@ -8,7 +8,6 @@ inequality for centered ellipsoids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -28,7 +27,6 @@ __all__ = [
     "gaussian_correlation_mc",
     "reference_chain",
     "batch_means_stderr",
-    "write_report",
 ]
 
 
@@ -210,10 +208,3 @@ def reference_chain(cfg, model, loss_kind, dataset,
         vals = np.array([fn(c) for c in traj.coeffs])
         out[name] = (float(vals.mean()), batch_means_stderr(vals))
     return out
-
-
-def write_report(payload: dict, path):
-    """Deterministic structured-text report for the acceptance suite."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=float)
-        fh.write("\n")

@@ -86,9 +86,12 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
     ({"preset": "ergodicity", "overrides": {"lam": float("nan")}}, "'lam'"),
     ({"preset": "stepsize-bias", "overrides": {"etas": [0.1, float("inf")]}}, "'etas'"),
     ({"preset": "ergodicity", "overrides": {"beta": 0.01}}, "'beta' > 'eta'"),
+    ({"preset": "posterior-validate", "overrides": {"eta": 60.0}}, "'eta'"),
+    ({"preset": "regression-rate", "overrides": {"eta": 300.0}}, "'eta'"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
-        "inf-in-list", "beta-not-above-eta"])
+        "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
+        "eta-not-below-n-regression"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -107,9 +110,13 @@ def test_internal_key_error_is_not_a_config_error(monkeypatch):
 
 
 def test_threads_is_a_sweep_only_flag():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--preset", "bernstein-suite", "--threads", "2"])
-    assert exc.value.code == 2
+    # sweeps run serially; no subcommand takes --threads
+    for argv in (["run", "--preset", "bernstein-suite"],
+                 ["sweep", "--preset", "bernstein-suite", "--axis", "n", "--values", "1"],
+                 ["audit", "--preset", "bernstein-suite"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "2"])
+        assert exc.value.code == 2, argv[0]
 
 
 def test_parse_failure_reports_line_and_column(tmp_path, capsys):
@@ -145,11 +152,13 @@ def test_sweep_single_value_flags_insufficient(tmp_path):
 
 
 def test_sweep_bad_axis_is_status_2(tmp_path, capsys):
-    # an unknown axis, an axis the preset lacks, and a value its key rejects
-    # all end before anything runs
+    # an unknown axis, an axis the preset lacks, a value its key rejects and a
+    # step size at or above the beta = n the preset runs at all end before
+    # anything runs
     for preset, axis, values in (("regression-rate", "color", "1,2"),
                                  ("grad-check", "n", "1,2"),
-                                 ("regression-rate", "M", "0.5")):
+                                 ("regression-rate", "M", "0.5"),
+                                 ("regression-rate", "eta", "0.05,300")):
         rc = cli.main(["sweep", "--preset", preset, "--axis", axis, "--values", values,
                        "--out", str(tmp_path / "s")])
         assert rc == 2, (preset, axis)
@@ -157,18 +166,77 @@ def test_sweep_bad_axis_is_status_2(tmp_path, capsys):
         assert not (tmp_path / "s").exists()
 
 
-def test_sweep_threads_matches_serial(tmp_path):
+def test_sweep_is_byte_reproducible(tmp_path):
     args = ["sweep", "--preset", "stepsize-bias", "--axis", "eta",
             "--values", "0.2,0.1,0.05",
             "--seed", "2"]
     ov = {"overrides": {"kept": 20000, "ref_kept": 40000}, "preset": "stepsize-bias"}
     cfg = _write_cfg(tmp_path, ov)
-    rc1 = cli.main(args + ["--config", cfg, "--out", str(tmp_path / "ser"), "--threads", "1"])
-    rc2 = cli.main(args + ["--config", cfg, "--out", str(tmp_path / "par"), "--threads", "3"])
-    assert rc1 == rc2
-    a = (tmp_path / "ser" / "stepsize-bias-sweep-eta" / "sweep.csv").read_text()
-    b = (tmp_path / "par" / "stepsize-bias-sweep-eta" / "sweep.csv").read_text()
-    assert a == b
+    rc1 = cli.main(args + ["--config", cfg, "--out", str(tmp_path / "a")])
+    rc2 = cli.main(args + ["--config", cfg, "--out", str(tmp_path / "b")])
+    assert rc1 == rc2 == 0
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
+                   if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*")
+                           if p.is_file())
+    assert len(files) == 1 + 3 * 3   # sweep.csv and three artifacts per value
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    return [line.split(",") for line in lines if not line.startswith("#")][1:]
+
+
+def test_sweep_matches_suite(tmp_path):
+    # the CLI sweep and the criterion-9 suite share one run loop and one fit
+    overrides = {"steps": 1500, "burn_in": 500}
+    ns = (64, 128, 256, 512)
+    res = ex.regression_rate_sweep(seed=0, ns=ns, overrides=overrides)
+    cfg = _write_cfg(tmp_path, {"preset": "regression-rate", "overrides": overrides})
+    rc = cli.main(["sweep", "--config", cfg, "--axis", "n", "--seed", "0",
+                   "--values", ",".join(map(str, ns)), "--out", str(tmp_path / "s")])
+    assert rc == (0 if res.passed else 1)
+    rows = _csv_rows(tmp_path / "s" / "regression-rate-sweep-n" / "sweep.csv")
+    # sweep.csv columns: n, extra_excess_risk, extra_n
+    assert [[float(r[0]), float(r[1])] for r in rows[:-1]] == \
+        [[float(n), risk] for n, risk, _ in res.table_rows]
+    fit = rows[-1]
+    assert fit[:2] == ["fit", "excess-risk-slope"]
+    assert float(fit[2]) == res.extras["slope"]
+    assert fit[3] == str(res.criteria[0].passed)
+
+
+def test_sweep_zero_error_below_max_beta_is_status_1(tmp_path, monkeypatch):
+    # zero error at a smaller beta only fails the exponential-rate fit
+    errors = {25.0: 0.5, 50.0: 0.0, 100.0: 0.1, 200.0: 0.05}
+
+    def fake(seed=0, overrides=None):
+        beta = float(overrides["beta"])
+        return ex.ExperimentResult("classification-rate", seed, [], ["beta", "error_prob"],
+                                   [[beta, errors[beta]]],
+                                   extras={"error_prob": errors[beta], "beta": beta})
+
+    monkeypatch.setitem(ex.PRESETS, "classification-rate", fake)
+    rc = cli.main(["sweep", "--preset", "classification-rate", "--axis", "beta",
+                   "--values", "25,50,100,200", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    fit = _csv_rows(tmp_path / "s" / "classification-rate-sweep-beta" / "sweep.csv")[-1]
+    assert fit[:2] == ["fit", "zero-error-below-max-beta"] and fit[3] == "False"
+
+
+def test_sweep_failed_run_without_a_fit_is_status_1(tmp_path, monkeypatch):
+    # a sweep with no fit for its axis still fails when one of its runs fails
+    def fake(seed=0, overrides=None):
+        crit = ex.CriterionResult("posterior-mean-z", overrides["eta"] < 0.002, 0.0, "<= 3")
+        return ex.ExperimentResult("posterior-validate", seed, [crit], ["mode"], [[0]],
+                                   extras={"max_z": 0.0})
+
+    monkeypatch.setitem(ex.PRESETS, "posterior-validate", fake)
+    rc = cli.main(["sweep", "--preset", "posterior-validate", "--axis", "eta",
+                   "--values", "0.001,0.003", "--out", str(tmp_path / "s")])
+    assert rc == 1
 
 
 def test_divergence_is_status_3(tmp_path, capsys):

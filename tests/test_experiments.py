@@ -41,11 +41,18 @@ def test_criterion_result_line_format():
 
 def test_classification_sweep_zero_escape_logic():
     # when the largest beta reaches exactly zero error the criterion passes
-    # regardless of the correlation (hand-built results)
-    rows = []
-    for b, e in [(25.0, 0.5), (50.0, 0.2), (100.0, 0.01), (200.0, 0.0)]:
-        r = ex.ExperimentResult("classification-rate", 0, [], [], [[b, e, 0.33, 10]],
-                                extras={"error_prob": e, "beta": b, "low_noise_gap": 0.33})
-        rows.append(r)
-    fit = ex.sweep_fit("classification-rate", "beta", [25.0, 50.0, 100.0, 200.0], rows)
-    assert fit[3] is True
+    # regardless of the correlation, and in whatever order the betas come;
+    # zero error at a smaller beta only fails (hand-built results)
+    def fit(pairs):
+        rows = [ex.ExperimentResult("classification-rate", 0, [], [], [[b, e, 0.33, 10]],
+                                    extras={"error_prob": e, "beta": b, "low_noise_gap": 0.33})
+                for b, e in pairs]
+        return ex.sweep_fit("classification-rate", "beta", [b for b, _ in pairs], rows)
+
+    assert fit([(25.0, 0.5), (50.0, 0.2), (100.0, 0.01), (200.0, 0.0)])[3] is True
+    assert fit([(200.0, 0.0), (100.0, 0.01), (50.0, 0.2), (25.0, 0.5)])[3] is True
+    assert fit([(25.0, 0.5), (50.0, 0.0), (100.0, 0.1), (200.0, 0.05)])[3] is False
+
+
+def test_every_declared_default_is_a_preset():
+    assert set(ex.PRESET_DEFAULTS) == set(ex.PRESETS)

@@ -176,11 +176,3 @@ def test_batch_means_stderr_shrinks_with_horizon():
     r = np.mean([orc.batch_means_stderr(ar1(4000)) / orc.batch_means_stderr(ar1(8000))
                  for _ in range(reps)])
     assert r == pytest.approx(np.sqrt(2.0), rel=0.2)
-
-
-def test_write_report_deterministic(tmp_path):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    payload = {"b": 1.5, "a": [1, 2], "c": {"z": 0.25}}
-    orc.write_report(payload, p1)
-    orc.write_report(payload, p2)
-    assert p1.read_bytes() == p2.read_bytes()
