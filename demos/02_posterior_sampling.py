@@ -27,9 +27,7 @@ post = conjugate_posterior(basis, eval_basis(basis, x), y, beta=beta, lam=lam)
 
 cfg = DynamicsConfig(eta=2e-3, beta=beta, lam=lam, n_modes=n_modes,
                      steps=120_000, burn_in=20_000, thin=1, seed=0)
-traj = run_chain(cfg, model, "squared", data, record_coeffs=True,
-                 record_observables=False)
-samples = traj.coeffs[:, :, 0]
+samples = run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
 
 print(f"{'mode':>4} {'chain mean':>11} {'exact mean':>11} {'z':>6}   "
       f"{'chain var':>10} {'exact var':>10}")

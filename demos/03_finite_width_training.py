@@ -36,7 +36,7 @@ print(f"initial training loss: {empirical_risk(model, W0, 'squared', data):.5f}"
 cfg = DynamicsConfig(eta=0.2, beta=1e6, lam=1e-5, n_modes=M,
                      steps=8000, burn_in=0, thin=400, seed=0)
 traj = run_chain(cfg, model, "squared", data, init="zero")
-for s, l in zip(traj.steps, traj.train_loss):
+for s, l in zip(traj.steps, traj.risk(model, "squared", data)):
     print(f"  step {s:>5}: loss {l:.6f}")
 
 W_final = traj.final_state.map

@@ -32,7 +32,7 @@ print(f"objective at the identity map: {empirical_risk(model, W0, 'squared', dat
 cfg = DynamicsConfig(eta=0.02, beta=1e5, lam=1e-6, n_modes=12,
                      steps=30_000, burn_in=0, thin=3000, seed=0)
 traj = run_chain(cfg, model, "squared", data)
-for s, v in zip(traj.steps, traj.train_loss):
+for s, v in zip(traj.steps, traj.risk(model, "squared", data)):
     print(f"  step {s:>6}: objective {v:.4f}")
 
 mapped = forward(model, traj.final_state.map, src)

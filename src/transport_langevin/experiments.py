@@ -66,7 +66,7 @@ PRESET_DEFAULTS = {
                                kept=200_000, noise=0.2),
     "ou-moment": dict(steps=200_000, burn_in=20_000),
     "stepsize-bias": dict(etas=[0.2, 0.1, 0.05, 0.025], n_modes=3, n=24, beta=1.0,
-                          lam=4.0, kept=300_000, ref_kept=1_200_000, eta=0.0),
+                          lam=4.0, kept=300_000, ref_kept=1_200_000),
     "ergodicity": dict(n_modes=4, n=24, beta=5.0, lam=1.0, eta=0.05, steps=400,
                        n_pairs=32, gap_floor=1e-9),
     "grad-check": dict(n_configs=100, step=1e-5, tol=1e-5),
@@ -96,8 +96,9 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
 
     Unknown keys raise KeyError and bad values ValueError.  Integer keys take
     integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
-    >= 0); list keys take non-empty lists of numbers.  Float values must be
-    finite and within ``_FLOAT_LOW``, and a preset's beta must exceed its eta.
+    >= 0); list keys take non-empty lists of numbers, and stepsize-bias needs
+    as many ``etas`` as its bias fit.  Float values must be finite and within
+    ``_FLOAT_LOW``, and a preset's beta must exceed its eta.
     """
     out = dict(defaults)
     for key, val in overrides.items():
@@ -119,6 +120,11 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
             out[key] = int(val)
         else:
             out[key] = _checked_float(key, val, where)
+    # the step-size bias preset fits its biases over etas like a sweep over eta
+    min_etas = _SWEEP_FITS["stepsize-bias", "eta"][1]
+    if preset == "stepsize-bias" and len(out["etas"]) < min_etas:
+        raise ValueError(f"override 'etas' for preset 'stepsize-bias' needs at least "
+                         f"{min_etas} step sizes for the bias fit, got {out['etas']!r}")
     eta_max = max([out.get("eta", 0.0)] + out.get("etas", []))
     # two presets run their chain at beta = n instead of a declared beta
     beta_key = "n" if preset in ("posterior-validate", "regression-rate") else "beta"
@@ -193,9 +199,7 @@ def posterior_validate(seed=0, overrides=None):
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam, n_modes=p["n_modes"],
                             steps=p["burn_in"] + p["kept"], burn_in=p["burn_in"],
                             thin=1, seed=seed)
-    traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True,
-                        record_observables=False)
-    samples = traj.coeffs[:, :, 0]
+    samples = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
     header = ["mode", "chain_mean", "exact_mean", "stderr", "z"]
     rows, zs = [], []
     for k in range(p["n_modes"]):
@@ -272,9 +276,7 @@ def _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept):
         burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
         cfg = lg.DynamicsConfig(eta=eta, beta=beta, lam=lam, n_modes=n_modes,
                                 steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
-        traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True,
-                            record_observables=False)
-        sq = np.sum(traj.coeffs[:, :, 0] ** 2, axis=1)
+        sq = np.sum(lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0] ** 2, axis=1)
         return float(sq.mean()), orc.batch_means_stderr(sq)
 
     ref_mean, ref_se = run(eta_ref, ref_kept, seed + 1)
@@ -299,17 +301,13 @@ def stepsize_bias_suite(seed=0, etas=(0.2, 0.1, 0.05, 0.025), n_modes=3, n=24,
 
 def stepsize_bias(seed=0, overrides=None):
     p = _merged(PRESET_DEFAULTS["stepsize-bias"], overrides or {}, "stepsize-bias")
-    header = ["eta", "mean_sq_norm", "stderr", "bias"]
-    setup = (p["n_modes"], p["n"], p["beta"], p["lam"], p["kept"], p["ref_kept"])
-    if p["eta"]:
-        # single-eta mode (used by axis sweeps): bias against its own eta/8 reference
-        rows, _, _ = _stepsize_bias_rows(seed, [p["eta"]], *setup)
-        return ExperimentResult("stepsize-bias", seed, [], header, rows,
-                                extras={"bias": rows[0][3], "eta": p["eta"]})
-    rows, _, (_, _, slope, ok) = _stepsize_bias_rows(seed, p["etas"], *setup)
+    rows, _, (_, _, slope, ok) = _stepsize_bias_rows(seed, p["etas"], p["n_modes"], p["n"],
+                                                     p["beta"], p["lam"], p["kept"],
+                                                     p["ref_kept"])
     crit = CriterionResult("stepsize-bias-slope", ok is True, slope,
                            "in [0.4, 1.2]", "log-log slope of |E||W||^2 - reference|")
-    return ExperimentResult("stepsize-bias", seed, [crit], header, rows,
+    return ExperimentResult("stepsize-bias", seed, [crit],
+                            ["eta", "mean_sq_norm", "stderr", "bias"], rows,
                             extras={"slope": slope})
 
 
@@ -549,11 +547,11 @@ def regression_rate(seed=0, overrides=None):
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                             n_modes=model.basis.n_modes, steps=int(p["steps"]),
                             burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=seed)
-    traj = lg.run_chain(cfg, model, "squared", md.Dataset(x=x, y=y),
-                        init="zero", record_coeffs=True)
-    excess = float(np.mean([np.mean((md.forward(model, md.TransportMap(coeffs=c, basis=model.basis), test_x)
-                                     - f_star) ** 2) for c in traj.coeffs]))
-    rows = [[n, excess, float(traj.train_loss[-1])]]
+    data = md.Dataset(x=x, y=y)
+    traj = lg.run_chain(cfg, model, "squared", data, init="zero")
+    maps = _kept_maps(traj, model.basis)
+    excess = float(np.mean([np.mean((md.forward(model, W, test_x) - f_star) ** 2) for W in maps]))
+    rows = [[n, excess, md.empirical_risk(model, maps[-1], "squared", data)]]
     return ExperimentResult("regression-rate", seed, [],
                             ["n", "excess_risk", "final_train_loss"], rows,
                             extras={"excess_risk": excess, "n": n})
@@ -612,7 +610,7 @@ def classification_rate(seed=0, overrides=None):
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=1.0 / beta,
                             n_modes=model.basis.n_modes, steps=int(p["steps"]),
                             burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=seed)
-    traj = lg.run_chain(cfg, model, "logistic", data, init="zero", record_coeffs=True)
+    traj = lg.run_chain(cfg, model, "logistic", data, init="zero")
     maps = _kept_maps(traj, model.basis)
     err = an.classification_error_prob(maps, model, bayes, grid)
     rows = [[beta, err, noise_gap, len(maps)]]
@@ -669,14 +667,15 @@ def finite_width_demo(seed=0, overrides=None):
     W0 = lg.initial_map(model, model.basis, "zero")
     init_loss = md.empirical_risk(model, W0, "squared", data)
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
-    below = np.nonzero(traj.train_loss < 0.1 * init_loss)[0]
+    loss = traj.risk(model, "squared", data)
+    below = np.nonzero(loss < 0.1 * init_loss)[0]
     steps_needed = int(traj.steps[below[0]]) if below.size else int(p["budget"]) + 1
     crit = CriterionResult("finite-width-loss-drop",
                            below.size > 0 and steps_needed <= int(p["budget"]),
                            float(steps_needed),
                            f"loss < 0.1x initial within {int(p['budget'])} steps",
-                           f"initial {init_loss:.4g}, final {traj.train_loss[-1]:.4g}")
-    rows = [[int(s), float(l)] for s, l in zip(traj.steps, traj.train_loss)]
+                           f"initial {init_loss:.4g}, final {loss[-1]:.4g}")
+    rows = [[int(s), float(l)] for s, l in zip(traj.steps, loss)]
     return ExperimentResult("finite-width-demo", seed, [crit], ["step", "train_loss"], rows,
                             extras={"steps_needed": steps_needed, "init_loss": init_loss})
 
@@ -702,11 +701,12 @@ def wasserstein_demo(seed=0, overrides=None):
     W0 = lg.initial_map(model, basis, "identity")
     init_obj = md.empirical_risk(model, W0, "squared", data)
     traj = lg.run_chain(cfg, model, "squared", data)
-    final_obj = float(traj.train_loss[-1])
+    objective = traj.risk(model, "squared", data)
+    final_obj = float(objective[-1])
     crit = CriterionResult("wasserstein-objective-decrease", final_obj < 0.5 * init_obj,
                            final_obj, f"< 0.5x initial ({init_obj:.4g})",
                            "soft transport objective after training")
-    rows = [[int(s), float(l)] for s, l in zip(traj.steps, traj.train_loss)]
+    rows = [[int(s), float(l)] for s, l in zip(traj.steps, objective)]
     return ExperimentResult("wasserstein-demo", seed, [crit], ["step", "objective"], rows,
                             extras={"init_obj": init_obj, "final_obj": final_obj})
 
@@ -724,6 +724,9 @@ def pac_bayes_check(seed=0, n_seeds=10, n=64, overrides=None):
     """Bound vs observed train/test gap across seeds, with the optimization
     term replaced by the measured chain-vs-reference gap."""
     p = _merged(_PAC_BAYES_DEFAULTS, overrides or {}, "pac-bayes")
+    if not n > p["eta"]:
+        raise ValueError(f"pac-bayes check needs n > 'eta' (the chain runs at beta = n), "
+                         f"got n={n!r} and eta={p['eta']!r}")
     rows = []
     ok_all = True
     for s in range(seed, seed + n_seeds):
@@ -740,15 +743,16 @@ def pac_bayes_check(seed=0, n_seeds=10, n=64, overrides=None):
         cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                                 n_modes=model.basis.n_modes, steps=int(p["steps"]),
                                 burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=s)
-        traj = lg.run_chain(cfg, model, "squared", data, test_dataset=test, init="zero")
+        traj = lg.run_chain(cfg, model, "squared", data, init="zero")
         cfg_ref = lg.DynamicsConfig(eta=p["eta"] * p["ref_eta_factor"], beta=beta, lam=lam,
                                     n_modes=model.basis.n_modes, steps=int(p["ref_steps"]),
                                     burn_in=int(p["burn_in"]) * 2, thin=int(p["thin"]), seed=s + 1)
         ref = lg.run_chain(cfg_ref, model, "squared", data, init="zero")
-        xi_hat = abs(float(traj.train_loss.mean()) - float(ref.train_loss.mean()))
+        train = traj.risk(model, "squared", data)
+        xi_hat = abs(float(train.mean()) - float(ref.risk(model, "squared", data).mean()))
         R_bar = ls.clipped_loss_range(p["R"], p["noise"])
         bound = an.pac_bayes_bound(R_bar, beta, n, delta=0.5, Xi_k=xi_hat)
-        gap = float(traj.test_loss.mean() - traj.train_loss.mean())
+        gap = float(traj.risk(model, "squared", test).mean() - train.mean())
         ok = bound >= gap
         ok_all &= ok
         rows.append([s, gap, xi_hat, bound, int(ok)])

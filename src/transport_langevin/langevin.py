@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import models as _models
-from .spectral import EigenSequence, project_P_N, resolvent_S_eta, weighted_norm
+from .spectral import EigenSequence, project_P_N, resolvent_S_eta
 
 __all__ = [
     "DynamicsConfig",
@@ -93,24 +93,16 @@ class ChainDivergedError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Observable records of a chain run, every ``thin`` steps after burn-in."""
+    """Coefficient records of a chain run, every ``thin`` steps after burn-in."""
 
     steps: np.ndarray
-    train_loss: np.ndarray
-    test_loss: np.ndarray
-    norm_H: np.ndarray
-    norm_HK: np.ndarray
-    phi: np.ndarray
-    coeffs: Optional[np.ndarray] = None   # (n_records, n_modes, d_out) when requested
-    final_state: Optional[ChainState] = None
+    coeffs: np.ndarray   # (n_records, n_modes, d_out)
+    final_state: ChainState
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,train_loss,test_loss,norm_H,norm_HK,phi\n")
-            for i in range(self.steps.size):
-                fh.write(f"{int(self.steps[i])},{self.train_loss[i]:.17g},"
-                         f"{self.test_loss[i]:.17g},{self.norm_H[i]:.17g},"
-                         f"{self.norm_HK[i]:.17g},{self.phi[i]:.17g}\n")
+    def risk(self, model, loss_kind, dataset) -> np.ndarray:
+        """Empirical risk of each recorded map on ``dataset``, in record order."""
+        value, _ = _models.risk_objective(model, loss_kind, dataset, self.final_state.map.gamma)
+        return np.array([value(c) for c in self.coeffs])
 
 
 # steps per block of run_chain: one noise draw, one finiteness check, one record slab
@@ -153,43 +145,34 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
                       last_grad_norm=float(np.linalg.norm(g)))
 
 
-def initial_map(model, basis, kind: str = "identity",
-                rng: Optional[np.random.Generator] = None,
-                cfg: Optional[DynamicsConfig] = None) -> _models.TransportMap:
-    """Starting point of a chain: identity projection (default), zero, or a prior draw."""
-    d_out = _models.map_output_dim(model)
+def initial_map(model, basis, kind: str = "identity") -> _models.TransportMap:
+    """Starting point of a chain: the identity projection (default) or zero."""
     if kind == "identity":
         coeffs = _models.identity_coeffs(model, basis)
     elif kind == "zero":
-        coeffs = np.zeros((basis.n_modes, d_out))
-    elif kind == "prior":
-        if rng is None or cfg is None:
-            raise ValueError("prior initialization needs rng and cfg")
-        sd = np.sqrt(basis.mu / (cfg.beta * cfg.lam))
-        coeffs = rng.standard_normal((basis.n_modes, d_out)) * sd[:, None]
+        coeffs = np.zeros((basis.n_modes, _models.map_output_dim(model)))
     else:
         raise ValueError(f"unknown initialization {kind!r}")
     return _models.TransportMap(coeffs=coeffs, basis=basis)
 
 
 def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
-              test_dataset=None, phi: Optional[Callable] = None,
-              init: str = "identity", init_state: Optional[ChainState] = None,
-              record_coeffs: bool = False, record_observables: bool = True) -> Trajectory:
-    """Run the chain for cfg.steps updates, recording observables.
+              init: str = "identity", init_state: Optional[ChainState] = None) -> Trajectory:
+    """Run the chain for cfg.steps updates, recording the coefficients.
 
     Deterministic given (cfg.seed, inputs); the initial state is the identity
     map projected on the basis unless overridden.  Each step is the update of
     :func:`gld_step`, made by the same function, on the gradient of
-    :func:`models.risk_objective`; ``record_observables=False`` skips the loss
-    and norm columns for estimators that only need coefficient samples.
+    :func:`models.risk_objective`.  The record is the coefficient slab of the
+    steps on the burn-in/thin schedule; :meth:`Trajectory.risk` evaluates the
+    loss on it.
 
     The steps run in blocks of up to ``_BLOCK``.  Each block draws its noise
     in one call (the same numbers as one draw per step) and checks
     finiteness once; the first non-finite step of a block raises
     :class:`ChainDivergedError` carrying the last finite state and its step
-    number.  Only then are the block's steps on the burn-in/thin schedule
-    recorded, in step order.
+    number.  Only then are the block's steps on the schedule recorded, in
+    step order.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -198,14 +181,11 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     if init_state is not None:
         state = init_state
     else:
-        W0 = initial_map(model, basis, init, rng=rng, cfg=cfg)
+        W0 = initial_map(model, basis, init)
         W0 = W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes))
         state = ChainState(step=0, map=W0)
     gamma = state.map.gamma
-    value_fn, grad_fn = _models.risk_objective(model, loss_kind, dataset, gamma)
-    test_value = None
-    if test_dataset is not None:
-        test_value, _ = _models.risk_objective(model, loss_kind, test_dataset, gamma)
+    _, grad_fn = _models.risk_objective(model, loss_kind, dataset, gamma)
     N, s_col = _retained_resolvent(cfg, basis)
     eta, amp = cfg.eta, cfg.noise_amp
 
@@ -217,7 +197,6 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     block = min(_BLOCK, cfg.steps)
     buf = np.empty((block,) + coeffs.shape)
     rec_steps, rec_coeffs = [], []
-    rec_train, rec_test, rec_H, rec_HK, rec_phi = [], [], [], [], []
 
     # overflow on the way to divergence is handled by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,33 +215,14 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
                 raise ChainDivergedError(ChainState(step=step_no + bad, map=as_map(last)))
             steps = np.arange(step_no + 1, step_no + b + 1)
             keep = (steps > cfg.burn_in) & ((steps - cfg.burn_in) % cfg.thin == 0)
-            kept = buf[:b][keep]
             rec_steps.append(steps[keep])
-            if record_coeffs:
-                rec_coeffs.append(kept)
-            if record_observables:
-                for row in kept:
-                    rec_train.append(value_fn(row))
-                    rec_test.append(test_value(row) if test_value is not None else np.nan)
-                    rec_H.append(weighted_norm(row, basis.eigen, 0.0))
-                    rec_HK.append(weighted_norm(row, basis.eigen, -0.5))
-                    rec_phi.append(phi(as_map(row.copy())) if phi is not None else np.nan)
+            rec_coeffs.append(buf[:b][keep])
             coeffs = buf[b - 1].copy()
             step_no += b
         final = ChainState(step=step_no, map=as_map(coeffs),
                            last_grad_norm=float(np.linalg.norm(g)))
 
-    rec_steps = np.concatenate(rec_steps)
-    if record_coeffs:   # a run with no record keeps the 1-d empty array of np.array([])
-        rec_coeffs = np.concatenate(rec_coeffs) if rec_steps.size else np.array([])
-
-    def column(rec):
-        return np.array(rec) if record_observables else np.full(rec_steps.size, np.nan)
-
-    return Trajectory(steps=rec_steps, train_loss=column(rec_train),
-                      test_loss=column(rec_test), norm_H=column(rec_H),
-                      norm_HK=column(rec_HK), phi=column(rec_phi),
-                      coeffs=rec_coeffs if record_coeffs else None,
+    return Trajectory(steps=np.concatenate(rec_steps), coeffs=np.concatenate(rec_coeffs),
                       final_state=final)
 
 

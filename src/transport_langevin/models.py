@@ -205,13 +205,14 @@ def clip_deriv(v, R: float):
 
 
 def _activation(name: str):
+    """The activation and its derivative ``actd(z, a)``, given ``a = act(z)``."""
     if name == "tanh":
-        return np.tanh, lambda z: 1.0 - np.tanh(z) ** 2
+        return np.tanh, lambda z, a: 1.0 - a ** 2
     # smoothed relu: softplus, 1-Lipschitz and smooth
     def sp(z):
         return np.logaddexp(0.0, z)
 
-    def spd(z):
+    def spd(z, a):
         return 1.0 / (1.0 + np.exp(-z))
 
     return sp, spd
@@ -324,7 +325,7 @@ def _resnet_forward(model: ModelSpec, W: TransportMap, X):
     M, d = model.cloud.size, model.cloud.dim
     T = model.resnet_blocks
     R = model.clip.R
-    act, actd = _activation(model.clip.activation)
+    act, _ = _activation(model.clip.activation)
     E = _cloud_features(model, W.basis)
     C = W.effective_coeffs().reshape(W.basis.n_modes, T, d)
     omega = model.cloud.weights
@@ -336,7 +337,7 @@ def _resnet_forward(model: ModelSpec, W: TransportMap, X):
         Vb = clip(V, R)
         P = z @ Vb.T                              # (n, M)
         S = act(P)
-        cache.append((z, V, Vb, P))
+        cache.append((z, V, Vb, P, S))
         z = z + (S * omega[None, :]) @ a_vec
     return z, cache
 
@@ -372,12 +373,13 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
         Vb = clip(V, R)
         Cd = clip_deriv(V, R)
         Z = Vb[:, :-1] @ X.T                      # (M, n)
-        f = (model.cloud.weights * Vb[:, -1]) @ act(Z)
+        S = act(Z)
+        f = (model.cloud.weights * Vb[:, -1]) @ S
         lp = loss_eval_derivs(loss_kind, dataset.y, f, 1)          # (n,)
         omega = model.cloud.weights
-        kernel = actd(Z) * lp[None, :]            # (M, n)
+        kernel = actd(Z, S) * lp[None, :]         # (M, n)
         dV1 = (omega * Vb[:, -1])[:, None] * (kernel @ X) / n * Cd[:, :-1]
-        dV2 = omega * (act(Z) @ lp) / n * Cd[:, -1]
+        dV2 = omega * (S @ lp) / n * Cd[:, -1]
         dV = np.column_stack([dV1, dV2])
         return _gamma_scale(E.T @ dV, W.basis.eigen, W.gamma)
     if model.arch == "resnet":
@@ -397,8 +399,8 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
         dC = np.zeros((W.basis.n_modes, T, d))
         R = model.clip.R
         for t in range(T - 1, -1, -1):
-            z_in, V, Vb, P = cache[t]
-            Q = (G @ a_vec.T) * actd(P)           # (n, M)
+            z_in, V, Vb, P, S = cache[t]
+            Q = (G @ a_vec.T) * actd(P, S)        # (n, M)
             dV = (Q.T @ z_in) * omega[:, None] * clip_deriv(V, R)
             dC[:, t, :] = E.T @ dV
             G = G + (Q * omega[None, :]) @ Vb

@@ -201,8 +201,7 @@ def reference_chain(cfg, model, loss_kind, dataset,
     under the stated extrapolation assumption rather than as exact truth.
     """
     from .langevin import run_chain
-    traj = run_chain(cfg, model, loss_kind, dataset, record_coeffs=True,
-                     record_observables=False, **run_kwargs)
+    traj = run_chain(cfg, model, loss_kind, dataset, **run_kwargs)
     out = {}
     for name, fn in test_functions.items():
         vals = np.array([fn(c) for c in traj.coeffs])

@@ -88,10 +88,11 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
     ({"preset": "ergodicity", "overrides": {"beta": 0.01}}, "'beta' > 'eta'"),
     ({"preset": "posterior-validate", "overrides": {"eta": 60.0}}, "'eta'"),
     ({"preset": "regression-rate", "overrides": {"eta": 300.0}}, "'eta'"),
+    ({"preset": "stepsize-bias", "overrides": {"etas": [0.1, 0.05]}}, "'etas'"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
-        "eta-not-below-n-regression"])
+        "eta-not-below-n-regression", "too-few-etas-for-the-bias-fit"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -152,11 +153,12 @@ def test_sweep_single_value_flags_insufficient(tmp_path):
 
 
 def test_sweep_bad_axis_is_status_2(tmp_path, capsys):
-    # an unknown axis, an axis the preset lacks, a value its key rejects and a
-    # step size at or above the beta = n the preset runs at all end before
-    # anything runs
+    # an unknown axis, an axis the preset lacks (stepsize-bias takes its step
+    # sizes as one 'etas' list), a value its key rejects and a step size at or
+    # above the beta = n the preset runs at all end before anything runs
     for preset, axis, values in (("regression-rate", "color", "1,2"),
                                  ("grad-check", "n", "1,2"),
+                                 ("stepsize-bias", "eta", "0.2,0.1,0.05"),
                                  ("regression-rate", "M", "0.5"),
                                  ("regression-rate", "eta", "0.05,300")):
         rc = cli.main(["sweep", "--preset", preset, "--axis", axis, "--values", values,
@@ -167,10 +169,10 @@ def test_sweep_bad_axis_is_status_2(tmp_path, capsys):
 
 
 def test_sweep_is_byte_reproducible(tmp_path):
-    args = ["sweep", "--preset", "stepsize-bias", "--axis", "eta",
-            "--values", "0.2,0.1,0.05",
+    args = ["sweep", "--preset", "regression-rate", "--axis", "n",
+            "--values", "64,128,256",
             "--seed", "2"]
-    ov = {"overrides": {"kept": 20000, "ref_kept": 40000}, "preset": "stepsize-bias"}
+    ov = {"overrides": {"steps": 1500, "burn_in": 500}, "preset": "regression-rate"}
     cfg = _write_cfg(tmp_path, ov)
     rc1 = cli.main(args + ["--config", cfg, "--out", str(tmp_path / "a")])
     rc2 = cli.main(args + ["--config", cfg, "--out", str(tmp_path / "b")])

@@ -56,3 +56,10 @@ def test_classification_sweep_zero_escape_logic():
 
 def test_every_declared_default_is_a_preset():
     assert set(ex.PRESET_DEFAULTS) == set(ex.PRESETS)
+
+
+def test_pac_bayes_check_rejects_eta_not_below_n():
+    # the chain runs at beta = n: a step size at or above n is refused before any run
+    for eta in (64.0, 100.0):
+        with pytest.raises(ValueError, match="'eta'"):
+            ex.pac_bayes_check(n_seeds=1, n=64, overrides={"eta": eta})

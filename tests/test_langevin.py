@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from transport_langevin import langevin as lg
 from transport_langevin import models as md
 from transport_langevin import oracle as orc
-from transport_langevin.spectral import cosine_basis, make_eigen_sequence, diagonal_basis
+from transport_langevin.spectral import (cosine_basis, diagonal_basis, gram_eigenbasis,
+                                         make_eigen_sequence)
 
 
 def _linear_setup(n_modes=4, n=12, seed=0):
@@ -102,7 +103,7 @@ def test_run_chain_matches_stepwise_updates():
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=2 * lg._BLOCK + 3, burn_in=5, thin=7, seed=21)
-    traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True)
+    traj = lg.run_chain(cfg, model, "squared", data)
     rng = np.random.default_rng(cfg.seed)
     basis = model.basis
     from transport_langevin.spectral import project_P_N
@@ -133,7 +134,7 @@ def test_run_chain_divergence_carries_last_finite_state():
     upto = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=last.step, seed=21)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = lg.run_chain(upto, model, "squared", data, record_observables=False)
+        traj = lg.run_chain(upto, model, "squared", data)
     np.testing.assert_array_equal(traj.final_state.map.coeffs, last.map.coeffs)
 
 
@@ -173,8 +174,7 @@ def test_block_divergence_reports_exact_last_finite_step(block, row):
         expected[cfg.n_modes:] = 0.0
     else:
         upto = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=k, seed=4)
-        expected = lg.run_chain(upto, model, "squared", data,
-                                record_observables=False).final_state.map.coeffs
+        expected = lg.run_chain(upto, model, "squared", data).final_state.map.coeffs
     np.testing.assert_array_equal(last.map.coeffs, expected)
 
 
@@ -182,9 +182,9 @@ def test_run_chain_with_no_record_keeps_empty_shapes():
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=_B + 1, burn_in=_B + 1, seed=2)
-    traj = lg.run_chain(cfg, model, "squared", data, record_coeffs=True)
-    assert traj.coeffs.shape == (0,)
-    assert traj.steps.shape == traj.train_loss.shape == traj.phi.shape == (0,)
+    traj = lg.run_chain(cfg, model, "squared", data)
+    assert traj.coeffs.shape == (0, model.basis.n_modes, 1)
+    assert traj.steps.shape == traj.risk(model, "squared", data).shape == (0,)
     assert traj.final_state.step == cfg.steps
 
 
@@ -230,10 +230,11 @@ def test_run_chain_single_step_and_determinism():
     assert traj.steps.size == 1 and traj.steps[0] == 1
     cfg2 = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5, n_modes=4,
                              steps=200, burn_in=10, thin=5, seed=3)
-    t1 = lg.run_chain(cfg2, model, "squared", data, record_coeffs=True)
-    t2 = lg.run_chain(cfg2, model, "squared", data, record_coeffs=True)
+    t1 = lg.run_chain(cfg2, model, "squared", data)
+    t2 = lg.run_chain(cfg2, model, "squared", data)
     np.testing.assert_array_equal(t1.coeffs, t2.coeffs)
-    np.testing.assert_array_equal(t1.train_loss, t2.train_loss)
+    np.testing.assert_array_equal(t1.risk(model, "squared", data),
+                                  t2.risk(model, "squared", data))
     assert np.all(np.diff(t1.steps) == 5)
 
 
@@ -246,22 +247,18 @@ def test_run_chain_training_descends_on_realizable_task():
     y = md.forward(model, teacher, x)
     cfg = lg.DynamicsConfig(eta=0.05, beta=2_000.0, lam=0.01, n_modes=5,
                             steps=3_000, burn_in=0, thin=50, seed=1)
-    traj = lg.run_chain(cfg, model, "squared", md.Dataset(x=x, y=y), init="zero")
+    data = md.Dataset(x=x, y=y)
+    traj = lg.run_chain(cfg, model, "squared", data, init="zero")
     init_loss = float(np.mean(y ** 2))
-    assert traj.train_loss[-1] < 0.5 * init_loss
+    assert traj.risk(model, "squared", data)[-1] < 0.5 * init_loss
 
 
 def test_trajectory_csv_and_checkpoint_roundtrip(tmp_path):
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5, n_modes=4,
                             steps=50, burn_in=0, thin=10, seed=9)
-    traj = lg.run_chain(cfg, model, "squared", data,
-                        phi=lambda W: float(np.tanh(W.coeffs.sum())))
-    p = tmp_path / "traj.csv"
-    traj.to_csv(p)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "step,train_loss,test_loss,norm_H,norm_HK,phi"
-    assert len(lines) == 1 + traj.steps.size
+    traj = lg.run_chain(cfg, model, "squared", data)
+    assert traj.coeffs.shape == (traj.steps.size, model.basis.n_modes, 1)
 
     ckpt = tmp_path / "chain.ckpt"
     lg.save_checkpoint(traj.final_state, cfg, ckpt)
@@ -272,6 +269,37 @@ def test_trajectory_csv_and_checkpoint_roundtrip(tmp_path):
     # resuming from the checkpoint continues the chain
     more = lg.run_chain(cfg_back, model, "squared", data, init_state=state)
     assert more.final_state.step == state.step + cfg.steps
+
+
+def test_trajectory_risk_is_the_empirical_risk_of_each_record():
+    # a two-layer chain, and an identity-map chain resumed from a gamma = 0.5 state
+    rng = np.random.default_rng(5)
+    M, d = 5, 2
+    cloud = md.finite_width_cloud(rng.standard_normal((M, d)), rng.uniform(-1, 1, M))
+    two_layer = md.ModelSpec(arch="two-layer", cloud=cloud,
+                             clip=md.ClipConfig(R=2.0, input_bound_D=1.0),
+                             basis=gram_eigenbasis(cloud, 1.0, M))
+    x = rng.uniform(-0.6, 0.6, (16, d))
+    tl_data = md.Dataset(x=x, y=np.sin(x[:, 0]))
+    tl_cfg = lg.DynamicsConfig(eta=0.05, beta=50.0, lam=0.1, n_modes=M,
+                               steps=60, burn_in=10, thin=10, seed=1)
+    tl_traj = lg.run_chain(tl_cfg, two_layer, "squared", tl_data, init="zero")
+
+    ident, id_data = _linear_setup()
+    W0 = md.TransportMap(coeffs=np.full((ident.basis.n_modes, 1), 0.3), basis=ident.basis,
+                         gamma=0.5)
+    id_cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5, n_modes=4,
+                               steps=40, burn_in=0, thin=8, seed=2)
+    id_traj = lg.run_chain(id_cfg, ident, "squared", id_data,
+                           init_state=lg.ChainState(step=0, map=W0))
+    assert id_traj.final_state.map.gamma == 0.5
+
+    for model, data, traj in ((two_layer, tl_data, tl_traj), (ident, id_data, id_traj)):
+        gamma = traj.final_state.map.gamma
+        expected = [md.empirical_risk(model, md.TransportMap(c, model.basis, gamma),
+                                      "squared", data) for c in traj.coeffs]
+        assert traj.coeffs.shape[0] == traj.steps.size > 0
+        np.testing.assert_array_equal(traj.risk(model, "squared", data), expected)
 
 
 def test_ou_step_fixed_point_and_stationary_variance():
