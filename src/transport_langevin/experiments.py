@@ -727,6 +727,10 @@ def pac_bayes_check(seed=0, n_seeds=10, n=64, overrides=None):
     if not n > p["eta"]:
         raise ValueError(f"pac-bayes check needs n > 'eta' (the chain runs at beta = n), "
                          f"got n={n!r} and eta={p['eta']!r}")
+    if not (p["ref_eta_factor"] > 0 and n > p["eta"] * p["ref_eta_factor"]):
+        raise ValueError(f"pac-bayes check needs 'ref_eta_factor' > 0 and n > eta * "
+                         f"'ref_eta_factor' (the reference chain runs at beta = n), got "
+                         f"n={n!r}, eta={p['eta']!r} and ref_eta_factor={p['ref_eta_factor']!r}")
     rows = []
     ok_all = True
     for s in range(seed, seed + n_seeds):

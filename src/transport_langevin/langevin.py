@@ -11,13 +11,16 @@ truncation).  The auxiliary noise-only reference recursion
     Z_{n+1} = S_eta Z_n + sqrt(eta/beta) * S_eta * eps_n
 
 uses amplitude sqrt(eta/beta) with the noise inside the resolvent; both
-conventions are implemented separately and never mixed.
+conventions are implemented separately and never mixed.  The recursion is a
+per-mode AR(1) process, which :func:`simulate_ou_sq_norms` solves in closed
+form over blocks of steps with numpy alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,9 +67,25 @@ class DynamicsConfig:
         if self.n_modes < 1 or self.steps < 0 or self.burn_in < 0 or self.thin < 1:
             raise ValueError("n_modes >= 1, steps >= 0, burn_in >= 0, thin >= 1 required")
 
-    @property
+    @cached_property
     def noise_amp(self) -> float:
         return 0.0 if np.isinf(self.beta) else np.sqrt(2.0 * self.eta / self.beta)
+
+    def _resolvent(self, basis) -> tuple[int, np.ndarray]:
+        """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N.
+
+        The config is frozen, so the result is kept and reused while ``basis``
+        is the same object; the kept reference makes the identity check sound.
+        The column is shared between calls and must not be written to.
+        """
+        last = self.__dict__.get("_last_resolvent")
+        if last is not None and last[0] is basis:
+            return last[1]
+        N = min(self.n_modes, basis.n_modes)
+        s = np.ones(basis.n_modes)
+        s[:N] = 1.0 / (1.0 + self.eta * self.lam / basis.eigen.mu[:N])
+        self.__dict__["_last_resolvent"] = (basis, (N, s[:, None]))
+        return N, s[:, None]
 
 
 @dataclass
@@ -108,13 +127,11 @@ class Trajectory:
 # steps per block of run_chain: one noise draw, one finiteness check, one record slab
 _BLOCK = 1024
 
-
-def _retained_resolvent(cfg: DynamicsConfig, basis) -> tuple[int, np.ndarray]:
-    """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N."""
-    N = min(cfg.n_modes, basis.n_modes)
-    s = np.ones(basis.n_modes)
-    s[:N] = 1.0 / (1.0 + cfg.eta * cfg.lam / basis.eigen.mu[:N])
-    return N, s[:, None]
+# simulate_ou_sq_norms: at most _OU_BLOCK steps per block, and s_min^-L <= e^_OU_MAX_LOG_GAIN
+# (finite in float64); about _OU_CHUNK_ROWS noise rows per draw
+_OU_BLOCK = 256
+_OU_MAX_LOG_GAIN = 600.0
+_OU_CHUNK_ROWS = 16_384
 
 
 def _implicit_euler(coeffs, g, eta: float, N: int, s_col, noise, out=None) -> np.ndarray:
@@ -124,9 +141,12 @@ def _implicit_euler(coeffs, g, eta: float, N: int, s_col, noise, out=None) -> np
     when the amplitude is 0.
     """
     drift = np.subtract(coeffs, eta * g, out=out)
-    drift[N:] = 0.0
-    if noise is not None:
-        drift[:N] += noise
+    if N < drift.shape[0]:
+        drift[N:] = 0.0
+        if noise is not None:
+            drift[:N] += noise
+    elif noise is not None:
+        drift += noise
     return np.multiply(drift, s_col, out=drift)
 
 
@@ -135,7 +155,7 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
     """One implicit-Euler update of the chain."""
     W = state.map
     g = grad_fn(W) if grad_fn is not None else _models.gradient(model, W, dataset, loss_kind)
-    N, s_col = _retained_resolvent(cfg, W.basis)
+    N, s_col = cfg._resolvent(W.basis)
     amp = cfg.noise_amp
     noise = amp * rng.standard_normal((N, W.coeffs.shape[1])) if amp > 0.0 else None
     new = _implicit_euler(W.coeffs, g, cfg.eta, N, s_col, noise)
@@ -186,7 +206,7 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
         state = ChainState(step=0, map=W0)
     gamma = state.map.gamma
     _, grad_fn = _models.risk_objective(model, loss_kind, dataset, gamma)
-    N, s_col = _retained_resolvent(cfg, basis)
+    N, s_col = cfg._resolvent(basis)
     eta, amp = cfg.eta, cfg.noise_amp
 
     def as_map(c):
@@ -243,19 +263,42 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
                          rng: np.random.Generator) -> np.ndarray:
     """Trace of ||Z_n||^2 for the reference recursion started at zero.
 
-    The recursion is linear per mode, so it is realized exactly as an AR(1)
-    filter over the noise sequence.
+    Per mode the recursion is the AR(1) z_t = s z_{t-1} + s*amp*eps_t, solved
+    in blocks of L steps: step j of a block is
+    s^j * cumsum_i(s^-i * s*amp*eps_i)_j + s^(j+1) * z_carry, with z_carry the
+    last value of the previous block.  L keeps s_min^-L finite.  The noise is
+    drawn in chunks of whole blocks, the same numbers as one
+    (n_steps, n_modes) draw, so memory does not grow with n_steps.
     """
-    from scipy.signal import lfilter   # scipy.signal dominates the package's import time
-
-    mu = eigen.mu[: cfg.n_modes]
+    m = cfg.n_modes
+    mu = eigen.mu[:m]
     s = 1.0 / (1.0 + cfg.eta * cfg.lam / mu)
     amp = np.sqrt(cfg.eta / cfg.beta)
-    eps = rng.standard_normal((n_steps, cfg.n_modes))
-    z = np.empty_like(eps)
-    for k in range(cfg.n_modes):
-        z[:, k] = lfilter([s[k] * amp], [1.0, -s[k]], eps[:, k])
-    return np.sum(z ** 2, axis=1)
+    decay = -np.log(s.min())
+    L = _OU_BLOCK if decay == 0.0 else max(1, int(min(_OU_BLOCK, _OU_MAX_LOG_GAIN // decay)))
+    j = np.arange(L)[:, None]
+    gain_in = s * amp * s ** -j           # (L, m)
+    gain_out = s ** j
+    gain_carry = s ** (j + 1)
+    n_blocks = max(1, _OU_CHUNK_ROWS // L)
+    buf = np.empty((n_blocks, L, m))
+    out = np.empty(n_steps)
+    z = np.zeros(m)
+    for start in range(0, n_steps, n_blocks * L):
+        rows = min(n_blocks * L, n_steps - start)
+        nb = -(-rows // L)
+        x = buf[:nb]
+        flat = x.reshape(nb * L, m)
+        rng.standard_normal(out=flat[:rows])
+        flat[rows:] = 0.0
+        x *= gain_in
+        np.cumsum(x, axis=1, out=x)
+        x *= gain_out
+        for b in range(nb):
+            x[b] += gain_carry * z
+            z = x[b, -1].copy()
+        out[start:start + rows] = np.sum(flat[:rows] ** 2, axis=1)
+    return out
 
 
 def ou_stationary_moment(cfg: DynamicsConfig, eigen: EigenSequence) -> tuple[float, float]:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LossBounds",
@@ -18,6 +17,8 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("squared", "logistic")
+
+_expit = None   # the logistic sigmoid, bound by the first logistic evaluation
 
 
 @dataclass
@@ -66,17 +67,21 @@ def loss_eval_derivs(kind: str, y, u, order: int = 0):
         else:
             out = np.zeros(np.broadcast_shapes(y.shape, u.shape))
     else:
+        global _expit
+        if _expit is None:
+            # scipy is loaded only when a logistic loss is evaluated
+            from scipy.special import expit as _expit
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("logistic loss requires labels in {-1, +1}")
         z = y * u
         if order == 0:
             out = np.logaddexp(0.0, -z)
         elif order == 1:
-            out = -y * expit(-z)
+            out = -y * _expit(-z)
         elif order == 2:
-            out = expit(z) * expit(-z)
+            out = _expit(z) * _expit(-z)
         else:
-            s = expit(-z)
+            s = _expit(-z)
             out = -y * s * (1.0 - s) * (1.0 - 2.0 * s)
     return out if out.ndim else float(out)
 

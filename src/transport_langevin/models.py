@@ -418,15 +418,19 @@ def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: fl
     if model.arch == "identity-map":
         Phi = eval_basis(basis, dataset.x)
         y, n = dataset.y, Phi.shape[0]
+        eigen, scaled = basis.eigen, gamma != 0.0
 
         def value(coeffs):
-            f = Phi @ _gamma_scale(coeffs, basis.eigen, gamma)[:, 0]
-            return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
+            if scaled:
+                coeffs = fractional_power_scale(coeffs, eigen, gamma)
+            return float(np.mean(loss_eval_derivs(loss_kind, y, Phi @ coeffs[:, 0], 0)))
 
         def grad(coeffs):
-            f = Phi @ _gamma_scale(coeffs, basis.eigen, gamma)[:, 0]
-            lp = loss_eval_derivs(loss_kind, y, f, 1)
-            return _gamma_scale((Phi.T @ lp)[:, None] / n, basis.eigen, gamma)
+            if scaled:
+                coeffs = fractional_power_scale(coeffs, eigen, gamma)
+            lp = loss_eval_derivs(loss_kind, y, Phi @ coeffs[:, 0], 1)
+            g = (Phi.T @ lp)[:, None] / n
+            return fractional_power_scale(g, eigen, gamma) if scaled else g
 
         return value, grad
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import models as _models
 from .spectral import GaussianMeasureSpec
@@ -81,12 +80,14 @@ def conjugate_posterior(basis, feature_matrix, y, beta: float, lam: float,
         prec = beta * ((2.0 / n) * Phi.T @ Phi + lam * np.diag(1.0 / mu))
         rhs = (2.0 * beta / n) * Phi.T @ y
     try:
-        c, low = cho_factor(prec)
+        chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:  # cannot happen for lam > 0
         raise RuntimeError("posterior precision is singular") from exc
-    cov = cho_solve((c, low), np.eye(N))
+    # prec = L L^T, so prec^-1 = L^-T L^-1
+    chol_inv = np.linalg.inv(chol)
+    cov = chol_inv.T @ chol_inv
     cov = 0.5 * (cov + cov.T)
-    mean = cho_solve((c, low), rhs)
+    mean = chol_inv.T @ (chol_inv @ rhs)
     return GaussianPosterior(mean=mean, covariance=cov)
 
 
@@ -161,22 +162,33 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
         raise ValueError("weight vectors must have equal length")
     if dim > dim_cap:
         raise ValueError(f"dimension {dim} exceeds the configured cap {dim_cap}")
+    if n_samples < 2:
+        raise ValueError("use at least 2 samples")
     sd = np.sqrt(spec.mode_variances[:dim])
-    in_a = np.empty(n_samples, dtype=bool)
-    in_b = np.empty(n_samples, dtype=bool)
     chunk = 200_000
+    X2 = np.empty((min(chunk, n_samples), dim))
+    n_ab = n_a = n_b = 0
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        X2 = (rng.standard_normal((m, dim)) * sd[None, :]) ** 2
-        in_a[done:done + m] = X2 @ a <= 1.0
-        in_b[done:done + m] = X2 @ b <= 1.0
+        x = X2[:m]
+        rng.standard_normal(out=x)
+        x *= sd
+        np.square(x, out=x)
+        in_a = x @ a <= 1.0
+        in_b = x @ b <= 1.0
+        n_ab += int(np.count_nonzero(in_a & in_b))
+        n_a += int(np.count_nonzero(in_a))
+        n_b += int(np.count_nonzero(in_b))
         done += m
-    both = in_a & in_b
-    p_ab, p_a, p_b = both.mean(), in_a.mean(), in_b.mean()
-    # delta method on g(m_ab, m_a, m_b) = m_ab - m_a*m_b with shared samples
-    Z = np.stack([both, in_a, in_b]).astype(float)
-    S = np.cov(Z)
+    p_ab, p_a, p_b = n_ab / n_samples, n_a / n_samples, n_b / n_samples
+    # delta method on g(m_ab, m_a, m_b) = m_ab - m_a*m_b with shared samples; any two
+    # of the indicators 1{A and B}, 1{A}, 1{B} multiply to 1{A and B}, so their
+    # ddof=1 covariance follows from the three counts
+    means = np.array([p_ab, p_a, p_b])
+    second = np.full((3, 3), p_ab)
+    second[1, 1], second[2, 2] = p_a, p_b
+    S = (second - np.outer(means, means)) * (n_samples / (n_samples - 1))
     grad = np.array([1.0, -p_b, -p_a])
     var = float(grad @ S @ grad) / n_samples
     return CorrelationEstimate(float(p_ab), float(p_a * p_b), float(np.sqrt(max(var, 0.0))))

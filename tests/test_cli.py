@@ -259,3 +259,43 @@ def test_audit_subcommand(capsys):
     assert "strong-low-noise" in out
     rc = cli.main(["audit", "--preset", "bernstein-suite"])
     assert rc == 2
+
+
+_FOOTPRINT_PROBE = """
+import json, sys
+from pathlib import Path
+import transport_langevin.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_modules()}
+for preset, overrides in json.loads(sys.argv[1]):
+    cfg = Path(sys.argv[2]) / (preset + ".json")
+    cfg.write_text(json.dumps({"preset": preset, "seed": 0, "overrides": overrides}))
+    cli.main(["run", "--config", str(cfg), "--out", sys.argv[2]])
+    seen[preset] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_squared_loss_presets_load_no_scipy(tmp_path):
+    # the package and the benchmark presets run on numpy alone; the logistic
+    # loss is the one caller of scipy, which a classification run loads
+    runs = [("posterior-validate", {"burn_in": 500, "kept": 2000}),
+            ("ergodicity", {"steps": 50, "n_pairs": 2}),
+            ("regression-rate", {"steps": 400, "burn_in": 200}),
+            ("correlation-suite", {"n_pairs": 3, "n_samples": 20_000}),
+            ("ou-moment", {"steps": 3000, "burn_in": 500}),
+            ("classification-rate", {"steps": 300, "burn_in": 100, "thin": 10})]
+    src = str(Path(transport_langevin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(runs),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert list(seen) == ["import"] + [preset for preset, _ in runs]
+    for step in list(seen)[:-1]:
+        assert seen[step] == [], step
+    assert "scipy.special" in seen["classification-rate"]

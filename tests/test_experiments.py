@@ -63,3 +63,15 @@ def test_pac_bayes_check_rejects_eta_not_below_n():
     for eta in (64.0, 100.0):
         with pytest.raises(ValueError, match="'eta'"):
             ex.pac_bayes_check(n_seeds=1, n=64, overrides={"eta": eta})
+
+
+def test_pac_bayes_check_rejects_bad_ref_eta_factor(monkeypatch):
+    # the reference chain runs at eta * ref_eta_factor and beta = n: a factor <= 0, or
+    # one that puts its step size at or above n, is refused before any chain runs
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the overrides were checked")
+
+    monkeypatch.setattr(ex.lg, "run_chain", no_chain)
+    for factor in (-1.0, 0.0, 640.0, 1000.0):
+        with pytest.raises(ValueError, match="'ref_eta_factor'"):
+            ex.pac_bayes_check(n_seeds=1, n=64, overrides={"ref_eta_factor": factor})

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from transport_langevin import langevin as lg
 from transport_langevin import models as md
 from transport_langevin import oracle as orc
-from transport_langevin.spectral import (cosine_basis, diagonal_basis, gram_eigenbasis,
-                                         make_eigen_sequence)
+from transport_langevin.spectral import (EigenSequence, cosine_basis, diagonal_basis,
+                                         gram_eigenbasis, make_eigen_sequence)
 
 
 def _linear_setup(n_modes=4, n=12, seed=0):
@@ -315,6 +315,38 @@ def test_ou_step_fixed_point_and_stationary_variance():
     assert target == pytest.approx(0.1 / 0.21, rel=1e-12)
     se = orc.batch_means_stderr(kept)
     assert abs(kept.mean() - target) < 3 * se
+
+
+def _lfilter_sq_norms(cfg, eigen, n_steps, rng):
+    # the per-mode AR(1) z_t = s z_{t-1} + s*amp*eps_t as a scipy IIR filter
+    from scipy.signal import lfilter
+
+    s = 1.0 / (1.0 + cfg.eta * cfg.lam / eigen.mu[: cfg.n_modes])
+    amp = np.sqrt(cfg.eta / cfg.beta)
+    eps = rng.standard_normal((n_steps, cfg.n_modes))
+    z = np.column_stack([lfilter([s[k] * amp], [1.0, -s[k]], eps[:, k])
+                         for k in range(cfg.n_modes)])
+    return np.sum(z ** 2, axis=1)
+
+
+@pytest.mark.parametrize("mu", [[1e9], [9.0], [1 / 49], [1e-7], [1e9, 9.0, 1 / 49, 1e-7]],
+                         ids=["s=1-1e-9", "s=0.9", "s=0.02", "s=1e-7", "all-four"])
+def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
+    # eta = lam = 1 puts s = 1/(1 + 1/mu); 20,011 steps span two noise chunks and end
+    # inside a block whatever the block length
+    eigen = EigenSequence(mu=np.array(mu), c_mu=max(mu[0], 1.0))
+    cfg = lg.DynamicsConfig(eta=1.0, beta=2.0, lam=1.0, n_modes=len(mu))
+    n_steps = 20_011
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    sq = lg.simulate_ou_sq_norms(cfg, eigen, n_steps, rng)
+    ref = _lfilter_sq_norms(cfg, eigen, n_steps, rng_ref)
+    assert sq.shape == (n_steps,)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    # both realizations round at the 1e-16 level of the path's scale; near a zero
+    # crossing that is no relative bound on ||Z_t|| itself, so each step's error is
+    # taken relative to the largest ||Z|| so far
+    err = np.abs(np.sqrt(sq) - np.sqrt(ref))
+    assert np.all(err <= 1e-12 * np.sqrt(np.maximum.accumulate(ref)))
 
 
 def test_ou_growth_is_monotone_toward_stationary():

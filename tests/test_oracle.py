@@ -121,6 +121,58 @@ def test_gaussian_correlation_identical_and_whole_space():
         orc.gaussian_correlation_mc(spec, np.ones(20), np.ones(20), 10_000, rng, dim_cap=16)
 
 
+def _cov_formula_correlation(spec, a, b, n_samples, rng):
+    # the estimator with the 0/1 indicators stacked and np.cov taken over all samples
+    sd = np.sqrt(spec.mode_variances[:a.size])
+    in_a, in_b = [], []
+    for start in range(0, n_samples, 200_000):
+        X2 = (rng.standard_normal((min(200_000, n_samples - start), a.size)) * sd) ** 2
+        in_a.append(X2 @ a <= 1.0)
+        in_b.append(X2 @ b <= 1.0)
+    in_a, in_b = np.concatenate(in_a), np.concatenate(in_b)
+    both = in_a & in_b
+    p_ab, p_a, p_b = both.mean(), in_a.mean(), in_b.mean()
+    grad = np.array([1.0, -p_b, -p_a])
+    var = float(grad @ np.cov(np.stack([both, in_a, in_b]).astype(float)) @ grad) / n_samples
+    return p_ab, p_a * p_b, np.sqrt(var)
+
+
+def test_gaussian_correlation_matches_the_cov_formula():
+    rng = np.random.default_rng(8)
+    for dim, n_samples in ((1, 3_000), (3, 250_003), (6, 410_000)):
+        spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, dim))
+        a, b = rng.uniform(0, 8, dim), rng.uniform(0, 8, dim)
+        r1, r2 = np.random.default_rng(dim), np.random.default_rng(dim)
+        est = orc.gaussian_correlation_mc(spec, a, b, n_samples, r1)
+        p_both, p_product, stderr = _cov_formula_correlation(spec, a, b, n_samples, r2)
+        assert r1.bit_generator.state == r2.bit_generator.state
+        assert est.p_both == p_both and est.p_product == p_product
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        assert stderr > 0.0
+    with pytest.raises(ValueError):
+        orc.gaussian_correlation_mc(spec, a, b, 1, rng)
+
+
+def test_conjugate_posterior_matches_cho_solve():
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(4)
+    basis = cosine_basis(8, dim_in=1)
+    for n, beta, lam in ((50, 50.0, 1 / 50), (7, 3.0, 0.5), (200, 1e4, 1e-4)):
+        Phi = eval_basis(basis, rng.uniform(0, 1, (n, 1)))
+        y = rng.standard_normal((n, 2))
+        post = orc.conjugate_posterior(basis, Phi, y, beta=beta, lam=lam)
+        prec = beta * ((2.0 / n) * Phi.T @ Phi + lam * np.diag(1.0 / basis.eigen.mu))
+        factor = cho_factor(prec)
+        cov = cho_solve(factor, np.eye(8))
+        mean = cho_solve(factor, (2.0 * beta / n) * Phi.T @ y)
+        np.testing.assert_allclose(post.covariance, 0.5 * (cov + cov.T), rtol=1e-12,
+                                   atol=1e-12 * np.abs(cov).max())
+        np.testing.assert_allclose(post.mean, mean, rtol=1e-12, atol=1e-12 * np.abs(mean).max())
+    with pytest.raises(RuntimeError, match="singular"):
+        orc.conjugate_posterior(basis, np.zeros((0, 8)), np.zeros(0), beta=1.0, lam=0.0)
+
+
 def test_reference_chain_matches_conjugate_posterior():
     rng = np.random.default_rng(6)
     n_modes, n = 4, 30
