@@ -121,7 +121,7 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         else:
             out[key] = _checked_float(key, val, where)
     # the step-size bias preset fits its biases over etas like a sweep over eta
-    min_etas = _SWEEP_FITS["stepsize-bias", "eta"][1]
+    min_etas = _SWEEP_FITS["stepsize-bias", "eta"][0]
     if preset == "stepsize-bias" and len(out["etas"]) < min_etas:
         raise ValueError(f"override 'etas' for preset 'stepsize-bias' needs at least "
                          f"{min_etas} step sizes for the bias fit, got {out['etas']!r}")
@@ -549,9 +549,10 @@ def regression_rate(seed=0, overrides=None):
                             burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=seed)
     data = md.Dataset(x=x, y=y)
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
-    maps = _kept_maps(traj, model.basis)
-    excess = float(np.mean([np.mean((md.forward(model, W, test_x) - f_star) ** 2) for W in maps]))
-    rows = [[n, excess, md.empirical_risk(model, maps[-1], "squared", data)]]
+    # the squared loss against f* on the test points is the squared error of each record
+    excess = float(np.mean(traj.risk(model, "squared", md.Dataset(x=test_x, y=f_star))))
+    final = md.TransportMap(coeffs=traj.coeffs[-1], basis=model.basis)
+    rows = [[n, excess, md.empirical_risk(model, final, "squared", data)]]
     return ExperimentResult("regression-rate", seed, [],
                             ["n", "excess_risk", "final_train_loss"], rows,
                             extras={"excess_risk": excess, "n": n})
@@ -822,13 +823,18 @@ def _bias_rule(etas, biases):
     return "bias-slope", slope, 0.4 <= slope <= 1.2
 
 
-# (preset, axis) -> (extras key of each run, fewest values the fit needs, fit
-# name when there are fewer, rule (values, ys) -> (name, measured, verdict))
+# (preset, axis) -> (fewest values the fit needs, fit name when there are
+# fewer, rule (values, ys) -> (name, measured, verdict)); stepsize-bias fits
+# the biases of its own eta grid, and is no sweep
 _SWEEP_FITS = {
-    ("regression-rate", "n"): ("excess_risk", 4, "excess-risk-slope", _regression_rule),
-    ("classification-rate", "beta"): ("error_prob", 3, "log-error-beta-corr",
-                                      _classification_rule),
-    ("stepsize-bias", "eta"): ("bias", 3, "bias-slope", _bias_rule),
+    ("regression-rate", "n"): (4, "excess-risk-slope", _regression_rule),
+    ("classification-rate", "beta"): (3, "log-error-beta-corr", _classification_rule),
+    ("stepsize-bias", "eta"): (3, "bias-slope", _bias_rule),
+}
+# (preset, axis) -> the extras key of each run of a sweep that the fit reads
+_SWEEP_YS = {
+    ("regression-rate", "n"): "excess_risk",
+    ("classification-rate", "beta"): "error_prob",
 }
 
 
@@ -841,14 +847,14 @@ def sweep(preset: str, axis: str, values, seed: int = 0, overrides: Optional[dic
 def sweep_fit(preset: str, axis: str, values, results: list[ExperimentResult]):
     """Fit row ``["fit", name, measured, verdict]``; the verdict is True or
     False, or a string when there is no fit or too few values for one."""
-    if (preset, axis) not in _SWEEP_FITS:
+    if (preset, axis) not in _SWEEP_YS:
         return ["fit", "none", float("nan"), "no fit defined for this preset/axis"]
-    key = _SWEEP_FITS[preset, axis][0]
+    key = _SWEEP_YS[preset, axis]
     return _fit_row(preset, axis, values, [r.extras[key] for r in results])
 
 
 def _fit_row(preset: str, axis: str, values, ys) -> list:
-    _, min_points, name, rule = _SWEEP_FITS[preset, axis]
+    min_points, name, rule = _SWEEP_FITS[preset, axis]
     if len(values) < min_points:
         return ["fit", name, float("nan"), "insufficient-points"]
     return ["fit", *rule(values, ys)]

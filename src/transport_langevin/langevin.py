@@ -152,17 +152,22 @@ def _implicit_euler(coeffs, g, eta: float, N: int, s_col, noise, out=None) -> np
 
 def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
              rng: np.random.Generator, grad_fn: Optional[Callable] = None) -> ChainState:
-    """One implicit-Euler update of the chain."""
+    """One implicit-Euler update of the chain.
+
+    A non-finite update raises :class:`ChainDivergedError` carrying ``state``.
+    """
     W = state.map
     g = grad_fn(W) if grad_fn is not None else _models.gradient(model, W, dataset, loss_kind)
     N, s_col = cfg._resolvent(W.basis)
     amp = cfg.noise_amp
     noise = amp * rng.standard_normal((N, W.coeffs.shape[1])) if amp > 0.0 else None
-    new = _implicit_euler(W.coeffs, g, cfg.eta, N, s_col, noise)
-    if not np.all(np.isfinite(new)):
-        raise ChainDivergedError(state)
-    return ChainState(step=state.step + 1, map=W.copy_with(new),
-                      last_grad_norm=float(np.linalg.norm(g)))
+    new = W.copy_with(_implicit_euler(W.coeffs, g, cfg.eta, N, s_col, noise))
+    try:
+        out = ChainState(step=state.step + 1, map=new)
+    except ValueError:   # the one finiteness check, ChainState's own, refused the update
+        raise ChainDivergedError(state) from None
+    out.last_grad_norm = float(np.linalg.norm(g))
+    return out
 
 
 def initial_map(model, basis, kind: str = "identity") -> _models.TransportMap:

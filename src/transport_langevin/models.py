@@ -207,7 +207,11 @@ def clip_deriv(v, R: float):
 def _activation(name: str):
     """The activation and its derivative ``actd(z, a)``, given ``a = act(z)``."""
     if name == "tanh":
-        return np.tanh, lambda z, a: 1.0 - a ** 2
+        def tanhd(z, a):
+            d = np.square(a)
+            return np.subtract(1.0, d, out=d)
+
+        return np.tanh, tanhd
     # smoothed relu: softplus, 1-Lipschitz and smooth
     def sp(z):
         return np.logaddexp(0.0, z)
@@ -277,13 +281,9 @@ def forward(model: ModelSpec, W: TransportMap, x):
     """
     if model.arch == "two-layer":
         X, single = _as_points(x, model.cloud.dim)
-        _warn_input_bound(model, X)
-        R = model.clip.R
-        act, _ = _activation(model.clip.activation)
-        V = map_values(model, W)
-        Vb = clip(V, R)
-        Z = Vb[:, :-1] @ X.T                      # (M, n) pre-activations
-        out = (model.cloud.weights * Vb[:, -1]) @ act(Z)
+        _warn_input_bound(model, np.linalg.norm(X, axis=1))
+        fwd, _ = _two_layer_passes(model, W.basis, W.gamma, X)
+        out, _ = fwd(W.coeffs)
         return float(out[0]) if single else out
     if model.arch == "identity-map":
         basis = model_basis(model)
@@ -297,7 +297,7 @@ def forward(model: ModelSpec, W: TransportMap, x):
         return out[0] if single else out
     if model.arch == "resnet":
         X, single = _as_points(x, model.cloud.dim)
-        _warn_input_bound(model, X)
+        _warn_input_bound(model, np.linalg.norm(X, axis=1))
         z, _ = _resnet_forward(model, W, X)
         u = _resnet_readout(model)
         out = z @ u
@@ -305,12 +305,54 @@ def forward(model: ModelSpec, W: TransportMap, x):
     raise ValueError(f"unknown architecture {model.arch!r}")
 
 
-def _warn_input_bound(model, X):
+def _warn_input_bound(model, norms):
+    """Warn, at the caller's caller, when an input norm exceeds the declared bound D."""
     import warnings
     D = model.clip.input_bound_D
-    r = np.max(np.linalg.norm(X, axis=1))
+    r = np.max(norms)
     if r > D * (1 + 1e-9):
         warnings.warn(f"input norm {r:.3g} exceeds the declared bound D={D:g}", stacklevel=3)
+
+
+def _two_layer_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
+    """The two-layer predictor on the fixed inputs ``X`` (n, d), as closures of the raw
+    coefficients: ``fwd(coeffs) -> (f, cache)`` and ``back(cache, lp) -> gradient``.
+
+    ``lp`` is dloss/df at each input.  The cloud features, weights, radius and
+    activation are looked up here, once; ``t = tanh(V/R)`` gives both the clip
+    R*t and its derivative 1 - t^2.
+    """
+    E = _cloud_features(model, basis)
+    ET, XT = E.T, X.T
+    n = X.shape[0]
+    omega, R, eigen = model.cloud.weights, model.clip.R, basis.eigen
+    act, actd = _activation(model.clip.activation)
+
+    def fwd(coeffs):
+        V = E @ _gamma_scale(coeffs, eigen, gamma)      # (M, d+1) unclipped map values
+        t = np.tanh(V / R)
+        Vb = R * t                                      # clip(V, R)
+        Z = Vb[:, :-1] @ XT                             # (M, n) pre-activations
+        S = act(Z)
+        w2 = omega * Vb[:, -1]
+        return w2 @ S, (t, Z, S, w2)
+
+    def back(cache, lp):
+        t, Z, S, w2 = cache
+        Cd = 1.0 - t ** 2
+        kernel = actd(Z, S)                             # (M, n), a new array
+        kernel *= lp
+        dV = np.empty_like(t)
+        d1, d2 = dV[:, :-1], dV[:, -1]
+        np.multiply(w2[:, None], kernel @ X, out=d1)
+        d1 /= n
+        d1 *= Cd[:, :-1]
+        np.multiply(omega, S @ lp, out=d2)
+        d2 /= n
+        d2 *= Cd[:, -1]
+        return _gamma_scale(ET @ dV, eigen, gamma)
+
+    return fwd, back
 
 
 def _resnet_readout(model: ModelSpec) -> np.ndarray:
@@ -360,28 +402,9 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
     """
     if model.arch == "wasserstein":
         return wasserstein_gradient(model, W, dataset.x, dataset.y)
-    n = dataset.x.shape[0]
-    if model.arch == "identity-map":
+    if model.arch in ("identity-map", "two-layer"):
         _, grad = risk_objective(model, loss_kind, dataset, W.gamma)
         return grad(W.coeffs)
-    if model.arch == "two-layer":
-        X = np.asarray(dataset.x, dtype=float)
-        R = model.clip.R
-        act, actd = _activation(model.clip.activation)
-        E = _cloud_features(model, W.basis)
-        V = E @ W.effective_coeffs()              # (M, d+1)
-        Vb = clip(V, R)
-        Cd = clip_deriv(V, R)
-        Z = Vb[:, :-1] @ X.T                      # (M, n)
-        S = act(Z)
-        f = (model.cloud.weights * Vb[:, -1]) @ S
-        lp = loss_eval_derivs(loss_kind, dataset.y, f, 1)          # (n,)
-        omega = model.cloud.weights
-        kernel = actd(Z, S) * lp[None, :]         # (M, n)
-        dV1 = (omega * Vb[:, -1])[:, None] * (kernel @ X) / n * Cd[:, :-1]
-        dV2 = omega * (S @ lp) / n * Cd[:, -1]
-        dV = np.column_stack([dV1, dV2])
-        return _gamma_scale(E.T @ dV, W.basis.eigen, W.gamma)
     if model.arch == "resnet":
         X = np.asarray(dataset.x, dtype=float)
         n = X.shape[0]
@@ -411,13 +434,18 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
 def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: float = 0.0):
     """Closures value(coeffs) and grad(coeffs) of the empirical risk on raw coefficients.
 
-    The identity-map feature matrix is evaluated once, here; gamma scales the
-    coefficients before it and the gradient after it.
+    Everything that depends only on (model, loss, dataset, gamma) is computed
+    here, once: the identity-map feature matrix, and for the two-layer
+    network the cloud features, inputs, activation and input norms.  gamma
+    scales the coefficients before the features and the gradient after them.
+    The two-layer value warns, as :func:`empirical_risk` does, when an input
+    lies beyond the declared bound D; the gradient does not.
     """
     basis = model_basis(model)
+    y = dataset.y
     if model.arch == "identity-map":
         Phi = eval_basis(basis, dataset.x)
-        y, n = dataset.y, Phi.shape[0]
+        n = Phi.shape[0]
         eigen, scaled = basis.eigen, gamma != 0.0
 
         def value(coeffs):
@@ -431,6 +459,22 @@ def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: fl
             lp = loss_eval_derivs(loss_kind, y, Phi @ coeffs[:, 0], 1)
             g = (Phi.T @ lp)[:, None] / n
             return fractional_power_scale(g, eigen, gamma) if scaled else g
+
+        return value, grad
+
+    if model.arch == "two-layer":
+        X = np.asarray(dataset.x, dtype=float)
+        norms = np.linalg.norm(X, axis=1)
+        fwd, back = _two_layer_passes(model, basis, gamma, X)
+
+        def value(coeffs):
+            _warn_input_bound(model, norms)
+            f, _ = fwd(coeffs)
+            return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
+
+        def grad(coeffs):
+            f, cache = fwd(coeffs)
+            return back(cache, loss_eval_derivs(loss_kind, y, f, 1))
 
         return value, grad
 

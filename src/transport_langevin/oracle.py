@@ -175,8 +175,10 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
         rng.standard_normal(out=x)
         x *= sd
         np.square(x, out=x)
-        in_a = x @ a <= 1.0
-        in_b = x @ b <= 1.0
+        # einsum reduces in this thread; a BLAS matrix-vector product on a
+        # chunk this size wakes worker threads that spin on after it returns
+        in_a = np.einsum("ij,j->i", x, a) <= 1.0
+        in_b = np.einsum("ij,j->i", x, b) <= 1.0
         n_ab += int(np.count_nonzero(in_a & in_b))
         n_a += int(np.count_nonzero(in_a))
         n_b += int(np.count_nonzero(in_b))

@@ -32,6 +32,16 @@ def test_sweep_fit_regression_and_insufficient():
     assert row[1] == "none"
 
 
+def test_stepsize_bias_has_a_fit_but_no_sweep():
+    # stepsize-bias fits the biases of its own eta grid; no sweep run reads its fit
+    with pytest.raises(KeyError, match="'eta'"):
+        ex.sweep("stepsize-bias", "eta", [0.2, 0.1, 0.05])
+    result = ex.ExperimentResult("stepsize-bias", 0, [], [], [], extras={"slope": 1.0})
+    assert ex.sweep_fit("stepsize-bias", "eta", [0.2], [result])[1] == "none"
+    assert ex._fit_row("stepsize-bias", "eta", [0.2, 0.1], [1.0, 0.5])[3] == \
+        "insufficient-points"
+
+
 def test_criterion_result_line_format():
     c = ex.CriterionResult("thing", True, 1.23456, "<= 2")
     assert c.line().startswith("[PASS] thing:")

@@ -69,6 +69,33 @@ def test_gld_step_divergence_carries_last_state():
     np.testing.assert_array_equal(exc.value.state.map.coeffs, np.ones((2, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gld_step_non_finite_update_raises_once_without_warnings(bad, monkeypatch):
+    basis = diagonal_basis(3)
+    model = md.ModelSpec(arch="identity-map", basis=basis)
+    state = lg.ChainState(step=2, map=md.TransportMap(coeffs=np.ones((3, 2)), basis=basis))
+    cfg = lg.DynamicsConfig(eta=0.1, beta=4.0, lam=1.0, n_modes=2)
+    checks = []
+    real_isfinite = np.isfinite
+    monkeypatch.setattr(lg.np, "isfinite", lambda a: checks.append(1) or real_isfinite(a))
+    for grad in (np.zeros((3, 2)), np.full((3, 2), bad)):
+        checks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = lg.gld_step(state, cfg, model, "squared", None, np.random.default_rng(0),
+                                  grad_fn=lambda m: grad)
+            except lg.ChainDivergedError as exc:
+                assert np.isnan(bad) or np.isinf(bad)
+                assert exc.state is state
+            else:
+                assert out.step == 3 and np.all(real_isfinite(out.map.coeffs))
+        assert len(checks) == 1
+    # a state built by a caller is still checked
+    with pytest.raises(ValueError, match="non-finite"):
+        lg.ChainState(step=0, map=md.TransportMap(coeffs=np.full((3, 1), bad), basis=basis))
+
+
 def test_zero_gradient_chain_matches_discrete_stationary_variance():
     # the chain with zero gradient samples the discrete-scheme Gaussian whose
     # per-mode variance is 2*mu/(beta*lam*(2+eta*lam/mu))

@@ -310,3 +310,102 @@ def test_input_bound_warning():
     W = md.TransportMap(coeffs=np.zeros((3, 3)), basis=model.basis)
     with pytest.warns(UserWarning):
         md.forward(model, W, np.array([5.0, 5.0]))
+
+
+# The two-layer forward and gradient as they were written before the objective
+# was built once per (model, loss, dataset, gamma): one self-contained pass per call.
+def _reference_two_layer_forward(model, W, x):
+    X = np.asarray(x, dtype=float)
+    R = model.clip.R
+    act = np.tanh if model.clip.activation == "tanh" else (lambda z: np.logaddexp(0.0, z))
+    V = md.map_values(model, W)
+    Vb = md.clip(V, R)
+    Z = Vb[:, :-1] @ X.T
+    return (model.cloud.weights * Vb[:, -1]) @ act(Z)
+
+
+def _reference_two_layer_gradient(model, W, dataset, loss_kind):
+    n = dataset.x.shape[0]
+    X = np.asarray(dataset.x, dtype=float)
+    R = model.clip.R
+    if model.clip.activation == "tanh":
+        act, actd = np.tanh, lambda z, a: 1.0 - a ** 2
+    else:
+        act, actd = (lambda z: np.logaddexp(0.0, z)), (lambda z, a: 1.0 / (1.0 + np.exp(-z)))
+    E = md._cloud_features(model, W.basis)
+    V = E @ W.effective_coeffs()
+    Vb = md.clip(V, R)
+    Cd = md.clip_deriv(V, R)
+    Z = Vb[:, :-1] @ X.T
+    S = act(Z)
+    f = (model.cloud.weights * Vb[:, -1]) @ S
+    lp = md.loss_eval_derivs(loss_kind, dataset.y, f, 1)
+    omega = model.cloud.weights
+    kernel = actd(Z, S) * lp[None, :]
+    dV1 = (omega * Vb[:, -1])[:, None] * (kernel @ X) / n * Cd[:, :-1]
+    dV2 = omega * (S @ lp) / n * Cd[:, -1]
+    dV = np.column_stack([dV1, dV2])
+    return md._gamma_scale(E.T @ dV, W.basis.eigen, W.gamma)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "smoothed-relu"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_two_layer_objective_equals_the_reference_bit_for_bit(activation, gamma, loss):
+    rng = np.random.default_rng([["tanh", "smoothed-relu"].index(activation), int(gamma),
+                                 ["squared", "logistic"].index(loss)])
+    for n in (1, 2, 17, 256, 1024):
+        M, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        cloud = md.finite_width_cloud(rng.standard_normal((M, d)), rng.uniform(-1, 1, M))
+        model = md.ModelSpec(arch="two-layer", cloud=cloud,
+                             clip=md.ClipConfig(R=float(rng.uniform(1.0, 3.0)),
+                                                activation=activation, input_bound_D=4.0),
+                             basis=gram_eigenbasis(cloud, float(rng.uniform(0.6, 1.6)), M))
+        x = rng.standard_normal((n, d)) * 0.6
+        y = rng.standard_normal(n)
+        if loss == "logistic":
+            y = np.where(y >= 0, 1.0, -1.0)
+        data = md.Dataset(x=x, y=y)
+        value, grad = md.risk_objective(model, loss, data, gamma)
+        for _ in range(3):
+            W = md.TransportMap(coeffs=rng.standard_normal((M, d + 1)) * 1.5, basis=model.basis,
+                                gamma=gamma)
+            ref_f = _reference_two_layer_forward(model, W, x)
+            ref_g = _reference_two_layer_gradient(model, W, data, loss)
+            np.testing.assert_array_equal(md.forward(model, W, x), ref_f)
+            np.testing.assert_array_equal(grad(W.coeffs), ref_g)
+            np.testing.assert_array_equal(md.gradient(model, W, data, loss), ref_g)
+            expected = float(np.mean(md.loss_eval_derivs(loss, y, ref_f, 0)))
+            assert value(W.coeffs) == expected
+            assert md.empirical_risk(model, W, loss, data) == expected
+
+
+def test_input_bound_warns_on_values_not_on_gradients():
+    import warnings
+
+    rng = np.random.default_rng(16)
+    model = _cloud_model(rng.standard_normal((4, 2)), rng.uniform(-1, 1, 4), D=0.5)
+    W = md.TransportMap(coeffs=rng.standard_normal((4, 3)), basis=model.basis)
+    far = md.Dataset(x=np.array([[0.1, 0.2], [3.0, 0.0]]), y=np.array([0.3, -0.2]))
+    near = md.Dataset(x=far.x * 0.1, y=far.y)
+    value, grad = md.risk_objective(model, "squared", far)
+    warned = {
+        "forward": lambda: md.forward(model, W, far.x),
+        "empirical_risk": lambda: md.empirical_risk(model, W, "squared", far),
+        "risk_objective value": lambda: value(W.coeffs),
+    }
+    silent = {
+        "gradient": lambda: md.gradient(model, W, far, "squared"),
+        "risk_objective grad": lambda: grad(W.coeffs),
+        "forward inside D": lambda: md.forward(model, W, near.x),
+        "value inside D": lambda: md.risk_objective(model, "squared", near)[0](W.coeffs),
+    }
+    for name, call in {**warned, **silent}.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        messages = [str(w.message) for w in caught]
+        if name in warned:
+            assert len(messages) == 1 and "exceeds the declared bound" in messages[0], name
+        else:
+            assert messages == [], name

@@ -151,6 +151,19 @@ def test_gaussian_correlation_matches_the_cov_formula():
         assert stderr > 0.0
     with pytest.raises(ValueError):
         orc.gaussian_correlation_mc(spec, a, b, 1, rng)
+    # zero weights in a, as correlation-suite draws them, and a dimension at the cap
+    rng = np.random.default_rng(10)
+    for dim, n_samples in ((5, 200_001), (16, 300_000)):
+        spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, dim))
+        a = rng.uniform(0, 8, dim) * rng.integers(0, 2, dim)
+        b = rng.uniform(0, 8, dim)
+        assert np.any(a == 0.0) and np.any(a > 0.0)
+        r1, r2 = np.random.default_rng(dim), np.random.default_rng(dim)
+        est = orc.gaussian_correlation_mc(spec, a, b, n_samples, r1, dim_cap=16)
+        p_both, p_product, stderr = _cov_formula_correlation(spec, a, b, n_samples, r2)
+        assert r1.bit_generator.state == r2.bit_generator.state
+        assert est.p_both == p_both and est.p_product == p_product
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
 def test_conjugate_posterior_matches_cho_solve():
