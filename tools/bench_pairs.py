@@ -161,19 +161,15 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated names (default: every workload)")
     parser.add_argument("--work-dir", required=True, type=Path,
                         help="new directory for the two checkouts")
-    parser.add_argument("--no-tier1", action="store_true", help="skip the tier-1 durations")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
     bounds = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     trees = {side: args.work_dir / side for side in ("parent", "change")}
     commits = {side: unpack(rev, trees[side])
@@ -207,16 +203,15 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)
-    if not args.no_tier1:
-        tier1 = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
-        for side in ("parent", "change"):
-            envvars = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
-            res = subprocess.run([sys.executable, *TIER1], cwd=trees[side], env=envvars,
-                                 capture_output=True, text=True, timeout=3600)
-            tier1[side] = parse_pytest(res.stdout)
-        out["tier1_durations"] = tier1
-        path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-        print(f"added the tier-1 durations to {path}", file=sys.stderr)
+    tier1 = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
+    for side in ("parent", "change"):
+        envvars = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
+        res = subprocess.run([sys.executable, *TIER1], cwd=trees[side], env=envvars,
+                             capture_output=True, text=True, timeout=3600)
+        tier1[side] = parse_pytest(res.stdout)
+    out["tier1_durations"] = tier1
+    path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    print(f"added the tier-1 durations to {path}", file=sys.stderr)
     return 0
 
 
