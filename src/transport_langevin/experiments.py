@@ -121,7 +121,7 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         else:
             out[key] = _checked_float(key, val, where)
     # the step-size bias preset fits its biases over etas like a sweep over eta
-    min_etas = _SWEEP_FITS["stepsize-bias", "eta"][0]
+    min_etas = _BIAS_FIT[0]
     if preset == "stepsize-bias" and len(out["etas"]) < min_etas:
         raise ValueError(f"override 'etas' for preset 'stepsize-bias' needs at least "
                          f"{min_etas} step sizes for the bias fit, got {out['etas']!r}")
@@ -284,7 +284,7 @@ def _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept):
     for i, eta in enumerate(sorted(etas, reverse=True)):
         m, se = run(eta, kept, seed + 2 + i)
         rows.append([eta, m, se, abs(m - ref_mean)])
-    fit = _fit_row("stepsize-bias", "eta", [r[0] for r in rows], [r[3] for r in rows])
+    fit = _fit_row(_BIAS_FIT, [r[0] for r in rows], [r[3] for r in rows])
     return rows, (ref_mean, ref_se, eta_ref), fit
 
 
@@ -823,18 +823,15 @@ def _bias_rule(etas, biases):
     return "bias-slope", slope, 0.4 <= slope <= 1.2
 
 
-# (preset, axis) -> (fewest values the fit needs, fit name when there are
-# fewer, rule (values, ys) -> (name, measured, verdict)); stepsize-bias fits
-# the biases of its own eta grid, and is no sweep
+# a fit: (fewest values it needs, its name when there are fewer, rule
+# (values, ys) -> (name, measured, verdict)).  stepsize-bias fits the biases of
+# its own eta grid, and is no sweep.
+_BIAS_FIT = (3, "bias-slope", _bias_rule)
+# (preset, axis) -> (extras key of each run, *fit)
 _SWEEP_FITS = {
-    ("regression-rate", "n"): (4, "excess-risk-slope", _regression_rule),
-    ("classification-rate", "beta"): (3, "log-error-beta-corr", _classification_rule),
-    ("stepsize-bias", "eta"): (3, "bias-slope", _bias_rule),
-}
-# (preset, axis) -> the extras key of each run of a sweep that the fit reads
-_SWEEP_YS = {
-    ("regression-rate", "n"): "excess_risk",
-    ("classification-rate", "beta"): "error_prob",
+    ("regression-rate", "n"): ("excess_risk", 4, "excess-risk-slope", _regression_rule),
+    ("classification-rate", "beta"): ("error_prob", 3, "log-error-beta-corr",
+                                      _classification_rule),
 }
 
 
@@ -847,14 +844,14 @@ def sweep(preset: str, axis: str, values, seed: int = 0, overrides: Optional[dic
 def sweep_fit(preset: str, axis: str, values, results: list[ExperimentResult]):
     """Fit row ``["fit", name, measured, verdict]``; the verdict is True or
     False, or a string when there is no fit or too few values for one."""
-    if (preset, axis) not in _SWEEP_YS:
+    if (preset, axis) not in _SWEEP_FITS:
         return ["fit", "none", float("nan"), "no fit defined for this preset/axis"]
-    key = _SWEEP_YS[preset, axis]
-    return _fit_row(preset, axis, values, [r.extras[key] for r in results])
+    key, *fit = _SWEEP_FITS[preset, axis]
+    return _fit_row(fit, values, [r.extras[key] for r in results])
 
 
-def _fit_row(preset: str, axis: str, values, ys) -> list:
-    min_points, name, rule = _SWEEP_FITS[preset, axis]
+def _fit_row(fit, values, ys) -> list:
+    min_points, name, rule = fit
     if len(values) < min_points:
         return ["fit", name, float("nan"), "insufficient-points"]
     return ["fit", *rule(values, ys)]

@@ -16,6 +16,7 @@ differences of the empirical risk.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -207,11 +208,7 @@ def clip_deriv(v, R: float):
 def _activation(name: str):
     """The activation and its derivative ``actd(z, a)``, given ``a = act(z)``."""
     if name == "tanh":
-        def tanhd(z, a):
-            d = np.square(a)
-            return np.subtract(1.0, d, out=d)
-
-        return np.tanh, tanhd
+        return np.tanh, lambda z, a: 1.0 - a ** 2
     # smoothed relu: softplus, 1-Lipschitz and smooth
     def sp(z):
         return np.logaddexp(0.0, z)
@@ -402,8 +399,12 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
     """
     if model.arch == "wasserstein":
         return wasserstein_gradient(model, W, dataset.x, dataset.y)
-    if model.arch in ("identity-map", "two-layer"):
+    if model.arch == "identity-map":
         _, grad = risk_objective(model, loss_kind, dataset, W.gamma)
+        return grad(W.coeffs)
+    if model.arch == "two-layer":
+        # over the map's own basis, as forward evaluates it
+        _, grad = _two_layer_objective(model, W.basis, W.gamma, loss_kind, dataset)
         return grad(W.coeffs)
     if model.arch == "resnet":
         X = np.asarray(dataset.x, dtype=float)
@@ -436,16 +437,15 @@ def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: fl
 
     Everything that depends only on (model, loss, dataset, gamma) is computed
     here, once: the identity-map feature matrix, and for the two-layer
-    network the cloud features, inputs, activation and input norms.  gamma
-    scales the coefficients before the features and the gradient after them.
+    network the cloud features, inputs and activation.  gamma scales the
+    coefficients before the features and the gradient after them.
     The two-layer value warns, as :func:`empirical_risk` does, when an input
     lies beyond the declared bound D; the gradient does not.
     """
     basis = model_basis(model)
-    y = dataset.y
     if model.arch == "identity-map":
         Phi = eval_basis(basis, dataset.x)
-        n = Phi.shape[0]
+        y, n = dataset.y, Phi.shape[0]
         eigen, scaled = basis.eigen, gamma != 0.0
 
         def value(coeffs):
@@ -463,26 +463,36 @@ def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: fl
         return value, grad
 
     if model.arch == "two-layer":
-        X = np.asarray(dataset.x, dtype=float)
-        norms = np.linalg.norm(X, axis=1)
-        fwd, back = _two_layer_passes(model, basis, gamma, X)
-
-        def value(coeffs):
-            _warn_input_bound(model, norms)
-            f, _ = fwd(coeffs)
-            return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
-
-        def grad(coeffs):
-            f, cache = fwd(coeffs)
-            return back(cache, loss_eval_derivs(loss_kind, y, f, 1))
-
-        return value, grad
+        return _two_layer_objective(model, basis, gamma, loss_kind, dataset)
 
     def value(coeffs):
         return empirical_risk(model, TransportMap(coeffs, basis, gamma), loss_kind, dataset)
 
     def grad(coeffs):
         return gradient(model, TransportMap(coeffs, basis, gamma), dataset, loss_kind)
+
+    return value, grad
+
+
+def _two_layer_objective(model: ModelSpec, basis: SpectralBasis, gamma: float, loss_kind: str,
+                         dataset: Dataset):
+    """value(coeffs) and grad(coeffs) of the two-layer empirical risk, the map over ``basis``.
+
+    The input norms are computed on the first value call, for its input-bound
+    warning; the gradient needs none and gives none.
+    """
+    X, y = np.asarray(dataset.x, dtype=float), dataset.y
+    fwd, back = _two_layer_passes(model, basis, gamma, X)
+    norms = functools.cache(lambda: np.linalg.norm(X, axis=1))
+
+    def value(coeffs):
+        _warn_input_bound(model, norms())
+        f, _ = fwd(coeffs)
+        return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
+
+    def grad(coeffs):
+        f, cache = fwd(coeffs)
+        return back(cache, loss_eval_derivs(loss_kind, y, f, 1))
 
     return value, grad
 

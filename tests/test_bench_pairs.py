@@ -39,23 +39,44 @@ def test_summary_counts_pair_wins_in_the_better_direction():
 
 
 def test_summary_verdicts_need_both_the_wins_and_a_drop_beyond_the_iqr():
+    # the parent's IQR is 4.5 on a median of 14.5 (31%), inside a 35% bound
     parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
     # every pair won, but the median moves by 1.0 < IQR 4.5
-    assert bp.summarize(parent, [p - 1.0 for p in parent], "lower", 0.25)["verdict"] \
+    assert bp.summarize(parent, [p - 1.0 for p in parent], "lower", 0.35)["verdict"] \
         == "not moved"
     # a big median drop, but only 8/10 pairs won
     change = [p - 6.0 for p in parent]
     change[0], change[9] = 11.0, 20.0
-    s = bp.summarize(parent, change, "lower", 0.25)
+    s = bp.summarize(parent, change, "lower", 0.35)
     assert s["change_wins"] == "8/10" and s["verdict"] == "not moved"
     # worse within the bound is not moved; beyond it, worse
-    assert bp.summarize(parent, [p * 1.2 for p in parent], "lower", 0.25)["verdict"] \
+    assert bp.summarize(parent, [p * 1.3 for p in parent], "lower", 0.35)["verdict"] \
         == "not moved"
-    assert bp.summarize(parent, [p * 1.3 for p in parent], "lower", 0.25)["verdict"] == "worse"
+    assert bp.summarize(parent, [p * 1.4 for p in parent], "lower", 0.35)["verdict"] == "worse"
     with pytest.raises(ValueError):
         bp.summarize(parent, parent[:-1], "lower", 0.25)
     with pytest.raises(ValueError):
         bp.summarize(parent, parent, "sideways", 0.25)
+
+
+def test_summary_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # the same parent under a 25% bound: its 31% spread cannot show no change
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    for change in (list(parent), [p - 1.0 for p in parent], [p * 1.2 for p in parent]):
+        s = bp.summarize(parent, change, "lower", 0.25)
+        assert s["parent_iqr_rel"] > 0.25 and s["verdict"] == "unresolved"
+    # every change run beats every parent run: resolved, though by less than the IQR
+    skewed = [10.0] * 7 + [15.0, 20.0, 25.0]           # IQR 3.75 on a median of 10
+    s = bp.summarize(skewed, [9.0 + 0.01 * i for i in range(10)], "lower", 0.25)
+    assert s["parent_iqr_rel"] == pytest.approx(0.375)
+    assert s["change_wins"] == "10/10" and s["verdict"] == "not moved"
+    # one change run above the parent's best leaves it unresolved, though every pair won
+    s = bp.summarize(skewed, [9.0] * 9 + [10.5], "lower", 0.25)
+    assert s["change_wins"] == "10/10" and s["verdict"] == "unresolved"
+    # a gain and a loss beyond the bound still read as better and worse
+    assert bp.summarize(parent, [p - 6.0 for p in parent], "lower", 0.25)["verdict"] \
+        == "better"
+    assert bp.summarize(parent, [p * 1.3 for p in parent], "lower", 0.25)["verdict"] == "worse"
 
 
 def _record(wall, cpu, failed, parts):

@@ -38,8 +38,7 @@ def test_stepsize_bias_has_a_fit_but_no_sweep():
         ex.sweep("stepsize-bias", "eta", [0.2, 0.1, 0.05])
     result = ex.ExperimentResult("stepsize-bias", 0, [], [], [], extras={"slope": 1.0})
     assert ex.sweep_fit("stepsize-bias", "eta", [0.2], [result])[1] == "none"
-    assert ex._fit_row("stepsize-bias", "eta", [0.2, 0.1], [1.0, 0.5])[3] == \
-        "insufficient-points"
+    assert ex._fit_row(ex._BIAS_FIT, [0.2, 0.1], [1.0, 0.5])[3] == "insufficient-points"
 
 
 def test_criterion_result_line_format():

@@ -380,6 +380,23 @@ def test_two_layer_objective_equals_the_reference_bit_for_bit(activation, gamma,
             assert md.empirical_risk(model, W, loss, data) == expected
 
 
+def test_two_layer_gradient_and_forward_read_the_basis_of_the_map():
+    # the map carries its basis; the model's own, or none at all, does not matter
+    rng = np.random.default_rng(17)
+    w, a = rng.standard_normal((5, 2)), rng.uniform(-1, 1, 5)
+    model = _cloud_model(w, a, bandwidth=1.0)
+    bare = md.ModelSpec(arch="two-layer", cloud=model.cloud, clip=model.clip)
+    other = gram_eigenbasis(model.cloud, 0.5, 5)       # same mode count, other modes
+    data = md.Dataset(x=rng.standard_normal((7, 2)) * 0.5, y=rng.standard_normal(7))
+    for gamma in (0.0, 1.0):
+        W = md.TransportMap(coeffs=rng.standard_normal((5, 3)), basis=other, gamma=gamma)
+        ref_g = _reference_two_layer_gradient(model, W, data, "squared")
+        ref_f = _reference_two_layer_forward(model, W, data.x)
+        for spec in (model, bare):
+            np.testing.assert_array_equal(md.gradient(spec, W, data, "squared"), ref_g)
+            np.testing.assert_array_equal(md.forward(spec, W, data.x), ref_f)
+
+
 def test_input_bound_warns_on_values_not_on_gradients():
     import warnings
 

@@ -3,12 +3,13 @@
 Run from the repository root, after committing the change:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 8 \\
-        --first-seed 41 --pairs 10 --seconds 50 --work-dir /tmp/bench
+        --first-seed 41 --work-dir /tmp/bench
 
 Each revision's committed files are unpacked with ``git archive`` into its own
 directory under ``--work-dir``, so both sides run from clean trees and the
-repository itself is left untouched.  Pair ``i`` (seed ``first_seed + i``) runs
-``perfbench/run.py --trace 0`` once per side and workload: odd pairs run the
+repository itself is left untouched.  Each of the ten pairs ``i`` (seed
+``first_seed + i``) runs ``perfbench/run.py --trace 0`` for the ``run_seconds``
+of ``BENCHMARK.json``, once per side and workload: odd pairs run the
 parent first, even pairs the change first, and the workloads are interleaved
 within each pair, so a slow drift of the machine falls on both sides alike.
 Each side's tier-1 suite then runs once under ``pytest --durations``.
@@ -22,6 +23,8 @@ to its median, the number of pairs the change won and a verdict:
   interquartile range;
 * ``worse``: the change's median is worse than the parent's by more than the
   metric's bound in ``BENCHMARK.json``;
+* ``unresolved``: the parent's interquartile range is wider than the bound,
+  relative to its median, and not every change run beats every parent run;
 * ``not moved``: anything else.
 """
 
@@ -40,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=30"]
 
 
@@ -64,10 +68,13 @@ def summarize(parent_runs, change_runs, better: str, bound: float) -> dict:
     c1, cm, c3 = quartiles(change_runs)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
     gain = sign * (cm - pm)           # > 0 when the change's median is better
+    separated = all(sign * (c - p) > 0 for p in parent_runs for c in change_runs)
     if wins >= WIN_SHARE * len(parent_runs) and gain > p3 - p1:
         verdict = "better"
     elif -gain > bound * abs(pm):
         verdict = "worse"
+    elif p3 - p1 > bound * abs(pm) and not separated:
+        verdict = "unresolved"
     else:
         verdict = "not moved"
     return {
@@ -157,24 +164,19 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--pr", required=True, help="writes BENCH_<pr>.json at the repo root")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--work-dir", required=True, type=Path,
                         help="new directory for the two checkouts")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     workloads = [w["name"] for w in bench["workloads"]]
     bounds = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     trees = {side: args.work_dir / side for side in ("parent", "change")}
     commits = {side: unpack(rev, trees[side])
                for side, rev in (("parent", args.parent), ("change", args.change))}
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i, seed in enumerate(seeds):
