@@ -86,6 +86,18 @@ PRESET_DEFAULTS = {
 }
 
 
+# per preset, each chain it records as (steps, burn-in, thin) keys, None for no burn-in or
+# no thinning, and the fewest records the preset needs: 2 where it takes a batch-means stderr
+_SCHEDULES = {
+    "posterior-validate": [("kept", None, None, 2)],
+    "ou-moment": [("steps", "burn_in", None, 2)],
+    "stepsize-bias": [("kept", None, None, 2), ("ref_kept", None, None, 2)],
+    "regression-rate": [("steps", "burn_in", "thin", 1)],
+    "classification-rate": [("steps", "burn_in", "thin", 1)],
+    "finite-width-demo": [("max_steps", None, "check_every", 1)],
+    "pac-bayes": [("steps", "burn_in", "thin", 1)],
+}
+
 # lower limits (value, strict) of the float keys the chain and clip configs check
 _FLOAT_LOW = {"eta": (0.0, False), "etas": (0.0, False), "beta": (0.0, True),
               "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False)}
@@ -98,7 +110,7 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
     integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
     >= 0); list keys take non-empty lists of numbers, and stepsize-bias needs
     as many ``etas`` as its bias fit.  Float values must be finite and within
-    ``_FLOAT_LOW``, and a preset's beta must exceed its eta.
+    ``_FLOAT_LOW``, a preset's beta must exceed its eta, and ``_SCHEDULES`` holds.
     """
     out = dict(defaults)
     for key, val in overrides.items():
@@ -132,6 +144,12 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         runs_at = " (the chain runs at beta = n)" if beta_key == "n" else ""
         raise ValueError(f"overrides for preset {preset!r} need {beta_key!r} > 'eta'{runs_at}, "
                          f"got {beta_key}={out[beta_key]!r} and eta={eta_max!r}")
+    for steps, burn_in, thin, least in _SCHEDULES.get(preset, []):
+        records = max(out[steps] - out.get(burn_in, 0), 0) // out.get(thin, 1)
+        if records < least:
+            given = ", ".join(f"{k}={out[k]!r}" for k in (steps, burn_in, thin) if k)
+            raise ValueError(f"overrides for preset {preset!r} ({given}) record {records} "
+                             f"sample(s) of a chain, fewer than the {least} it needs")
     return out
 
 
@@ -224,7 +242,7 @@ def posterior_validate(seed=0, overrides=None):
 # ---------------------------------------------------------------------------
 
 def ou_moment(seed=0, overrides=None):
-    """Stationary second moment of the noise-only recursion, MC vs closed form."""
+    """Noise-only recursion, the zero-gradient chain at 2*beta: MC vs closed-form E||Z||^2."""
     p = _merged(PRESET_DEFAULTS["ou-moment"], overrides or {}, "ou-moment")
     rng = np.random.default_rng(seed)
     grid = [
@@ -243,10 +261,11 @@ def ou_moment(seed=0, overrides=None):
     rows, zs, bound_ok = [], [], True
     for g in grid:
         eigen = make_eigen_sequence(g["c_mu"], 2.0, g["n_modes"])
-        cfg = lg.DynamicsConfig(eta=g["eta"], beta=g["beta"], lam=g["lam"],
+        cfg = lg.DynamicsConfig(eta=g["eta"], beta=2.0 * g["beta"], lam=g["lam"],
                                 n_modes=g["n_modes"])
         sq = lg.simulate_ou_sq_norms(cfg, eigen, p["steps"], rng)[p["burn_in"]:]
-        exact, bound = lg.ou_stationary_moment(cfg, eigen)
+        exact = float(lg.gld_zero_grad_stationary_variance(cfg, eigen).sum())
+        bound = eigen.c_mu / (g["beta"] * g["lam"])
         se = orc.batch_means_stderr(sq)
         z = (sq.mean() - exact) / se
         zs.append(abs(z))
@@ -732,6 +751,9 @@ def pac_bayes_check(seed=0, n_seeds=10, n=64, overrides=None):
         raise ValueError(f"pac-bayes check needs 'ref_eta_factor' > 0 and n > eta * "
                          f"'ref_eta_factor' (the reference chain runs at beta = n), got "
                          f"n={n!r}, eta={p['eta']!r} and ref_eta_factor={p['ref_eta_factor']!r}")
+    if p["ref_steps"] - 2 * p["burn_in"] < p["thin"]:   # the reference chain records nothing
+        raise ValueError(f"pac-bayes check needs 'ref_steps' >= 2 * 'burn_in' + 'thin', got "
+                         f"{p['ref_steps']!r}, {p['burn_in']!r} and {p['thin']!r}")
     rows = []
     ok_all = True
     for s in range(seed, seed + n_seeds):

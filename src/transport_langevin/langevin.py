@@ -6,14 +6,14 @@ One chain step is
 
 with S_eta the per-mode resolvent 1/(1 + eta*lam/mu_k) and eps_k i.i.d.
 standard normal per retained mode and output coordinate (zero beyond the
-truncation).  The auxiliary noise-only reference recursion
+truncation).  The noise-only reference recursion at temperature beta,
 
-    Z_{n+1} = S_eta Z_n + sqrt(eta/beta) * S_eta * eps_n
+    Z_{n+1} = S_eta( Z_n + sqrt(eta/beta) * eps_n ),
 
-uses amplitude sqrt(eta/beta) with the noise inside the resolvent; both
-conventions are implemented separately and never mixed.  The recursion is a
-per-mode AR(1) process, which :func:`simulate_ou_sq_norms` solves in closed
-form over blocks of steps with numpy alone.
+is this chain with zero gradient at 2*beta: sqrt(2*eta/(2*beta)) = sqrt(eta/beta),
+so :attr:`DynamicsConfig.noise_amp` is the one noise convention.  Per mode it
+is an AR(1) process, which :func:`simulate_ou_sq_norms` solves in closed form
+over blocks of steps with numpy alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import models as _models
-from .spectral import EigenSequence, project_P_N, resolvent_S_eta
+from .spectral import EigenSequence, project_P_N
 
 __all__ = [
     "DynamicsConfig",
@@ -35,9 +35,7 @@ __all__ = [
     "ChainDivergedError",
     "gld_step",
     "run_chain",
-    "ou_step",
     "simulate_ou_sq_norms",
-    "ou_stationary_moment",
     "gld_zero_grad_stationary_variance",
     "save_checkpoint",
     "load_checkpoint",
@@ -252,24 +250,15 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
 
 
 # ---------------------------------------------------------------------------
-# noise-only reference recursion
+# the zero-gradient chain
 # ---------------------------------------------------------------------------
-
-def ou_step(z: np.ndarray, cfg: DynamicsConfig, eigen: EigenSequence,
-            rng: np.random.Generator, noise_enabled: bool = True) -> np.ndarray:
-    """One step of Z' = S_eta (Z + sqrt(eta/beta) * eps)."""
-    z = np.asarray(z, dtype=float)
-    amp = 0.0 if (not noise_enabled or np.isinf(cfg.beta)) else np.sqrt(cfg.eta / cfg.beta)
-    eps = rng.standard_normal(z.shape) if amp > 0 else 0.0
-    return resolvent_S_eta(z + amp * eps, cfg.eta, cfg.lam, eigen)
-
 
 def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """Trace of ||Z_n||^2 for the reference recursion started at zero.
+    """Trace of ||Z_n||^2 for the zero-gradient chain of ``cfg`` started at zero.
 
-    Per mode the recursion is the AR(1) z_t = s z_{t-1} + s*amp*eps_t, solved
-    in blocks of L steps: step j of a block is
+    Per mode the chain is the AR(1) z_t = s z_{t-1} + s*amp*eps_t, amp = cfg.noise_amp,
+    solved in blocks of L steps: step j of a block is
     s^j * cumsum_i(s^-i * s*amp*eps_i)_j + s^(j+1) * z_carry, with z_carry the
     last value of the previous block.  L keeps s_min^-L finite.  The noise is
     drawn in chunks of whole blocks, the same numbers as one
@@ -278,7 +267,7 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     m = cfg.n_modes
     mu = eigen.mu[:m]
     s = 1.0 / (1.0 + cfg.eta * cfg.lam / mu)
-    amp = np.sqrt(cfg.eta / cfg.beta)
+    amp = cfg.noise_amp
     decay = -np.log(s.min())
     L = _OU_BLOCK if decay == 0.0 else max(1, int(min(_OU_BLOCK, _OU_MAX_LOG_GAIN // decay)))
     j = np.arange(L)[:, None]
@@ -306,27 +295,13 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     return out
 
 
-def ou_stationary_moment(cfg: DynamicsConfig, eigen: EigenSequence) -> tuple[float, float]:
-    """Closed-form stationary E||Z||^2 of the reference recursion and its envelope.
-
-    exact  = (eta/beta) * sum_k s_k^2/(1 - s_k^2)
-           = sum_k mu_k / (beta*lam*(2 + eta*lam/mu_k)),
-    bound  = c_mu/(beta*lam),
-    and exact <= bound always holds under the eigen-decay condition.
-    """
-    mu = eigen.mu[: cfg.n_modes]
-    exact = float(np.sum(mu / (cfg.beta * cfg.lam * (2.0 + cfg.eta * cfg.lam / mu))))
-    bound = eigen.c_mu / (cfg.beta * cfg.lam)
-    return exact, bound
-
-
 def gld_zero_grad_stationary_variance(cfg: DynamicsConfig, eigen: EigenSequence) -> np.ndarray:
     """Per-mode stationary variance of the zero-gradient chain.
 
-    The chain update with zero gradient is the reference recursion with
-    amplitude sqrt(2*eta/beta), so the variance is 2*mu_k/(beta*lam*(2 +
-    eta*lam/mu_k)); it approaches the reference-measure variance
-    mu_k/(beta*lam) as eta -> 0.
+    It is amp^2 s^2/(1 - s^2) = 2*mu_k/(beta*lam*(2 + eta*lam/mu_k)), amp^2 = 2*eta/beta,
+    and tends to the reference-measure variance mu_k/(beta*lam) as eta -> 0.  At 2*beta
+    its sum is, bit for bit, the stationary E||Z||^2 of the noise-only recursion at
+    beta, which is at most c_mu/(beta*lam).
     """
     mu = eigen.mu[: cfg.n_modes]
     return 2.0 * mu / (cfg.beta * cfg.lam * (2.0 + cfg.eta * cfg.lam / mu))

@@ -197,9 +197,11 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
 
 
 def batch_means_stderr(series: np.ndarray) -> float:
-    """Batch-means standard error of the mean of a correlated series."""
+    """Batch-means standard error of the mean of a correlated series of >= 2 values."""
     series = np.asarray(series, dtype=float)
     n = series.size
+    if n < 2:
+        raise ValueError(f"a batch-means stderr needs at least 2 values, got {n}")
     n_batches = max(int(np.floor(np.sqrt(n))), 2)
     batch = n // n_batches
     trimmed = series[n - n_batches * batch:]

@@ -112,9 +112,27 @@ def test_parse_pytest_reads_the_summary_and_the_call_durations():
 3.10s call     tests/test_demos.py::test_demo_exits_zero[04_rates_and_bounds]
 178 passed in 80.25s (0:01:20)
 """
-    got = bp.parse_pytest(out)
-    assert got == {"passed": 178, "total_s": 80.25,
+    got = bp.parse_pytest(out, 0)
+    assert got == {"passed": 178, "failed": 0, "errors": 0, "exit_code": 0, "total_s": 80.25,
                    "slowest": {"tests/test_acceptance.py::test_criterion_03_stepsize_bias_order":
                                22.81,
                                "tests/test_demos.py::test_demo_exits_zero[04_rates_and_bounds]":
                                3.1}}
+
+
+def test_parse_pytest_records_failures_errors_and_the_exit_code():
+    out = """..F..E..F.F                                                [100%]
+=========================== short test summary info ============================
+FAILED tests/test_cli.py::test_run_writes_artifacts_and_passes - assert 1 == 0
+1.25s call     tests/test_models.py::test_error_in_7_passed_runs
+3 failed, 191 passed, 1 error in 80.12s (0:01:20)
+"""
+    got = bp.parse_pytest(out, 1)
+    assert (got["passed"], got["failed"], got["errors"]) == (191, 3, 1)
+    assert got["exit_code"] == 1 and got["total_s"] == 80.12
+    got = bp.parse_pytest("==== 2 errors in 3.50s ====\n", 2)
+    assert (got["passed"], got["failed"], got["errors"], got["exit_code"]) == (0, 0, 2, 2)
+    # no summary line at all, as when pytest is killed
+    got = bp.parse_pytest("", -9)
+    assert (got["passed"], got["failed"], got["errors"], got["exit_code"]) == (0, 0, 0, -9)
+    assert got["total_s"] != got["total_s"]

@@ -44,21 +44,51 @@ def test_run_is_byte_reproducible(tmp_path):
         assert a == b, name
 
 
+# every preset at a reduced budget, for the cross-process reproducibility check
+_REDUCED = {
+    "posterior-validate": {"burn_in": 500, "kept": 2000},
+    "ou-moment": {"steps": 3000, "burn_in": 500},
+    "stepsize-bias": {"kept": 2000, "ref_kept": 4000},
+    "ergodicity": {"steps": 50, "n_pairs": 2},
+    "grad-check": {"n_configs": 4},
+    "lipschitz-suite": {"n_pairs": 20, "n_grid": 64},
+    "bernstein-suite": {"step": 0.05},
+    "correlation-suite": {"n_pairs": 3, "n_samples": 20_000},
+    "regression-rate": {"steps": 400, "burn_in": 200},
+    "classification-rate": {"steps": 300, "burn_in": 100, "thin": 10},
+    "finite-width-demo": {"max_steps": 500, "check_every": 50},
+    "wasserstein-demo": {"steps": 400},
+}
+
+# runs each config named on the command line through cli.main; prints the exit codes
+_RUN_ALL = """
+import json, sys
+from transport_langevin import cli
+out = sys.argv[1]
+print(json.dumps([cli.main(["run", "--config", c, "--out", out]) for c in sys.argv[2:]]))
+"""
+
+
 def test_grad_check_is_byte_identical_across_hash_seeds(tmp_path):
-    # string hashing is salted per process; no draw may depend on it
-    cfg = _write_cfg(tmp_path, {"preset": "grad-check", "seed": 3,
-                                "overrides": {"n_configs": 4}})
+    # string hashing is salted per process; no draw of any preset may depend on it
+    assert set(_REDUCED) == set(ex.PRESETS)
+    cfgs = [_write_cfg(tmp_path, {"preset": preset, "seed": 3, "overrides": overrides},
+                       name=f"{preset}.json") for preset, overrides in _REDUCED.items()]
     src = str(Path(transport_langevin.__file__).resolve().parents[1])
-    outs = []
+    codes = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        out = tmp_path / f"h{hash_seed}"
-        proc = subprocess.run([sys.executable, "-m", "transport_langevin", "run", "--config", cfg,
-                               "--out", str(out)], env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out / "grad-check")
-    for name in ("results.csv", "report.txt", "provenance.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(tmp_path / f"h{hash_seed}"),
+                               *cfgs], env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        codes.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    # some presets fail their criteria at these budgets; both processes must agree
+    assert codes[0] == codes[1] and set(codes[0]) <= {0, 1}
+    assert codes[0][list(_REDUCED).index("grad-check")] == 0
+    for preset in _REDUCED:
+        for name in ("results.csv", "report.txt", "provenance.json"):
+            a = (tmp_path / "h0" / preset / name).read_bytes()
+            assert a == (tmp_path / "h1" / preset / name).read_bytes(), (preset, name)
 
 
 def test_unknown_top_level_key_is_status_2(tmp_path, capsys):
@@ -89,10 +119,29 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
     ({"preset": "posterior-validate", "overrides": {"eta": 60.0}}, "'eta'"),
     ({"preset": "regression-rate", "overrides": {"eta": 300.0}}, "'eta'"),
     ({"preset": "stepsize-bias", "overrides": {"etas": [0.1, 0.05]}}, "'etas'"),
+    ({"preset": "regression-rate", "overrides": {"steps": 1000, "burn_in": 1000}},
+     "(steps=1000, burn_in=1000, thin=10) record 0 sample(s)"),
+    ({"preset": "regression-rate", "overrides": {"steps": 1000, "burn_in": 500, "thin": 600}},
+     "(steps=1000, burn_in=500, thin=600) record 0 sample(s)"),
+    ({"preset": "classification-rate", "overrides": {"steps": 1000, "burn_in": 1000}},
+     "(steps=1000, burn_in=1000, thin=50) record 0 sample(s)"),
+    ({"preset": "finite-width-demo", "overrides": {"max_steps": 200, "check_every": 250}},
+     "(max_steps=200, check_every=250) record 0 sample(s)"),
+    ({"preset": "ou-moment", "overrides": {"steps": 1000, "burn_in": 1000}},
+     "(steps=1000, burn_in=1000) record 0 sample(s)"),
+    ({"preset": "ou-moment", "overrides": {"steps": 1001, "burn_in": 1000}},
+     "record 1 sample(s) of a chain, fewer than the 2 it needs"),
+    ({"preset": "posterior-validate", "overrides": {"kept": 1}},
+     "(kept=1) record 1 sample(s) of a chain, fewer than the 2"),
+    ({"preset": "stepsize-bias", "overrides": {"ref_kept": 1}}, "(ref_kept=1) record 1 sample(s)"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
-        "eta-not-below-n-regression", "too-few-etas-for-the-bias-fit"])
+        "eta-not-below-n-regression", "too-few-etas-for-the-bias-fit",
+        "regression-burn-in-takes-every-step", "regression-thin-beyond-the-run",
+        "classification-burn-in-takes-every-step", "finite-width-check-beyond-the-run",
+        "ou-moment-burn-in-takes-every-step", "ou-moment-one-sample-no-stderr",
+        "posterior-one-kept-no-stderr", "stepsize-bias-one-reference-sample"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -84,3 +84,19 @@ def test_pac_bayes_check_rejects_bad_ref_eta_factor(monkeypatch):
     for factor in (-1.0, 0.0, 640.0, 1000.0):
         with pytest.raises(ValueError, match="'ref_eta_factor'"):
             ex.pac_bayes_check(n_seeds=1, n=64, overrides={"ref_eta_factor": factor})
+
+
+def test_pac_bayes_check_rejects_a_schedule_that_records_nothing(monkeypatch):
+    # both chains must record a sample: the main chain after burn_in, the reference
+    # chain after twice burn_in; refused before any chain runs
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the overrides were checked")
+
+    monkeypatch.setattr(ex.lg, "run_chain", no_chain)
+    for overrides, needle in (({"steps": 2000, "burn_in": 2000}, "preset 'pac-bayes'"),
+                              ({"steps": 2000, "burn_in": 1000, "thin": 1001},
+                               "preset 'pac-bayes'"),
+                              ({"ref_steps": 4000}, "'ref_steps'"),
+                              ({"ref_steps": 4005, "thin": 10}, "'ref_steps'")):
+        with pytest.raises(ValueError, match=needle):
+            ex.pac_bayes_check(n_seeds=1, n=64, overrides=overrides)

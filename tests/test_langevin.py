@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transport_langevin import experiments as ex
 from transport_langevin import langevin as lg
 from transport_langevin import models as md
 from transport_langevin import oracle as orc
-from transport_langevin.spectral import (EigenSequence, cosine_basis, diagonal_basis,
-                                         gram_eigenbasis, make_eigen_sequence)
+from transport_langevin.spectral import (EigenSequence, SpectralBasis, cosine_basis,
+                                         diagonal_basis, gram_eigenbasis, make_eigen_sequence,
+                                         resolvent_S_eta)
 
 
 def _linear_setup(n_modes=4, n=12, seed=0):
@@ -329,16 +332,118 @@ def test_trajectory_risk_is_the_empirical_risk_of_each_record():
         np.testing.assert_array_equal(traj.risk(model, "squared", data), expected)
 
 
+# The noise-only recursion Z' = S_eta(Z + sqrt(eta/beta) eps) at beta as it was written
+# before it became the zero-gradient chain at 2*beta: one step and the closed-form
+# stationary E||Z||^2 with its envelope.
+def _reference_ou_step(z, cfg, eigen, rng, noise_enabled=True):
+    z = np.asarray(z, dtype=float)
+    amp = 0.0 if (not noise_enabled or np.isinf(cfg.beta)) else np.sqrt(cfg.eta / cfg.beta)
+    eps = rng.standard_normal(z.shape) if amp > 0 else 0.0
+    return resolvent_S_eta(z + amp * eps, cfg.eta, cfg.lam, eigen)
+
+
+def _reference_ou_stationary_moment(cfg, eigen):
+    mu = eigen.mu[: cfg.n_modes]
+    exact = float(np.sum(mu / (cfg.beta * cfg.lam * (2.0 + cfg.eta * cfg.lam / mu))))
+    bound = eigen.c_mu / (cfg.beta * cfg.lam)
+    return exact, bound
+
+
+def _at_twice_beta(cfg):
+    return dataclasses.replace(cfg, beta=2.0 * cfg.beta)
+
+
+def _zero_grad_step(z, cfg, basis, rng):
+    """One zero-gradient gld_step of the column vector z, as a flat array."""
+    model = md.ModelSpec(arch="identity-map", basis=basis)
+    state = lg.ChainState(step=0, map=md.TransportMap(coeffs=z[:, None], basis=basis))
+    out = lg.gld_step(state, cfg, model, "squared", None, rng,
+                      grad_fn=lambda m: np.zeros_like(m.coeffs))
+    return out.map.coeffs[:, 0]
+
+
+def _random_ou_configs(rng, count):
+    """(config at the recursion's beta, eigen) pairs."""
+    for _ in range(count):
+        n_modes = int(rng.integers(1, 12))
+        c_mu, decay = float(rng.uniform(0.2, 5)), float(rng.uniform(2, 3.5))
+        eigen = make_eigen_sequence(c_mu, decay, n_modes)
+        cfg = lg.DynamicsConfig(eta=float(rng.uniform(0.0, 0.5)),
+                                beta=float(rng.uniform(0.6, 50)),
+                                lam=float(rng.uniform(0.05, 5)), n_modes=n_modes)
+        yield cfg, eigen
+
+
+def _ou_moment_configs(monkeypatch):
+    """(config at the grid's beta, eigen) of each ou-moment config.
+
+    Checked against the preset on the way: it runs each chain at 2*beta, and its
+    exact and bound columns are the reference moment at the grid's beta.
+    """
+    seen, variance = [], lg.gld_zero_grad_stationary_variance
+    with monkeypatch.context() as m:
+        m.setattr(lg, "gld_zero_grad_stationary_variance",
+                  lambda cfg, eigen: seen.append((cfg, eigen)) or variance(cfg, eigen))
+        rows = ex.ou_moment(0, {"steps": 50, "burn_in": 0}).table_rows
+    assert len(seen) == len(rows) == 10
+    configs = []
+    for (chain_cfg, eigen), row in zip(seen, rows):
+        cfg = lg.DynamicsConfig(eta=row[0], beta=row[1], lam=row[2], n_modes=row[3])
+        assert chain_cfg == _at_twice_beta(cfg)
+        assert (row[6], row[7]) == _reference_ou_stationary_moment(cfg, eigen)
+        configs.append((cfg, eigen))
+    return configs
+
+
+def test_zero_gradient_step_at_twice_beta_is_the_reference_recursion(monkeypatch):
+    # same stream, same numbers: the fold moves no float
+    configs = _ou_moment_configs(monkeypatch)
+    configs += _random_ou_configs(np.random.default_rng(8), 10)
+    for i, (cfg, eigen) in enumerate(configs):
+        basis = SpectralBasis(kind="synthetic-diagonal", dim_in=cfg.n_modes, dim_out=1,
+                              n_modes=cfg.n_modes, eigen=eigen)
+        z_ref = z = np.random.default_rng(i).standard_normal(cfg.n_modes)
+        rng_ref, rng = np.random.default_rng(100 + i), np.random.default_rng(100 + i)
+        for _ in range(50):
+            z_ref = _reference_ou_step(z_ref, cfg, eigen, rng_ref)
+            z = _zero_grad_step(z, _at_twice_beta(cfg), basis, rng)
+            np.testing.assert_array_equal(z, z_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert _at_twice_beta(cfg).noise_amp == np.sqrt(cfg.eta / cfg.beta)
+    # at beta = inf both are the noise-free resolvent, with zero a fixed point
+    basis = diagonal_basis(4)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0, n_modes=4)
+    z0 = np.array([1.0, -2.0, 0.5, 0.0])
+    rng_ref, rng = np.random.default_rng(0), np.random.default_rng(0)
+    np.testing.assert_array_equal(_zero_grad_step(z0, _at_twice_beta(cfg), basis, rng),
+                                  _reference_ou_step(z0, cfg, basis.eigen, rng_ref))
+    np.testing.assert_array_equal(_zero_grad_step(np.zeros(4), _at_twice_beta(cfg), basis, rng),
+                                  np.zeros(4))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_zero_gradient_variance_at_twice_beta_is_the_reference_moment(monkeypatch):
+    configs = _ou_moment_configs(monkeypatch)
+    configs += _random_ou_configs(np.random.default_rng(9), 25)
+    for cfg, eigen in configs:
+        exact, _ = _reference_ou_stationary_moment(cfg, eigen)
+        assert float(lg.gld_zero_grad_stationary_variance(_at_twice_beta(cfg), eigen).sum()) \
+            == exact
+
+
 def test_ou_step_fixed_point_and_stationary_variance():
-    eigen = make_eigen_sequence(1.0, 2.0, 1)
-    cfg = lg.DynamicsConfig(eta=0.1, beta=1.0, lam=1.0, n_modes=1)
-    z = lg.ou_step(np.zeros(1), cfg, eigen, np.random.default_rng(0), noise_enabled=False)
+    # the noise-only recursion at beta = 1, run as the zero-gradient chain at 2*beta
+    basis = diagonal_basis(1)
+    beta = 1.0
+    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0 * beta, lam=1.0, n_modes=1)
+    cfg_off = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0, n_modes=1)
+    z = _zero_grad_step(np.zeros(1), cfg_off, basis, np.random.default_rng(0))
     np.testing.assert_array_equal(z, np.zeros(1))
     # long run variance vs (eta/beta) * s^2/(1-s^2)
-    sq = lg.simulate_ou_sq_norms(cfg, eigen, 400_000, np.random.default_rng(5))
+    sq = lg.simulate_ou_sq_norms(cfg, basis.eigen, 400_000, np.random.default_rng(5))
     kept = sq[20_000:]
     s = 1.0 / 1.1
-    target = 0.1 * s ** 2 / (1.0 - s ** 2)
+    target = 0.1 / beta * s ** 2 / (1.0 - s ** 2)
     assert target == pytest.approx(0.1 / 0.21, rel=1e-12)
     se = orc.batch_means_stderr(kept)
     assert abs(kept.mean() - target) < 3 * se
@@ -361,11 +466,12 @@ def _lfilter_sq_norms(cfg, eigen, n_steps, rng):
 def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
     # eta = lam = 1 puts s = 1/(1 + 1/mu); 20,011 steps span two noise chunks and end
     # inside a block whatever the block length
+    # the reference runs the recursion at beta = 2, simulate_ou_sq_norms the chain at 2*beta
     eigen = EigenSequence(mu=np.array(mu), c_mu=max(mu[0], 1.0))
     cfg = lg.DynamicsConfig(eta=1.0, beta=2.0, lam=1.0, n_modes=len(mu))
     n_steps = 20_011
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    sq = lg.simulate_ou_sq_norms(cfg, eigen, n_steps, rng)
+    sq = lg.simulate_ou_sq_norms(_at_twice_beta(cfg), eigen, n_steps, rng)
     ref = _lfilter_sq_norms(cfg, eigen, n_steps, rng_ref)
     assert sq.shape == (n_steps,)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -378,15 +484,17 @@ def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
 
 def test_ou_growth_is_monotone_toward_stationary():
     # ensemble mean of ||Z_n||^2 follows (eta/beta) * sum (s^2 - s^(2n))/(1-s^2)
+    # the recursion at beta = 1.5 is the zero-gradient chain at 2*beta
     eigen = make_eigen_sequence(1.0, 2.0, 3)
-    cfg = lg.DynamicsConfig(eta=0.3, beta=1.5, lam=1.0, n_modes=3)
+    beta = 1.5
+    cfg = lg.DynamicsConfig(eta=0.3, beta=2.0 * beta, lam=1.0, n_modes=3)
     rng = np.random.default_rng(11)
     n_steps, n_rep = 60, 4000
     mu = eigen.mu
     s = 1.0 / (1.0 + cfg.eta * cfg.lam / mu)
     # E||Z_m||^2 = (eta/beta) sum_k s_k^2 (1 - s_k^(2m)) / (1 - s_k^2)
     ns = np.arange(1, n_steps + 1)
-    expected = (cfg.eta / cfg.beta) * np.sum(
+    expected = (cfg.eta / beta) * np.sum(
         s[None, :] ** 2 * (1 - s[None, :] ** (2 * ns[:, None])) / (1 - s[None, :] ** 2), axis=1)
     assert np.all(np.diff(expected) > 0)
     acc = np.zeros(n_steps)
@@ -397,27 +505,24 @@ def test_ou_growth_is_monotone_toward_stationary():
 
 
 def test_ou_stationary_moment_hand_value_and_bound():
+    # the stationary E||Z||^2 of the recursion at beta = 1 is the chain's variance at 2*beta
     eigen = make_eigen_sequence(1.0, 2.0, 1)
-    cfg = lg.DynamicsConfig(eta=0.1, beta=1.0, lam=1.0, n_modes=1)
-    exact, bound = lg.ou_stationary_moment(cfg, eigen)
+    beta = 1.0
+    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0 * beta, lam=1.0, n_modes=1)
+    exact = float(lg.gld_zero_grad_stationary_variance(cfg, eigen).sum())
+    bound = eigen.c_mu / (beta * cfg.lam)
     assert exact == pytest.approx(0.1 / 0.21, rel=1e-12)
     assert bound == 1.0
     assert exact <= bound
     # eta -> 0 stays bounded: sum mu_k/(2 beta lam) <= c_mu/(beta lam)
     eigen8 = make_eigen_sequence(1.0, 2.0, 8)
-    cfg0 = lg.DynamicsConfig(eta=0.0, beta=1.0, lam=1.0, n_modes=8)
-    exact0, bound0 = lg.ou_stationary_moment(cfg0, eigen8)
+    cfg0 = lg.DynamicsConfig(eta=0.0, beta=2.0 * beta, lam=1.0, n_modes=8)
+    exact0 = float(lg.gld_zero_grad_stationary_variance(cfg0, eigen8).sum())
     assert exact0 == pytest.approx(float(np.sum(eigen8.mu)) / 2.0, rel=1e-12)
-    assert exact0 <= bound0
+    assert exact0 <= eigen8.c_mu / (beta * cfg0.lam)
 
 
 def test_ou_bound_holds_on_grid():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        n_modes = int(rng.integers(1, 12))
-        eigen = make_eigen_sequence(float(rng.uniform(0.2, 5)), float(rng.uniform(2, 3.5)), n_modes)
-        cfg = lg.DynamicsConfig(eta=float(rng.uniform(0.0, 0.5)),
-                                beta=float(rng.uniform(0.6, 50)),
-                                lam=float(rng.uniform(0.05, 5)), n_modes=n_modes)
-        exact, bound = lg.ou_stationary_moment(cfg, eigen)
-        assert exact <= bound + 1e-15
+    for cfg, eigen in _random_ou_configs(np.random.default_rng(2), 25):
+        exact = float(lg.gld_zero_grad_stationary_variance(_at_twice_beta(cfg), eigen).sum())
+        assert exact <= eigen.c_mu / (cfg.beta * cfg.lam) + 1e-15

@@ -228,6 +228,13 @@ def test_reference_chain_seed_consistency():
     assert abs(m1 - m2) < 3 * np.hypot(s1, s2)
 
 
+def test_batch_means_stderr_needs_two_values():
+    for series in ([], [1.5]):
+        with pytest.raises(ValueError, match="at least 2 values"):
+            orc.batch_means_stderr(np.array(series))
+    assert orc.batch_means_stderr(np.array([1.0, 3.0])) == pytest.approx(1.0)
+
+
 def test_batch_means_stderr_shrinks_with_horizon():
     # doubling the horizon of an AR(1) series shrinks the stderr ~ sqrt(2)
     rng = np.random.default_rng(7)

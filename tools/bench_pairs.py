@@ -12,7 +12,8 @@ repository itself is left untouched.  Each of the ten pairs ``i`` (seed
 of ``BENCHMARK.json``, once per side and workload: odd pairs run the
 parent first, even pairs the change first, and the workloads are interleaved
 within each pair, so a slow drift of the machine falls on both sides alike.
-Each side's tier-1 suite then runs once under ``pytest --durations``.
+Each side's tier-1 suite then runs once under ``pytest --durations``; its
+record holds the passed, failed and error counts and pytest's exit code.
 
 Per metric the record holds both sides' medians and quartiles over the pairs,
 the relative change of the medians, the parent's interquartile range relative
@@ -91,14 +92,21 @@ def summarize(parent_runs, change_runs, better: str, bound: float) -> dict:
     }
 
 
-def parse_pytest(output: str) -> dict:
-    """Passed count, total seconds and per-test call durations from pytest's output."""
+def parse_pytest(output: str, exit_code: int) -> dict:
+    """Counts, exit code, total seconds and per-test call durations from pytest's output.
+
+    The counts come from the last summary line, such as ``3 failed, 191 passed,
+    1 error in 80.12s``; a count the line leaves out is 0.
+    """
     slowest = {}
     for m in re.finditer(r"^\s*([\d.]+)s call\s+(\S+)\s*$", output, re.M):
         slowest.setdefault(m.group(2), float(m.group(1)))
-    passed = re.search(r"(\d+) passed", output)
-    total = re.search(r" in ([\d.]+)s", output)
-    return {"passed": int(passed.group(1)) if passed else 0,
+    summaries = re.findall(r"^.*\d+ (?:passed|failed|errors?)\b.* in [\d.]+s.*$", output, re.M)
+    line = summaries[-1] if summaries else ""
+    counts = {key: int(m.group(1)) if (m := re.search(rf"(\d+) {word}\b", line)) else 0
+              for key, word in (("passed", "passed"), ("failed", "failed"), ("errors", "errors?"))}
+    total = re.search(r" in ([\d.]+)s", line)
+    return {**counts, "exit_code": exit_code,
             "total_s": float(total.group(1)) if total else float("nan"),
             "slowest": slowest}
 
@@ -210,7 +218,7 @@ def main(argv=None) -> int:
         envvars = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
         res = subprocess.run([sys.executable, *TIER1], cwd=trees[side], env=envvars,
                              capture_output=True, text=True, timeout=3600)
-        tier1[side] = parse_pytest(res.stdout)
+        tier1[side] = parse_pytest(res.stdout, res.returncode)
     out["tier1_durations"] = tier1
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"added the tier-1 durations to {path}", file=sys.stderr)
