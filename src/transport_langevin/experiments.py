@@ -98,6 +98,11 @@ _SCHEDULES = {
     "pac-bayes": [("steps", "burn_in", "thin", 1)],
 }
 
+# per preset, the integer keys whose least value is above 1: ergodicity fits its gap decay
+# over its steps, and the correlation oracle's covariance takes at least 2 samples
+_DECAY_FIT_POINTS = 4   # the fewest gaps analysis.fit_geometric_decay fits
+_INT_LOW = {"ergodicity": {"steps": _DECAY_FIT_POINTS}, "correlation-suite": {"n_samples": 2}}
+
 # lower limits (value, strict) of the float keys the chain and clip configs check
 _FLOAT_LOW = {"eta": (0.0, False), "etas": (0.0, False), "beta": (0.0, True),
               "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False)}
@@ -108,8 +113,8 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
 
     Unknown keys raise KeyError and bad values ValueError.  Integer keys take
     integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
-    >= 0); list keys take non-empty lists of numbers, and stepsize-bias needs
-    as many ``etas`` as its bias fit.  Float values must be finite and within
+    >= 0, ``_INT_LOW`` where more is needed); list keys take non-empty lists
+    of numbers, and stepsize-bias needs as many ``etas`` as its bias fit.  Float values must be finite and within
     ``_FLOAT_LOW``, a preset's beta must exceed its eta, and ``_SCHEDULES`` holds.
     """
     out = dict(defaults)
@@ -126,7 +131,7 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         elif not _is_number(val):
             raise ValueError(f"{where} must be a number, got {val!r}")
         elif isinstance(default, int):
-            low = 0 if key == "burn_in" else 1
+            low = 0 if key == "burn_in" else _INT_LOW.get(preset, {}).get(key, 1)
             if not float(val).is_integer() or val < low:
                 raise ValueError(f"{where} must be an integer >= {low}, got {val!r}")
             out[key] = int(val)
@@ -376,7 +381,10 @@ def ergodicity(seed=0, overrides=None):
     usable = value_gaps > p["gap_floor"]
     ks = np.arange(1, p["steps"] + 1)[usable]
     gaps = value_gaps[usable]
-    rate, r2 = an.fit_geometric_decay(list(zip(ks, gaps)), eta=p["eta"])
+    if gaps.size >= _DECAY_FIT_POINTS:
+        rate, r2 = an.fit_geometric_decay(list(zip(ks, gaps)), eta=p["eta"])
+    else:   # too few gaps above the floor to fit a decay: both criteria fail
+        rate = r2 = float("nan")
     rows = [[int(k), g] for k, g in zip(ks, gaps)]
     criteria = [
         CriterionResult("ergodicity-r2", r2 >= 0.9, r2, ">= 0.9",

@@ -19,6 +19,7 @@ over blocks of steps with numpy alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -69,6 +70,11 @@ class DynamicsConfig:
     def noise_amp(self) -> float:
         return 0.0 if np.isinf(self.beta) else np.sqrt(2.0 * self.eta / self.beta)
 
+    @cached_property
+    def _eta(self) -> np.ndarray:
+        # eta as a 0-d array: numpy converts a Python-float operand again on every step
+        return np.array(float(self.eta))
+
     def _resolvent(self, basis) -> tuple[int, np.ndarray]:
         """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N.
 
@@ -93,7 +99,7 @@ class ChainState:
     last_grad_norm: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.map.coeffs)):
+        if not np.isfinite(self.map.coeffs).all():
             raise ValueError("chain state holds non-finite coefficients")
 
 
@@ -132,13 +138,16 @@ _OU_MAX_LOG_GAIN = 600.0
 _OU_CHUNK_ROWS = 16_384
 
 
-def _implicit_euler(coeffs, g, eta: float, N: int, s_col, noise, out=None) -> np.ndarray:
+def _implicit_euler(coeffs, g, eta, N: int, s_col, noise, out=None) -> np.ndarray:
     """The chain update S_eta(P_N(coeffs - eta*g) + noise), written into ``out``.
 
-    ``noise`` is the scaled draw amp*eps for the N retained modes, or None
-    when the amplitude is 0.
+    ``eta`` is :attr:`DynamicsConfig._eta`, a 0-d array.  ``noise`` is the
+    scaled draw amp*eps for the N retained modes, or None when the amplitude
+    is 0.  ``g`` is left as it is: the caller reads its norm.
     """
-    drift = np.subtract(coeffs, eta * g, out=out)
+    # eta*g is written into the step's own buffer, never into g
+    drift = np.multiply(g, eta, out=out)
+    np.subtract(coeffs, drift, out=drift)
     if N < drift.shape[0]:
         drift[N:] = 0.0
         if noise is not None:
@@ -159,13 +168,20 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
     N, s_col = cfg._resolvent(W.basis)
     amp = cfg.noise_amp
     noise = amp * rng.standard_normal((N, W.coeffs.shape[1])) if amp > 0.0 else None
-    new = W.copy_with(_implicit_euler(W.coeffs, g, cfg.eta, N, s_col, noise))
+    new = W.copy_with(_implicit_euler(W.coeffs, g, cfg._eta, N, s_col, noise))
     try:
         out = ChainState(step=state.step + 1, map=new)
     except ValueError:   # the one finiteness check, ChainState's own, refused the update
         raise ChainDivergedError(state) from None
-    out.last_grad_norm = float(np.linalg.norm(g))
+    out.last_grad_norm = _grad_norm(g)
     return out
+
+
+def _grad_norm(g) -> float:
+    """``float(np.linalg.norm(g))``, bit for bit: the square root of the flat dot product."""
+    # np.linalg.norm computes the same for ord=None, behind several numpy calls
+    r = g.ravel(order="K")
+    return math.sqrt(r.dot(r))
 
 
 def initial_map(model, basis, kind: str = "identity") -> _models.TransportMap:
@@ -210,7 +226,7 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     gamma = state.map.gamma
     _, grad_fn = _models.risk_objective(model, loss_kind, dataset, gamma)
     N, s_col = cfg._resolvent(basis)
-    eta, amp = cfg.eta, cfg.noise_amp
+    eta, amp = cfg._eta, cfg.noise_amp
 
     def as_map(c):
         return _models.TransportMap(coeffs=c, basis=basis, gamma=gamma)
@@ -243,7 +259,7 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
             coeffs = buf[b - 1].copy()
             step_no += b
         final = ChainState(step=step_no, map=as_map(coeffs),
-                           last_grad_norm=float(np.linalg.norm(g)))
+                           last_grad_norm=_grad_norm(g))
 
     return Trajectory(steps=np.concatenate(rec_steps), coeffs=np.concatenate(rec_coeffs),
                       final_state=final)

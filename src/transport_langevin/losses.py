@@ -20,6 +20,9 @@ LOSS_KINDS = ("squared", "logistic")
 
 _expit = None   # the logistic sigmoid, bound by the first logistic evaluation
 
+# -2.0 as a 0-d array: numpy converts a Python-float operand again on every call
+_MINUS_TWO = np.array(-2.0)
+
 
 @dataclass
 class LossBounds:
@@ -61,7 +64,8 @@ def loss_eval_derivs(kind: str, y, u, order: int = 0):
         if order == 0:
             out = (y - u) ** 2
         elif order == 1:
-            out = -2.0 * (y - u)
+            out = y - u
+            out *= _MINUS_TWO   # in place on a new array; a numpy scalar is rebound
         elif order == 2:
             out = np.full(np.broadcast_shapes(y.shape, u.shape), 2.0)
         else:
@@ -71,7 +75,7 @@ def loss_eval_derivs(kind: str, y, u, order: int = 0):
         if _expit is None:
             # scipy is loaded only when a logistic loss is evaluated
             from scipy.special import expit as _expit
-        if not np.all(np.isin(y, (-1.0, 1.0))):
+        if not (np.abs(y) == 1.0).all():     # the labels -1 and +1, nothing else
             raise ValueError("logistic loss requires labels in {-1, +1}")
         z = y * u
         if order == 0:

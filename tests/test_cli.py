@@ -134,6 +134,10 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
     ({"preset": "posterior-validate", "overrides": {"kept": 1}},
      "(kept=1) record 1 sample(s) of a chain, fewer than the 2"),
     ({"preset": "stepsize-bias", "overrides": {"ref_kept": 1}}, "(ref_kept=1) record 1 sample(s)"),
+    ({"preset": "ergodicity", "overrides": {"steps": 2, "n_pairs": 1}},
+     "override 'steps' for preset 'ergodicity' must be an integer >= 4"),
+    ({"preset": "correlation-suite", "overrides": {"n_samples": 1}},
+     "override 'n_samples' for preset 'correlation-suite' must be an integer >= 2"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
@@ -141,13 +145,25 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "regression-burn-in-takes-every-step", "regression-thin-beyond-the-run",
         "classification-burn-in-takes-every-step", "finite-width-check-beyond-the-run",
         "ou-moment-burn-in-takes-every-step", "ou-moment-one-sample-no-stderr",
-        "posterior-one-kept-no-stderr", "stepsize-bias-one-reference-sample"])
+        "posterior-one-kept-no-stderr", "stepsize-bias-one-reference-sample",
+        "ergodicity-too-few-steps-for-the-decay-fit", "correlation-one-sample-no-covariance"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in (err := capsys.readouterr().err) and needle in err
     assert not (tmp_path / "o").exists()
+
+
+def test_ergodicity_with_too_few_gaps_above_the_floor_fails_without_a_traceback(tmp_path):
+    # no gap clears the floor, so there is no decay to fit: failed criteria, not a ValueError
+    cfg = _write_cfg(tmp_path, {"preset": "ergodicity",
+                                "overrides": {"gap_floor": 1e6, "steps": 10, "n_pairs": 1}})
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    report = (tmp_path / "o" / "ergodicity" / "report.txt").read_text()
+    assert "[FAIL] ergodicity-r2: measured=nan" in report
+    assert "[FAIL] ergodicity-rate: measured=nan" in report
 
 
 def test_internal_key_error_is_not_a_config_error(monkeypatch):

@@ -526,3 +526,30 @@ def test_ou_bound_holds_on_grid():
     for cfg, eigen in _random_ou_configs(np.random.default_rng(2), 25):
         exact = float(lg.gld_zero_grad_stationary_variance(_at_twice_beta(cfg), eigen).sum())
         assert exact <= eigen.c_mu / (cfg.beta * cfg.lam) + 1e-15
+
+
+@pytest.mark.parametrize("n_modes, N, d_out, order, scale", [
+    (4, 4, 1, "C", 1.0), (6, 3, 3, "F", 1.0), (5, 5, 2, "C", 1e200)])
+def test_gld_step_is_the_reference_update_and_reports_the_norm_of_its_gradient(
+        n_modes, N, d_out, order, scale):
+    # the update as written before it took numpy's per-call overhead off, with the
+    # Python-float eta; the gradient is left as it is and its norm is np.linalg.norm's
+    rng = np.random.default_rng([n_modes, N, d_out])
+    basis = cosine_basis(n_modes, dim_in=1)
+    model = md.ModelSpec(arch="identity-map", basis=basis)
+    cfg = lg.DynamicsConfig(eta=0.03, beta=2.0, lam=0.7, n_modes=N)
+    W = md.TransportMap(coeffs=np.zeros((n_modes, d_out)), basis=basis)
+    W = W.copy_with(rng.standard_normal((n_modes, d_out)) * (np.arange(n_modes) < N)[:, None])
+    g = np.asarray(rng.standard_normal((n_modes, d_out)) * scale, order=order)
+    g_before = g.copy()
+    with np.errstate(over="ignore"):     # the squared norm of the large gradient is inf
+        out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
+                          np.random.default_rng(5), grad_fn=lambda m: g)
+        assert out.last_grad_norm == float(np.linalg.norm(g))
+    np.testing.assert_array_equal(g, g_before)
+    s = 1.0 / (1.0 + cfg.eta * cfg.lam / basis.eigen.mu[:N])
+    drift = W.coeffs - cfg.eta * g
+    drift[N:] = 0.0
+    drift[:N] += cfg.noise_amp * np.random.default_rng(5).standard_normal((N, d_out))
+    drift[:N] *= s[:, None]
+    np.testing.assert_array_equal(out.map.coeffs, drift)

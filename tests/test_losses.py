@@ -140,3 +140,40 @@ def test_loss_bounds_validation():
         ls.LossBounds(B=-1.0, L_lip=0.0, R_bar=1.0)
     with pytest.raises(ValueError):
         ls.LossBounds(B=1.0, L_lip=0.0, R_bar=1.0, s=1.5)
+
+
+def _same_bits(a, b) -> bool:
+    # equal values, signed zeros told apart, and the same Python type
+    return type(a) is type(b) and np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                                                 np.asarray(b, dtype=float).view(np.uint64))
+
+
+def _reference_squared_first_derivative(y, u):
+    # the first derivative as written before its -2.0 became a 0-d array scaled in place
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u, dtype=float)
+    out = -2.0 * (y - u)
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("y, u", [
+    (1.0, 0.5), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (3, -2),
+    (np.float64(0.25), np.float64(-1.5)),
+    (np.array(0.0), np.array(-0.0)), (np.array(-0.0), np.array(0.0)), (np.array(1.5), 2.0),
+    (np.array([0.0, -0.0, 1.0, -2.5, 1e300]), np.array([-0.0, -0.0, 1.0, 0.5, -1e300])),
+    (np.array([0.0, -0.0, 3.0]), -0.0), (0.5, np.array([0.0, -0.0, -7.25])),
+    ([1.0, 2.0], [2.0, 1.0]),
+])
+def test_squared_first_derivative_equals_the_reference_bit_for_bit(y, u):
+    got = ls.loss_eval_derivs("squared", y, u, 1)
+    assert _same_bits(got, _reference_squared_first_derivative(y, u))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, 0.5, 2.0, -2.0, np.nan, np.inf, -np.inf])
+def test_logistic_loss_rejects_every_label_but_plus_and_minus_one(bad):
+    for y in (bad, np.array(bad), np.array([1.0, bad, -1.0])):
+        for order in (0, 1, 2, 3):
+            with pytest.raises(ValueError, match="labels"):
+                ls.loss_eval_derivs("logistic", y, 0.3, order)
+    np.testing.assert_array_equal(ls.loss_eval_derivs("logistic", np.array([1.0, -1.0]), 0.0, 0),
+                                  np.log(2.0))

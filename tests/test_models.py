@@ -426,3 +426,47 @@ def test_input_bound_warns_on_values_not_on_gradients():
             assert len(messages) == 1 and "exceeds the declared bound" in messages[0], name
         else:
             assert messages == [], name
+
+
+# The identity-map value and gradient as they were written before the step took
+# numpy's per-call overhead off: the `@` products and Python-number operands.
+def _reference_identity_objective(model, loss_kind, dataset, gamma):
+    Phi = eval_basis(model.basis, dataset.x)
+    y, n = dataset.y, Phi.shape[0]
+    eigen, scaled = model.basis.eigen, gamma != 0.0
+
+    def value(coeffs):
+        if scaled:
+            coeffs = md.fractional_power_scale(coeffs, eigen, gamma)
+        return float(np.mean(md.loss_eval_derivs(loss_kind, y, Phi @ coeffs[:, 0], 0)))
+
+    def grad(coeffs):
+        if scaled:
+            coeffs = md.fractional_power_scale(coeffs, eigen, gamma)
+        lp = md.loss_eval_derivs(loss_kind, y, Phi @ coeffs[:, 0], 1)
+        g = (Phi.T @ lp)[:, None] / n
+        return md.fractional_power_scale(g, eigen, gamma) if scaled else g
+
+    return value, grad
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_identity_map_objective_equals_the_reference_bit_for_bit(gamma, loss):
+    rng = np.random.default_rng([int(2 * gamma), ["squared", "logistic"].index(loss)])
+    for n_modes, n in ((1, 1), (3, 2), (8, 50), (6, 300)):
+        model = md.ModelSpec(arch="identity-map", basis=cosine_basis(n_modes, dim_in=1))
+        x = rng.uniform(0, 1, (n, 1))
+        y = rng.standard_normal(n)
+        if loss == "logistic":
+            y = np.where(y >= 0, 1.0, -1.0)
+        data = md.Dataset(x=x, y=y)
+        value, grad = md.risk_objective(model, loss, data, gamma)
+        ref_value, ref_grad = _reference_identity_objective(model, loss, data, gamma)
+        for _ in range(3):
+            c = rng.standard_normal((n_modes, 1)) * 2.0
+            W = md.TransportMap(coeffs=c, basis=model.basis, gamma=gamma)
+            g = ref_grad(c)
+            np.testing.assert_array_equal(grad(c), g)
+            np.testing.assert_array_equal(md.gradient(model, W, data, loss), g)
+            assert value(c) == ref_value(c)
