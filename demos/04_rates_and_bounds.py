@@ -14,7 +14,7 @@ from transport_langevin import (GaussianMeasureSpec, make_eigen_sequence,
 from transport_langevin.analysis import (epsilon_star, fit_geometric_decay,
                                          fit_stepsize_bias, ridge_bias_term,
                                          xi_k_bracket)
-from transport_langevin.oracle import small_ball_mc
+from transport_langevin.oracle import small_ball_estimate, small_ball_sq_norms
 
 print("== ergodicity constants (eta = 0.1, beta = 10, lam = 1) ==")
 c = prop1_constants(eta=0.1, beta=10.0, lam=1.0, mu_0=1.0, mu_1=0.25,
@@ -38,10 +38,12 @@ teacher = 0.6 * eigen.mu ** 0.75
 rng = np.random.default_rng(0)
 eigen_tilde = make_eigen_sequence(eigen.c_mu ** (gamma + 1), 2.0 * (gamma + 1), 64)
 spec_tilde = GaussianMeasureSpec(beta=beta, lam=lam, eigen=eigen_tilde)
+# one draw of the small-ball norms serves every radius phi is evaluated at
+sq_norms = small_ball_sq_norms(spec_tilde, 40_000, np.random.default_rng(1))
 
 def phi(eps):
     bias = ridge_bias_term(teacher, eigen, gamma, beta, lam, eps)
-    ball = small_ball_mc(spec_tilde, eps, 40_000, np.random.default_rng(1))
+    ball = small_ball_estimate(sq_norms, eps)
     return bias + ball.neg_log + np.log(2.0)
 
 res = epsilon_star(phi, beta=beta, n=n, s=1.0, grid=np.logspace(-2.5, 0.5, 40))

@@ -22,7 +22,7 @@ from .langevin import (DynamicsConfig, ChainState, Trajectory,
                        ChainDivergedError, gld_step, run_chain,
                        gld_zero_grad_stationary_variance)
 from .oracle import (GaussianPosterior, conjugate_posterior, finite_diff_grad,
-                     small_ball_mc, gaussian_correlation_mc, reference_chain,
+                     small_ball_mc, gaussian_correlation_mc,
                      batch_means_stderr)
 from .analysis import (Prop1Constants, RateParams, prop1_constants,
                        pac_bayes_bound, fit_geometric_decay, fit_stepsize_bias,

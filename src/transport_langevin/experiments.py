@@ -355,7 +355,7 @@ def ergodicity(seed=0, overrides=None):
     c_dir /= np.linalg.norm(c_dir)
 
     def phi(coeffs):
-        return float(np.tanh(c_dir @ coeffs[:, 0]))
+        return float(np.tanh(c_dir.dot(coeffs[:, 0])))
 
     # the feature matrix on the fixed data is evaluated once, not once per step
     _, grad = md.risk_objective(model, "squared", data)

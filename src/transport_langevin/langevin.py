@@ -128,7 +128,7 @@ class Trajectory:
         return np.array([value(c) for c in self.coeffs])
 
 
-# steps per block of run_chain: one noise draw, one finiteness check, one record slab
+# steps per block of run_chain: one noise draw, one finiteness check, one copy into the record
 _BLOCK = 1024
 
 # simulate_ou_sq_norms: at most _OU_BLOCK steps per block, and s_min^-L <= e^_OU_MAX_LOG_GAIN
@@ -177,8 +177,13 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _grad_norm(g) -> float:
-    """``float(np.linalg.norm(g))``, bit for bit: the square root of the flat dot product."""
+    """``float(np.linalg.norm(g))``, bit for bit: the square root of the flat dot product.
+
+    It is ``inf`` without a warning when the squared norm overflows, under the
+    ``errstate`` that :func:`run_chain` runs its steps in.
+    """
     # np.linalg.norm computes the same for ord=None, behind several numpy calls
     r = g.ravel(order="K")
     return math.sqrt(r.dot(r))
@@ -195,6 +200,13 @@ def initial_map(model, basis, kind: str = "identity") -> _models.TransportMap:
     return _models.TransportMap(coeffs=coeffs, basis=basis)
 
 
+def _record_steps(first: int, last: int, burn_in: int, thin: int) -> np.ndarray:
+    """The steps in (first, last] on the schedule burn_in + thin*j, j >= 1, as int64."""
+    j0 = max(1, (first - burn_in) // thin + 1)
+    j1 = (last - burn_in) // thin
+    return burn_in + thin * np.arange(j0, max(j0, j1 + 1), dtype=np.int64)
+
+
 def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
               init: str = "identity", init_state: Optional[ChainState] = None) -> Trajectory:
     """Run the chain for cfg.steps updates, recording the coefficients.
@@ -202,16 +214,18 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     Deterministic given (cfg.seed, inputs); the initial state is the identity
     map projected on the basis unless overridden.  Each step is the update of
     :func:`gld_step`, made by the same function, on the gradient of
-    :func:`models.risk_objective`.  The record is the coefficient slab of the
+    :func:`models.risk_objective`.  The record is the coefficients of the
     steps on the burn-in/thin schedule; :meth:`Trajectory.risk` evaluates the
     loss on it.
 
-    The steps run in blocks of up to ``_BLOCK``.  Each block draws its noise
-    in one call (the same numbers as one draw per step) and checks
-    finiteness once; the first non-finite step of a block raises
+    The record's steps follow from the initial step, cfg.steps, cfg.burn_in
+    and cfg.thin, so the record is allocated once at its final size.  The
+    steps run in blocks of up to ``_BLOCK``.  Each block draws its noise in
+    one call (the same numbers as one draw per step) and checks finiteness
+    once; the first non-finite step of a block raises
     :class:`ChainDivergedError` carrying the last finite state and its step
-    number.  Only then are the block's steps on the schedule recorded, in
-    step order.
+    number.  Only then are the block's rows on the schedule copied into the
+    record.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -233,9 +247,11 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
 
     coeffs = state.map.coeffs.copy()
     step_no = state.step
+    rec_steps = _record_steps(step_no, step_no + cfg.steps, cfg.burn_in, cfg.thin)
+    rec_coeffs = np.empty((rec_steps.size,) + coeffs.shape)
+    n_rec = 0
     block = min(_BLOCK, cfg.steps)
     buf = np.empty((block,) + coeffs.shape)
-    rec_steps, rec_coeffs = [], []
 
     # overflow on the way to divergence is handled by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,17 +268,16 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
                 bad = int(np.argmin(finite))
                 last = buf[bad - 1].copy() if bad else coeffs
                 raise ChainDivergedError(ChainState(step=step_no + bad, map=as_map(last)))
-            steps = np.arange(step_no + 1, step_no + b + 1)
-            keep = (steps > cfg.burn_in) & ((steps - cfg.burn_in) % cfg.thin == 0)
-            rec_steps.append(steps[keep])
-            rec_coeffs.append(buf[:b][keep])
+            if n_rec < rec_steps.size and rec_steps[n_rec] <= step_no + b:
+                rows = buf[rec_steps[n_rec] - step_no - 1:b:cfg.thin]
+                rec_coeffs[n_rec:n_rec + len(rows)] = rows
+                n_rec += len(rows)
             coeffs = buf[b - 1].copy()
             step_no += b
         final = ChainState(step=step_no, map=as_map(coeffs),
                            last_grad_norm=_grad_norm(g))
 
-    return Trajectory(steps=np.concatenate(rec_steps), coeffs=np.concatenate(rec_coeffs),
-                      final_state=final)
+    return Trajectory(steps=rec_steps, coeffs=rec_coeffs, final_state=final)
 
 
 # ---------------------------------------------------------------------------

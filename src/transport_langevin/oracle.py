@@ -1,15 +1,15 @@
 """Independent ground-truth generators used to cross-check the dynamics.
 
 The conjugate Gaussian posterior is exact algebra; finite differences check
-every analytic gradient; long reference chains stand in for the invariant
-measure; Monte-Carlo estimators probe the small-ball mass and the correlation
+every analytic gradient; batch means give the standard error of a chain
+average; Monte-Carlo estimators probe the small-ball mass and the correlation
 inequality for centered ellipsoids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -21,10 +21,11 @@ __all__ = [
     "conjugate_posterior",
     "finite_diff_grad",
     "SmallBallEstimate",
+    "small_ball_sq_norms",
+    "small_ball_estimate",
     "small_ball_mc",
     "CorrelationEstimate",
     "gaussian_correlation_mc",
-    "reference_chain",
     "batch_means_stderr",
 ]
 
@@ -108,6 +109,30 @@ def finite_diff_grad(model, loss_kind, dataset, W, step: float = 1e-5) -> np.nda
     return out
 
 
+# elements per chunk of Monte-Carlo draws: the working buffer is this many floats,
+# whatever the sample count
+_CHUNK = 1 << 16
+
+
+def _squared_draws(sd: np.ndarray, n_samples: int, rng: np.random.Generator):
+    """Yield ``(start, x)`` over consecutive row chunks of n_samples draws, where x holds
+    the rows' squared scaled draws ``(sd * eps)**2``, eps standard normal.
+
+    The rows come from one reused buffer of at most ``_CHUNK`` elements (one
+    row at least), so ``x`` is valid only until the next chunk.  The draws are
+    the row-major ``standard_normal`` stream of one ``(n_samples, sd.size)``
+    draw, whatever the chunking.
+    """
+    rows = max(1, _CHUNK // max(sd.size, 1))
+    buf = np.empty((min(rows, n_samples), sd.size))
+    for start in range(0, n_samples, rows):
+        x = buf[:min(rows, n_samples - start)]
+        rng.standard_normal(out=x)
+        x *= sd
+        np.square(x, out=x)
+        yield start, x
+
+
 class SmallBallEstimate(NamedTuple):
     probability: float
     stderr: float
@@ -115,30 +140,44 @@ class SmallBallEstimate(NamedTuple):
     zero_hits: bool          # when True, neg_log is only a lower bound
 
 
-def small_ball_mc(spec: GaussianMeasureSpec, radius: float, n_samples: int,
-                  rng: np.random.Generator, n_modes: Optional[int] = None) -> SmallBallEstimate:
-    """Monte-Carlo mass of the centered ball {||alpha|| <= radius} under the measure."""
+def small_ball_sq_norms(spec: GaussianMeasureSpec, n_samples: int, rng: np.random.Generator,
+                        n_modes: Optional[int] = None) -> np.ndarray:
+    """Sorted squared norms ||alpha||^2 of n_samples draws from the measure's first modes.
+
+    One draw serves every radius: :func:`small_ball_estimate` counts the
+    norms within each.
+    """
     if n_samples < 1000:
         raise ValueError("use at least 10^3 samples")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
     if n_modes is None:
         n_modes = len(spec.eigen)
-    sd = np.sqrt(spec.mode_variances[:n_modes])
-    hits = 0
-    chunk = 200_000
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        X = rng.standard_normal((m, n_modes)) * sd[None, :]
-        hits += int(np.sum(np.sum(X ** 2, axis=1) <= radius ** 2))
-        done += m
+    sq_norms = np.empty(n_samples)
+    for start, x in _squared_draws(np.sqrt(spec.mode_variances[:n_modes]), n_samples, rng):
+        np.sum(x, axis=1, out=sq_norms[start:start + len(x)])
+    sq_norms.sort()
+    return sq_norms
+
+
+def small_ball_estimate(sq_norms: np.ndarray, radius: float) -> SmallBallEstimate:
+    """Mass of the centered ball {||alpha|| <= radius} from the sorted squared norms
+    of :func:`small_ball_sq_norms`."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    n_samples = sq_norms.size
+    hits = int(np.searchsorted(sq_norms, radius ** 2, side="right"))
     p = hits / n_samples
     stderr = float(np.sqrt(max(p * (1 - p), 0.0) / n_samples))
     if hits == 0:
         # p < ~3/n at 95%; report the implied lower bound on -log p
         return SmallBallEstimate(0.0, stderr, float(np.log(n_samples / 3.0)), True)
     return SmallBallEstimate(p, stderr, float(-np.log(p)), False)
+
+
+def small_ball_mc(spec: GaussianMeasureSpec, radius: float, n_samples: int,
+                  rng: np.random.Generator, n_modes: Optional[int] = None) -> SmallBallEstimate:
+    """Monte-Carlo mass of the centered ball {||alpha|| <= radius} under the measure:
+    :func:`small_ball_sq_norms` then :func:`small_ball_estimate`."""
+    return small_ball_estimate(small_ball_sq_norms(spec, n_samples, rng, n_modes), radius)
 
 
 class CorrelationEstimate(NamedTuple):
@@ -152,6 +191,9 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
                             dim_cap: int = 16) -> CorrelationEstimate:
     """Shared-sample estimate of P(A and B) against P(A)*P(B) for the
     centered ellipsoids {sum a_i alpha_i^2 <= 1} and {sum b_i alpha_i^2 <= 1}.
+
+    The samples are drawn and counted in chunks of a fixed number of elements,
+    so memory does not grow with n_samples.
     """
     a = np.asarray(ellipsoid_a, dtype=float)
     b = np.asarray(ellipsoid_b, dtype=float)
@@ -164,17 +206,8 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
         raise ValueError(f"dimension {dim} exceeds the configured cap {dim_cap}")
     if n_samples < 2:
         raise ValueError("use at least 2 samples")
-    sd = np.sqrt(spec.mode_variances[:dim])
-    chunk = 200_000
-    X2 = np.empty((min(chunk, n_samples), dim))
     n_ab = n_a = n_b = 0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        x = X2[:m]
-        rng.standard_normal(out=x)
-        x *= sd
-        np.square(x, out=x)
+    for _, x in _squared_draws(np.sqrt(spec.mode_variances[:dim]), n_samples, rng):
         # einsum reduces in this thread; a BLAS matrix-vector product on a
         # chunk this size wakes worker threads that spin on after it returns
         in_a = np.einsum("ij,j->i", x, a) <= 1.0
@@ -182,7 +215,6 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
         n_ab += int(np.count_nonzero(in_a & in_b))
         n_a += int(np.count_nonzero(in_a))
         n_b += int(np.count_nonzero(in_b))
-        done += m
     p_ab, p_a, p_b = n_ab / n_samples, n_a / n_samples, n_b / n_samples
     # delta method on g(m_ab, m_a, m_b) = m_ab - m_a*m_b with shared samples; any two
     # of the indicators 1{A and B}, 1{A}, 1{B} multiply to 1{A and B}, so their
@@ -207,19 +239,3 @@ def batch_means_stderr(series: np.ndarray) -> float:
     trimmed = series[n - n_batches * batch:]
     means = trimmed.reshape(n_batches, batch).mean(axis=1)
     return float(np.std(means, ddof=1) / np.sqrt(n_batches))
-
-
-def reference_chain(cfg, model, loss_kind, dataset,
-                    test_functions: dict[str, Callable], **run_kwargs) -> dict[str, tuple[float, float]]:
-    """Long-run averages of test functions with batch-means standard errors.
-
-    The chain itself carries an O(step-size) bias; callers compare against it
-    under the stated extrapolation assumption rather than as exact truth.
-    """
-    from .langevin import run_chain
-    traj = run_chain(cfg, model, loss_kind, dataset, **run_kwargs)
-    out = {}
-    for name, fn in test_functions.items():
-        vals = np.array([fn(c) for c in traj.coeffs])
-        out[name] = (float(vals.mean()), batch_means_stderr(vals))
-    return out

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from transport_langevin import models as md
 from transport_langevin import oracle as orc
 from transport_langevin.spectral import (EigenSequence, SpectralBasis, cosine_basis,
                                          diagonal_basis, gram_eigenbasis, make_eigen_sequence,
-                                         resolvent_S_eta)
+                                         project_P_N, resolvent_S_eta)
 
 
 def _linear_setup(n_modes=4, n=12, seed=0):
@@ -216,6 +217,102 @@ def test_run_chain_with_no_record_keeps_empty_shapes():
     assert traj.coeffs.shape == (0, model.basis.n_modes, 1)
     assert traj.steps.shape == traj.risk(model, "squared", data).shape == (0,)
     assert traj.final_state.step == cfg.steps
+
+
+def _stepwise_record(cfg, model, data, state):
+    """The record of run_chain as gld_step, a list of kept rows and np.concatenate make it;
+    a divergence raises gld_step's ChainDivergedError."""
+    rng = np.random.default_rng(cfg.seed)
+    steps, rows = [], []
+    for _ in range(cfg.steps):
+        state = lg.gld_step(state, cfg, model, "squared", data, rng)
+        if state.step > cfg.burn_in and (state.step - cfg.burn_in) % cfg.thin == 0:
+            steps.append(state.step)
+            rows.append(state.map.coeffs[None])
+    empty = np.empty((0,) + state.map.coeffs.shape)
+    return np.array(steps, dtype=np.int64), np.concatenate(rows or [empty]), state
+
+
+def _projected_start(model, cfg, step):
+    W0 = lg.initial_map(model, model.basis, "identity")
+    W0 = W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes))
+    return lg.ChainState(step=step, map=W0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=st.integers(min_value=1, max_value=6), init=st.integers(min_value=0, max_value=20),
+       steps=st.integers(min_value=1, max_value=40), burn_in=st.integers(min_value=0, max_value=50),
+       thin=st.integers(min_value=1, max_value=9))
+def test_run_chain_record_equals_a_list_and_concatenate_reference(block, init, steps, burn_in,
+                                                                  thin):
+    # small blocks put block boundaries on, before and after the recorded steps; burn-in at or
+    # past the last step records nothing
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=steps,
+                            burn_in=burn_in, thin=thin, seed=init + 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_BLOCK", block)
+        traj = lg.run_chain(cfg, model, "squared", data,
+                            init_state=_projected_start(model, cfg, init))
+    ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data,
+                                                        _projected_start(model, cfg, init))
+    assert traj.steps.dtype == np.int64
+    np.testing.assert_array_equal(traj.steps, ref_steps)
+    assert traj.coeffs.shape == ref_coeffs.shape
+    np.testing.assert_array_equal(traj.coeffs, ref_coeffs)
+    assert traj.final_state.step == ref_final.step == init + steps
+    np.testing.assert_array_equal(traj.final_state.map.coeffs, ref_final.map.coeffs)
+    assert traj.final_state.last_grad_norm == ref_final.last_grad_norm
+
+
+def test_run_chain_record_at_the_real_block_size_and_divergence_with_a_record():
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+                            steps=2 * _B + 9, burn_in=_B - 2, thin=3, seed=5)
+    traj = lg.run_chain(cfg, model, "squared", data, init_state=_projected_start(model, cfg, 4))
+    ref_steps, ref_coeffs, _ = _stepwise_record(cfg, model, data, _projected_start(model, cfg, 4))
+    np.testing.assert_array_equal(traj.steps, ref_steps)
+    np.testing.assert_array_equal(traj.coeffs, ref_coeffs)
+    # a chain that diverges after some records: gld_step's error step and last finite state
+    cfg = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=5000, burn_in=3,
+                            thin=2, seed=21)
+    with pytest.raises(lg.ChainDivergedError) as exc:
+        lg.run_chain(cfg, model, "squared", data, init_state=_projected_start(model, cfg, 7))
+    with pytest.raises(lg.ChainDivergedError) as ref, np.errstate(over="ignore", invalid="ignore"):
+        _stepwise_record(cfg, model, data, _projected_start(model, cfg, 7))
+    last, want = exc.value.state, ref.value.state
+    assert 7 + 3 < last.step == want.step < 7 + cfg.steps
+    np.testing.assert_array_equal(last.map.coeffs, want.map.coeffs)
+
+
+def test_run_chain_holds_its_record_once():
+    model, data = _linear_setup(n_modes=16)
+    cfg = lg.DynamicsConfig(eta=0.01, beta=4.0, lam=0.5, n_modes=16,
+                            steps=40_000, burn_in=100, seed=1)
+    lg.run_chain(dataclasses.replace(cfg, steps=1), model, "squared", data)   # one-off state
+    tracemalloc.start()
+    try:
+        traj = lg.run_chain(cfg, model, "squared", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.coeffs.nbytes + traj.steps.nbytes + (1 << 20), peak
+
+
+def test_an_overflowing_gradient_norm_is_inf_without_a_warning(monkeypatch):
+    # the update stays finite while the gradient's squared norm overflows, in gld_step
+    # and on the last step of run_chain alike
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=1e-3, beta=4.0, lam=0.5, n_modes=3, steps=3, seed=0)
+    huge = np.full((model.basis.n_modes, 1), 1e200)
+    monkeypatch.setattr(md, "risk_objective", lambda *args: (None, lambda c: huge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lg.gld_step(_projected_start(model, cfg, 0), cfg, model, "squared", data,
+                          np.random.default_rng(0), grad_fn=lambda W: huge)
+        traj = lg.run_chain(cfg, model, "squared", data)
+    assert np.all(np.isfinite(out.map.coeffs)) and out.last_grad_norm == np.inf
+    assert np.all(np.isfinite(traj.coeffs)) and traj.final_state.last_grad_norm == np.inf
 
 
 _coeff = st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: abs(v) > 1e-6)

@@ -1,7 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from transport_langevin import langevin as lg
 from transport_langevin import models as md
 from transport_langevin import oracle as orc
 from transport_langevin.spectral import (GaussianMeasureSpec, cosine_basis,
@@ -105,6 +106,54 @@ def test_small_ball_edge_radii():
         orc.small_ball_mc(spec, 1.0, 100, rng)
 
 
+def test_small_ball_mc_is_one_draw_counted_per_radius():
+    # the squared norms as one (n_samples, n_modes) draw gave them, whatever the chunking
+    spec = GaussianMeasureSpec(beta=2.0, lam=0.5, eigen=make_eigen_sequence(1.0, 2.0, 64))
+    radii = [0.0, 0.05, 0.3, 0.7, 1.0, 1.5, 4.0]
+    for n_modes, n_samples in ((1, 1000), (5, 70_001), (64, 40_000)):
+        sd = np.sqrt(spec.mode_variances[:n_modes])
+        ref_rng, rng = np.random.default_rng(n_modes), np.random.default_rng(n_modes)
+        ref = np.sum((ref_rng.standard_normal((n_samples, n_modes)) * sd) ** 2, axis=1)
+        sq_norms = orc.small_ball_sq_norms(spec, n_samples, rng, n_modes=n_modes)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        np.testing.assert_array_equal(sq_norms, np.sort(ref))
+        for r in radii:
+            est = orc.small_ball_mc(spec, r, n_samples, np.random.default_rng(n_modes), n_modes)
+            assert est == orc.small_ball_estimate(sq_norms, r)
+            hits = int(np.count_nonzero(ref <= r ** 2))
+            assert est.probability == hits / n_samples and est.zero_hits == (hits == 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        orc.small_ball_estimate(sq_norms, -1.0)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_working_memory_does_not_grow_with_the_sample_count():
+    spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, 64))
+    a, b = np.full(16, 0.5), np.linspace(0.0, 2.0, 16)
+    rng = np.random.default_rng(0)
+    # first calls in a process allocate numpy's own one-off state
+    orc.gaussian_correlation_mc(spec, a, b, 1000, rng)
+    orc.small_ball_mc(spec, 0.5, 1000, rng)
+    peaks = []
+    for n_samples in (100_000, 800_000):
+        corr = _peak_bytes(lambda: orc.gaussian_correlation_mc(spec, a, b, n_samples, rng))
+        # the sorted norms small_ball_mc draws take 8 bytes per sample
+        ball = _peak_bytes(lambda: orc.small_ball_mc(spec, 0.5, n_samples, rng)) - 8 * n_samples
+        peaks.append((corr, ball))
+    for corr, ball in peaks:
+        assert max(corr, ball) <= 8 * orc._CHUNK + (1 << 19), peaks
+    (c1, b1), (c2, b2) = peaks
+    assert abs(c2 - c1) <= 4096 and abs(b2 - b1) <= 4096, peaks
+
+
 def test_gaussian_correlation_identical_and_whole_space():
     eigen = make_eigen_sequence(1.0, 2.0, 4)
     spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=eigen)
@@ -184,48 +233,6 @@ def test_conjugate_posterior_matches_cho_solve():
         np.testing.assert_allclose(post.mean, mean, rtol=1e-12, atol=1e-12 * np.abs(mean).max())
     with pytest.raises(RuntimeError, match="singular"):
         orc.conjugate_posterior(basis, np.zeros((0, 8)), np.zeros(0), beta=1.0, lam=0.0)
-
-
-def test_reference_chain_matches_conjugate_posterior():
-    rng = np.random.default_rng(6)
-    n_modes, n = 4, 30
-    basis = cosine_basis(n_modes, dim_in=1)
-    model = md.ModelSpec(arch="identity-map", basis=basis)
-    x = rng.uniform(0, 1, (n, 1))
-    teacher = np.array([[0.8], [0.4], [-0.3], [0.1]])
-    y = eval_basis(basis, x) @ teacher[:, 0] + 0.2 * rng.standard_normal(n)
-    data = md.Dataset(x=x, y=y)
-    beta, lam = float(n), 1.0 / n
-    post = orc.conjugate_posterior(basis, eval_basis(basis, x), y, beta=beta, lam=lam)
-    cfg = lg.DynamicsConfig(eta=2e-3, beta=beta, lam=lam, n_modes=n_modes,
-                            steps=150_000, burn_in=20_000, thin=1, seed=17)
-    fns = {f"mode{k}": (lambda c, k=k: float(c[k, 0])) for k in range(n_modes)}
-    fns.update({f"sq{k}": (lambda c, k=k: float(c[k, 0] ** 2)) for k in range(n_modes)})
-    est = orc.reference_chain(cfg, model, "squared", data, fns)
-    for k in range(n_modes):
-        mean, se = est[f"mode{k}"]
-        assert abs(mean - post.mean[k, 0]) < 3 * se, f"mode {k}: {mean} vs {post.mean[k,0]} +- {se}"
-        # marginal second moments match the exact posterior too
-        m2, se2 = est[f"sq{k}"]
-        want = post.covariance[k, k] + post.mean[k, 0] ** 2
-        assert abs(m2 - want) < 4 * se2 + 0.01 * want, f"sq{k}"
-
-
-def test_reference_chain_seed_consistency():
-    rng = np.random.default_rng(8)
-    basis = cosine_basis(3, dim_in=1)
-    model = md.ModelSpec(arch="identity-map", basis=basis)
-    x = rng.uniform(0, 1, (20, 1))
-    y = 0.5 * np.sin(2 * np.pi * x[:, 0]) + 0.1 * rng.standard_normal(20)
-    data = md.Dataset(x=x, y=y)
-    fns = {"norm_sq": lambda c: float(np.sum(c ** 2))}
-    ests = []
-    for seed in (1, 2):
-        cfg = lg.DynamicsConfig(eta=5e-3, beta=20.0, lam=0.05, n_modes=3,
-                                steps=60_000, burn_in=10_000, thin=1, seed=seed)
-        ests.append(orc.reference_chain(cfg, model, "squared", data, fns)["norm_sq"])
-    (m1, s1), (m2, s2) = ests
-    assert abs(m1 - m2) < 3 * np.hypot(s1, s2)
 
 
 def test_batch_means_stderr_needs_two_values():
