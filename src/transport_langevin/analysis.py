@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import EigenSequence
+from .spectral import EigenSequence, _resolvent_factor
 
 __all__ = [
     "Prop1Constants",
@@ -72,7 +72,7 @@ def prop1_constants(eta: float, beta: float, lam: float, mu_0: float, mu_1: floa
         raise ValueError("beta, lam, mu_0, mu_1, c_mu must be positive and eta >= 0")
     if not beta > eta:
         raise ValueError("beta must exceed eta")
-    rho = 1.0 / (1.0 + lam * eta / mu_0)
+    rho = _resolvent_factor(eta, lam, mu_0)
     b = (mu_0 / lam) * B + c_mu / (beta * lam)
     b_bar = max(b, 1.0)
     kappa = b_bar + 1.0

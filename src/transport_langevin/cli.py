@@ -166,30 +166,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args)
     seed = _seed(args, cfg)
-    preset = cfg["preset"]
+    setup = ex._audit_setup(cfg["preset"], seed, cfg.get("overrides", {}))
+    if setup is None:
+        print(f"no assumption audit defined for preset {cfg['preset']!r} "
+              "(it exercises a closed-form identity, not a model)", file=sys.stderr)
+        return 2
     from . import analysis as an
-    from . import models as md
-    if preset in ("regression-rate", "finite-width-demo", "posterior-validate",
-                  "classification-rate", "stepsize-bias", "ergodicity"):
-        rng = np.random.default_rng(seed)
-        if preset in ("regression-rate", "finite-width-demo"):
-            model = ex._two_layer_setup(rng, M=8, d=2, R=2.0, D=1.0)
-            x = ex._disc_points(rng, 64)
-            W = md.TransportMap(coeffs=md.identity_coeffs(model, model.basis), basis=model.basis)
-            data = md.Dataset(x=x, y=md.forward(model, W, x))
-            report = an.assumption_audit(model.basis, model, "squared", data)
-        elif preset == "classification-rate":
-            model, data, grid, probs, _ = ex._classification_task(seed)
-            report = an.assumption_audit(model.basis, model, "logistic", data,
-                                         class_probs=probs)
-        else:
-            basis, model, data, _ = ex._linear_gaussian_setup(rng, 8, 50)
-            report = an.assumption_audit(basis, model, "squared", data)
-        print(report.render())
-        return 0
-    print(f"no assumption audit defined for preset {preset!r} "
-          "(it exercises a closed-form identity, not a model)", file=sys.stderr)
-    return 2
+    model, loss_kind, data, class_probs = setup
+    print(an.assumption_audit(model.basis, model, loss_kind, data,
+                              class_probs=class_probs).render())
+    return 0
 
 
 def _resolve_config(args) -> dict:

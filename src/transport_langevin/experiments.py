@@ -175,13 +175,12 @@ def _is_number(val) -> bool:
 # shared builders
 # ---------------------------------------------------------------------------
 
-def _linear_gaussian_setup(rng, n_modes, n, noise=0.2, teacher=None):
+def _linear_gaussian_setup(rng, n_modes, n, noise=0.2):
     """Coefficient-linear regression model on the unit interval."""
     basis = cosine_basis(n_modes, dim_in=1)
     model = md.ModelSpec(arch="identity-map", basis=basis)
-    if teacher is None:
-        base = np.array([0.9, 0.6, -0.45, 0.3, -0.22, 0.18, -0.12, 0.1, -0.08, 0.06])
-        teacher = base[:n_modes] if n_modes <= base.size else np.resize(base, n_modes)
+    base = np.array([0.9, 0.6, -0.45, 0.3, -0.22, 0.18, -0.12, 0.1, -0.08, 0.06])
+    teacher = base[:n_modes] if n_modes <= base.size else np.resize(base, n_modes)
     x = rng.uniform(0, 1, (n, 1))
     f = eval_basis(basis, x) @ teacher
     y = f + rng.uniform(-noise, noise, n)
@@ -550,31 +549,32 @@ def correlation_suite(seed=0, overrides=None):
 # preset: regression-rate
 # ---------------------------------------------------------------------------
 
-def _regression_task(seed, M, d, R, noise):
-    """Teacher-in-model clipped two-layer regression task; fixed across n."""
-    rng = np.random.default_rng(seed)
-    model = _two_layer_setup(rng, M=M, d=d, R=R, D=1.0, bandwidth=1.0)
-    teacher = md.TransportMap(coeffs=md.identity_coeffs(model, model.basis),
-                              basis=model.basis)
-    test_x = _disc_points(np.random.default_rng(seed + 777), 2048)
-    f_star = md.forward(model, teacher, test_x)
-    return model, teacher, test_x, f_star, rng
+def _regression_task(seed, p):
+    """Teacher-in-model clipped two-layer network of ``p``'s M, d and R; fixed across n."""
+    model = _two_layer_setup(np.random.default_rng(seed), M=int(p["M"]), d=int(p["d"]),
+                             R=p["R"], D=1.0, bandwidth=1.0)
+    return model, md.TransportMap(coeffs=md.identity_coeffs(model, model.basis),
+                                  basis=model.basis)
+
+
+def _regression_data(rng, n, noise, model, teacher):
+    """n noisy teacher values at uniform points of the unit disc."""
+    x = _disc_points(rng, n)
+    return md.Dataset(x=x, y=md.forward(model, teacher, x) + rng.uniform(-noise, noise, n))
 
 
 def regression_rate(seed=0, overrides=None):
     """Excess risk of the chain-averaged posterior at one sample size."""
     p = _merged(PRESET_DEFAULTS["regression-rate"], overrides or {}, "regression-rate")
-    model, teacher, test_x, f_star, rng = _regression_task(seed, int(p["M"]), int(p["d"]),
-                                                           p["R"], p["noise"])
+    model, teacher = _regression_task(seed, p)
+    test_x = _disc_points(np.random.default_rng(seed + 777), 2048)
+    f_star = md.forward(model, teacher, test_x)
     n = int(p["n"])
-    data_rng = np.random.default_rng(seed + 10 * n)
-    x = _disc_points(data_rng, n)
-    y = md.forward(model, teacher, x) + data_rng.uniform(-p["noise"], p["noise"], n)
+    data = _regression_data(np.random.default_rng(seed + 10 * n), n, p["noise"], model, teacher)
     beta, lam = float(n), 1.0 / n
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                             n_modes=model.basis.n_modes, steps=int(p["steps"]),
                             burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=seed)
-    data = md.Dataset(x=x, y=y)
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
     # the squared loss against f* on the test points is the squared error of each record
     excess = float(np.mean(traj.risk(model, "squared", md.Dataset(x=test_x, y=f_star))))
@@ -671,6 +671,17 @@ def classification_rate_sweep(seed=0, betas=(25.0, 50.0, 100.0, 200.0), override
 # preset: finite-width-demo
 # ---------------------------------------------------------------------------
 
+def _finite_width_task(seed, p):
+    """The network and its noiseless teacher data."""
+    rng = np.random.default_rng(seed)
+    model = _two_layer_setup(rng, M=int(p["M"]), d=int(p["d"]), R=p["R"], D=1.0)
+    teacher_coeffs = rng.standard_normal((model.basis.n_modes, int(p["d"]) + 1)) \
+        * p["teacher_scale"] * np.sqrt(model.basis.mu)[:, None]
+    teacher = md.TransportMap(coeffs=teacher_coeffs, basis=model.basis)
+    x = _disc_points(rng, int(p["n"]))
+    return model, md.Dataset(x=x, y=md.forward(model, teacher, x))
+
+
 def finite_width_demo(seed=0, overrides=None):
     """Fixed-width training: 8 particles, loss must fall to a tenth.
 
@@ -680,15 +691,7 @@ def finite_width_demo(seed=0, overrides=None):
     happens within the first few thousand steps.
     """
     p = _merged(PRESET_DEFAULTS["finite-width-demo"], overrides or {}, "finite-width-demo")
-    rng = np.random.default_rng(seed)
-    model = _two_layer_setup(rng, M=int(p["M"]), d=int(p["d"]), R=p["R"], D=1.0)
-    mu = model.basis.mu
-    teacher_coeffs = rng.standard_normal((model.basis.n_modes, int(p["d"]) + 1)) \
-        * p["teacher_scale"] * np.sqrt(mu)[:, None]
-    teacher = md.TransportMap(coeffs=teacher_coeffs, basis=model.basis)
-    x = _disc_points(rng, int(p["n"]))
-    y = md.forward(model, teacher, x)
-    data = md.Dataset(x=x, y=y)
+    model, data = _finite_width_task(seed, p)
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
                             n_modes=model.basis.n_modes, steps=int(p["max_steps"]),
                             burn_in=0, thin=int(p["check_every"]), seed=seed)
@@ -765,15 +768,10 @@ def pac_bayes_check(seed=0, n_seeds=10, n=64, overrides=None):
     rows = []
     ok_all = True
     for s in range(seed, seed + n_seeds):
-        model, teacher, test_x, f_star, rng = _regression_task(s, int(p["M"]), int(p["d"]),
-                                                               p["R"], p["noise"])
+        model, teacher = _regression_task(s, p)
         data_rng = np.random.default_rng(s + 5000)
-        x = _disc_points(data_rng, n)
-        y = md.forward(model, teacher, x) + data_rng.uniform(-p["noise"], p["noise"], n)
-        tx = _disc_points(data_rng, 4 * n)
-        ty = md.forward(model, teacher, tx) + data_rng.uniform(-p["noise"], p["noise"], 4 * n)
-        data = md.Dataset(x=x, y=y)
-        test = md.Dataset(x=tx, y=ty)
+        data = _regression_data(data_rng, n, p["noise"], model, teacher)
+        test = _regression_data(data_rng, 4 * n, p["noise"], model, teacher)
         beta, lam = float(n), 1.0 / n
         cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                                 n_modes=model.basis.n_modes, steps=int(p["steps"]),
@@ -825,6 +823,29 @@ def run_preset(name: str, seed: int = 0, overrides: Optional[dict] = None) -> Ex
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}")
     return PRESETS[name](seed=seed, overrides=overrides or {})
+
+
+def _audit_setup(preset: str, seed: int, overrides: dict):
+    """(model, loss kind, dataset, class probabilities or None) that ``preset`` trains on at
+    (seed, overrides), for the assumption audit; None for a preset with no such setup."""
+    p = _merged(PRESET_DEFAULTS[preset], overrides, preset)
+    if preset in ("posterior-validate", "stepsize-bias", "ergodicity"):
+        noise = {"noise": p["noise"]} if "noise" in p else {}   # the others run at the default
+        _, model, data, _ = _linear_gaussian_setup(np.random.default_rng(seed), p["n_modes"],
+                                                   p["n"], **noise)
+    elif preset == "classification-rate":
+        model, data, _, probs, _ = _classification_task(seed, int(p["n_modes"]),
+                                                        p["margin_amp"], int(p["n"]))
+        return model, "logistic", data, probs
+    elif preset == "regression-rate":
+        model, teacher = _regression_task(seed, p)
+        data_rng = np.random.default_rng(seed + 10 * int(p["n"]))
+        data = _regression_data(data_rng, int(p["n"]), p["noise"], model, teacher)
+    elif preset == "finite-width-demo":
+        model, data = _finite_width_task(seed, p)
+    else:
+        return None
+    return model, "squared", data, None
 
 
 # ---------------------------------------------------------------------------

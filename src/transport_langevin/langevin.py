@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import models as _models
-from .spectral import EigenSequence, project_P_N
+from .spectral import EigenSequence, _resolvent_factor, project_P_N
 
 __all__ = [
     "DynamicsConfig",
@@ -87,7 +87,7 @@ class DynamicsConfig:
             return last[1]
         N = min(self.n_modes, basis.n_modes)
         s = np.ones(basis.n_modes)
-        s[:N] = 1.0 / (1.0 + self.eta * self.lam / basis.eigen.mu[:N])
+        s[:N] = _resolvent_factor(self.eta, self.lam, basis.eigen.mu[:N])
         self.__dict__["_last_resolvent"] = (basis, (N, s[:, None]))
         return N, s[:, None]
 
@@ -297,7 +297,7 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     """
     m = cfg.n_modes
     mu = eigen.mu[:m]
-    s = 1.0 / (1.0 + cfg.eta * cfg.lam / mu)
+    s = _resolvent_factor(cfg.eta, cfg.lam, mu)
     amp = cfg.noise_amp
     decay = -np.log(s.min())
     L = _OU_BLOCK if decay == 0.0 else max(1, int(min(_OU_BLOCK, _OU_MAX_LOG_GAIN // decay)))

@@ -9,6 +9,12 @@ architectures differ in how the map values turn into a predictor:
 * ``wasserstein``   f_W(x) = W(x), vector output,
 * ``resnet``        composition of (identity + particle-averaged block) layers.
 
+Training sees an architecture only through one objective, built once per
+dataset: ``_objective`` gives value(coeffs) and grad(coeffs), and forward,
+gradient, empirical_risk and risk_objective all read it.  The pointwise
+losses wrap one forward/backward pair per architecture (``_passes``);
+wasserstein has its soft transport objective.
+
 Clipping is componentwise R*tanh(v/R); its derivative enters every analytic
 gradient, which is written in coefficient space so that it agrees with finite
 differences of the empirical risk.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -43,7 +50,6 @@ __all__ = [
     "risk_objective",
     "lipschitz_gap",
     "wasserstein_objective",
-    "wasserstein_gradient",
     "identity_coeffs",
     "map_values",
     "cloud_to_json",
@@ -53,6 +59,8 @@ __all__ = [
 ]
 
 ARCHS = ("two-layer", "identity-map", "resnet", "wasserstein")
+# the networks: their inputs are points of the cloud's space, bounded in norm by D
+_NETWORKS = ("two-layer", "resnet")
 
 # 1.0 as a 0-d array: numpy converts a Python-float operand again on every call
 _ONE = np.array(1.0)
@@ -185,7 +193,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.arch in ("two-layer", "resnet") and self.cloud is None:
+        if self.arch in _NETWORKS and self.cloud is None:
             raise ValueError(f"{self.arch} requires a particle cloud")
         if self.arch == "resnet":
             if self.resnet_blocks < 1:
@@ -263,7 +271,9 @@ def _cloud_features(model: ModelSpec, basis: SpectralBasis) -> np.ndarray:
     return eval_basis(basis, pts)
 
 
-def _as_points(x, dim_in) -> tuple[np.ndarray, bool]:
+def _as_points(model: ModelSpec, basis: SpectralBasis, x) -> tuple[np.ndarray, bool]:
+    """``x`` as rows of inputs (of the cloud's space, or the basis's), and whether it was one."""
+    dim_in = model.cloud.dim if model.arch in _NETWORKS else basis.dim_in
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
@@ -274,54 +284,123 @@ def _as_points(x, dim_in) -> tuple[np.ndarray, bool]:
 
 
 def forward(model: ModelSpec, W: TransportMap, x):
-    """Predictor value(s) at x.
+    """Predictor value(s) at x, the map read over its own basis ``W.basis``.
 
     Scalar output for two-layer / identity-map / resnet, vector output for
     wasserstein.  Accepts a single point or a batch of rows.
     """
-    if model.arch == "two-layer":
-        X, single = _as_points(x, model.cloud.dim)
-        _warn_input_bound(model, np.linalg.norm(X, axis=1))
-        fwd, _ = _two_layer_passes(model, W.basis, W.gamma, X)
-        out, _ = fwd(W.coeffs)
-        return float(out[0]) if single else out
-    if model.arch == "identity-map":
-        basis = model_basis(model)
-        X, single = _as_points(x, basis.dim_in)
-        out = eval_basis(basis, X) @ W.effective_coeffs()[:, 0]
-        return float(out[0]) if single else out
-    if model.arch == "wasserstein":
-        basis = model_basis(model)
-        X, single = _as_points(x, basis.dim_in)
-        out = eval_basis(basis, X) @ W.effective_coeffs()
+    X, single = _as_points(model, W.basis, x)
+    if model.arch == "wasserstein":                     # the map itself, a vector per point
+        out = eval_basis(W.basis, X) @ W.effective_coeffs()
         return out[0] if single else out
-    if model.arch == "resnet":
-        X, single = _as_points(x, model.cloud.dim)
-        _warn_input_bound(model, np.linalg.norm(X, axis=1))
-        z, _ = _resnet_forward(model, W, X)
-        u = _resnet_readout(model)
-        out = z @ u
-        return float(out[0]) if single else out
-    raise ValueError(f"unknown architecture {model.arch!r}")
+    _input_bound_warning(model, X)()
+    fwd, _ = _passes(model, W.basis, W.gamma, X)
+    out, _ = fwd(W.coeffs)
+    return float(out[0]) if single else out
 
 
-def _warn_input_bound(model, norms):
-    """Warn, at the caller's caller, when an input norm exceeds the declared bound D."""
-    import warnings
+def empirical_risk(model: ModelSpec, W: TransportMap, loss_kind: str, dataset: Dataset) -> float:
+    """Mean loss over the dataset; the soft transport objective for wasserstein."""
+    value, _ = _objective(model, W.basis, W.gamma, loss_kind, dataset)
+    return value(W.coeffs)
+
+
+def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str) -> np.ndarray:
+    """Coefficient-space gradient of the empirical risk.
+
+    The pointwise functional gradient at each cloud point is projected onto
+    the basis (exact for a full gram eigenbasis); the clip derivative and the
+    fractional-power reparametrization enter by the chain rule.
+    """
+    _, grad = _objective(model, W.basis, W.gamma, loss_kind, dataset)
+    return grad(W.coeffs)
+
+
+def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: float = 0.0):
+    """Closures value(coeffs) and grad(coeffs) of the empirical risk on raw coefficients.
+
+    The map is over the model's basis; features, weights and activation are
+    looked up here, once.  gamma scales the coefficients before the features
+    and the gradient after them.  The value warns, as :func:`forward` does,
+    when an input lies beyond the declared bound D; the gradient does not.
+    """
+    return _objective(model, model_basis(model), gamma, loss_kind, dataset)
+
+
+def _objective(model: ModelSpec, basis: SpectralBasis, gamma: float, loss_kind: str,
+               dataset: Dataset):
+    """value(coeffs) and grad(coeffs) of the empirical risk, the map over ``basis``.
+
+    Wasserstein's objective takes the source sample as inputs and the target
+    sample as labels.
+    """
+    if model.arch == "wasserstein":
+        return _transport_objective(basis, gamma, dataset.x, dataset.y,
+                                    model.wasserstein_penalty, model.mmd_bandwidth)
+    X, y = np.asarray(dataset.x, dtype=float), dataset.y
+    fwd, back = _passes(model, basis, gamma, X)
+    warn = _input_bound_warning(model, X)
+
+    def value(coeffs):
+        warn()
+        f, _ = fwd(coeffs)
+        return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
+
+    def grad(coeffs):
+        f, cache = fwd(coeffs)
+        return back(cache, loss_eval_derivs(loss_kind, y, f, 1))
+
+    return value, grad
+
+
+def _input_bound_warning(model: ModelSpec, X: np.ndarray):
+    """``warn()``: warns, at the caller of its caller, when a row of ``X`` lies beyond the bound D.
+
+    Only the networks bound their inputs.  The norms are computed on the first call.
+    """
+    if model.arch not in _NETWORKS:
+        return lambda: None
     D = model.clip.input_bound_D
-    r = np.max(norms)
-    if r > D * (1 + 1e-9):
-        warnings.warn(f"input norm {r:.3g} exceeds the declared bound D={D:g}", stacklevel=3)
+    largest = functools.cache(lambda: np.max(np.linalg.norm(X, axis=1)))
+
+    def warn():
+        r = largest()
+        if r > D * (1 + 1e-9):
+            warnings.warn(f"input norm {r:.3g} exceeds the declared bound D={D:g}", stacklevel=3)
+
+    return warn
+
+
+def _passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
+    """The scalar predictor on the fixed inputs ``X`` (n, d), as closures of the raw
+    coefficients of a map over ``basis``: ``fwd(coeffs) -> (f, cache)`` and
+    ``back(cache, lp) -> gradient``, with ``lp`` dloss/df at each input.
+    """
+    return _PASSES[model.arch](model, basis, gamma, X)
+
+
+def _identity_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
+    """The map itself, f = W(x) = Phi(x) . coeffs, with Phi evaluated on ``X`` once."""
+    Phi = eval_basis(basis, X)
+    PhiT, eigen = Phi.T, basis.eigen
+    # n as a 0-d array: numpy converts a Python-number operand again on every call
+    n = np.array(float(Phi.shape[0]))
+
+    # .dot: the same BLAS products as @, with less dispatch per call
+    def fwd(coeffs):
+        return Phi.dot(_gamma_scale(coeffs, eigen, gamma)[:, 0]), None
+
+    def back(cache, lp):
+        g = PhiT.dot(lp)
+        g /= n                                          # in place: g is this call's own array
+        return _gamma_scale(g[:, None], eigen, gamma)
+
+    return fwd, back
 
 
 def _two_layer_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
-    """The two-layer predictor on the fixed inputs ``X`` (n, d), as closures of the raw
-    coefficients: ``fwd(coeffs) -> (f, cache)`` and ``back(cache, lp) -> gradient``.
-
-    ``lp`` is dloss/df at each input.  The cloud features, weights, radius and
-    activation are looked up here, once; ``t = tanh(V/R)`` gives both the clip
-    R*t and its derivative 1 - t^2.
-    """
+    """f(x) = sum_m weight_m * clip(V2_m) * act(clip(V1_m) . x); ``t = tanh(V/R)`` gives
+    both the clip R*t and its derivative 1 - t^2."""
     E = _cloud_features(model, basis)
     ET, XT = E.T, X.T
     omega, eigen = model.cloud.weights, basis.eigen
@@ -357,154 +436,48 @@ def _two_layer_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: n
     return fwd, back
 
 
-def _resnet_readout(model: ModelSpec) -> np.ndarray:
-    d = model.cloud.dim
-    if model.resnet_readout is not None:
-        return np.asarray(model.resnet_readout, dtype=float)
-    return np.full(d, 1.0 / np.sqrt(d))
+def _resnet_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
+    """T residual blocks z <- z + sum_m weight_m act(z . clip(V_m)) a_m, read out along u.
 
-
-def _resnet_forward(model: ModelSpec, W: TransportMap, X):
-    """Forward pass through the residual blocks; returns output and a cache."""
-    M, d = model.cloud.size, model.cloud.dim
-    T = model.resnet_blocks
-    R = model.clip.R
-    act, _ = _activation(model.clip.activation)
-    E = _cloud_features(model, W.basis)
-    C = W.effective_coeffs().reshape(W.basis.n_modes, T, d)
-    omega = model.cloud.weights
-    a_vec = model.cloud.a_vec
-    z = X
-    cache = []
-    for t in range(T):
-        V = E @ C[:, t, :]                        # (M, d)
-        Vb = clip(V, R)
-        P = z @ Vb.T                              # (n, M)
-        S = act(P)
-        cache.append((z, V, Vb, P, S))
-        z = z + (S * omega[None, :]) @ a_vec
-    return z, cache
-
-
-def empirical_risk(model: ModelSpec, W: TransportMap, loss_kind: str, dataset: Dataset) -> float:
-    """Mean loss over the dataset; the soft transport objective for wasserstein."""
-    if model.arch == "wasserstein":
-        return wasserstein_objective(W, dataset.x, dataset.y,
-                                     model.wasserstein_penalty, model.mmd_bandwidth)
-    f = forward(model, W, dataset.x)
-    return float(np.mean(loss_eval_derivs(loss_kind, dataset.y, f, 0)))
-
-
-def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str) -> np.ndarray:
-    """Coefficient-space gradient of the empirical risk.
-
-    The pointwise functional gradient at each cloud point is projected onto
-    the basis (exact for a full gram eigenbasis); the clip derivative and the
-    fractional-power reparametrization enter by the chain rule.
+    Block t reads columns t*d..(t+1)*d of the map values at the cloud.
     """
-    if model.arch == "wasserstein":
-        return wasserstein_gradient(model, W, dataset.x, dataset.y)
-    if model.arch == "identity-map":
-        _, grad = risk_objective(model, loss_kind, dataset, W.gamma)
-        return grad(W.coeffs)
-    if model.arch == "two-layer":
-        # over the map's own basis, as forward evaluates it
-        _, grad = _two_layer_objective(model, W.basis, W.gamma, loss_kind, dataset)
-        return grad(W.coeffs)
-    if model.arch == "resnet":
-        X = np.asarray(dataset.x, dtype=float)
-        n = X.shape[0]
-        M, d = model.cloud.size, model.cloud.dim
-        T = model.resnet_blocks
-        act, actd = _activation(model.clip.activation)
-        E = _cloud_features(model, W.basis)
-        omega = model.cloud.weights
-        a_vec = model.cloud.a_vec
-        u = _resnet_readout(model)
-        z_out, cache = _resnet_forward(model, W, X)
-        f = z_out @ u
-        lp = loss_eval_derivs(loss_kind, dataset.y, f, 1)
-        G = (lp[:, None] / n) * u[None, :]        # adjoint after the last block
-        dC = np.zeros((W.basis.n_modes, T, d))
-        R = model.clip.R
+    n, T, d = X.shape[0], model.resnet_blocks, model.cloud.dim
+    R = model.clip.R
+    act, actd = _activation(model.clip.activation)
+    E = _cloud_features(model, basis)
+    omega, a_vec, eigen = model.cloud.weights, model.cloud.a_vec, basis.eigen
+    u = np.full(d, 1.0 / np.sqrt(d)) if model.resnet_readout is None \
+        else np.asarray(model.resnet_readout, dtype=float)
+
+    def fwd(coeffs):
+        C = _gamma_scale(coeffs, eigen, gamma).reshape(basis.n_modes, T, d)
+        z = X
+        cache = []
+        for t in range(T):
+            V = E @ C[:, t, :]                        # (M, d)
+            Vb = clip(V, R)
+            P = z @ Vb.T                              # (n, M)
+            S = act(P)
+            cache.append((z, V, Vb, P, S))
+            z = z + (S * omega[None, :]) @ a_vec
+        return z @ u, cache
+
+    def back(cache, lp):
+        G = (lp[:, None] / n) * u[None, :]            # adjoint after the last block
+        dC = np.zeros((basis.n_modes, T, d))
         for t in range(T - 1, -1, -1):
             z_in, V, Vb, P, S = cache[t]
-            Q = (G @ a_vec.T) * actd(P, S)        # (n, M)
+            Q = (G @ a_vec.T) * actd(P, S)            # (n, M)
             dV = (Q.T @ z_in) * omega[:, None] * clip_deriv(V, R)
             dC[:, t, :] = E.T @ dV
             G = G + (Q * omega[None, :]) @ Vb
-        return _gamma_scale(dC.reshape(W.basis.n_modes, T * d), W.basis.eigen, W.gamma)
-    raise ValueError(f"unknown architecture {model.arch!r}")
+        return _gamma_scale(dC.reshape(basis.n_modes, T * d), eigen, gamma)
+
+    return fwd, back
 
 
-def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: float = 0.0):
-    """Closures value(coeffs) and grad(coeffs) of the empirical risk on raw coefficients.
-
-    Everything that depends only on (model, loss, dataset, gamma) is computed
-    here, once: the identity-map feature matrix, and for the two-layer
-    network the cloud features, inputs and activation.  gamma scales the
-    coefficients before the features and the gradient after them.
-    The two-layer value warns, as :func:`empirical_risk` does, when an input
-    lies beyond the declared bound D; the gradient does not.
-    """
-    basis = model_basis(model)
-    if model.arch == "identity-map":
-        Phi = eval_basis(basis, dataset.x)
-        PhiT, y = Phi.T, dataset.y
-        # n as a 0-d array: numpy converts a Python-number operand again on every call
-        n = np.array(float(Phi.shape[0]))
-        eigen, scaled = basis.eigen, gamma != 0.0
-
-        # .dot: the same BLAS products as @, with less dispatch per call
-        def value(coeffs):
-            if scaled:
-                coeffs = fractional_power_scale(coeffs, eigen, gamma)
-            return float(np.mean(loss_eval_derivs(loss_kind, y, Phi.dot(coeffs[:, 0]), 0)))
-
-        def grad(coeffs):
-            if scaled:
-                coeffs = fractional_power_scale(coeffs, eigen, gamma)
-            lp = loss_eval_derivs(loss_kind, y, Phi.dot(coeffs[:, 0]), 1)
-            g = PhiT.dot(lp)
-            g /= n                                      # in place: g is this call's own array
-            g = g[:, None]
-            return fractional_power_scale(g, eigen, gamma) if scaled else g
-
-        return value, grad
-
-    if model.arch == "two-layer":
-        return _two_layer_objective(model, basis, gamma, loss_kind, dataset)
-
-    def value(coeffs):
-        return empirical_risk(model, TransportMap(coeffs, basis, gamma), loss_kind, dataset)
-
-    def grad(coeffs):
-        return gradient(model, TransportMap(coeffs, basis, gamma), dataset, loss_kind)
-
-    return value, grad
-
-
-def _two_layer_objective(model: ModelSpec, basis: SpectralBasis, gamma: float, loss_kind: str,
-                         dataset: Dataset):
-    """value(coeffs) and grad(coeffs) of the two-layer empirical risk, the map over ``basis``.
-
-    The input norms are computed on the first value call, for its input-bound
-    warning; the gradient needs none and gives none.
-    """
-    X, y = np.asarray(dataset.x, dtype=float), dataset.y
-    fwd, back = _two_layer_passes(model, basis, gamma, X)
-    norms = functools.cache(lambda: np.linalg.norm(X, axis=1))
-
-    def value(coeffs):
-        _warn_input_bound(model, norms())
-        f, _ = fwd(coeffs)
-        return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
-
-    def grad(coeffs):
-        f, cache = fwd(coeffs)
-        return back(cache, loss_eval_derivs(loss_kind, y, f, 1))
-
-    return value, grad
+_PASSES = {"identity-map": _identity_passes, "two-layer": _two_layer_passes,
+           "resnet": _resnet_passes}
 
 
 def _gamma_scale(c: np.ndarray, eigen: EigenSequence, gamma: float) -> np.ndarray:
@@ -534,11 +507,9 @@ def lipschitz_gap(model: ModelSpec, W: TransportMap, W2: TransportMap, x_grid) -
 # soft transport objective
 # ---------------------------------------------------------------------------
 
-def _mmd_terms(A: np.ndarray, B: np.ndarray, h: float):
-    def k(u, v):
-        sq = np.sum(u ** 2, axis=1)[:, None] + np.sum(v ** 2, axis=1)[None, :] - 2.0 * u @ v.T
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * h ** 2))
-    return k(A, A), k(B, B), k(A, B)
+def _gauss_kernel(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    sq = np.sum(u ** 2, axis=1)[:, None] + np.sum(v ** 2, axis=1)[None, :] - 2.0 * u @ v.T
+    return np.exp(-np.maximum(sq, 0.0) / (2.0 * h ** 2))
 
 
 def wasserstein_objective(W: TransportMap, source_samples, target_samples,
@@ -548,31 +519,40 @@ def wasserstein_objective(W: TransportMap, source_samples, target_samples,
     The hard pushforward constraint is relaxed to penalty * MMD^2 between the
     mapped source sample and the target sample (Gaussian kernel, V-statistic).
     """
+    value, _ = _transport_objective(W.basis, W.gamma, source_samples, target_samples,
+                                    penalty, mmd_bandwidth)
+    return value(W.coeffs)
+
+
+def _transport_objective(basis: SpectralBasis, gamma: float, source_samples, target_samples,
+                         penalty: float, h: float):
+    """value(coeffs) and grad(coeffs) of :func:`wasserstein_objective`, the map over ``basis``;
+    the source features and the target-target kernel mean are computed here, once."""
     S = np.atleast_2d(np.asarray(source_samples, dtype=float))
     Tgt = np.atleast_2d(np.asarray(target_samples, dtype=float))
     if S.shape[0] == 0 or Tgt.shape[0] == 0:
         raise ValueError("both sample sets must be non-empty")
-    F = eval_basis(W.basis, S) @ W.effective_coeffs()
-    disp = float(np.mean(np.sum((S - F) ** 2, axis=1)))
-    Kff, Ktt, Kft = _mmd_terms(F, Tgt, mmd_bandwidth)
-    mmd2 = float(Kff.mean() + Ktt.mean() - 2.0 * Kft.mean())
-    return disp + penalty * mmd2
-
-
-def wasserstein_gradient(model: ModelSpec, W: TransportMap, source_samples, target_samples) -> np.ndarray:
-    S = np.atleast_2d(np.asarray(source_samples, dtype=float))
-    Tgt = np.atleast_2d(np.asarray(target_samples, dtype=float))
-    h = model.mmd_bandwidth
-    Phi = eval_basis(W.basis, S)
-    F = Phi @ W.effective_coeffs()
+    Phi, eigen = eval_basis(basis, S), basis.eigen
     m, t = S.shape[0], Tgt.shape[0]
-    dF = -2.0 * (S - F) / m
-    Kff, _, Kft = _mmd_terms(F, Tgt, h)
-    # d/dF of the V-statistic MMD^2; both slots of the ff term contribute
-    dmmd = (-2.0 / (m ** 2 * h ** 2)) * (Kff.sum(axis=1)[:, None] * F - Kff @ F) \
-        + (2.0 / (m * t * h ** 2)) * (Kft.sum(axis=1)[:, None] * F - Kft @ Tgt)
-    dF = dF + model.wasserstein_penalty * dmmd
-    return _gamma_scale(Phi.T @ dF, W.basis.eigen, W.gamma)
+    ktt = _gauss_kernel(Tgt, Tgt, h).mean()
+
+    def value(coeffs):
+        F = Phi @ _gamma_scale(coeffs, eigen, gamma)
+        disp = float(np.mean(np.sum((S - F) ** 2, axis=1)))
+        mmd2 = float(_gauss_kernel(F, F, h).mean() + ktt - 2.0 * _gauss_kernel(F, Tgt, h).mean())
+        return disp + penalty * mmd2
+
+    def grad(coeffs):
+        F = Phi @ _gamma_scale(coeffs, eigen, gamma)
+        dF = -2.0 * (S - F) / m
+        Kff, Kft = _gauss_kernel(F, F, h), _gauss_kernel(F, Tgt, h)
+        # d/dF of the V-statistic MMD^2; both slots of the ff term contribute
+        dmmd = (-2.0 / (m ** 2 * h ** 2)) * (Kff.sum(axis=1)[:, None] * F - Kff @ F) \
+            + (2.0 / (m * t * h ** 2)) * (Kft.sum(axis=1)[:, None] * F - Kft @ Tgt)
+        dF = dF + penalty * dmmd
+        return _gamma_scale(Phi.T @ dF, eigen, gamma)
+
+    return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,12 @@ def apply_A(coeffs, lam: float, eigen: EigenSequence):
     return _mode_scale(coeffs, lam / eigen.mu[: coeffs.shape[0]])
 
 
+def _resolvent_factor(eta, lam, mu):
+    """1/(1 + eta*lam/mu): the factor by which the implicit Euler step shrinks a mode of
+    eigenvalue ``mu`` (an array or a number)."""
+    return 1.0 / (1.0 + eta * lam / mu)
+
+
 def resolvent_S_eta(coeffs, eta: float, lam: float, eigen: EigenSequence):
     """Resolvent of the implicit Euler step: mode k shrinks by 1/(1 + eta*lam/mu_k)."""
     if eta < 0:
@@ -178,7 +184,7 @@ def resolvent_S_eta(coeffs, eta: float, lam: float, eigen: EigenSequence):
     if lam <= 0:
         raise ValueError("lam must be positive")
     coeffs = _check_modes(coeffs, eigen)
-    return _mode_scale(coeffs, 1.0 / (1.0 + eta * lam / eigen.mu[: coeffs.shape[0]]))
+    return _mode_scale(coeffs, _resolvent_factor(eta, lam, eigen.mu[: coeffs.shape[0]]))
 
 
 def sample_prior(spec: GaussianMeasureSpec, basis: SpectralBasis, rng: np.random.Generator, d_out: Optional[int] = None):

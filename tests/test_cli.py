@@ -326,6 +326,24 @@ def test_audit_subcommand(capsys):
     assert rc == 2
 
 
+def test_audit_reads_the_setup_of_the_preset_and_its_overrides(tmp_path, capsys):
+    def audit(preset, overrides=None):
+        cfg = _write_cfg(tmp_path, {"preset": preset, "overrides": overrides or {}})
+        assert cli.main(["audit", "--config", cfg]) == 0
+        return capsys.readouterr().out
+
+    # ergodicity trains on the linear-Gaussian setup with 4 modes and n = 24: posterior-validate
+    # with those two overrides has the same setup, and its own defaults (8 modes, n = 50) another
+    ergodicity = audit("ergodicity")
+    assert audit("posterior-validate", {"n_modes": 4, "n": 24}) == ergodicity
+    assert audit("posterior-validate") != ergodicity
+    assert audit("stepsize-bias") != ergodicity                  # 3 modes
+    for preset, overrides in (("classification-rate", {"n": 120}),
+                              ("regression-rate", {"n": 64}),
+                              ("finite-width-demo", {"n": 24})):
+        assert audit(preset, overrides) != audit(preset), preset
+
+
 _FOOTPRINT_PROBE = """
 import json, sys
 from pathlib import Path

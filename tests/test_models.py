@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -380,23 +381,6 @@ def test_two_layer_objective_equals_the_reference_bit_for_bit(activation, gamma,
             assert md.empirical_risk(model, W, loss, data) == expected
 
 
-def test_two_layer_gradient_and_forward_read_the_basis_of_the_map():
-    # the map carries its basis; the model's own, or none at all, does not matter
-    rng = np.random.default_rng(17)
-    w, a = rng.standard_normal((5, 2)), rng.uniform(-1, 1, 5)
-    model = _cloud_model(w, a, bandwidth=1.0)
-    bare = md.ModelSpec(arch="two-layer", cloud=model.cloud, clip=model.clip)
-    other = gram_eigenbasis(model.cloud, 0.5, 5)       # same mode count, other modes
-    data = md.Dataset(x=rng.standard_normal((7, 2)) * 0.5, y=rng.standard_normal(7))
-    for gamma in (0.0, 1.0):
-        W = md.TransportMap(coeffs=rng.standard_normal((5, 3)), basis=other, gamma=gamma)
-        ref_g = _reference_two_layer_gradient(model, W, data, "squared")
-        ref_f = _reference_two_layer_forward(model, W, data.x)
-        for spec in (model, bare):
-            np.testing.assert_array_equal(md.gradient(spec, W, data, "squared"), ref_g)
-            np.testing.assert_array_equal(md.forward(spec, W, data.x), ref_f)
-
-
 def test_input_bound_warns_on_values_not_on_gradients():
     import warnings
 
@@ -470,3 +454,186 @@ def test_identity_map_objective_equals_the_reference_bit_for_bit(gamma, loss):
             np.testing.assert_array_equal(grad(c), g)
             np.testing.assert_array_equal(md.gradient(model, W, data, loss), g)
             assert value(c) == ref_value(c)
+
+
+# The resnet forward and gradient and the wasserstein objective and gradient as they were
+# written before one objective per architecture was built: one self-contained pass per call.
+def _reference_resnet_forward(model, W, X):
+    d, T, R = model.cloud.dim, model.resnet_blocks, model.clip.R
+    act = np.tanh if model.clip.activation == "tanh" else (lambda z: np.logaddexp(0.0, z))
+    E = md._cloud_features(model, W.basis)
+    C = W.effective_coeffs().reshape(W.basis.n_modes, T, d)
+    omega, a_vec = model.cloud.weights, model.cloud.a_vec
+    z = X
+    cache = []
+    for t in range(T):
+        V = E @ C[:, t, :]
+        Vb = md.clip(V, R)
+        P = z @ Vb.T
+        S = act(P)
+        cache.append((z, V, Vb, P, S))
+        z = z + (S * omega[None, :]) @ a_vec
+    return z, cache
+
+
+def _reference_resnet_gradient(model, W, dataset, loss_kind):
+    X = np.asarray(dataset.x, dtype=float)
+    n = X.shape[0]
+    d, T, R = model.cloud.dim, model.resnet_blocks, model.clip.R
+    if model.clip.activation == "tanh":
+        actd = lambda z, a: 1.0 - a ** 2
+    else:
+        actd = lambda z, a: 1.0 / (1.0 + np.exp(-z))
+    E = md._cloud_features(model, W.basis)
+    omega, a_vec = model.cloud.weights, model.cloud.a_vec
+    u = np.full(d, 1.0 / np.sqrt(d))
+    z_out, cache = _reference_resnet_forward(model, W, X)
+    lp = md.loss_eval_derivs(loss_kind, dataset.y, z_out @ u, 1)
+    G = (lp[:, None] / n) * u[None, :]
+    dC = np.zeros((W.basis.n_modes, T, d))
+    for t in range(T - 1, -1, -1):
+        z_in, V, Vb, P, S = cache[t]
+        Q = (G @ a_vec.T) * actd(P, S)
+        dV = (Q.T @ z_in) * omega[:, None] * md.clip_deriv(V, R)
+        dC[:, t, :] = E.T @ dV
+        G = G + (Q * omega[None, :]) @ Vb
+    return md._gamma_scale(dC.reshape(W.basis.n_modes, T * d), W.basis.eigen, W.gamma)
+
+
+def _reference_mmd_terms(A, B, h):
+    def k(u, v):
+        sq = np.sum(u ** 2, axis=1)[:, None] + np.sum(v ** 2, axis=1)[None, :] - 2.0 * u @ v.T
+        return np.exp(-np.maximum(sq, 0.0) / (2.0 * h ** 2))
+    return k(A, A), k(B, B), k(A, B)
+
+
+def _reference_wasserstein_objective(W, S, Tgt, penalty, h):
+    F = eval_basis(W.basis, S) @ W.effective_coeffs()
+    disp = float(np.mean(np.sum((S - F) ** 2, axis=1)))
+    Kff, Ktt, Kft = _reference_mmd_terms(F, Tgt, h)
+    return disp + penalty * float(Kff.mean() + Ktt.mean() - 2.0 * Kft.mean())
+
+
+def _reference_wasserstein_gradient(model, W, S, Tgt):
+    h = model.mmd_bandwidth
+    Phi = eval_basis(W.basis, S)
+    F = Phi @ W.effective_coeffs()
+    m, t = S.shape[0], Tgt.shape[0]
+    dF = -2.0 * (S - F) / m
+    Kff, _, Kft = _reference_mmd_terms(F, Tgt, h)
+    dmmd = (-2.0 / (m ** 2 * h ** 2)) * (Kff.sum(axis=1)[:, None] * F - Kff @ F) \
+        + (2.0 / (m * t * h ** 2)) * (Kft.sum(axis=1)[:, None] * F - Kft @ Tgt)
+    dF = dF + model.wasserstein_penalty * dmmd
+    return md._gamma_scale(Phi.T @ dF, W.basis.eigen, W.gamma)
+
+
+def _reference(model, W, data, loss):
+    """The reference forward on ``data.x``, gradient and empirical risk, the map over W.basis."""
+    spec = md.attach_basis(model, W.basis)
+    if model.arch == "wasserstein":
+        f = eval_basis(W.basis, data.x) @ W.effective_coeffs()
+        return (f, _reference_wasserstein_gradient(spec, W, data.x, data.y),
+                _reference_wasserstein_objective(W, data.x, data.y, model.wasserstein_penalty,
+                                                 model.mmd_bandwidth))
+    if model.arch == "identity-map":
+        f = eval_basis(W.basis, data.x) @ W.effective_coeffs()[:, 0]
+        g = _reference_identity_objective(spec, loss, data, W.gamma)[1](W.coeffs)
+    elif model.arch == "two-layer":
+        f = _reference_two_layer_forward(spec, W, data.x)
+        g = _reference_two_layer_gradient(spec, W, data, loss)
+    else:
+        d = model.cloud.dim
+        f = _reference_resnet_forward(spec, W, data.x)[0] @ np.full(d, 1.0 / np.sqrt(d))
+        g = _reference_resnet_gradient(spec, W, data, loss)
+    return f, g, float(np.mean(md.loss_eval_derivs(loss, data.y, f, 0)))
+
+
+def _arch_case(arch, rng, activation="tanh", n=7):
+    """A small ``arch`` model whose features go through eval_basis, n data points, and the
+    coefficient shape of its maps.  The networks' basis is anchored on a larger cloud than
+    their own, so even their cloud features are a Nystrom evaluation."""
+    if arch == "identity-map":
+        model = md.ModelSpec(arch=arch, basis=cosine_basis(5, dim_in=1))
+        return model, md.Dataset(x=rng.uniform(0, 1, (n, 1)), y=rng.standard_normal(n)), (5, 1)
+    if arch == "wasserstein":
+        src = rng.standard_normal((n, 2))
+        cloud = md.finite_width_cloud(src, np.zeros(n))
+        k = min(n, 8)
+        model = md.ModelSpec(arch=arch, cloud=cloud, basis=gram_eigenbasis(cloud, 1.2, k, False),
+                             wasserstein_penalty=0.8, mmd_bandwidth=1.1)
+        return model, md.Dataset(x=src, y=rng.standard_normal((n + 3, 2)) + 0.5), (k, 2)
+    M, d, resnet = 5, 2, arch == "resnet"
+    a_vec = rng.standard_normal((M, d)) / np.sqrt(d) if resnet else None
+    cloud = md.finite_width_cloud(rng.standard_normal((M, d)), rng.uniform(-1, 1, M), a_vec=a_vec)
+    anchors = md.finite_width_cloud(rng.standard_normal((M + 3, d)), rng.uniform(-1, 1, M + 3))
+    model = md.ModelSpec(arch=arch, cloud=cloud,
+                         clip=md.ClipConfig(R=2.0, activation=activation, input_bound_D=4.0),
+                         basis=gram_eigenbasis(anchors, 1.0, M, include_a=not resnet),
+                         resnet_blocks=3 if resnet else 0)
+    data = md.Dataset(x=rng.standard_normal((n, d)) * 0.5, y=rng.standard_normal(n))
+    return model, data, (M, 3 * d if resnet else d + 1)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("arch,activation", [("resnet", "tanh"), ("resnet", "smoothed-relu"),
+                                             ("wasserstein", "tanh")])
+def test_resnet_and_wasserstein_objectives_equal_the_reference_bit_for_bit(arch, activation,
+                                                                            gamma):
+    rng = np.random.default_rng([md.ARCHS.index(arch), int(activation == "tanh"), int(gamma)])
+    for n in (1, 2, 17, 64):
+        model, data, shape = _arch_case(arch, rng, activation, n)
+        value, grad = md.risk_objective(model, "squared", data, gamma)
+        for _ in range(3):
+            W = md.TransportMap(coeffs=rng.standard_normal(shape) * 0.7, basis=model.basis,
+                                gamma=gamma)
+            ref_f, ref_g, ref_risk = _reference(model, W, data, "squared")
+            np.testing.assert_array_equal(md.forward(model, W, data.x), ref_f)
+            np.testing.assert_array_equal(grad(W.coeffs), ref_g)
+            np.testing.assert_array_equal(md.gradient(model, W, data, "squared"), ref_g)
+            assert value(W.coeffs) == ref_risk
+            assert md.empirical_risk(model, W, "squared", data) == ref_risk
+            if arch == "wasserstein":
+                assert md.wasserstein_objective(W, data.x, data.y, model.wasserstein_penalty,
+                                                model.mmd_bandwidth) == ref_risk
+
+
+def test_forward_and_gradient_read_the_basis_of_the_map():
+    # the map carries its basis; the model's own, or none at all, does not matter
+    rng = np.random.default_rng(17)
+    for arch in md.ARCHS:
+        model, data, shape = _arch_case(arch, rng)
+        if arch == "identity-map":                      # same mode count, other modes
+            points = md.finite_width_cloud(rng.uniform(0, 1, (5, 1)), np.zeros(5))
+            other = gram_eigenbasis(points, 0.5, 5, include_a=False)
+        else:
+            other = gram_eigenbasis(model.cloud, 0.5, shape[0],
+                                    include_a=model.basis.dim_in > model.cloud.dim)
+        bare = dataclasses.replace(model, basis=None)
+        for gamma in (0.0, 1.0):
+            W = md.TransportMap(coeffs=rng.standard_normal(shape), basis=other, gamma=gamma)
+            ref_f, ref_g, ref_risk = _reference(model, W, data, "squared")
+            for spec in (model, bare):
+                np.testing.assert_array_equal(md.forward(spec, W, data.x), ref_f, arch)
+                np.testing.assert_array_equal(md.gradient(spec, W, data, "squared"), ref_g, arch)
+                assert md.empirical_risk(spec, W, "squared", data) == ref_risk, arch
+
+
+@pytest.mark.parametrize("arch", md.ARCHS)
+def test_risk_objective_evaluates_features_when_built_only(arch, monkeypatch):
+    calls = []
+
+    def counted(basis, x):
+        calls.append(basis)
+        return eval_basis(basis, x)
+
+    monkeypatch.setattr(md, "eval_basis", counted)
+    rng = np.random.default_rng(18)
+    model, data, shape = _arch_case(arch, rng)
+    value, grad = md.risk_objective(model, "squared", data)
+    built = len(calls)
+    assert built >= 1
+    for _ in range(3):
+        c = rng.standard_normal(shape)
+        value(c)
+        grad(c)
+    assert len(calls) == built
