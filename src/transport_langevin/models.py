@@ -382,18 +382,22 @@ def _passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray)
 def _identity_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
     """The map itself, f = W(x) = Phi(x) . coeffs, with Phi evaluated on ``X`` once."""
     Phi = eval_basis(basis, X)
-    PhiT, eigen = Phi.T, basis.eigen
+    PhiT, eigen, scaled = Phi.T, basis.eigen, gamma != 0.0
     # n as a 0-d array: numpy converts a Python-number operand again on every call
     n = np.array(float(Phi.shape[0]))
 
-    # .dot: the same BLAS products as @, with less dispatch per call
+    # .dot: the same BLAS products as @, with less dispatch per call; a linear chain
+    # step is a few µs, so gamma is tested here rather than in a call to _gamma_scale
     def fwd(coeffs):
-        return Phi.dot(_gamma_scale(coeffs, eigen, gamma)[:, 0]), None
+        if scaled:
+            coeffs = fractional_power_scale(coeffs, eigen, gamma)
+        return Phi.dot(coeffs[:, 0]), None
 
     def back(cache, lp):
         g = PhiT.dot(lp)
         g /= n                                          # in place: g is this call's own array
-        return _gamma_scale(g[:, None], eigen, gamma)
+        g = g[:, None]
+        return fractional_power_scale(g, eigen, gamma) if scaled else g
 
     return fwd, back
 
