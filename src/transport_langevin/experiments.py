@@ -3,7 +3,7 @@
 Every preset is a pure function of (seed, overrides) returning a structured
 result with per-criterion pass/fail lines and a results table; the command
 line wraps them with CSV artifacts and exit codes, and the acceptance suite
-calls them directly.
+runs the same presets and sweeps.
 """
 
 from __future__ import annotations
@@ -202,10 +202,6 @@ def _two_layer_setup(rng, M=8, d=2, R=2.0, D=1.0, bandwidth=1.0):
     return md.attach_basis(model, basis)
 
 
-def _kept_maps(traj, basis, stride=1):
-    return [md.TransportMap(coeffs=c, basis=basis) for c in traj.coeffs[::stride]]
-
-
 # ---------------------------------------------------------------------------
 # preset: posterior-validate
 # ---------------------------------------------------------------------------
@@ -288,45 +284,29 @@ def ou_moment(seed=0, overrides=None):
 # preset: stepsize-bias
 # ---------------------------------------------------------------------------
 
-def _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept):
-    """Rows [eta, E||W||^2, stderr, bias], biases against one eta_min/8 reference
-    chain, the reference and the fit row of the biases over eta."""
-    rng = np.random.default_rng(seed)
-    basis, model, data, _ = _linear_gaussian_setup(rng, n_modes, n)
-    eta_ref = min(etas) / 8.0
-
-    def run(eta, steps, chain_seed):
-        burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
-        cfg = lg.DynamicsConfig(eta=eta, beta=beta, lam=lam, n_modes=n_modes,
-                                steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
-        sq = np.sum(lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0] ** 2, axis=1)
-        return float(sq.mean()), orc.batch_means_stderr(sq)
-
-    ref_mean, ref_se = run(eta_ref, ref_kept, seed + 1)
-    rows = []
-    for i, eta in enumerate(sorted(etas, reverse=True)):
-        m, se = run(eta, kept, seed + 2 + i)
-        rows.append([eta, m, se, abs(m - ref_mean)])
-    fit = _fit_row(_BIAS_FIT, [r[0] for r in rows], [r[3] for r in rows])
-    return rows, (ref_mean, ref_se, eta_ref), fit
-
-
-def stepsize_bias_suite(seed=0, etas=(0.2, 0.1, 0.05, 0.025), n_modes=3, n=24,
-                        beta=1.0, lam=4.0, kept=300_000, ref_kept=1_200_000):
+def stepsize_bias(seed=0, overrides=None):
     """Discretization bias of E||W||^2 against one small-step reference chain.
 
     The reference runs at eta_min/8; the biases over the eta grid are fitted
     log-log and the slope is the measured discretization order.
     """
-    rows, ref, fit = _stepsize_bias_rows(seed, etas, n_modes, n, beta, lam, kept, ref_kept)
-    return fit[2], rows, ref
-
-
-def stepsize_bias(seed=0, overrides=None):
     p = _merged(PRESET_DEFAULTS["stepsize-bias"], overrides or {}, "stepsize-bias")
-    rows, _, (_, _, slope, ok) = _stepsize_bias_rows(seed, p["etas"], p["n_modes"], p["n"],
-                                                     p["beta"], p["lam"], p["kept"],
-                                                     p["ref_kept"])
+    rng = np.random.default_rng(seed)
+    _, model, data, _ = _linear_gaussian_setup(rng, p["n_modes"], p["n"])
+
+    def run(eta, steps, chain_seed):
+        burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
+        cfg = lg.DynamicsConfig(eta=eta, beta=p["beta"], lam=p["lam"], n_modes=p["n_modes"],
+                                steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
+        sq = np.sum(lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0] ** 2, axis=1)
+        return float(sq.mean()), orc.batch_means_stderr(sq)
+
+    ref_mean, _ = run(min(p["etas"]) / 8.0, p["ref_kept"], seed + 1)
+    rows = []
+    for i, eta in enumerate(sorted(p["etas"], reverse=True)):
+        m, se = run(eta, p["kept"], seed + 2 + i)
+        rows.append([eta, m, se, abs(m - ref_mean)])
+    _, _, slope, ok = _fit_row(_BIAS_FIT, [r[0] for r in rows], [r[3] for r in rows])
     crit = CriterionResult("stepsize-bias-slope", ok is True, slope,
                            "in [0.4, 1.2]", "log-log slope of |E||W||^2 - reference|")
     return ExperimentResult("stepsize-bias", seed, [crit],
@@ -585,18 +565,6 @@ def regression_rate(seed=0, overrides=None):
                             extras={"excess_risk": excess, "n": n})
 
 
-def regression_rate_sweep(seed=0, ns=(64, 128, 256, 512, 1024), overrides=None):
-    """Full sample-size sweep with the fitted excess-risk slope."""
-    results, (_, _, slope, ok) = sweep("regression-rate", "n", ns, seed, overrides)
-    crit = CriterionResult("regression-rate-slope", ok is True, slope, "<= -0.5",
-                           f"log-log excess risk over n in {list(ns)}")
-    return ExperimentResult("regression-rate", seed, [crit],
-                            ["n", "excess_risk", "final_train_loss"],
-                            [r.table_rows[0] for r in results],
-                            extras={"slope": slope,
-                                    "risks": [r.extras["excess_risk"] for r in results]})
-
-
 # ---------------------------------------------------------------------------
 # preset: classification-rate
 # ---------------------------------------------------------------------------
@@ -629,7 +597,8 @@ def _classification_task(seed, n_modes=6, margin_amp=4.5, n=300):
 
 
 def classification_rate(seed=0, overrides=None):
-    """Misclassification probability of posterior samples at one temperature."""
+    """Misclassification probability of posterior samples at one temperature; the
+    criterion audits the task's low-noise margin, min |P(Y=1|x) - 1/2| >= 0.3."""
     p = _merged(PRESET_DEFAULTS["classification-rate"], overrides or {}, "classification-rate")
     model, data, grid, probs_grid, bayes = _classification_task(seed, int(p["n_modes"]),
                                                                 p["margin_amp"], int(p["n"]))
@@ -639,32 +608,14 @@ def classification_rate(seed=0, overrides=None):
                             n_modes=model.basis.n_modes, steps=int(p["steps"]),
                             burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=seed)
     traj = lg.run_chain(cfg, model, "logistic", data, init="zero")
-    maps = _kept_maps(traj, model.basis)
+    maps = [md.TransportMap(coeffs=c, basis=model.basis) for c in traj.coeffs]
     err = an.classification_error_prob(maps, model, bayes, grid)
     rows = [[beta, err, noise_gap, len(maps)]]
-    return ExperimentResult("classification-rate", seed, [],
+    crit = CriterionResult("classification-low-noise-audit", noise_gap >= 0.3, noise_gap,
+                           ">= 0.3", "min |P(Y=1|x) - 1/2| on the generator grid")
+    return ExperimentResult("classification-rate", seed, [crit],
                             ["beta", "error_prob", "low_noise_gap", "n_samples"], rows,
                             extras={"error_prob": err, "beta": beta, "low_noise_gap": noise_gap})
-
-
-def classification_rate_sweep(seed=0, betas=(25.0, 50.0, 100.0, 200.0), overrides=None):
-    """Temperature sweep with the low-noise audit and the exponential-rate fit."""
-    results, (_, name, measured, ok) = sweep("classification-rate", "beta", betas, seed,
-                                             overrides)
-    gap = results[-1].extras["low_noise_gap"]
-    detail = {"log-error-beta": "error probability exactly 0 at the largest beta",
-              "zero-error-below-max-beta": "zero error at a smaller beta only"}.get(
-                  name, "correlation of log error vs beta")
-    criteria = [
-        CriterionResult("classification-low-noise-audit", gap >= 0.3, gap, ">= 0.3",
-                        "min |P(Y=1|x) - 1/2| on the generator grid"),
-        CriterionResult("classification-exp-rate", ok is True, measured,
-                        "log-error/beta correlation <= -0.9 or exact 0 at max beta", detail),
-    ]
-    return ExperimentResult("classification-rate", seed, criteria,
-                            ["beta", "error_prob", "low_noise_gap", "n_samples"],
-                            [r.table_rows[0] for r in results],
-                            extras={"errors": [r.extras["error_prob"] for r in results]})
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .losses import loss_eval_derivs
-from .spectral import (EigenSequence, SpectralBasis, eval_basis,
+from .spectral import (EigenSequence, SpectralBasis, _gaussian_kernel, eval_basis,
                        fractional_power_scale)
 
 __all__ = [
@@ -186,7 +186,6 @@ class ModelSpec:
     clip: ClipConfig = ClipConfig()
     basis: Optional[SpectralBasis] = None
     resnet_blocks: int = 0
-    resnet_readout: Optional[np.ndarray] = None
     wasserstein_penalty: float = 1.0
     mmd_bandwidth: float = 1.0
 
@@ -249,7 +248,7 @@ def map_output_dim(model: ModelSpec) -> int:
 
 def attach_basis(model: ModelSpec, basis: SpectralBasis) -> ModelSpec:
     return ModelSpec(arch=model.arch, cloud=model.cloud, clip=model.clip, basis=basis,
-                     resnet_blocks=model.resnet_blocks, resnet_readout=model.resnet_readout,
+                     resnet_blocks=model.resnet_blocks,
                      wasserstein_penalty=model.wasserstein_penalty,
                      mmd_bandwidth=model.mmd_bandwidth)
 
@@ -441,28 +440,27 @@ def _two_layer_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: n
 
 
 def _resnet_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
-    """T residual blocks z <- z + sum_m weight_m act(z . clip(V_m)) a_m, read out along u.
-
-    Block t reads columns t*d..(t+1)*d of the map values at the cloud.
+    """T residual blocks z <- z + sum_m weight_m act(z . clip(V_m)) a_m, read out along
+    u = 1/sqrt(d).  Block t reads columns t*d..(t+1)*d of the map values at the cloud;
+    ``th = tanh(V/R)`` gives both the clip R*th and its derivative 1 - th^2.
     """
     n, T, d = X.shape[0], model.resnet_blocks, model.cloud.dim
     R = model.clip.R
     act, actd = _activation(model.clip.activation)
     E = _cloud_features(model, basis)
     omega, a_vec, eigen = model.cloud.weights, model.cloud.a_vec, basis.eigen
-    u = np.full(d, 1.0 / np.sqrt(d)) if model.resnet_readout is None \
-        else np.asarray(model.resnet_readout, dtype=float)
+    u = np.full(d, 1.0 / np.sqrt(d))
 
     def fwd(coeffs):
         C = _gamma_scale(coeffs, eigen, gamma).reshape(basis.n_modes, T, d)
         z = X
         cache = []
         for t in range(T):
-            V = E @ C[:, t, :]                        # (M, d)
-            Vb = clip(V, R)
+            th = np.tanh(E @ C[:, t, :] / R)          # (M, d)
+            Vb = R * th                               # clip(V, R)
             P = z @ Vb.T                              # (n, M)
             S = act(P)
-            cache.append((z, V, Vb, P, S))
+            cache.append((z, th, Vb, P, S))
             z = z + (S * omega[None, :]) @ a_vec
         return z @ u, cache
 
@@ -470,9 +468,9 @@ def _resnet_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.n
         G = (lp[:, None] / n) * u[None, :]            # adjoint after the last block
         dC = np.zeros((basis.n_modes, T, d))
         for t in range(T - 1, -1, -1):
-            z_in, V, Vb, P, S = cache[t]
+            z_in, th, Vb, P, S = cache[t]
             Q = (G @ a_vec.T) * actd(P, S)            # (n, M)
-            dV = (Q.T @ z_in) * omega[:, None] * clip_deriv(V, R)
+            dV = (Q.T @ z_in) * omega[:, None] * (_ONE - th ** 2)
             dC[:, t, :] = E.T @ dV
             G = G + (Q * omega[None, :]) @ Vb
         return _gamma_scale(dC.reshape(basis.n_modes, T * d), eigen, gamma)
@@ -511,11 +509,6 @@ def lipschitz_gap(model: ModelSpec, W: TransportMap, W2: TransportMap, x_grid) -
 # soft transport objective
 # ---------------------------------------------------------------------------
 
-def _gauss_kernel(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    sq = np.sum(u ** 2, axis=1)[:, None] + np.sum(v ** 2, axis=1)[None, :] - 2.0 * u @ v.T
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * h ** 2))
-
-
 def wasserstein_objective(W: TransportMap, source_samples, target_samples,
                           penalty: float, mmd_bandwidth: float = 1.0) -> float:
     """Mean squared displacement plus a kernel-discrepancy pushforward penalty.
@@ -538,18 +531,19 @@ def _transport_objective(basis: SpectralBasis, gamma: float, source_samples, tar
         raise ValueError("both sample sets must be non-empty")
     Phi, eigen = eval_basis(basis, S), basis.eigen
     m, t = S.shape[0], Tgt.shape[0]
-    ktt = _gauss_kernel(Tgt, Tgt, h).mean()
+    ktt = _gaussian_kernel(Tgt, Tgt, h).mean()
 
     def value(coeffs):
         F = Phi @ _gamma_scale(coeffs, eigen, gamma)
         disp = float(np.mean(np.sum((S - F) ** 2, axis=1)))
-        mmd2 = float(_gauss_kernel(F, F, h).mean() + ktt - 2.0 * _gauss_kernel(F, Tgt, h).mean())
+        mmd2 = float(_gaussian_kernel(F, F, h).mean() + ktt
+                     - 2.0 * _gaussian_kernel(F, Tgt, h).mean())
         return disp + penalty * mmd2
 
     def grad(coeffs):
         F = Phi @ _gamma_scale(coeffs, eigen, gamma)
         dF = -2.0 * (S - F) / m
-        Kff, Kft = _gauss_kernel(F, F, h), _gauss_kernel(F, Tgt, h)
+        Kff, Kft = _gaussian_kernel(F, F, h), _gaussian_kernel(F, Tgt, h)
         # d/dF of the V-statistic MMD^2; both slots of the ff term contribute
         dmmd = (-2.0 / (m ** 2 * h ** 2)) * (Kff.sum(axis=1)[:, None] * F - Kff @ F) \
             + (2.0 / (m * t * h ** 2)) * (Kft.sum(axis=1)[:, None] * F - Kft @ Tgt)

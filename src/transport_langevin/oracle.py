@@ -53,8 +53,7 @@ class GaussianPosterior:
         return np.diag(self.covariance)
 
 
-def conjugate_posterior(basis, feature_matrix, y, beta: float, lam: float,
-                        eigen=None) -> GaussianPosterior:
+def conjugate_posterior(basis, feature_matrix, y, beta: float, lam: float) -> GaussianPosterior:
     """Gaussian invariant measure of the coefficient-linear squared-loss model.
 
     The empirical risk (1/n) * sum (y_i - (Phi alpha)_i)^2 carries curvature
@@ -62,8 +61,7 @@ def conjugate_posterior(basis, feature_matrix, y, beta: float, lam: float,
     beta * (2/n * Phi^T Phi + lam * diag(1/mu)); completing the square gives
     the mean.  With no data the posterior is the reference measure itself.
     """
-    if eigen is None:
-        eigen = basis.eigen
+    eigen = basis.eigen
     Phi = np.asarray(feature_matrix, dtype=float)
     if Phi.ndim != 2:
         raise ValueError("feature matrix must be 2-d")
@@ -96,16 +94,15 @@ def finite_diff_grad(model, loss_kind, dataset, W, step: float = 1e-5) -> np.nda
     """Central differences of the empirical risk per coefficient, O(step^2)."""
     if step <= 0:
         raise ValueError("step must be positive")
-    base = W.coeffs.copy()
+    value, _ = _models._objective(model, W.basis, W.gamma, loss_kind, dataset)
+    base = W.coeffs
     out = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         c_plus = base.copy()
         c_plus[idx] += step
         c_minus = base.copy()
         c_minus[idx] -= step
-        lp = _models.empirical_risk(model, W.copy_with(c_plus), loss_kind, dataset)
-        lm = _models.empirical_risk(model, W.copy_with(c_minus), loss_kind, dataset)
-        out[idx] = (lp - lm) / (2.0 * step)
+        out[idx] = (value(c_plus) - value(c_minus)) / (2.0 * step)
     return out
 
 

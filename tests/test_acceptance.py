@@ -49,11 +49,14 @@ def test_criterion_03_stepsize_bias_order():
     # bias of E||W||^2 vs the eta_min/8 reference over eta in {0.2,...,0.025};
     # log-log slope within [0.4, 1.2]
     t0 = time.time()
-    slope, rows, (ref_mean, ref_se, eta_ref) = ex.stepsize_bias_suite(seed=0)
+    res = ex.run_preset("stepsize-bias", seed=0)
     dt = time.time() - t0
-    ok = 0.4 <= slope <= 1.2 and dt <= 300.0
+    slope = res.extras["slope"]
+    eta_ref = min(ex.PRESET_DEFAULTS["stepsize-bias"]["etas"]) / 8.0
+    ok = res.passed and 0.4 <= slope <= 1.2 and dt <= 300.0
     _report("criterion-3 step-size bias order", ok,
             f"slope={slope:.3f} (in [0.4, 1.2]), ref eta={eta_ref:g}, {dt:.0f}s (<=300s)")
+    assert res.passed, res.criteria[0].line()
     assert 0.4 <= slope <= 1.2
     assert dt <= 300.0
 
@@ -121,14 +124,16 @@ def test_criterion_09_regression_fast_rate():
     # teacher-in-model clipped two-layer, n in {64..1024}, beta=n, lam=1/n;
     # fitted excess-risk slope <= -0.5
     t0 = time.time()
-    res = ex.regression_rate_sweep(seed=0)
+    results, (_, _, slope, verdict) = ex.sweep("regression-rate", "n", (64, 128, 256, 512, 1024),
+                                               seed=0)
     dt = time.time() - t0
-    slope = res.extras["slope"]
-    ok = slope <= -0.5 and dt <= 1200.0
+    risks = [r.extras["excess_risk"] for r in results]
+    ok = all(r.passed for r in results) and verdict is True and dt <= 1200.0
     _report("criterion-9 regression fast rate", ok,
-            f"slope={slope:.3f} (<=-0.5), risks={np.round(res.extras['risks'], 5).tolist()}, "
+            f"slope={slope:.3f} (<=-0.5), risks={np.round(risks, 5).tolist()}, "
             f"{dt:.0f}s (<=1200s)")
-    assert slope <= -0.5
+    assert all(r.passed for r in results)
+    assert verdict is True and slope <= -0.5
     assert dt <= 1200.0
 
 
@@ -137,14 +142,18 @@ def test_criterion_10_classification_exponential_rate():
     # log error-probability vs beta correlation <= -0.9, or exact zero at the
     # largest beta
     t0 = time.time()
-    res = ex.classification_rate_sweep(seed=0)
+    results, (_, name, measured, verdict) = ex.sweep("classification-rate", "beta",
+                                                     (25.0, 50.0, 100.0, 200.0), seed=0)
     dt = time.time() - t0
-    ok = res.passed and dt <= 1200.0
-    errs = res.extras["errors"]
+    ok = all(r.passed for r in results) and verdict is True and dt <= 1200.0
+    errs = [r.extras["error_prob"] for r in results]
     _report("criterion-10 classification exponential rate", ok,
-            f"error probs={errs}, audit and rate criteria hold, {dt:.0f}s (<=1200s)")
-    for c in res.criteria:
-        assert c.passed, c.line()
+            f"error probs={errs}, audit holds at every beta, fit {name}={measured:.3g}, "
+            f"{dt:.0f}s (<=1200s)")
+    for r in results:
+        for c in r.criteria:
+            assert c.passed, c.line()
+    assert verdict is True, (name, measured)
     assert dt <= 1200.0
 
 

@@ -256,23 +256,35 @@ def _csv_rows(path):
     return [line.split(",") for line in lines if not line.startswith("#")][1:]
 
 
-def test_sweep_matches_suite(tmp_path):
-    # the CLI sweep and the criterion-9 suite share one run loop and one fit
+def test_cli_sweep_matches_the_library_sweep(tmp_path):
+    # the CLI writes the runs and the fit row of experiments.sweep, and exits by the verdict
     overrides = {"steps": 1500, "burn_in": 500}
-    ns = (64, 128, 256, 512)
-    res = ex.regression_rate_sweep(seed=0, ns=ns, overrides=overrides)
+    ns = (64.0, 128.0, 256.0, 512.0)
+    results, fit = ex.sweep("regression-rate", "n", ns, seed=0, overrides=overrides)
     cfg = _write_cfg(tmp_path, {"preset": "regression-rate", "overrides": overrides})
     rc = cli.main(["sweep", "--config", cfg, "--axis", "n", "--seed", "0",
                    "--values", ",".join(map(str, ns)), "--out", str(tmp_path / "s")])
-    assert rc == (0 if res.passed else 1)
+    assert all(r.passed for r in results) and isinstance(fit[3], bool)
+    assert rc == (0 if fit[3] else 1)
     rows = _csv_rows(tmp_path / "s" / "regression-rate-sweep-n" / "sweep.csv")
     # sweep.csv columns: n, extra_excess_risk, extra_n
-    assert [[float(r[0]), float(r[1])] for r in rows[:-1]] == \
-        [[float(n), risk] for n, risk, _ in res.table_rows]
-    fit = rows[-1]
-    assert fit[:2] == ["fit", "excess-risk-slope"]
-    assert float(fit[2]) == res.extras["slope"]
-    assert fit[3] == str(res.criteria[0].passed)
+    assert rows[:-1] == [[cli._fmt(n), cli._fmt(r.extras["excess_risk"]), str(r.extras["n"])]
+                         for n, r in zip(ns, results)]
+    assert rows[-1] == [cli._fmt(v) for v in fit]
+    assert fit[1] == "excess-risk-slope"
+
+
+def test_classification_rate_fails_its_low_noise_audit_below_the_margin(tmp_path):
+    # the default margin 4.5 clears the 0.3 gap on the generator grid; a margin of 1 does not
+    budget = {"steps": 300, "burn_in": 100, "thin": 10}
+    for margin, code, status in ((4.5, 0, "PASS"), (1.0, 1, "FAIL")):
+        cfg = _write_cfg(tmp_path, {"preset": "classification-rate", "seed": 0,
+                                    "overrides": {**budget, "margin_amp": margin}})
+        out = tmp_path / f"m{margin}"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == code
+        report = (out / "classification-rate" / "report.txt").read_text()
+        assert f"[{status}] classification-low-noise-audit: measured=" in report
+    assert "measured=0.0870299 " in report
 
 
 def test_sweep_zero_error_below_max_beta_is_status_1(tmp_path, monkeypatch):
