@@ -271,6 +271,7 @@ def ou_moment(seed=0, overrides=None):
         zs.append(abs(z))
         bound_ok &= exact <= bound + 1e-15
         rows.append([g["eta"], g["beta"], g["lam"], g["n_modes"], sq.mean(), se, exact, bound, z])
+        del sq   # one trace alive at a time: free it before the next config simulates
     criteria = [
         CriterionResult("ou-moment-z", max(zs) <= 3.0, max(zs), "<= 3 per config",
                         "MC mean vs closed form over the 10-config grid"),
@@ -298,7 +299,8 @@ def stepsize_bias(seed=0, overrides=None):
         burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
         cfg = lg.DynamicsConfig(eta=eta, beta=p["beta"], lam=p["lam"], n_modes=p["n_modes"],
                                 steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
-        sq = np.sum(lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0] ** 2, axis=1)
+        c = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
+        sq = np.sum(np.square(c, out=c), axis=1)   # squared in place: no second record
         return float(sq.mean()), orc.batch_means_stderr(sq)
 
     ref_mean, _ = run(min(p["etas"]) / 8.0, p["ref_kept"], seed + 1)

@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import models as _models
+from . import oracle as _oracle
 from .spectral import EigenSequence, _resolvent_factor, project_P_N
 
 __all__ = [
@@ -132,10 +133,9 @@ class Trajectory:
 _BLOCK = 1024
 
 # simulate_ou_sq_norms: at most _OU_BLOCK steps per block, and s_min^-L <= e^_OU_MAX_LOG_GAIN
-# (finite in float64); about _OU_CHUNK_ROWS noise rows per draw
+# (finite in float64); each noise draw fills at most oracle._CHUNK floats
 _OU_BLOCK = 256
 _OU_MAX_LOG_GAIN = 600.0
-_OU_CHUNK_ROWS = 16_384
 
 
 def _implicit_euler(coeffs, g, eta, N: int, s_col, noise, out=None) -> np.ndarray:
@@ -292,10 +292,12 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     solved in blocks of L steps: step j of a block is
     s^j * cumsum_i(s^-i * s*amp*eps_i)_j + s^(j+1) * z_carry, with z_carry the
     last value of the previous block.  L keeps s_min^-L finite.  The noise is
-    drawn in chunks of whole blocks, the same numbers as one
-    (n_steps, n_modes) draw, so memory does not grow with n_steps.
+    drawn in chunks of whole blocks into one buffer of at most ``oracle._CHUNK``
+    floats (one block at least), the same numbers as one (n_steps, n_modes)
+    draw, so memory beyond the returned trace does not grow with n_steps.
+    Modes beyond ``len(eigen)`` are truncated, as in :meth:`DynamicsConfig._resolvent`.
     """
-    m = cfg.n_modes
+    m = min(cfg.n_modes, len(eigen))
     mu = eigen.mu[:m]
     s = _resolvent_factor(cfg.eta, cfg.lam, mu)
     amp = cfg.noise_amp
@@ -305,7 +307,7 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     gain_in = s * amp * s ** -j           # (L, m)
     gain_out = s ** j
     gain_carry = s ** (j + 1)
-    n_blocks = max(1, _OU_CHUNK_ROWS // L)
+    n_blocks = max(1, _oracle._CHUNK // (L * m))
     buf = np.empty((n_blocks, L, m))
     out = np.empty(n_steps)
     z = np.zeros(m)
@@ -314,7 +316,8 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
         nb = -(-rows // L)
         x = buf[:nb]
         flat = x.reshape(nb * L, m)
-        rng.standard_normal(out=flat[:rows])
+        y = flat[:rows]
+        rng.standard_normal(out=y)
         flat[rows:] = 0.0
         x *= gain_in
         np.cumsum(x, axis=1, out=x)
@@ -322,7 +325,7 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
         for b in range(nb):
             x[b] += gain_carry * z
             z = x[b, -1].copy()
-        out[start:start + rows] = np.sum(flat[:rows] ** 2, axis=1)
+        np.sum(np.square(y, out=y), axis=1, out=out[start:start + rows])
     return out
 
 

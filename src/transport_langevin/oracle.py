@@ -106,8 +106,8 @@ def finite_diff_grad(model, loss_kind, dataset, W, step: float = 1e-5) -> np.nda
     return out
 
 
-# elements per chunk of Monte-Carlo draws: the working buffer is this many floats,
-# whatever the sample count
+# elements per chunk of Monte-Carlo draws, here and in langevin.simulate_ou_sq_norms:
+# the working buffer is this many floats, whatever the sample or step count
 _CHUNK = 1 << 16
 
 

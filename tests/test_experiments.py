@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from transport_langevin import experiments as ex
+from transport_langevin import oracle as orc
 
 
 def test_unknown_override_rejected():
@@ -16,6 +19,19 @@ def test_preset_results_are_deterministic():
     b = ex.run_preset("ou-moment", seed=5)
     assert a.table_rows == b.table_rows
     assert a.extras == b.extras
+
+
+def test_ou_moment_holds_one_trace_at_a_time():
+    steps = ex.PRESET_DEFAULTS["ou-moment"]["steps"]
+    ex.run_preset("ou-moment", seed=0, overrides={"steps": 3000, "burn_in": 500})   # one-off state
+    tracemalloc.start()
+    try:
+        ex.run_preset("ou-moment", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one config's trace, the solver's chunk buffer and small change
+    assert peak <= 8 * steps + 8 * orc._CHUNK + (1 << 19), peak
 
 
 def test_overrides_change_the_run():

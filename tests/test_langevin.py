@@ -561,12 +561,13 @@ def _lfilter_sq_norms(cfg, eigen, n_steps, rng):
 @pytest.mark.parametrize("mu", [[1e9], [9.0], [1 / 49], [1e-7], [1e9, 9.0, 1 / 49, 1e-7]],
                          ids=["s=1-1e-9", "s=0.9", "s=0.02", "s=1e-7", "all-four"])
 def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
-    # eta = lam = 1 puts s = 1/(1 + 1/mu); 20,011 steps span two noise chunks and end
-    # inside a block whatever the block length
+    # eta = lam = 1 puts s = 1/(1 + 1/mu); a noise chunk holds at most _CHUNK rows, so
+    # _CHUNK + 1 = 65,537 steps span two chunks, and being prime they end inside a
+    # block whatever the block length
     # the reference runs the recursion at beta = 2, simulate_ou_sq_norms the chain at 2*beta
     eigen = EigenSequence(mu=np.array(mu), c_mu=max(mu[0], 1.0))
     cfg = lg.DynamicsConfig(eta=1.0, beta=2.0, lam=1.0, n_modes=len(mu))
-    n_steps = 20_011
+    n_steps = orc._CHUNK + 1
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
     sq = lg.simulate_ou_sq_norms(_at_twice_beta(cfg), eigen, n_steps, rng)
     ref = _lfilter_sq_norms(cfg, eigen, n_steps, rng_ref)
@@ -577,6 +578,46 @@ def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
     # taken relative to the largest ||Z|| so far
     err = np.abs(np.sqrt(sq) - np.sqrt(ref))
     assert np.all(err <= 1e-12 * np.sqrt(np.maximum.accumulate(ref)))
+
+
+def test_simulate_ou_sq_norms_is_the_same_trace_in_one_block_chunks(monkeypatch):
+    # the chunk bound only splits the draw: one block per chunk gives the same bits
+    eigen = make_eigen_sequence(1.0, 2.0, 5)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0, n_modes=5)
+    rng, rng_one = np.random.default_rng(8), np.random.default_rng(8)
+    sq = lg.simulate_ou_sq_norms(cfg, eigen, 3_001, rng)
+    monkeypatch.setattr(orc, "_CHUNK", 1)
+    one = lg.simulate_ou_sq_norms(cfg, eigen, 3_001, rng_one)
+    np.testing.assert_array_equal(sq, one)
+    assert rng.bit_generator.state == rng_one.bit_generator.state
+
+
+def test_simulate_ou_sq_norms_truncates_modes_beyond_the_eigen_sequence():
+    eigen = make_eigen_sequence(1.0, 2.0, 4)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0, lam=1.0, n_modes=4)
+    rng, rng_wide = np.random.default_rng(2), np.random.default_rng(2)
+    sq = lg.simulate_ou_sq_norms(cfg, eigen, 1_000, rng)
+    wide = lg.simulate_ou_sq_norms(dataclasses.replace(cfg, n_modes=8), eigen, 1_000, rng_wide)
+    np.testing.assert_array_equal(sq, wide)
+    assert rng.bit_generator.state == rng_wide.bit_generator.state
+
+
+def test_simulate_ou_sq_norms_working_memory_does_not_grow_with_the_step_count():
+    eigen = make_eigen_sequence(1.0, 2.0, 8)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0, n_modes=8)
+    rng = np.random.default_rng(0)
+    lg.simulate_ou_sq_norms(cfg, eigen, 1_000, rng)   # numpy's one-off state
+    extra = []
+    for n_steps in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            lg.simulate_ou_sq_norms(cfg, eigen, n_steps, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - 8 * n_steps)   # beyond the returned trace
+    assert max(extra) <= 8 * orc._CHUNK + (1 << 19), extra
+    assert abs(extra[1] - extra[0]) <= 4096, extra
 
 
 def test_ou_growth_is_monotone_toward_stationary():
