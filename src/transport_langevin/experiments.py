@@ -9,6 +9,7 @@ runs the same presets and sweeps.
 from __future__ import annotations
 
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -102,6 +103,8 @@ _SCHEDULES = {
 # over its steps, and the correlation oracle's covariance takes at least 2 samples
 _DECAY_FIT_POINTS = 4   # the fewest gaps analysis.fit_geometric_decay fits
 _INT_LOW = {"ergodicity": {"steps": _DECAY_FIT_POINTS}, "correlation-suite": {"n_samples": 2}}
+# the most coordinates oracle.gaussian_correlation_mc samples, its default dim_cap
+_CORRELATION_DIM_CAP = 16
 
 # lower limits (value, strict) of the float keys the chain and clip configs check
 _FLOAT_LOW = {"eta": (0.0, False), "etas": (0.0, False), "beta": (0.0, True),
@@ -115,7 +118,8 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
     integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
     >= 0, ``_INT_LOW`` where more is needed); list keys take non-empty lists
     of numbers, and stepsize-bias needs as many ``etas`` as its bias fit.  Float values must be finite and within
-    ``_FLOAT_LOW``, a preset's beta must exceed its eta, and ``_SCHEDULES`` holds.
+    ``_FLOAT_LOW``, a preset's beta must exceed its eta, correlation-suite's ``max_dim``
+    is at most ``_CORRELATION_DIM_CAP``, and ``_SCHEDULES`` holds.
     """
     out = dict(defaults)
     for key, val in overrides.items():
@@ -142,6 +146,10 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
     if preset == "stepsize-bias" and len(out["etas"]) < min_etas:
         raise ValueError(f"override 'etas' for preset 'stepsize-bias' needs at least "
                          f"{min_etas} step sizes for the bias fit, got {out['etas']!r}")
+    if preset == "correlation-suite" and out["max_dim"] > _CORRELATION_DIM_CAP:
+        raise ValueError(f"override 'max_dim' for preset 'correlation-suite' must be <= "
+                         f"{_CORRELATION_DIM_CAP}, the correlation oracle's dimension cap, "
+                         f"got {out['max_dim']!r}")
     eta_max = max([out.get("eta", 0.0)] + out.get("etas", []))
     # two presets run their chain at beta = n instead of a declared beta
     beta_key = "n" if preset in ("posterior-validate", "regression-rate") else "beta"
@@ -503,20 +511,50 @@ def bernstein_suite(seed=0, overrides=None):
 # preset: correlation-suite
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def correlation_suite(seed=0, overrides=None):
-    """Monte-Carlo probe of the product inequality for centered ellipsoids."""
+    """Monte-Carlo probe of the product inequality for centered ellipsoids.
+
+    Every pair's ``(dim, a, b)`` is drawn first from ``default_rng(seed)``;
+    pair i then samples from its own stream, child i of
+    ``SeedSequence(seed).spawn(n_pairs)``.  The pairs run in a thread pool of
+    one worker per usable CPU (most of their time is in random-number fills
+    and reductions that release the interpreter lock) and are collected in
+    pair order, so the rows depend on (seed, overrides) alone, whatever the
+    worker count; a pair's config and estimate do not depend on ``n_samples``
+    or ``n_pairs`` either.
+    """
+    # imported here: concurrent.futures loads logging, which the other presets never need
+    from concurrent.futures import ThreadPoolExecutor
+
     p = _merged(PRESET_DEFAULTS["correlation-suite"], overrides or {}, "correlation-suite")
+    n_pairs, n_samples = int(p["n_pairs"]), int(p["n_samples"])
     rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n_pairs):
+        dim = int(rng.integers(1, p["max_dim"] + 1))
+        a = rng.uniform(0, 8, dim) * rng.integers(0, 2, dim)
+        b = rng.uniform(0, 8, dim)
+        pairs.append((dim, a, b))
+    streams = np.random.SeedSequence(seed).spawn(n_pairs)
+
+    def estimate(pair, stream):
+        dim, a, b = pair
+        spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, dim))
+        return orc.gaussian_correlation_mc(spec, a, b, n_samples, np.random.default_rng(stream))
+
+    with ThreadPoolExecutor(max_workers=min(n_pairs, _usable_cpus())) as pool:
+        estimates = list(pool.map(estimate, pairs, streams))
     header = ["pair", "dim", "p_both", "p_product", "stderr", "margin_in_se"]
     rows = []
     ok_all = True
-    for i in range(int(p["n_pairs"])):
-        dim = int(rng.integers(1, p["max_dim"] + 1))
-        eigen = make_eigen_sequence(1.0, 2.0, dim)
-        spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=eigen)
-        a = rng.uniform(0, 8, dim) * rng.integers(0, 2, dim)
-        b = rng.uniform(0, 8, dim)
-        est = orc.gaussian_correlation_mc(spec, a, b, int(p["n_samples"]), rng)
+    for i, ((dim, _, _), est) in enumerate(zip(pairs, estimates)):
         margin = (est.p_both - est.p_product) / max(est.stderr, 1e-300)
         ok = est.p_both >= est.p_product - 3.0 * est.stderr
         ok_all &= ok

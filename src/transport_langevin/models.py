@@ -216,9 +216,10 @@ def clip_deriv(v, R: float):
 
 
 def _activation(name: str):
-    """The activation and its derivative ``actd(z, a)``, given ``a = act(z)``."""
+    """The activation and its derivative ``actd(z, a)``, given ``a = act(z)``; ``actd`` may
+    write its result into ``z``'s buffer, so ``z`` is spent after the call."""
     if name == "tanh":
-        return np.tanh, lambda z, a: _ONE - a ** 2
+        return np.tanh, lambda z, a: np.subtract(_ONE, np.square(a, out=z), out=z)
     # smoothed relu: softplus, 1-Lipschitz and smooth
     def sp(z):
         return np.logaddexp(0.0, z)
@@ -373,7 +374,8 @@ def _input_bound_warning(model: ModelSpec, X: np.ndarray):
 def _passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
     """The scalar predictor on the fixed inputs ``X`` (n, d), as closures of the raw
     coefficients of a map over ``basis``: ``fwd(coeffs) -> (f, cache)`` and
-    ``back(cache, lp) -> gradient``, with ``lp`` dloss/df at each input.
+    ``back(cache, lp) -> gradient``, with ``lp`` dloss/df at each input.  ``back``
+    may overwrite its cache, so each cache is passed to it once.
     """
     return _PASSES[model.arch](model, basis, gamma, X)
 
@@ -414,7 +416,8 @@ def _two_layer_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: n
     # .dot: the same BLAS products as @, with less dispatch per call
     def fwd(coeffs):
         V = E.dot(_gamma_scale(coeffs, eigen, gamma))   # (M, d+1) unclipped map values
-        t = np.tanh(V / R)
+        V /= R
+        t = np.tanh(V, out=V)
         Vb = R * t                                      # clip(V, R)
         Z = Vb[:, :-1].dot(XT)                          # (M, n) pre-activations
         S = act(Z)
@@ -424,16 +427,13 @@ def _two_layer_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: n
     def back(cache, lp):
         t, Z, S, w2 = cache
         Cd = _ONE - t ** 2
-        kernel = actd(Z, S)                             # (M, n), a new array
+        kernel = actd(Z, S)                             # (M, n), may be Z's buffer
         kernel *= lp
         dV = np.empty_like(t)
-        d1, d2 = dV[:, :-1], dV[:, -1]
-        np.multiply(w2[:, None], kernel.dot(X), out=d1)
-        d1 /= n
-        d1 *= Cd[:, :-1]
-        np.multiply(omega, S.dot(lp), out=d2)
-        d2 /= n
-        d2 *= Cd[:, -1]
+        np.multiply(w2[:, None], kernel.dot(X), out=dV[:, :-1])
+        np.multiply(omega, S.dot(lp), out=dV[:, -1])
+        dV /= n
+        dV *= Cd
         return _gamma_scale(ET.dot(dV), eigen, gamma)
 
     return fwd, back

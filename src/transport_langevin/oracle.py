@@ -107,8 +107,11 @@ def finite_diff_grad(model, loss_kind, dataset, W, step: float = 1e-5) -> np.nda
 
 
 # elements per chunk of Monte-Carlo draws, here and in langevin.simulate_ou_sq_norms:
-# the working buffer is this many floats, whatever the sample or step count
-_CHUNK = 1 << 16
+# the working buffer is this many floats, whatever the sample or step count.  Each of
+# correlation-suite's worker threads holds one such buffer and its temporaries: on the
+# two-layer-oracle benchmark (2 CPUs, two workers) 2^16 raised peak RSS by about 2.7 MB
+# over the serial suite, 2^14 by about 0.6 MB
+_CHUNK = 1 << 14
 
 
 def _squared_draws(sd: np.ndarray, n_samples: int, rng: np.random.Generator):

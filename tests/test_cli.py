@@ -138,6 +138,8 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "override 'steps' for preset 'ergodicity' must be an integer >= 4"),
     ({"preset": "correlation-suite", "overrides": {"n_samples": 1}},
      "override 'n_samples' for preset 'correlation-suite' must be an integer >= 2"),
+    ({"preset": "correlation-suite", "overrides": {"max_dim": 35}},
+     "override 'max_dim' for preset 'correlation-suite' must be <= 16"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
@@ -146,7 +148,8 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "classification-burn-in-takes-every-step", "finite-width-check-beyond-the-run",
         "ou-moment-burn-in-takes-every-step", "ou-moment-one-sample-no-stderr",
         "posterior-one-kept-no-stderr", "stepsize-bias-one-reference-sample",
-        "ergodicity-too-few-steps-for-the-decay-fit", "correlation-one-sample-no-covariance"])
+        "ergodicity-too-few-steps-for-the-decay-fit", "correlation-one-sample-no-covariance",
+        "correlation-dim-beyond-the-oracle-cap"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -372,6 +375,18 @@ for preset, overrides in json.loads(sys.argv[1]):
     seen[preset] = scipy_modules()
 print(json.dumps(seen))
 """
+
+
+def test_import_loads_no_thread_pool_module():
+    # correlation-suite imports concurrent.futures, and with it logging, when it runs;
+    # importing the package, as every benchmark set-up does, loads neither
+    src = str(Path(transport_langevin.__file__).resolve().parents[1])
+    probe = ("import sys, transport_langevin.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_import_and_squared_loss_presets_load_no_scipy(tmp_path):

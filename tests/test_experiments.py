@@ -1,3 +1,8 @@
+import concurrent.futures
+import inspect
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -116,3 +121,72 @@ def test_pac_bayes_check_rejects_a_schedule_that_records_nothing(monkeypatch):
                               ({"ref_steps": 4005, "thin": 10}, "'ref_steps'")):
         with pytest.raises(ValueError, match=needle):
             ex.pac_bayes_check(n_seeds=1, n=64, overrides=overrides)
+
+
+_SMALL_CORRELATION = {"n_pairs": 5, "n_samples": 20_000}
+
+
+def _pool_sizes(monkeypatch):
+    """Record the max_workers of every pool correlation-suite opens."""
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def test_correlation_suite_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    sizes = _pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = ex.run_preset("correlation-suite", seed=4, overrides=_SMALL_CORRELATION)
+    # more workers than this host has cores, switching threads as often as it can
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = ex.run_preset("correlation-suite", seed=4, overrides=_SMALL_CORRELATION)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [1, 4]
+    assert one.table_rows == four.table_rows
+    assert one.extras == four.extras
+
+
+def test_correlation_suite_counts_cpus_without_an_affinity_call(monkeypatch):
+    sizes = _pool_sizes(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    ex.run_preset("correlation-suite", seed=0, overrides={"n_pairs": 2, "n_samples": 2000})
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    ex.run_preset("correlation-suite", seed=0, overrides={"n_pairs": 2, "n_samples": 2000})
+    assert sizes == [2, 1]
+
+
+def test_correlation_suite_pair_configs_do_not_depend_on_the_sample_count():
+    # every pair's (dim, a, b) is drawn before any sample, and each pair samples its own stream
+    few = ex.run_preset("correlation-suite", seed=7, overrides={"n_pairs": 8, "n_samples": 2000})
+    more = ex.run_preset("correlation-suite", seed=7, overrides={"n_pairs": 8, "n_samples": 5000})
+    assert [r[1] for r in few.table_rows] == [r[1] for r in more.table_rows]
+    three = ex.run_preset("correlation-suite", seed=7, overrides={"n_pairs": 3, "n_samples": 2000})
+    five = ex.run_preset("correlation-suite", seed=7, overrides={"n_pairs": 5, "n_samples": 2000})
+    assert five.table_rows[:3] == three.table_rows
+
+
+def test_correlation_suite_leaves_no_thread_running():
+    baseline = threading.active_count()
+    ex.run_preset("correlation-suite", seed=0, overrides=_SMALL_CORRELATION)
+    assert threading.active_count() == baseline
+
+
+def test_correlation_suite_max_dim_is_capped_at_the_oracle_cap():
+    cap = inspect.signature(orc.gaussian_correlation_mc).parameters["dim_cap"].default
+    assert ex._CORRELATION_DIM_CAP == cap
+    res = ex.run_preset("correlation-suite", seed=0,
+                        overrides={"n_pairs": 2, "n_samples": 2000, "max_dim": cap})
+    assert len(res.table_rows) == 2
+    with pytest.raises(ValueError, match="'max_dim'"):
+        ex.run_preset("correlation-suite", seed=0, overrides={"max_dim": cap + 1})

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -562,12 +563,13 @@ def _lfilter_sq_norms(cfg, eigen, n_steps, rng):
                          ids=["s=1-1e-9", "s=0.9", "s=0.02", "s=1e-7", "all-four"])
 def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
     # eta = lam = 1 puts s = 1/(1 + 1/mu); a noise chunk holds at most _CHUNK rows, so
-    # _CHUNK + 1 = 65,537 steps span two chunks, and being prime they end inside a
-    # block whatever the block length
+    # the least prime above _CHUNK (16,411 at 2^14) spans two chunks, and being prime it
+    # ends inside a block whatever the block length
     # the reference runs the recursion at beta = 2, simulate_ou_sq_norms the chain at 2*beta
     eigen = EigenSequence(mu=np.array(mu), c_mu=max(mu[0], 1.0))
     cfg = lg.DynamicsConfig(eta=1.0, beta=2.0, lam=1.0, n_modes=len(mu))
-    n_steps = orc._CHUNK + 1
+    n_steps = next(k for k in itertools.count(orc._CHUNK + 1)
+                   if all(k % q for q in range(2, int(k ** 0.5) + 1)))
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
     sq = lg.simulate_ou_sq_norms(_at_twice_beta(cfg), eigen, n_steps, rng)
     ref = _lfilter_sq_norms(cfg, eigen, n_steps, rng_ref)
