@@ -143,7 +143,7 @@ def test_correlation_suite_rows_do_not_depend_on_the_worker_count(monkeypatch):
     sizes = _pool_sizes(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     one = ex.run_preset("correlation-suite", seed=4, overrides=_SMALL_CORRELATION)
-    # more workers than this host has cores, switching threads as often as it can
+    # four workers, switching threads as often as the interpreter allows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
