@@ -13,9 +13,9 @@ from .spectral import (EigenSequence, SpectralBasis, GaussianMeasureSpec,
                        fractional_power_scale, gram_eigenbasis, cosine_basis,
                        diagonal_basis, eval_basis)
 from .models import (Dataset, ParticleCloud, TransportMap, ClipConfig,
-                     ModelSpec, clip, clip_deriv, finite_width_cloud,
-                     sample_cloud, forward, empirical_risk, gradient,
-                     lipschitz_gap, wasserstein_objective)
+                     ModelSpec, clip, finite_width_cloud, forward,
+                     empirical_risk, gradient, lipschitz_gap,
+                     wasserstein_objective)
 from .losses import (LossBounds, loss_eval_derivs, clipped_loss_range,
                      bernstein_check, feasible_band, smoothness_audit)
 from .langevin import (DynamicsConfig, ChainState, Trajectory,
@@ -24,7 +24,7 @@ from .langevin import (DynamicsConfig, ChainState, Trajectory,
 from .oracle import (GaussianPosterior, conjugate_posterior, finite_diff_grad,
                      small_ball_mc, gaussian_correlation_mc,
                      batch_means_stderr)
-from .analysis import (Prop1Constants, RateParams, prop1_constants,
+from .analysis import (Prop1Constants, prop1_constants,
                        pac_bayes_bound, fit_geometric_decay, fit_stepsize_bias,
                        epsilon_star, truncation_for_bias, excess_risk_rate_fit,
                        classification_error_prob, assumption_audit)

@@ -18,7 +18,6 @@ from .spectral import EigenSequence, _resolvent_factor
 
 __all__ = [
     "Prop1Constants",
-    "RateParams",
     "prop1_constants",
     "xi_k_bracket",
     "pac_bayes_bound",
@@ -239,28 +238,6 @@ def truncation_for_bias(epsilon: float, theta: float, gamma: float) -> int:
     if not (0.0 < theta < 1.0 - alpha_tilde):
         raise ValueError(f"theta must lie in (0, {1.0 - alpha_tilde:g}) for gamma={gamma:g}")
     return int(np.ceil(epsilon ** (-1.0 / (theta * (gamma + 1.0)))))
-
-
-@dataclass(frozen=True)
-class RateParams:
-    """Smoothness/complexity exponents of the excess-risk rate."""
-
-    gamma: float
-    theta: float
-    s: float = 1.0
-    epsilon_star: Optional[float] = None
-
-    def __post_init__(self):
-        if self.gamma <= 0.5:
-            raise ValueError("gamma must exceed 1/2")
-        if not (0 < self.s <= 1):
-            raise ValueError("s must lie in (0, 1]")
-        if not (0.0 < self.theta < 1.0 - self.alpha_tilde):
-            raise ValueError("theta must lie in (0, 1 - alpha_tilde)")
-
-    @property
-    def alpha_tilde(self) -> float:
-        return 1.0 / (2.0 * (self.gamma + 1.0))
 
 
 def excess_risk_rate_fit(ns, risks) -> float:

@@ -100,9 +100,11 @@ _SCHEDULES = {
 }
 
 # per preset, the integer keys whose least value is above 1: ergodicity fits its gap decay
-# over its steps, and the correlation oracle's covariance takes at least 2 samples
+# over its steps, the correlation oracle's covariance takes at least 2 samples, and the
+# classification teacher sits on the second cosine mode
 _DECAY_FIT_POINTS = 4   # the fewest gaps analysis.fit_geometric_decay fits
-_INT_LOW = {"ergodicity": {"steps": _DECAY_FIT_POINTS}, "correlation-suite": {"n_samples": 2}}
+_INT_LOW = {"ergodicity": {"steps": _DECAY_FIT_POINTS}, "correlation-suite": {"n_samples": 2},
+            "classification-rate": {"n_modes": 2}}
 # the most coordinates oracle.gaussian_correlation_mc samples, its default dim_cap
 _CORRELATION_DIM_CAP = 16
 
@@ -119,7 +121,8 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
     >= 0, ``_INT_LOW`` where more is needed); list keys take non-empty lists
     of numbers, and stepsize-bias needs as many ``etas`` as its bias fit.  Float values must be finite and within
     ``_FLOAT_LOW``, a preset's beta must exceed its eta, correlation-suite's ``max_dim``
-    is at most ``_CORRELATION_DIM_CAP``, and ``_SCHEDULES`` holds.
+    is at most ``_CORRELATION_DIM_CAP``, wasserstein-demo's ``n_modes`` at most its
+    ``n_source``, an input dimension ``d`` is 2, and ``_SCHEDULES`` holds.
     """
     out = dict(defaults)
     for key, val in overrides.items():
@@ -150,6 +153,14 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         raise ValueError(f"override 'max_dim' for preset 'correlation-suite' must be <= "
                          f"{_CORRELATION_DIM_CAP}, the correlation oracle's dimension cap, "
                          f"got {out['max_dim']!r}")
+    if preset == "wasserstein-demo" and out["n_modes"] > out["n_source"]:
+        raise ValueError(f"overrides for preset 'wasserstein-demo' need 'n_modes' <= "
+                         f"'n_source' (its basis is built on the source points), got "
+                         f"n_modes={out['n_modes']!r} and n_source={out['n_source']!r}")
+    # the two-layer inputs are points of the unit disc (_disc_points)
+    if out.get("d", 2) != 2:
+        raise ValueError(f"override 'd' for preset {preset!r} must be 2, the dimension of "
+                         f"the unit disc its inputs are drawn from, got {out['d']!r}")
     eta_max = max([out.get("eta", 0.0)] + out.get("etas", []))
     # two presets run their chain at beta = n instead of a declared beta
     beta_key = "n" if preset in ("posterior-validate", "regression-rate") else "beta"

@@ -18,7 +18,6 @@ over blocks of steps with numpy alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,8 +38,6 @@ __all__ = [
     "run_chain",
     "simulate_ou_sq_norms",
     "gld_zero_grad_stationary_variance",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -339,34 +336,3 @@ def gld_zero_grad_stationary_variance(cfg: DynamicsConfig, eigen: EigenSequence)
     """
     mu = eigen.mu[: cfg.n_modes]
     return 2.0 * mu / (cfg.beta * cfg.lam * (2.0 + cfg.eta * cfg.lam / mu))
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(state: ChainState, cfg: DynamicsConfig, path):
-    payload = {
-        "format": "chain-checkpoint",
-        "version": 1,
-        "step": state.step,
-        "last_grad_norm": state.last_grad_norm,
-        "map": json.loads(_models.map_to_json(state.map)),
-        "config": {"eta": cfg.eta, "beta": cfg.beta, "lam": cfg.lam,
-                   "n_modes": cfg.n_modes, "steps": cfg.steps,
-                   "burn_in": cfg.burn_in, "thin": cfg.thin, "seed": cfg.seed},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def load_checkpoint(path) -> tuple[ChainState, DynamicsConfig]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "chain-checkpoint" or payload.get("version") != 1:
-        raise ValueError("not a version-1 chain checkpoint")
-    state = ChainState(step=payload["step"],
-                       map=_models.map_from_json(json.dumps(payload["map"])),
-                       last_grad_norm=payload["last_grad_norm"])
-    cfg = DynamicsConfig(**payload["config"])
-    return state, cfg

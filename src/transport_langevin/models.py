@@ -23,7 +23,6 @@ differences of the empirical risk.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -41,9 +40,7 @@ __all__ = [
     "ClipConfig",
     "ModelSpec",
     "clip",
-    "clip_deriv",
     "finite_width_cloud",
-    "sample_cloud",
     "forward",
     "empirical_risk",
     "gradient",
@@ -52,10 +49,6 @@ __all__ = [
     "wasserstein_objective",
     "identity_coeffs",
     "map_values",
-    "cloud_to_json",
-    "cloud_from_json",
-    "map_to_json",
-    "map_from_json",
 ]
 
 ARCHS = ("two-layer", "identity-map", "resnet", "wasserstein")
@@ -75,16 +68,13 @@ class Dataset(NamedTuple):
 class ParticleCloud:
     """Discrete representation of the initial weight distribution.
 
-    In ``finite-width`` mode the cloud *is* the model (one particle per
-    neuron); in ``monte-carlo-continuous`` mode it is a fixed i.i.d. draw
-    from a declared initial distribution.  ``a_vec`` holds the fixed
-    per-particle read-in vectors used by the resnet blocks.
+    The cloud *is* the model: one particle per neuron.  ``a_vec`` holds the
+    fixed per-particle read-in vectors used by the resnet blocks.
     """
 
     w: np.ndarray
     a: np.ndarray
     weights: np.ndarray
-    mode: str = "finite-width"
     a_vec: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -94,8 +84,6 @@ class ParticleCloud:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "weights", wt)
-        if self.mode not in ("finite-width", "monte-carlo-continuous"):
-            raise ValueError(f"unknown cloud mode {self.mode!r}")
         if w.shape[0] != a.size or w.shape[0] != wt.size:
             raise ValueError("w, a and weights must agree on the particle count")
         if np.any(wt < 0) or abs(wt.sum() - 1.0) > 1e-12:
@@ -119,18 +107,7 @@ def finite_width_cloud(w, a, a_vec=None) -> ParticleCloud:
     """Uniform-mass cloud whose particles are the network's own neurons."""
     w = np.atleast_2d(np.asarray(w, dtype=float))
     M = w.shape[0]
-    return ParticleCloud(w=w, a=a, weights=np.full(M, 1.0 / M), mode="finite-width", a_vec=a_vec)
-
-
-def sample_cloud(rng: np.random.Generator, n_particles: int, dim: int,
-                 w_scale: float = 1.0, a_low: float = -1.0, a_high: float = 1.0,
-                 with_a_vec: bool = False) -> ParticleCloud:
-    """I.i.d. cloud: w ~ N(0, w_scale^2 I), a ~ Uniform[a_low, a_high]."""
-    w = rng.standard_normal((n_particles, dim)) * w_scale
-    a = rng.uniform(a_low, a_high, size=n_particles)
-    a_vec = rng.standard_normal((n_particles, dim)) / np.sqrt(dim) if with_a_vec else None
-    return ParticleCloud(w=w, a=a, weights=np.full(n_particles, 1.0 / n_particles),
-                         mode="monte-carlo-continuous", a_vec=a_vec)
+    return ParticleCloud(w=w, a=a, weights=np.full(M, 1.0 / M), a_vec=a_vec)
 
 
 @dataclass
@@ -206,13 +183,6 @@ def clip(v, R: float):
     if R < 1:
         raise ValueError("R must be >= 1")
     return R * np.tanh(np.asarray(v, dtype=float) / R)
-
-
-def clip_deriv(v, R: float):
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    t = np.tanh(np.asarray(v, dtype=float) / R)
-    return 1.0 - t ** 2
 
 
 def _activation(name: str):
@@ -554,7 +524,7 @@ def _transport_objective(basis: SpectralBasis, gamma: float, source_samples, tar
 
 
 # ---------------------------------------------------------------------------
-# initial condition and serialization
+# initial condition
 # ---------------------------------------------------------------------------
 
 def identity_coeffs(model: ModelSpec, basis: SpectralBasis) -> np.ndarray:
@@ -589,81 +559,3 @@ def identity_coeffs(model: ModelSpec, basis: SpectralBasis) -> np.ndarray:
         raise ValueError("cosine basis dimension is smaller than the map output dimension")
     target = pts[:, :d_out]
     return Phi.T @ target / pts.shape[0]
-
-
-def cloud_to_json(cloud: ParticleCloud) -> str:
-    payload = {
-        "format": "particle-cloud",
-        "version": 1,
-        "mode": cloud.mode,
-        "w": cloud.w.tolist(),
-        "a": cloud.a.tolist(),
-        "weights": cloud.weights.tolist(),
-        "a_vec": None if cloud.a_vec is None else cloud.a_vec.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def cloud_from_json(text: str) -> ParticleCloud:
-    payload = json.loads(text)
-    if payload.get("format") != "particle-cloud":
-        raise ValueError("not a particle-cloud document")
-    return ParticleCloud(
-        w=np.array(payload["w"], dtype=float),
-        a=np.array(payload["a"], dtype=float),
-        weights=np.array(payload["weights"], dtype=float),
-        mode=payload["mode"],
-        a_vec=None if payload["a_vec"] is None else np.array(payload["a_vec"], dtype=float),
-    )
-
-
-def _basis_to_dict(basis: SpectralBasis) -> dict:
-    d = {
-        "kind": basis.kind, "dim_in": basis.dim_in, "dim_out": basis.dim_out,
-        "n_modes": basis.n_modes,
-        "mu": basis.eigen.mu.tolist(), "c_mu": basis.eigen.c_mu,
-        "decay_exponent": basis.eigen.decay_exponent,
-    }
-    if basis.kind == "gram-eigenbasis":
-        d.update(basis_vectors=basis.basis_vectors.tolist(),
-                 anchor_points=basis.anchor_points.tolist(),
-                 anchor_weights=basis.anchor_weights.tolist(),
-                 kernel_bandwidth=basis.kernel_bandwidth)
-    if basis.kind == "cosine-tensor":
-        d.update(frequencies=basis.frequencies.tolist())
-    return d
-
-
-def _basis_from_dict(d: dict) -> SpectralBasis:
-    eigen = EigenSequence(mu=np.array(d["mu"], dtype=float), c_mu=d["c_mu"],
-                          decay_exponent=d["decay_exponent"])
-    kw = dict(kind=d["kind"], dim_in=d["dim_in"], dim_out=d["dim_out"],
-              n_modes=d["n_modes"], eigen=eigen)
-    if d["kind"] == "gram-eigenbasis":
-        kw.update(basis_vectors=np.array(d["basis_vectors"], dtype=float),
-                  anchor_points=np.array(d["anchor_points"], dtype=float),
-                  anchor_weights=np.array(d["anchor_weights"], dtype=float),
-                  kernel_bandwidth=d["kernel_bandwidth"])
-    if d["kind"] == "cosine-tensor":
-        kw.update(frequencies=np.array(d["frequencies"], dtype=int))
-    return SpectralBasis(**kw)
-
-
-def map_to_json(W: TransportMap) -> str:
-    payload = {
-        "format": "transport-map",
-        "version": 1,
-        "coeffs": W.coeffs.tolist(),
-        "gamma": W.gamma,
-        "basis": _basis_to_dict(W.basis),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def map_from_json(text: str) -> TransportMap:
-    payload = json.loads(text)
-    if payload.get("format") != "transport-map":
-        raise ValueError("not a transport-map document")
-    return TransportMap(coeffs=np.array(payload["coeffs"], dtype=float),
-                        basis=_basis_from_dict(payload["basis"]),
-                        gamma=payload["gamma"])

@@ -181,15 +181,6 @@ def test_truncation_for_bias_values():
         an.truncation_for_bias(-0.1, 0.5, 1.0)
 
 
-def test_rate_params_validation():
-    p = an.RateParams(gamma=1.0, theta=0.5)
-    assert p.alpha_tilde == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        an.RateParams(gamma=0.4, theta=0.1)
-    with pytest.raises(ValueError):
-        an.RateParams(gamma=1.0, theta=0.8)
-
-
 def test_excess_risk_rate_fit():
     ns = np.array([64, 128, 256, 512, 1024])
     assert an.excess_risk_rate_fit(ns, 5.0 / ns) == pytest.approx(-1.0, rel=1e-10)

@@ -140,6 +140,15 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "override 'n_samples' for preset 'correlation-suite' must be an integer >= 2"),
     ({"preset": "correlation-suite", "overrides": {"max_dim": 35}},
      "override 'max_dim' for preset 'correlation-suite' must be <= 16"),
+    ({"preset": "classification-rate", "overrides": {"n_modes": 1}},
+     "override 'n_modes' for preset 'classification-rate' must be an integer >= 2"),
+    ({"preset": "wasserstein-demo", "overrides": {"n_modes": 30}},
+     "need 'n_modes' <= 'n_source' (its basis is built on the source points), "
+     "got n_modes=30 and n_source=24"),
+    ({"preset": "regression-rate", "overrides": {"d": 3}},
+     "override 'd' for preset 'regression-rate' must be 2"),
+    ({"preset": "finite-width-demo", "overrides": {"d": 1}},
+     "override 'd' for preset 'finite-width-demo' must be 2"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
@@ -149,7 +158,9 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "ou-moment-burn-in-takes-every-step", "ou-moment-one-sample-no-stderr",
         "posterior-one-kept-no-stderr", "stepsize-bias-one-reference-sample",
         "ergodicity-too-few-steps-for-the-decay-fit", "correlation-one-sample-no-covariance",
-        "correlation-dim-beyond-the-oracle-cap"])
+        "correlation-dim-beyond-the-oracle-cap", "classification-one-mode-no-teacher",
+        "wasserstein-more-modes-than-source-points", "regression-d-not-2",
+        "finite-width-d-not-2"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])

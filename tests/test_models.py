@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ def test_clip_properties():
     # 1-Lipschitz on a grid
     assert np.max(np.abs(np.diff(c))) <= np.max(np.diff(v)) * (1 + 1e-12)
     assert c[-1] == pytest.approx(2.0, abs=1e-8) and c[0] == pytest.approx(-2.0, abs=1e-8)
-    np.testing.assert_allclose(md.clip_deriv(v, 2.0), 1 - np.tanh(v / 2.0) ** 2, rtol=1e-14)
     with pytest.raises(ValueError):
         md.clip(v, 0.5)
 
@@ -271,27 +269,9 @@ def test_gamma_scaling_composition_identity():
                                md.forward(model, W_plain, x), rtol=1e-13)
 
 
-def test_cloud_validation_and_serialization_roundtrip():
+def test_cloud_weight_validation():
     with pytest.raises(ValueError):
         md.ParticleCloud(w=np.zeros((3, 2)), a=np.zeros(3), weights=np.array([0.5, 0.2, 0.2]))
-    rng = np.random.default_rng(13)
-    cloud = md.sample_cloud(rng, 6, 2, with_a_vec=True)
-    back = md.cloud_from_json(md.cloud_to_json(cloud))
-    np.testing.assert_array_equal(back.w, cloud.w)
-    np.testing.assert_array_equal(back.a_vec, cloud.a_vec)
-    assert back.mode == "monte-carlo-continuous"
-
-    model = _cloud_model(cloud.w, cloud.a)
-    W = md.TransportMap(coeffs=rng.standard_normal((6, 3)), basis=model.basis, gamma=0.5)
-    W2 = md.map_from_json(md.map_to_json(W))
-    np.testing.assert_array_equal(W2.coeffs, W.coeffs)
-    assert W2.gamma == 0.5
-    x = rng.standard_normal((4, 2)) * 0.3
-    np.testing.assert_allclose(md.forward(model, W2, x), md.forward(model, W, x), rtol=1e-12)
-    # stable ordering of the serialized document
-    assert md.map_to_json(W) == md.map_to_json(W)
-    payload = json.loads(md.map_to_json(W))
-    assert payload["format"] == "transport-map"
 
 
 def test_arch_cloud_mismatch_rejected():
@@ -336,7 +316,7 @@ def _reference_two_layer_gradient(model, W, dataset, loss_kind):
     E = md._cloud_features(model, W.basis)
     V = E @ W.effective_coeffs()
     Vb = md.clip(V, R)
-    Cd = md.clip_deriv(V, R)
+    Cd = 1.0 - np.tanh(V / R) ** 2
     Z = Vb[:, :-1] @ X.T
     S = act(Z)
     f = (model.cloud.weights * Vb[:, -1]) @ S
@@ -494,7 +474,7 @@ def _reference_resnet_gradient(model, W, dataset, loss_kind):
     for t in range(T - 1, -1, -1):
         z_in, V, Vb, P, S = cache[t]
         Q = (G @ a_vec.T) * actd(P, S)
-        dV = (Q.T @ z_in) * omega[:, None] * md.clip_deriv(V, R)
+        dV = (Q.T @ z_in) * omega[:, None] * (1.0 - np.tanh(V / R) ** 2)
         dC[:, t, :] = E.T @ dV
         G = G + (Q * omega[None, :]) @ Vb
     return md._gamma_scale(dC.reshape(W.basis.n_modes, T * d), W.basis.eigen, W.gamma)

@@ -1,0 +1,51 @@
+"""The package's public surface: each module's ``__all__``, the package exports, and
+the names the package no longer has."""
+
+import ast
+import dataclasses
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import transport_langevin
+from transport_langevin import models as md
+
+# every submodule but __main__, which runs the command line on import
+_MODULES = sorted(m.name for m in pkgutil.iter_modules(transport_langevin.__path__)
+                  if m.name != "__main__")
+
+# names deleted with the checkpoint, JSON and i.i.d.-cloud code; none may come back
+_REMOVED = ("save_checkpoint", "load_checkpoint", "map_to_json", "map_from_json",
+            "cloud_to_json", "cloud_from_json", "_basis_to_dict", "_basis_from_dict",
+            "sample_cloud", "clip_deriv", "RateParams")
+
+
+def _module(name):
+    return importlib.import_module(f"transport_langevin.{name}")
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_name_in_all_exists(name):
+    module = _module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, (name, missing)
+
+
+def test_package_imports_only_what_its_modules_export():
+    tree = ast.parse(Path(transport_langevin.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.level == 1, ast.unparse(node)
+        exported = _module(node.module).__all__
+        for alias in node.names:
+            assert alias.name in exported, (node.module, alias.name)
+
+
+def test_removed_names_are_gone():
+    for owner in [transport_langevin] + [_module(name) for name in _MODULES]:
+        present = [n for n in _REMOVED if hasattr(owner, n)]
+        assert not present, (owner.__name__, present)
+    assert "mode" not in {f.name for f in dataclasses.fields(md.ParticleCloud)}
