@@ -8,6 +8,7 @@ runs the same presets and sweeps.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -107,10 +108,15 @@ _INT_LOW = {"ergodicity": {"steps": _DECAY_FIT_POINTS}, "correlation-suite": {"n
             "classification-rate": {"n_modes": 2}}
 # the most coordinates oracle.gaussian_correlation_mc samples, its default dim_cap
 _CORRELATION_DIM_CAP = 16
+# the most grid values per axis of a bernstein-suite radius, so at most 10^6 grid points
+# per radius: any step >= 0.001 passes (the band is narrower than 1); the default 0.005
+# gives at most 201 values
+_BERNSTEIN_AXIS_CAP = 1000
 
-# lower limits (value, strict) of the float keys the chain and clip configs check
+# lower limits (value, strict) of the float keys the chain, clip and grid configs check
 _FLOAT_LOW = {"eta": (0.0, False), "etas": (0.0, False), "beta": (0.0, True),
-              "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False)}
+              "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False),
+              "step": (0.0, True), "radii": (0.0, True)}
 
 
 def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
@@ -157,6 +163,13 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
         raise ValueError(f"overrides for preset 'wasserstein-demo' need 'n_modes' <= "
                          f"'n_source' (its basis is built on the source points), got "
                          f"n_modes={out['n_modes']!r} and n_source={out['n_source']!r}")
+    if preset == "bernstein-suite":
+        widest = max(_bernstein_axis(R, out["step"])[2] for R in out["radii"])
+        if widest > _BERNSTEIN_AXIS_CAP:
+            raise ValueError(f"override 'step' for preset 'bernstein-suite' must give at most "
+                             f"{_BERNSTEIN_AXIS_CAP} grid values per axis (10^6 grid points "
+                             f"per radius; any step >= 0.001 does), got step={out['step']!r} "
+                             f"with {widest} values")
     # the two-layer inputs are points of the unit disc (_disc_points)
     if out.get("d", 2) != 2:
         raise ValueError(f"override 'd' for preset {preset!r} must be 2, the dimension of "
@@ -497,6 +510,13 @@ def lipschitz_suite(seed=0, overrides=None):
 # preset: bernstein-suite
 # ---------------------------------------------------------------------------
 
+def _bernstein_axis(R: float, step: float) -> tuple[float, float, int]:
+    """The feasible band (lo, hi) of radius R and the number of grid values lo + i*step
+    in it, counted without building the grid."""
+    lo, hi = ls.feasible_band(R)
+    return lo, hi, math.floor((hi - lo) / step) + 1
+
+
 def bernstein_suite(seed=0, overrides=None):
     """Exhaustive grid check of the squared-log-ratio inequality."""
     p = _merged(PRESET_DEFAULTS["bernstein-suite"], overrides or {}, "bernstein-suite")
@@ -504,7 +524,7 @@ def bernstein_suite(seed=0, overrides=None):
     rows = []
     total_viol = 0
     for R in p["radii"]:
-        lo, hi = ls.feasible_band(R)
+        lo, hi, _ = _bernstein_axis(R, p["step"])
         grid = np.arange(lo, hi + 1e-12, p["step"])
         grid = grid[(grid >= lo) & (grid <= hi)]
         P, Q = np.meshgrid(grid, grid, indexing="ij")

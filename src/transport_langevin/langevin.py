@@ -13,7 +13,9 @@ truncation).  The noise-only reference recursion at temperature beta,
 is this chain with zero gradient at 2*beta: sqrt(2*eta/(2*beta)) = sqrt(eta/beta),
 so :attr:`DynamicsConfig.noise_amp` is the one noise convention.  Per mode it
 is an AR(1) process, which :func:`simulate_ou_sq_norms` solves in closed form
-over blocks of steps with numpy alone.
+over blocks of steps with numpy alone.  A chain whose gradient is affine
+(identity map, squared loss) is the same AR(1) in the eigenbasis of its linear
+map, and :func:`run_chain` solves it with the same block solver when it is stable.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ class Trajectory:
 # steps per block of run_chain: one noise draw, one finiteness check, one copy into the record
 _BLOCK = 1024
 
-# simulate_ou_sq_norms: at most _OU_BLOCK steps per block, and s_min^-L <= e^_OU_MAX_LOG_GAIN
-# (finite in float64); each noise draw fills at most oracle._CHUNK floats
+# the block AR(1) solve: at most _OU_BLOCK steps per block, and min|d|^-L <= e^_OU_MAX_LOG_GAIN
+# (finite in float64); each noise draw of simulate_ou_sq_norms fills at most oracle._CHUNK floats
 _OU_BLOCK = 256
 _OU_MAX_LOG_GAIN = 600.0
 
@@ -215,6 +217,11 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     steps on the burn-in/thin schedule; :meth:`Trajectory.risk` evaluates the
     loss on it.
 
+    When the objective declares its gradient affine (``grad.affine``) and the
+    chain it gives is stable, the steps are solved in blocks instead
+    (:func:`_affine_solver`): the same noise and the same states up to
+    rounding, not bit for bit.
+
     The record's steps follow from the initial step, cfg.steps, cfg.burn_in
     and cfg.thin, so the record is allocated once at its final size.  The
     steps run in blocks of up to ``_BLOCK``.  Each block draws its noise in
@@ -249,17 +256,24 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     n_rec = 0
     block = min(_BLOCK, cfg.steps)
     buf = np.empty((block,) + coeffs.shape)
+    solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, block)
+    if solve is not None:
+        buf[:, N:] = 0.0                # P_N: the solve writes the retained rows only
 
     # overflow on the way to divergence is handled by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cfg.steps, block):
             b = min(block, cfg.steps - start)
             noise = amp * rng.standard_normal((b, N, coeffs.shape[1])) if amp > 0.0 else None
-            prev = coeffs
-            for i in range(b):
-                g = grad_fn(prev)
-                prev = _implicit_euler(prev, g, eta, N, s_col,
-                                       None if noise is None else noise[i], out=buf[i])
+            if solve is None:
+                prev = coeffs
+                for i in range(b):
+                    g = grad_fn(prev)
+                    prev = _implicit_euler(prev, g, eta, N, s_col,
+                                           None if noise is None else noise[i], out=buf[i])
+            else:
+                solve(coeffs, noise, buf[:b])
+                before_last = buf[b - 2] if b > 1 else coeffs
             finite = np.isfinite(buf[:b]).all(axis=(1, 2))
             if not finite.all():
                 bad = int(np.argmin(finite))
@@ -271,39 +285,115 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
                 n_rec += len(rows)
             coeffs = buf[b - 1].copy()
             step_no += b
+        if solve is not None:
+            g = grad_fn(before_last)
         final = ChainState(step=step_no, map=as_map(coeffs),
                            last_grad_norm=_grad_norm(g))
 
     return Trajectory(steps=rec_steps, coeffs=rec_coeffs, final_state=final)
 
 
+def _affine_solver(grad_fn, cfg: DynamicsConfig, N: int, s_col, shape, block: int):
+    """``solve(w, noise, out)`` for a chain whose gradient is affine, or None.
+
+    With ``grad_fn.affine()`` = (H, b), the retained rows x follow the linear
+    recurrence x' = A x + S(eta b_N + noise) with A = S(I - eta H_NN), S the
+    resolvent diagonal.  A is similar to the symmetric S^1/2 (I - eta H_NN) S^1/2
+    = Q diag(d) Q^T, so A = V diag(d) V^-1 with V = S^1/2 Q and V^-1 = Q^T S^-1/2,
+    and each eigen coordinate u = V^-1 x is the AR(1) u' = d u + e that
+    :func:`_ar1_blocks` solves.  None, for the step-by-step path, unless the
+    gradient declares its affine form, the state has one column and max |d| < 1.
+
+    ``solve`` writes the ``len(out)`` states after ``w`` into the retained rows
+    of ``out``, given the block's scaled noise (None when the amplitude is 0).
+    Rows of ``w`` beyond N enter the first step through H, as in P_N(w - eta g).
+    """
+    affine = getattr(grad_fn, "affine", None)
+    if affine is None or shape[1] != 1:
+        return None
+    H, b_vec = affine()
+    eta, r = float(cfg.eta), np.sqrt(s_col[:N, 0])
+    d, Q = np.linalg.eigh(r[:, None] * (np.eye(N) - eta * H[:N, :N]) * r)
+    if not np.abs(d).max() < 1.0:            # also refuses the nan of a non-finite H
+        return None
+    G = Q.T * r                          # V^-1 S, and also V^T: x = V u is the row u @ G
+    e0 = G.dot(eta * b_vec[:N, 0])       # the drift's constant part, in eigen coordinates
+    rest = -eta * G.dot(H[:N, N:])       # the first step's term in the rows beyond N
+    L = _ar1_block_length(d)
+    gains = _ar1_gains(d, 1.0, L)
+    n_blocks = -(-block // L)
+    buf = np.empty((n_blocks, L, N))
+    flat = buf.reshape(n_blocks * L, N)
+
+    def solve(w, noise, out):
+        rows = len(out)
+        e = flat[:rows]
+        if noise is None:
+            e[:] = e0
+        else:
+            np.dot(noise.reshape(rows, N), G.T, out=e)
+            e += e0
+        if N < shape[0]:
+            e[0] += rest.dot(w[N:, 0])
+        nb = -(-rows // L)
+        flat[rows:nb * L] = 0.0
+        _ar1_blocks(buf[:nb], gains, (w[:N, 0] / r).dot(Q))
+        np.matmul(e, G, out=out[:, :N, 0])
+
+    return solve
+
+
 # ---------------------------------------------------------------------------
-# the zero-gradient chain
+# the block AR(1) solve and the zero-gradient chain
 # ---------------------------------------------------------------------------
+
+def _ar1_block_length(d) -> int:
+    """Steps per block for the AR(1) coefficients ``d``: at most ``_OU_BLOCK``, and few
+    enough that min|d|^-L stays below e^``_OU_MAX_LOG_GAIN``."""
+    with np.errstate(divide="ignore"):
+        decay = -np.log(np.abs(d).min())
+    return _OU_BLOCK if decay == 0.0 else max(1, int(min(_OU_BLOCK, _OU_MAX_LOG_GAIN // decay)))
+
+
+def _ar1_gains(d, scale, L: int):
+    """(scale * d^-j, d^j, d^(j+1)) for j = 0..L-1, rows by j: integer powers, so a
+    negative ``d`` is fine."""
+    j = np.arange(L)[:, None]
+    return scale * d ** -j, d ** j, d ** (j + 1)
+
+
+def _ar1_blocks(x, gains, z):
+    """Solve u_t = d u_{t-1} + scale*e_t in place over whole blocks ``x`` (nb, L, m).
+
+    ``x`` holds the inputs e_t; ``z`` is u before its first row.  Row j of a
+    block is d^j * cumsum_i(d^-i * scale*e_i)_j + d^(j+1) * z_carry, z_carry the
+    last row of the block before.  Returns a copy of the last row.
+    """
+    gain_in, gain_out, gain_carry = gains
+    x *= gain_in
+    np.cumsum(x, axis=1, out=x)
+    x *= gain_out
+    for b in range(len(x)):
+        x[b] += gain_carry * z
+        z = x[b, -1]
+    return z.copy()
+
 
 def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Trace of ||Z_n||^2 for the zero-gradient chain of ``cfg`` started at zero.
 
     Per mode the chain is the AR(1) z_t = s z_{t-1} + s*amp*eps_t, amp = cfg.noise_amp,
-    solved in blocks of L steps: step j of a block is
-    s^j * cumsum_i(s^-i * s*amp*eps_i)_j + s^(j+1) * z_carry, with z_carry the
-    last value of the previous block.  L keeps s_min^-L finite.  The noise is
-    drawn in chunks of whole blocks into one buffer of at most ``oracle._CHUNK``
+    solved by :func:`_ar1_blocks` with d = s in its own coordinates (V = I).  The
+    noise is drawn in chunks of whole blocks into one buffer of at most ``oracle._CHUNK``
     floats (one block at least), the same numbers as one (n_steps, n_modes)
     draw, so memory beyond the returned trace does not grow with n_steps.
     Modes beyond ``len(eigen)`` are truncated, as in :meth:`DynamicsConfig._resolvent`.
     """
     m = min(cfg.n_modes, len(eigen))
-    mu = eigen.mu[:m]
-    s = _resolvent_factor(cfg.eta, cfg.lam, mu)
-    amp = cfg.noise_amp
-    decay = -np.log(s.min())
-    L = _OU_BLOCK if decay == 0.0 else max(1, int(min(_OU_BLOCK, _OU_MAX_LOG_GAIN // decay)))
-    j = np.arange(L)[:, None]
-    gain_in = s * amp * s ** -j           # (L, m)
-    gain_out = s ** j
-    gain_carry = s ** (j + 1)
+    s = _resolvent_factor(cfg.eta, cfg.lam, eigen.mu[:m])
+    L = _ar1_block_length(s)
+    gains = _ar1_gains(s, s * cfg.noise_amp, L)
     n_blocks = max(1, _oracle._CHUNK // (L * m))
     buf = np.empty((n_blocks, L, m))
     out = np.empty(n_steps)
@@ -316,12 +406,7 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
         y = flat[:rows]
         rng.standard_normal(out=y)
         flat[rows:] = 0.0
-        x *= gain_in
-        np.cumsum(x, axis=1, out=x)
-        x *= gain_out
-        for b in range(nb):
-            x[b] += gain_carry * z
-            z = x[b, -1].copy()
+        z = _ar1_blocks(x, gains, z)
         np.sum(np.square(y, out=y), axis=1, out=out[start:start + rows])
     return out
 

@@ -293,6 +293,10 @@ def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: fl
     looked up here, once.  gamma scales the coefficients before the features
     and the gradient after them.  The value warns, as :func:`forward` does,
     when an input lies beyond the declared bound D; the gradient does not.
+
+    Where the gradient is affine in the coefficients (identity map, squared
+    loss, gamma = 0), ``grad.affine()`` returns (H, b) with grad(c) = H c - b;
+    :func:`langevin.run_chain` solves such a chain in blocks.
     """
     return _objective(model, model_basis(model), gamma, loss_kind, dataset)
 
@@ -320,6 +324,9 @@ def _objective(model: ModelSpec, basis: SpectralBasis, gamma: float, loss_kind: 
         f, cache = fwd(coeffs)
         return back(cache, loss_eval_derivs(loss_kind, y, f, 1))
 
+    affine = getattr(back, "squared_affine", None)
+    if loss_kind == "squared" and affine is not None:
+        grad.affine = functools.partial(affine, y)
     return value, grad
 
 
@@ -351,7 +358,12 @@ def _passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray)
 
 
 def _identity_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
-    """The map itself, f = W(x) = Phi(x) . coeffs, with Phi evaluated on ``X`` once."""
+    """The map itself, f = W(x) = Phi(x) . coeffs, with Phi evaluated on ``X`` once.
+
+    Unscaled (gamma = 0), ``back.squared_affine(y)`` gives the squared-loss gradient
+    (2/n) Phi^T (f - y) as the affine map H coeffs - b: H = (2/n) Phi^T Phi and
+    b = (2/n) Phi^T y, a column.
+    """
     Phi = eval_basis(basis, X)
     PhiT, eigen, scaled = Phi.T, basis.eigen, gamma != 0.0
     # n as a 0-d array: numpy converts a Python-number operand again on every call
@@ -370,6 +382,12 @@ def _identity_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np
         g = g[:, None]
         return fractional_power_scale(g, eigen, gamma) if scaled else g
 
+    def squared_affine(y):
+        two_n = 2.0 / n
+        return two_n * PhiT.dot(Phi), two_n * PhiT.dot(np.asarray(y, dtype=float))[:, None]
+
+    if not scaled:
+        back.squared_affine = squared_affine
     return fwd, back
 
 

@@ -149,6 +149,18 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "override 'd' for preset 'regression-rate' must be 2"),
     ({"preset": "finite-width-demo", "overrides": {"d": 1}},
      "override 'd' for preset 'finite-width-demo' must be 2"),
+    ({"preset": "bernstein-suite", "overrides": {"step": 1e-6}},
+     "override 'step' for preset 'bernstein-suite' must give at most 1000 grid values per axis"),
+    ({"preset": "bernstein-suite", "overrides": {"step": 0.0}},
+     "override 'step' for preset 'bernstein-suite' must be a finite number > 0"),
+    ({"preset": "bernstein-suite", "overrides": {"step": -0.01}},
+     "override 'step' for preset 'bernstein-suite' must be a finite number > 0"),
+    ({"preset": "bernstein-suite", "overrides": {"radii": [0.0]}},
+     "override 'radii' for preset 'bernstein-suite' must be a finite number > 0"),
+    ({"preset": "bernstein-suite", "overrides": {"radii": [1.0, -1.0]}},
+     "override 'radii' for preset 'bernstein-suite' must be a finite number > 0"),
+    ({"preset": "grad-check", "overrides": {"step": 0.0}},
+     "override 'step' for preset 'grad-check' must be a finite number > 0"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
@@ -160,7 +172,9 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "ergodicity-too-few-steps-for-the-decay-fit", "correlation-one-sample-no-covariance",
         "correlation-dim-beyond-the-oracle-cap", "classification-one-mode-no-teacher",
         "wasserstein-more-modes-than-source-points", "regression-d-not-2",
-        "finite-width-d-not-2"])
+        "finite-width-d-not-2", "bernstein-grid-beyond-the-cap", "bernstein-zero-step",
+        "bernstein-negative-step", "bernstein-zero-radius", "bernstein-negative-radius",
+        "grad-check-zero-step"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -17,6 +17,17 @@ from transport_langevin.spectral import (EigenSequence, SpectralBasis, cosine_ba
                                          project_P_N, resolvent_S_eta)
 
 
+# the objective as the package builds it, before any test substitutes another
+_RISK_OBJECTIVE = md.risk_objective
+
+
+def _no_affine_objective(*args):
+    """The package's objective with a gradient that declares no affine form, as a
+    substituted objective's does: run_chain takes it step by step, bit for bit."""
+    value, grad = _RISK_OBJECTIVE(*args)
+    return value, lambda c: grad(c)
+
+
 def _linear_setup(n_modes=4, n=12, seed=0):
     rng = np.random.default_rng(seed)
     basis = cosine_basis(n_modes, dim_in=1)
@@ -129,12 +140,13 @@ def test_zero_gradient_chain_matches_discrete_stationary_variance():
                                basis.eigen.mu / 2.0, rtol=1e-8)
 
 
-def test_run_chain_matches_stepwise_updates():
+def test_run_chain_matches_stepwise_updates(monkeypatch):
     # run_chain and gld_step share one update function: equal bit for bit, noise included,
     # across two block boundaries and with a record schedule that does not divide the block
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=2 * lg._BLOCK + 3, burn_in=5, thin=7, seed=21)
+    monkeypatch.setattr(md, "risk_objective", _no_affine_objective)
     traj = lg.run_chain(cfg, model, "squared", data)
     rng = np.random.default_rng(cfg.seed)
     basis = model.basis
@@ -206,7 +218,9 @@ def test_block_divergence_reports_exact_last_finite_step(block, row):
         expected[cfg.n_modes:] = 0.0
     else:
         upto = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=k, seed=4)
-        expected = lg.run_chain(upto, model, "squared", data).final_state.map.coeffs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(md, "risk_objective", _no_affine_objective)
+            expected = lg.run_chain(upto, model, "squared", data).final_state.map.coeffs
     np.testing.assert_array_equal(last.map.coeffs, expected)
 
 
@@ -253,6 +267,7 @@ def test_run_chain_record_equals_a_list_and_concatenate_reference(block, init, s
                             burn_in=burn_in, thin=thin, seed=init + 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lg, "_BLOCK", block)
+        mp.setattr(md, "risk_objective", _no_affine_objective)
         traj = lg.run_chain(cfg, model, "squared", data,
                             init_state=_projected_start(model, cfg, init))
     ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data,
@@ -270,7 +285,10 @@ def test_run_chain_record_at_the_real_block_size_and_divergence_with_a_record():
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=2 * _B + 9, burn_in=_B - 2, thin=3, seed=5)
-    traj = lg.run_chain(cfg, model, "squared", data, init_state=_projected_start(model, cfg, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "risk_objective", _no_affine_objective)
+        traj = lg.run_chain(cfg, model, "squared", data,
+                            init_state=_projected_start(model, cfg, 4))
     ref_steps, ref_coeffs, _ = _stepwise_record(cfg, model, data, _projected_start(model, cfg, 4))
     np.testing.assert_array_equal(traj.steps, ref_steps)
     np.testing.assert_array_equal(traj.coeffs, ref_coeffs)
@@ -284,6 +302,91 @@ def test_run_chain_record_at_the_real_block_size_and_divergence_with_a_record():
     last, want = exc.value.state, ref.value.state
     assert 7 + 3 < last.step == want.step < 7 + cfg.steps
     np.testing.assert_array_equal(last.map.coeffs, want.map.coeffs)
+
+
+def _block_solve_eigenvalues(cfg, model, data):
+    """The AR(1) coefficients d of the block solve of this chain."""
+    _, grad = md.risk_objective(model, "squared", data)
+    N, s_col = cfg._resolvent(model.basis)
+    H, _ = grad.affine()
+    r = np.sqrt(s_col[:N, 0])
+    return np.linalg.eigvalsh(r[:, None] * (np.eye(N) - cfg.eta * H[:N, :N]) * r)
+
+
+def _assert_block_solve_matches_stepwise(cfg, model, data, state):
+    # run_chain takes the block solve; the schedule, the shapes and the steps agree exactly
+    # with the gld_step loop, the states to rounding, and rows beyond N are exactly zero
+    solves, ar1_blocks = [], lg._ar1_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
+        traj = lg.run_chain(cfg, model, "squared", data, init_state=state)
+    assert len(solves) == -(-cfg.steps // lg._BLOCK)
+    ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data, state)
+    np.testing.assert_array_equal(traj.steps, ref_steps)
+    assert traj.coeffs.shape == ref_coeffs.shape and traj.steps.size > 0
+    np.testing.assert_allclose(traj.coeffs, ref_coeffs, rtol=0, atol=1e-12)
+    assert traj.final_state.step == ref_final.step == state.step + cfg.steps
+    np.testing.assert_allclose(traj.final_state.map.coeffs, ref_final.map.coeffs, rtol=0,
+                               atol=1e-12)
+    assert traj.final_state.last_grad_norm == pytest.approx(ref_final.last_grad_norm, abs=1e-12)
+    assert np.all(traj.coeffs[:, cfg.n_modes:] == 0.0)
+    assert np.all(traj.final_state.map.coeffs[cfg.n_modes:] == 0.0)
+    return traj
+
+
+def test_block_solve_matches_the_stepwise_chain_across_blocks():
+    # two block boundaries, and a thin that divides neither the block nor the AR(1) block
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+                            steps=2 * _B + 3, burn_in=5, thin=7, seed=21)
+    _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
+    # a single step: the gradient norm is the initial state's
+    one = dataclasses.replace(cfg, steps=1, burn_in=0, thin=1)
+    _assert_block_solve_matches_stepwise(one, model, data, _projected_start(model, cfg, 0))
+
+
+def test_block_solve_from_a_state_with_coefficients_beyond_the_truncation():
+    # the retained modes feel the rows beyond N through the first gradient; P_N zeroes them
+    model, data = _linear_setup(n_modes=6)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+                            steps=_B + 40, burn_in=14, thin=9, seed=8)
+    coeffs = np.random.default_rng(1).standard_normal((6, 1))
+    state = lg.ChainState(step=13, map=md.TransportMap(coeffs=coeffs, basis=model.basis))
+    traj = _assert_block_solve_matches_stepwise(cfg, model, data, state)
+    assert traj.steps[0] == 23   # the schedule counts from step 0: 14 + 9
+    projected = lg.ChainState(step=13, map=state.map.copy_with(project_P_N(coeffs, 3)))
+    assert np.abs(lg.run_chain(cfg, model, "squared", data, init_state=projected).coeffs[0]
+                  - traj.coeffs[0]).max() > 1e-6
+
+
+def test_block_solve_with_a_negative_eigenvalue():
+    # eta * lambda_max(H) > 1 flips a mode's sign each step, yet |d| < 1: d^-j must be an
+    # integer power, as a float power of a negative number is nan
+    model, data = _linear_setup(n=40)
+    cfg = lg.DynamicsConfig(eta=0.6, beta=40.0, lam=0.5, n_modes=4,
+                            steps=_B + 300, burn_in=100, thin=3, seed=6)
+    d = _block_solve_eigenvalues(cfg, model, data)
+    assert d.min() < 0.0 and np.abs(d).max() < 1.0
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(d.min() ** -1.5)
+    traj = _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
+    assert np.all(np.isfinite(traj.coeffs))
+
+
+def test_block_solve_without_noise_draws_nothing(monkeypatch):
+    # beta = inf: no draw on either path, so the generator ends where it started
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=np.inf, lam=0.5, n_modes=3,
+                            steps=_B + 17, burn_in=2, thin=5, seed=3)
+    assert cfg.noise_amp == 0.0
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(lg.np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed)) or made[-1])
+    _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
+    monkeypatch.setattr(md, "risk_objective", _no_affine_objective)
+    lg.run_chain(cfg, model, "squared", data)
+    fresh = default_rng(cfg.seed).bit_generator.state
+    assert made[0].bit_generator.state == made[2].bit_generator.state == fresh
 
 
 def test_run_chain_holds_its_record_once():

@@ -436,6 +436,32 @@ def test_identity_map_objective_equals_the_reference_bit_for_bit(gamma, loss):
             assert value(c) == ref_value(c)
 
 
+def test_only_the_identity_squared_gradient_declares_an_affine_form(monkeypatch):
+    # grad(c) = H c - b, H = (2/n) Phi^T Phi and b = (2/n) Phi^T y, from the features the
+    # objective already holds; gamma > 0, the logistic loss and the other maps declare none
+    rng = np.random.default_rng(4)
+    model = md.ModelSpec(arch="identity-map", basis=cosine_basis(6, dim_in=1))
+    x, y = rng.uniform(0, 1, (30, 1)), rng.standard_normal(30)
+    Phi = eval_basis(model.basis, x)
+    calls = []
+    monkeypatch.setattr(md, "eval_basis", lambda basis, x: calls.append(1) or eval_basis(basis, x))
+    _, grad = md.risk_objective(model, "squared", md.Dataset(x=x, y=y))
+    H, b = grad.affine()
+    assert len(calls) == 1 and b.shape == (6, 1)
+    np.testing.assert_allclose(H, 2.0 / 30 * Phi.T @ Phi, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(b[:, 0], 2.0 / 30 * Phi.T @ y, rtol=1e-14, atol=1e-15)
+    for _ in range(3):
+        c = rng.standard_normal((6, 1))
+        np.testing.assert_allclose(H @ c - b, grad(c), rtol=0, atol=1e-13)
+    labels = md.Dataset(x=x, y=np.where(y >= 0, 1.0, -1.0))
+    assert not hasattr(md.risk_objective(model, "squared", md.Dataset(x=x, y=y), 0.5)[1],
+                       "affine")
+    assert not hasattr(md.risk_objective(model, "logistic", labels)[1], "affine")
+    for arch in ("two-layer", "resnet", "wasserstein"):
+        other, data, _ = _arch_case(arch, rng)
+        assert not hasattr(md.risk_objective(other, "squared", data)[1], "affine"), arch
+
+
 # The resnet forward and gradient and the wasserstein objective and gradient as they were
 # written before one objective per architecture was built: one self-contained pass per call.
 def _reference_resnet_forward(model, W, X):
