@@ -1,6 +1,6 @@
 """Compare two artifact directories: which files moved, and by how much.
 
-    python3 tools/artifact_diff.py PARENT_DIR CHANGE_DIR [--json OUT.json]
+    python3 tools/artifact_diff.py PARENT_DIR CHANGE_DIR
 
 Both directories hold the same kind of tree, for example the output
 directories of ``transport-langevin run`` for every preset and of a sweep,
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import re
 import sys
@@ -167,15 +166,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--json", type=Path, help="also write the comparison as JSON")
     args = parser.parse_args(argv)
     for root in (args.parent, args.change):
         if not root.is_dir():
             parser.error(f"not a directory: {root}")
     result = compare(args.parent, args.change)
     print(_format(result))
-    if args.json:
-        args.json.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return int(bool(result["moved"] or result["only_parent"] or result["only_change"]))
 
 
