@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -355,41 +355,30 @@ def stepsize_bias(seed=0, overrides=None):
 def ergodicity(seed=0, overrides=None):
     """Coupled chains from distant starts: exponential decay of a test-function gap.
 
-    Pairs share the noise stream (two generators with the same seed), so the
-    gap decays at the contraction rate of the drift; the ensemble-averaged
-    gap of a bounded smooth test function is fitted log-linearly.
+    Each pair runs two :func:`langevin.run_chain` calls with the same seed, so
+    both chains read the same noise (a synchronous coupling) and the gap decays
+    at the contraction rate of the drift; the ensemble-averaged gap of a bounded
+    smooth test function is fitted log-linearly.
     """
     p = _merged(PRESET_DEFAULTS["ergodicity"], overrides or {}, "ergodicity")
     rng = np.random.default_rng(seed)
     basis, model, data, _ = _linear_gaussian_setup(rng, p["n_modes"], p["n"])
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
-                            n_modes=p["n_modes"])
+                            n_modes=p["n_modes"], steps=p["steps"])
     c_dir = rng.standard_normal(p["n_modes"])
     c_dir /= np.linalg.norm(c_dir)
 
-    def phi(coeffs):
-        return float(np.tanh(c_dir.dot(coeffs[:, 0])))
-
-    # the feature matrix on the fixed data is evaluated once, not once per step
-    _, grad = md.risk_objective(model, "squared", data)
-
-    def grad_fn(W):
-        return grad(W.coeffs)
-
     value_gaps = np.zeros(p["steps"])
     for pair in range(p["n_pairs"]):
-        noise_seed = seed * 1000 + pair
-        rng_a = np.random.default_rng(noise_seed)
-        rng_b = np.random.default_rng(noise_seed)
+        pair_cfg = replace(cfg, seed=seed * 1000 + pair)
         Wa = md.TransportMap(coeffs=md.identity_coeffs(model, basis), basis=basis)
         start_b = Wa.coeffs + 4.0 + rng.standard_normal(Wa.coeffs.shape)
         Wb = md.TransportMap(coeffs=start_b, basis=basis)
-        sa = lg.ChainState(step=0, map=Wa)
-        sb = lg.ChainState(step=0, map=Wb)
-        for k in range(p["steps"]):
-            sa = lg.gld_step(sa, cfg, model, "squared", data, rng_a, grad_fn)
-            sb = lg.gld_step(sb, cfg, model, "squared", data, rng_b, grad_fn)
-            value_gaps[k] += abs(phi(sa.map.coeffs) - phi(sb.map.coeffs))
+        rec_a, rec_b = (lg.run_chain(pair_cfg, model, "squared", data,
+                                     init_state=lg.ChainState(step=0, map=W)).coeffs
+                        for W in (Wa, Wb))
+        value_gaps += np.abs(np.tanh(rec_a[:, :, 0].dot(c_dir))
+                             - np.tanh(rec_b[:, :, 0].dot(c_dir)))
     value_gaps /= p["n_pairs"]
     usable = value_gaps > p["gap_floor"]
     ks = np.arange(1, p["steps"] + 1)[usable]

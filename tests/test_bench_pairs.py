@@ -2,6 +2,7 @@
 
 import importlib.util
 import statistics
+import types
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,65 @@ FAILED tests/test_cli.py::test_run_writes_artifacts_and_passes - assert 1 == 0
     got = bp.parse_pytest("", -9)
     assert (got["passed"], got["failed"], got["errors"], got["exit_code"]) == (0, 0, 0, -9)
     assert got["total_s"] != got["total_s"]
+
+
+def _fake_cli(calls, gap):
+    """A stand-in for subprocess.run over the package CLI and the demos: presets p and q,
+    q's one number being ``gap`` and q failing its criterion when gap is not 0.5."""
+    def run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, cwd, env))
+        args = cmd[1:]
+        out, code = "", 0
+        if args[0] != "-m":
+            out = f"demo {Path(args[0]).stem}\n"
+        elif args[2] == "--preset-list":
+            out = "p\nq\n"
+        elif args[2] == "run":
+            name, dest = args[args.index("--preset") + 1], Path(args[args.index("--out") + 1])
+            (dest / name).mkdir(parents=True)
+            (dest / name / "results.csv").write_text(
+                f"step,mean_gap\n1,{gap if name == 'q' else 1.0}\n")
+            out, code = f"preset: {name}\n", int(name == "q" and gap != 0.5)
+        elif args[2] == "sweep":
+            dest = Path(args[args.index("--out") + 1]) / "regression-rate-sweep-n"
+            dest.mkdir(parents=True)
+            (dest / "sweep.csv").write_text("n,fit\n64,1.0\n")
+        return types.SimpleNamespace(returncode=code, stdout=out, stderr="")
+    return run
+
+
+def test_artifact_pass_runs_both_trees_and_records_what_moved(tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "demos").mkdir(parents=True)
+        for name in ("01_b.py", "00_a.py"):
+            (tree / "demos" / name).write_text("")
+    calls = {"parent": [], "change": []}
+    runners = {side: _fake_cli(calls[side], gap) for side, gap in (("parent", 0.5),
+                                                                    ("change", 0.25))}
+    rec = bp.artifact_pass(trees, tmp_path / "work",
+                           run=lambda cmd, cwd, **kw: runners[cwd.name](cmd, cwd, **kw))
+    for side, tree in trees.items():
+        assert [cmd[1:] for cmd, _, _ in calls[side]][:2] == [
+            ["-m", "transport_langevin", "--preset-list"],
+            ["-m", "transport_langevin", "run", "--preset", "p", "--seed", "0", "--out",
+             str(tmp_path / "work" / "artifacts" / side / "run")]]
+        assert [cmd[1:] for cmd, _, _ in calls[side]][3][2:] == bp.SWEEP + [
+            "--out", str(tmp_path / "work" / "artifacts" / side / "sweep")]
+        assert [cmd[1] for cmd, _, _ in calls[side]][4:] == [
+            str(tree / "demos" / "00_a.py"), str(tree / "demos" / "01_b.py")]
+        for _, cwd, env in calls[side]:
+            assert cwd == tree and env["PYTHONHASHSEED"] == "0"
+            assert env["PYTHONPATH"] == str(tree / "src")
+    assert rec["exit_codes"]["parent"] == {
+        "run-p": 0, "run-q": 0, "sweep-regression-rate-n": 0, "demo-00_a": 0, "demo-01_b": 0}
+    assert rec["exit_codes"]["change"]["run-q"] == 1
+    # 2 results, 1 sweep file and 5 stdout files per side
+    assert rec["files"] == {"parent": 8, "change": 8}
+    diff = rec["diff"]
+    assert diff["moved"] == ["run/q/results.csv"]
+    assert diff["only_parent"] == diff["only_change"] == []
+    assert diff["drift"]["run/q/results.csv"]["mean_gap"]["max_rel"] == pytest.approx(0.5)
+    out = tmp_path / "work" / "artifacts" / "change" / "stdout"
+    assert (out / "run-q.txt").read_text() == "preset: q\n"
+    assert (out / "demo-01_b.txt").read_text() == "demo 01_b\n"

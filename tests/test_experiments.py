@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from transport_langevin import experiments as ex
+from transport_langevin import langevin as lg
+from transport_langevin import models as md
 from transport_langevin import oracle as orc
 
 
@@ -37,6 +39,43 @@ def test_ou_moment_holds_one_trace_at_a_time():
         tracemalloc.stop()
     # one config's trace, the solver's chunk buffer and small change
     assert peak <= 8 * steps + 8 * orc._CHUNK + (1 << 19), peak
+
+
+def _stepwise_ergodicity_gaps(seed, overrides):
+    """The ergodicity preset's mean gaps from coupled gld_step loops: two generators with
+    the same seed per pair, one step of each chain at a time."""
+    p = {**ex.PRESET_DEFAULTS["ergodicity"], **overrides}
+    rng = np.random.default_rng(seed)
+    basis, model, data, _ = ex._linear_gaussian_setup(rng, p["n_modes"], p["n"])
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], n_modes=p["n_modes"])
+    c_dir = rng.standard_normal(p["n_modes"])
+    c_dir /= np.linalg.norm(c_dir)
+    _, grad = md.risk_objective(model, "squared", data)
+    gaps = np.zeros(p["steps"])
+    for pair in range(p["n_pairs"]):
+        Wa = md.TransportMap(coeffs=md.identity_coeffs(model, basis), basis=basis)
+        Wb = md.TransportMap(coeffs=Wa.coeffs + 4.0 + rng.standard_normal(Wa.coeffs.shape),
+                             basis=basis)
+        states = [lg.ChainState(step=0, map=W) for W in (Wa, Wb)]
+        rngs = [np.random.default_rng(seed * 1000 + pair) for _ in states]
+        for k in range(p["steps"]):
+            states = [lg.gld_step(st, cfg, model, "squared", data, r, lambda W: grad(W.coeffs))
+                      for st, r in zip(states, rngs)]
+            a, b = (np.tanh(c_dir.dot(st.map.coeffs[:, 0])) for st in states)
+            gaps[k] += abs(a - b)
+    return gaps / p["n_pairs"], p["gap_floor"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_ergodicity_matches_coupled_gld_step_loops(seed):
+    overrides = {"steps": 50, "n_pairs": 2}
+    gaps, floor = _stepwise_ergodicity_gaps(seed, overrides)
+    result = ex.run_preset("ergodicity", seed=seed, overrides=overrides)
+    usable = gaps > floor
+    assert usable.sum() >= 40
+    assert [row[0] for row in result.table_rows] == list(np.arange(1, 51)[usable])
+    np.testing.assert_allclose([row[1] for row in result.table_rows], gaps[usable],
+                               rtol=0, atol=1e-12)
 
 
 def test_overrides_change_the_run():

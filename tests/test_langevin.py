@@ -389,6 +389,31 @@ def test_block_solve_without_noise_draws_nothing(monkeypatch):
     assert made[0].bit_generator.state == made[2].bit_generator.state == fresh
 
 
+def test_same_seed_chains_from_two_starts_differ_by_powers_of_the_linear_map():
+    # the synchronous coupling of the ergodicity preset: the same seed draws the same noise,
+    # so x_a - x_b follows x' = A x with A = S(I - eta H) exactly, across a block boundary
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.002, beta=4.0, lam=0.5, n_modes=4,
+                            steps=_B + 50, seed=5)
+    rng = np.random.default_rng(2)
+    starts = [rng.standard_normal((4, 1)) + shift for shift in (0.0, 4.0)]
+    solves, ar1_blocks = [], lg._ar1_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
+        rec_a, rec_b = (lg.run_chain(cfg, model, "squared", data, init_state=lg.ChainState(
+            step=0, map=md.TransportMap(coeffs=c, basis=model.basis))).coeffs for c in starts)
+    assert len(solves) == 2 * 2
+    _, grad = md.risk_objective(model, "squared", data)
+    H, _ = grad.affine()
+    N, s_col = cfg._resolvent(model.basis)
+    A = s_col[:N] * (np.eye(N) - cfg.eta * H)
+    gap = starts[0][:, 0] - starts[1][:, 0]
+    for k in range(cfg.steps):
+        gap = A.dot(gap)
+        np.testing.assert_allclose(rec_a[k, :, 0] - rec_b[k, :, 0], gap, rtol=0, atol=1e-12)
+    assert np.abs(gap).max() > 1e-2     # the last records still differ: the check is not vacuous
+
+
 def test_run_chain_holds_its_record_once():
     model, data = _linear_setup(n_modes=16)
     cfg = lg.DynamicsConfig(eta=0.01, beta=4.0, lam=0.5, n_modes=16,
@@ -704,9 +729,11 @@ def test_simulate_ou_sq_norms_working_memory_does_not_grow_with_the_step_count()
     eigen = make_eigen_sequence(1.0, 2.0, 8)
     cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0, n_modes=8)
     rng = np.random.default_rng(0)
-    lg.simulate_ou_sq_norms(cfg, eigen, 1_000, rng)   # numpy's one-off state
     extra = []
-    for n_steps in (100_000, 400_000):
+    # the first traced run counts a few KB of numpy's own small buffers, which cumsum's
+    # later calls reuse once some tens of them have run under tracing: a traced warm-up
+    # over as many chunks as the largest run settles them, and its reading is dropped
+    for n_steps in (400_000, 100_000, 400_000):
         tracemalloc.start()
         try:
             lg.simulate_ou_sq_norms(cfg, eigen, n_steps, rng)
@@ -714,6 +741,7 @@ def test_simulate_ou_sq_norms_working_memory_does_not_grow_with_the_step_count()
         finally:
             tracemalloc.stop()
         extra.append(peak - 8 * n_steps)   # beyond the returned trace
+    extra = extra[1:]
     assert max(extra) <= 8 * orc._CHUNK + (1 << 19), extra
     assert abs(extra[1] - extra[0]) <= 4096, extra
 

@@ -12,8 +12,14 @@ repository itself is left untouched.  Each of the ten pairs ``i`` (seed
 of ``BENCHMARK.json``, once per side and workload: odd pairs run the
 parent first, even pairs the change first, and the workloads are interleaved
 within each pair, so a slow drift of the machine falls on both sides alike.
-Each side's tier-1 suite then runs once under ``pytest --durations``; its
-record holds the passed, failed and error counts and pytest's exit code.
+Then the artifact pass makes each side's artifacts at the presets' own
+defaults under ``PYTHONHASHSEED=0``: every preset ``run`` at seed 0, the
+``sweep`` of regression-rate over ``n`` and the standard output of each run,
+the sweep and every demo. ``tools/artifact_diff.py`` compares the two trees,
+and the record holds each command's exit status and the comparison, so that
+"byte-identical" is a record anyone can re-run.  Each side's tier-1 suite then
+runs once under ``pytest --durations``; its record holds the passed, failed and
+error counts and pytest's exit code.
 
 Per metric the record holds both sides' medians and quartiles over the pairs,
 the relative change of the medians, the parent's interquartile range relative
@@ -32,6 +38,7 @@ to its median, the number of pairs the change won and a verdict:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -46,6 +53,14 @@ ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=30"]
+CLI = ["-m", "transport_langevin"]
+SWEEP = ["sweep", "--preset", "regression-rate", "--axis", "n",
+         "--values", "64,128,256,512,1024", "--seed", "0"]
+
+_spec = importlib.util.spec_from_file_location(
+    "artifact_diff", Path(__file__).resolve().with_name("artifact_diff.py"))
+artifact_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_diff)
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -135,6 +150,55 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def make_artifacts(tree: Path, dest: Path, run=subprocess.run) -> dict:
+    """Artifacts of ``tree`` at the presets' defaults into ``dest``; each command's exit status.
+
+    ``dest/run/<preset>/`` holds every preset's ``run`` at seed 0,
+    ``dest/sweep/regression-rate-sweep-n/`` the regression-rate sweep over ``n``,
+    and ``dest/stdout/<command>.txt`` the standard output of each of those
+    commands and of every demo in ``tree/demos``.  Everything runs in ``tree``
+    from its own ``src`` under ``PYTHONHASHSEED=0``; ``run`` is called like
+    ``subprocess.run``.
+    """
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+
+    def call(args):
+        return run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True,
+                   timeout=3600)
+
+    listing = call([*CLI, "--preset-list"])
+    if listing.returncode != 0:
+        raise RuntimeError(f"--preset-list in {tree}: exit {listing.returncode}\n"
+                           f"{listing.stderr}")
+    commands = {f"run-{name}": [*CLI, "run", "--preset", name, "--seed", "0",
+                                "--out", str(dest / "run")]
+                for name in listing.stdout.split()}
+    commands["sweep-regression-rate-n"] = [*CLI, *SWEEP, "--out", str(dest / "sweep")]
+    commands.update({f"demo-{path.stem}": [str(path)]
+                     for path in sorted((tree / "demos").glob("*.py"))})
+    (dest / "stdout").mkdir(parents=True)
+    status = {}
+    for name, args in commands.items():
+        out = call(args)
+        (dest / "stdout" / f"{name}.txt").write_text(out.stdout, encoding="utf-8")
+        status[name] = out.returncode
+    return status
+
+
+def artifact_pass(trees: dict, work_dir: Path, run=subprocess.run) -> dict:
+    """Both sides' artifacts under ``work_dir/artifacts``, compared by tools/artifact_diff.py."""
+    dests = {side: work_dir / "artifacts" / side for side in ("parent", "change")}
+    status = {side: make_artifacts(trees[side], dests[side], run) for side in dests}
+    return {
+        "what": (f"every preset run at seed 0, `{' '.join(SWEEP)}` and the stdout of each "
+                 "command and of every demo, at the presets' defaults under "
+                 "PYTHONHASHSEED=0; compared by tools/artifact_diff.py"),
+        "files": {side: sum(p.is_file() for p in dests[side].rglob("*")) for side in dests},
+        "exit_codes": status,
+        "diff": artifact_diff.compare(dests["parent"], dests["change"]),
+    }
+
+
 def workload_record(seeds, runs: dict, bounds: dict) -> dict:
     """The per-workload block of the BENCH file from each side's run records."""
     par, chg = runs["parent"], runs["change"]
@@ -213,6 +277,11 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)
+    out["artifacts"] = artifact_pass(trees, args.work_dir)
+    path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    moved = out["artifacts"]["diff"]["moved"]
+    print(f"added the artifact comparison to {path}: {len(moved)} file(s) moved",
+          file=sys.stderr)
     tier1 = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
     for side in ("parent", "change"):
         envvars = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
