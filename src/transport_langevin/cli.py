@@ -168,8 +168,8 @@ def _cmd_audit(args) -> int:
     seed = _seed(args, cfg)
     setup = ex._audit_setup(cfg["preset"], seed, cfg.get("overrides", {}))
     if setup is None:
-        print(f"no assumption audit defined for preset {cfg['preset']!r} "
-              "(it exercises a closed-form identity, not a model)", file=sys.stderr)
+        print(f"no assumption audit defined for preset {cfg['preset']!r} (it fits no model "
+              "to labelled data by a squared or logistic loss)", file=sys.stderr)
         return 2
     from . import analysis as an
     model, loss_kind, data, class_probs = setup

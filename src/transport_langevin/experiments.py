@@ -85,6 +85,8 @@ PRESET_DEFAULTS = {
     "wasserstein-demo": dict(n_source=24, n_modes=12, penalty=25.0, mmd_bandwidth=0.8,
                              eta=0.05, beta=1e5, lam=1e-6, steps=20_000, target_shift=1.0,
                              target_scale=0.5),
+    "pac-bayes": dict(n_seeds=10, n=64, M=6, d=2, R=2.0, noise=0.2, eta=0.1, steps=4000,
+                      burn_in=2000, thin=10, ref_eta_factor=0.25, ref_steps=12_000),
 }
 
 
@@ -116,19 +118,20 @@ _BERNSTEIN_AXIS_CAP = 1000
 # lower limits (value, strict) of the float keys the chain, clip and grid configs check
 _FLOAT_LOW = {"eta": (0.0, False), "etas": (0.0, False), "beta": (0.0, True),
               "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False),
-              "step": (0.0, True), "radii": (0.0, True)}
+              "step": (0.0, True), "radii": (0.0, True), "ref_eta_factor": (0.0, True)}
 
 
 def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
     """Defaults updated by overrides, each coerced to the type of its default.
 
-    Unknown keys raise KeyError and bad values ValueError.  Integer keys take
-    integral numbers only and, as counts or sizes, must be >= 1 (``burn_in``
-    >= 0, ``_INT_LOW`` where more is needed); list keys take non-empty lists
-    of numbers, and stepsize-bias needs as many ``etas`` as its bias fit.  Float values must be finite and within
-    ``_FLOAT_LOW``, a preset's beta must exceed its eta, correlation-suite's ``max_dim``
-    is at most ``_CORRELATION_DIM_CAP``, wasserstein-demo's ``n_modes`` at most its
-    ``n_source``, an input dimension ``d`` is 2, and ``_SCHEDULES`` holds.
+    Unknown keys raise KeyError and bad values ValueError.  Integer keys take integral
+    numbers only and, as counts or sizes, must be >= 1 (``burn_in`` >= 0, ``_INT_LOW``
+    where more is needed); list keys take non-empty lists of numbers, and stepsize-bias
+    needs as many ``etas`` as its bias fit.  Float values must be finite and within
+    ``_FLOAT_LOW``, a preset's beta must exceed its eta (pac-bayes's reference chain's too,
+    and it must record a sample), correlation-suite's ``max_dim`` is at most
+    ``_CORRELATION_DIM_CAP``, wasserstein-demo's ``n_modes`` at most its ``n_source``, an
+    input dimension ``d`` is 2, and ``_SCHEDULES`` holds.
     """
     out = dict(defaults)
     for key, val in overrides.items():
@@ -170,13 +173,22 @@ def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
                              f"{_BERNSTEIN_AXIS_CAP} grid values per axis (10^6 grid points "
                              f"per radius; any step >= 0.001 does), got step={out['step']!r} "
                              f"with {widest} values")
+    if preset == "pac-bayes":   # its reference chain runs at eta * ref_eta_factor, beta = n
+        if not out["n"] > out["eta"] * out["ref_eta_factor"]:
+            raise ValueError(f"overrides for preset 'pac-bayes' need 'n' > 'eta' * "
+                             f"'ref_eta_factor', got n={out['n']!r}, eta={out['eta']!r} and "
+                             f"ref_eta_factor={out['ref_eta_factor']!r}")
+        if out["ref_steps"] - 2 * out["burn_in"] < out["thin"]:   # it burns in 2 * burn_in
+            raise ValueError(f"overrides for preset 'pac-bayes' need 'ref_steps' >= 2 * 'burn_in'"
+                             f" + 'thin', got ref_steps={out['ref_steps']!r}, burn_in="
+                             f"{out['burn_in']!r} and thin={out['thin']!r}")
     # the two-layer inputs are points of the unit disc (_disc_points)
     if out.get("d", 2) != 2:
         raise ValueError(f"override 'd' for preset {preset!r} must be 2, the dimension of "
                          f"the unit disc its inputs are drawn from, got {out['d']!r}")
     eta_max = max([out.get("eta", 0.0)] + out.get("etas", []))
-    # two presets run their chain at beta = n instead of a declared beta
-    beta_key = "n" if preset in ("posterior-validate", "regression-rate") else "beta"
+    # three presets run their chain at beta = n instead of a declared beta
+    beta_key = "n" if preset in ("posterior-validate", "regression-rate", "pac-bayes") else "beta"
     if beta_key in out and not out[beta_key] > eta_max:
         runs_at = " (the chain runs at beta = n)" if beta_key == "n" else ""
         raise ValueError(f"overrides for preset {preset!r} need {beta_key!r} > 'eta'{runs_at}, "
@@ -754,56 +766,41 @@ def wasserstein_demo(seed=0, overrides=None):
 
 
 # ---------------------------------------------------------------------------
-# generalization-gap check (runs on the regression machinery)
+# preset: pac-bayes (runs on the regression machinery)
 # ---------------------------------------------------------------------------
 
-# override keys and defaults of pac_bayes_check, which is not a registered preset
-_PAC_BAYES_DEFAULTS = dict(M=6, d=2, R=2.0, noise=0.2, eta=0.1, steps=4000, burn_in=2000,
-                           thin=10, ref_eta_factor=0.25, ref_steps=12_000)
+def _pac_bayes_task(s, p):
+    """Seed s's network, its n training points and 4n test points from one stream."""
+    model, teacher = _regression_task(s, p)
+    data_rng, n = np.random.default_rng(s + 5000), int(p["n"])
+    return model, *(_regression_data(data_rng, m, p["noise"], model, teacher) for m in (n, 4 * n))
 
 
-def pac_bayes_check(seed=0, n_seeds=10, n=64, overrides=None):
-    """Bound vs observed train/test gap across seeds, with the optimization
-    term replaced by the measured chain-vs-reference gap."""
-    p = _merged(_PAC_BAYES_DEFAULTS, overrides or {}, "pac-bayes")
-    if not n > p["eta"]:
-        raise ValueError(f"pac-bayes check needs n > 'eta' (the chain runs at beta = n), "
-                         f"got n={n!r} and eta={p['eta']!r}")
-    if not (p["ref_eta_factor"] > 0 and n > p["eta"] * p["ref_eta_factor"]):
-        raise ValueError(f"pac-bayes check needs 'ref_eta_factor' > 0 and n > eta * "
-                         f"'ref_eta_factor' (the reference chain runs at beta = n), got "
-                         f"n={n!r}, eta={p['eta']!r} and ref_eta_factor={p['ref_eta_factor']!r}")
-    if p["ref_steps"] - 2 * p["burn_in"] < p["thin"]:   # the reference chain records nothing
-        raise ValueError(f"pac-bayes check needs 'ref_steps' >= 2 * 'burn_in' + 'thin', got "
-                         f"{p['ref_steps']!r}, {p['burn_in']!r} and {p['thin']!r}")
+def pac_bayes(seed=0, overrides=None):
+    """Bound vs observed train/test gap on seeds ``seed .. seed + n_seeds - 1``, with the
+    optimization term replaced by the measured chain-vs-reference gap."""
+    p = _merged(PRESET_DEFAULTS["pac-bayes"], overrides or {}, "pac-bayes")
+    n, n_seeds = int(p["n"]), int(p["n_seeds"])
+    beta, lam, R_bar = float(n), 1.0 / n, ls.clipped_loss_range(p["R"], p["noise"])
     rows = []
-    ok_all = True
     for s in range(seed, seed + n_seeds):
-        model, teacher = _regression_task(s, p)
-        data_rng = np.random.default_rng(s + 5000)
-        data = _regression_data(data_rng, n, p["noise"], model, teacher)
-        test = _regression_data(data_rng, 4 * n, p["noise"], model, teacher)
-        beta, lam = float(n), 1.0 / n
+        model, data, test = _pac_bayes_task(s, p)
         cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                                 n_modes=model.basis.n_modes, steps=int(p["steps"]),
                                 burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=s)
         traj = lg.run_chain(cfg, model, "squared", data, init="zero")
-        cfg_ref = lg.DynamicsConfig(eta=p["eta"] * p["ref_eta_factor"], beta=beta, lam=lam,
-                                    n_modes=model.basis.n_modes, steps=int(p["ref_steps"]),
-                                    burn_in=int(p["burn_in"]) * 2, thin=int(p["thin"]), seed=s + 1)
+        cfg_ref = replace(cfg, eta=p["eta"] * p["ref_eta_factor"], steps=int(p["ref_steps"]),
+                          burn_in=int(p["burn_in"]) * 2, seed=s + 1)
         ref = lg.run_chain(cfg_ref, model, "squared", data, init="zero")
         train = traj.risk(model, "squared", data)
         xi_hat = abs(float(train.mean()) - float(ref.risk(model, "squared", data).mean()))
-        R_bar = ls.clipped_loss_range(p["R"], p["noise"])
         bound = an.pac_bayes_bound(R_bar, beta, n, delta=0.5, Xi_k=xi_hat)
         gap = float(traj.risk(model, "squared", test).mean() - train.mean())
-        ok = bound >= gap
-        ok_all &= ok
-        rows.append([s, gap, xi_hat, bound, int(ok)])
+        rows.append([s, gap, xi_hat, bound, int(bound >= gap)])
+    ok_all = all(row[-1] for row in rows)
     crit = CriterionResult("pac-bayes-bound-holds", ok_all, float(ok_all),
-                           "bound >= observed gap for every seed",
-                           f"{n_seeds} seeds at n={n}")
-    return ExperimentResult("pac-bayes-check", seed, [crit],
+                           "bound >= observed gap for every seed", f"{n_seeds} seeds at n={n}")
+    return ExperimentResult("pac-bayes", seed, [crit],
                             ["seed", "observed_gap", "xi_hat", "bound", "ok"], rows,
                             extras={"all_ok": ok_all})
 
@@ -825,6 +822,7 @@ PRESETS: dict[str, Callable] = {
     "classification-rate": classification_rate,
     "finite-width-demo": finite_width_demo,
     "wasserstein-demo": wasserstein_demo,
+    "pac-bayes": pac_bayes,
 }
 
 SWEEPABLE_AXES = ("n", "beta", "eta", "lam", "M", "n_modes")
@@ -854,6 +852,8 @@ def _audit_setup(preset: str, seed: int, overrides: dict):
         data = _regression_data(data_rng, int(p["n"]), p["noise"], model, teacher)
     elif preset == "finite-width-demo":
         model, data = _finite_width_task(seed, p)
+    elif preset == "pac-bayes":   # the first seed's network and training set
+        model, data, _ = _pac_bayes_task(seed, p)
     else:
         return None
     return model, "squared", data, None

@@ -139,9 +139,9 @@ FAILED tests/test_cli.py::test_run_writes_artifacts_and_passes - assert 1 == 0
     assert got["total_s"] != got["total_s"]
 
 
-def _fake_cli(calls, gap):
-    """A stand-in for subprocess.run over the package CLI and the demos: presets p and q,
-    q's one number being ``gap`` and q failing its criterion when gap is not 0.5."""
+def _fake_cli(calls, gap, presets=("p", "q")):
+    """A stand-in for subprocess.run over the package CLI and the demos: ``presets``, q's
+    one number being ``gap`` and q failing its criterion when gap is not 0.5."""
     def run(cmd, cwd, env, **kwargs):
         calls.append((cmd, cwd, env))
         args = cmd[1:]
@@ -149,7 +149,7 @@ def _fake_cli(calls, gap):
         if args[0] != "-m":
             out = f"demo {Path(args[0]).stem}\n"
         elif args[2] == "--preset-list":
-            out = "p\nq\n"
+            out = "".join(f"{name}\n" for name in presets)
         elif args[2] == "run":
             name, dest = args[args.index("--preset") + 1], Path(args[args.index("--out") + 1])
             (dest / name).mkdir(parents=True)
@@ -199,3 +199,20 @@ def test_artifact_pass_runs_both_trees_and_records_what_moved(tmp_path):
     out = tmp_path / "work" / "artifacts" / "change" / "stdout"
     assert (out / "run-q.txt").read_text() == "preset: q\n"
     assert (out / "demo-01_b.txt").read_text() == "demo 01_b\n"
+
+
+def test_artifact_pass_records_a_preset_only_one_tree_lists(tmp_path):
+    # the first run after a preset is added: the change tree lists one more preset
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "demos").mkdir(parents=True)
+    runners = {"parent": _fake_cli([], 0.5),
+               "change": _fake_cli([], 0.5, presets=("p", "q", "r"))}
+    rec = bp.artifact_pass(trees, tmp_path / "work",
+                           run=lambda cmd, cwd, **kw: runners[cwd.name](cmd, cwd, **kw))
+    assert rec["exit_codes"]["change"]["run-r"] == 0
+    assert "run-r" not in rec["exit_codes"]["parent"]
+    assert rec["files"] == {"parent": 6, "change": 8}
+    diff = rec["diff"]
+    assert diff["only_change"] == ["run/r/results.csv", "stdout/run-r.txt"]
+    assert diff["only_parent"] == [] and diff["moved"] == []

@@ -58,6 +58,7 @@ _REDUCED = {
     "classification-rate": {"steps": 300, "burn_in": 100, "thin": 10},
     "finite-width-demo": {"max_steps": 500, "check_every": 50},
     "wasserstein-demo": {"steps": 400},
+    "pac-bayes": {"n_seeds": 2, "steps": 400, "burn_in": 100, "ref_steps": 400},
 }
 
 # runs each config named on the command line through cli.main; prints the exit codes
@@ -70,14 +71,16 @@ print(json.dumps([cli.main(["run", "--config", c, "--out", out]) for c in sys.ar
 
 
 def test_grad_check_is_byte_identical_across_hash_seeds(tmp_path):
-    # string hashing is salted per process; no draw of any preset may depend on it
+    # string hashing is salted per process, and the BLAS may split a product over threads;
+    # no draw or sum of any preset may depend on either
     assert set(_REDUCED) == set(ex.PRESETS)
     cfgs = [_write_cfg(tmp_path, {"preset": preset, "seed": 3, "overrides": overrides},
                        name=f"{preset}.json") for preset, overrides in _REDUCED.items()]
     src = str(Path(transport_langevin.__file__).resolve().parents[1])
     codes = []
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    for hash_seed, blas_threads in (("0", "1"), ("1", "2")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src,
+                   OPENBLAS_NUM_THREADS=blas_threads)
         proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(tmp_path / f"h{hash_seed}"),
                                *cfgs], env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr[-2000:]
@@ -161,6 +164,17 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "override 'radii' for preset 'bernstein-suite' must be a finite number > 0"),
     ({"preset": "grad-check", "overrides": {"step": 0.0}},
      "override 'step' for preset 'grad-check' must be a finite number > 0"),
+    ({"preset": "pac-bayes", "overrides": {"eta": 64.0}},
+     "need 'n' > 'eta' (the chain runs at beta = n), got n=64 and eta=64.0"),
+    ({"preset": "pac-bayes", "overrides": {"ref_eta_factor": 0.0}},
+     "override 'ref_eta_factor' for preset 'pac-bayes' must be a finite number > 0"),
+    ({"preset": "pac-bayes", "overrides": {"n": 16, "eta": 1.0, "ref_eta_factor": 16.0}},
+     "need 'n' > 'eta' * 'ref_eta_factor', got n=16, eta=1.0 and ref_eta_factor=16.0"),
+    ({"preset": "pac-bayes", "overrides": {"ref_steps": 4005}},
+     "need 'ref_steps' >= 2 * 'burn_in' + 'thin', got ref_steps=4005, burn_in=2000 and "
+     "thin=10"),
+    ({"preset": "pac-bayes", "overrides": {"steps": 2000, "burn_in": 2000}},
+     "(steps=2000, burn_in=2000, thin=10) record 0 sample(s)"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
@@ -174,8 +188,14 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "wasserstein-more-modes-than-source-points", "regression-d-not-2",
         "finite-width-d-not-2", "bernstein-grid-beyond-the-cap", "bernstein-zero-step",
         "bernstein-negative-step", "bernstein-zero-radius", "bernstein-negative-radius",
-        "grad-check-zero-step"])
-def test_bad_override_value_is_status_2(tmp_path, capsys, payload, needle):
+        "grad-check-zero-step", "pac-bayes-eta-not-below-n", "pac-bayes-zero-ref-eta-factor",
+        "pac-bayes-reference-eta-not-below-n", "pac-bayes-reference-records-nothing",
+        "pac-bayes-burn-in-takes-every-step"])
+def test_bad_override_value_is_status_2(tmp_path, capsys, monkeypatch, payload, needle):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the overrides were checked")
+
+    monkeypatch.setattr(ex.lg, "run_chain", no_chain)
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -233,7 +253,7 @@ def test_preset_list(capsys):
     assert rc == 0
     out = capsys.readouterr().out.split()
     assert set(out) == set(ex.PRESETS)
-    assert len(out) == 12
+    assert len(out) == 13
 
 
 def test_sweep_single_value_flags_insufficient(tmp_path):
@@ -362,8 +382,37 @@ def test_audit_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "strong-low-noise" in out
-    rc = cli.main(["audit", "--preset", "bernstein-suite"])
-    assert rc == 2
+    # bernstein-suite checks an inequality on a grid; wasserstein-demo trains a transport
+    # map between two unlabelled samples: neither fits a model to labelled data
+    for preset in ("bernstein-suite", "wasserstein-demo"):
+        assert cli.main(["audit", "--preset", preset]) == 2
+        assert capsys.readouterr().err == (
+            f"no assumption audit defined for preset {preset!r} (it fits no model to "
+            "labelled data by a squared or logistic loss)\n")
+
+
+class _FirstChain(Exception):
+    pass
+
+
+def test_audit_of_pac_bayes_reads_the_first_seed_of_the_preset(capsys, monkeypatch):
+    # the audit of pac-bayes at seed s is the audit of the network and training set its
+    # first chain, seed s's, trains on
+    from transport_langevin import analysis as an
+
+    def first_chain(cfg, model, loss_kind, data, **kwargs):
+        raise _FirstChain(model, loss_kind, data)
+
+    with monkeypatch.context() as m:
+        m.setattr(ex.lg, "run_chain", first_chain)
+        with pytest.raises(_FirstChain) as caught:
+            ex.run_preset("pac-bayes", seed=2)
+    model, loss_kind, data = caught.value.args
+    assert cli.main(["audit", "--preset", "pac-bayes", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == an.assumption_audit(model.basis, model, loss_kind, data).render() + "\n"
+    assert cli.main(["audit", "--preset", "pac-bayes", "--seed", "3"]) == 0
+    assert capsys.readouterr().out != out
 
 
 def test_audit_reads_the_setup_of_the_preset_and_its_overrides(tmp_path, capsys):
@@ -380,7 +429,8 @@ def test_audit_reads_the_setup_of_the_preset_and_its_overrides(tmp_path, capsys)
     assert audit("stepsize-bias") != ergodicity                  # 3 modes
     for preset, overrides in (("classification-rate", {"n": 120}),
                               ("regression-rate", {"n": 64}),
-                              ("finite-width-demo", {"n": 24})):
+                              ("finite-width-demo", {"n": 24}),
+                              ("pac-bayes", {"n": 32})):
         assert audit(preset, overrides) != audit(preset), preset
 
 

@@ -125,13 +125,16 @@ def test_classification_sweep_zero_escape_logic():
 
 def test_every_declared_default_is_a_preset():
     assert set(ex.PRESET_DEFAULTS) == set(ex.PRESETS)
+    # the per-preset rule tables of _merged name presets only
+    assert set(ex._SCHEDULES) <= set(ex.PRESETS)
+    assert set(ex._INT_LOW) <= set(ex.PRESETS)
 
 
 def test_pac_bayes_check_rejects_eta_not_below_n():
     # the chain runs at beta = n: a step size at or above n is refused before any run
     for eta in (64.0, 100.0):
         with pytest.raises(ValueError, match="'eta'"):
-            ex.pac_bayes_check(n_seeds=1, n=64, overrides={"eta": eta})
+            ex.run_preset("pac-bayes", overrides={"eta": eta})
 
 
 def test_pac_bayes_check_rejects_bad_ref_eta_factor(monkeypatch):
@@ -143,7 +146,7 @@ def test_pac_bayes_check_rejects_bad_ref_eta_factor(monkeypatch):
     monkeypatch.setattr(ex.lg, "run_chain", no_chain)
     for factor in (-1.0, 0.0, 640.0, 1000.0):
         with pytest.raises(ValueError, match="'ref_eta_factor'"):
-            ex.pac_bayes_check(n_seeds=1, n=64, overrides={"ref_eta_factor": factor})
+            ex.run_preset("pac-bayes", overrides={"ref_eta_factor": factor})
 
 
 def test_pac_bayes_check_rejects_a_schedule_that_records_nothing(monkeypatch):
@@ -159,7 +162,7 @@ def test_pac_bayes_check_rejects_a_schedule_that_records_nothing(monkeypatch):
                               ({"ref_steps": 4000}, "'ref_steps'"),
                               ({"ref_steps": 4005, "thin": 10}, "'ref_steps'")):
         with pytest.raises(ValueError, match=needle):
-            ex.pac_bayes_check(n_seeds=1, n=64, overrides=overrides)
+            ex.run_preset("pac-bayes", overrides=overrides)
 
 
 _SMALL_CORRELATION = {"n_pairs": 5, "n_samples": 20_000}

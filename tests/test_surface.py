@@ -16,10 +16,12 @@ from transport_langevin import models as md
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(transport_langevin.__path__)
                   if m.name != "__main__")
 
-# names deleted with the checkpoint, JSON and i.i.d.-cloud code; none may come back
+# names deleted with the checkpoint, JSON and i.i.d.-cloud code, and criterion 12's own
+# entry point, now the pac-bayes preset; none may come back
 _REMOVED = ("save_checkpoint", "load_checkpoint", "map_to_json", "map_from_json",
             "cloud_to_json", "cloud_from_json", "_basis_to_dict", "_basis_from_dict",
-            "sample_cloud", "clip_deriv", "RateParams")
+            "sample_cloud", "clip_deriv", "RateParams", "pac_bayes_check",
+            "_PAC_BAYES_DEFAULTS")
 
 
 def _module(name):
