@@ -19,7 +19,7 @@ from .models import (Dataset, ParticleCloud, TransportMap, ClipConfig,
 from .losses import (LossBounds, loss_eval_derivs, clipped_loss_range,
                      bernstein_check, feasible_band, smoothness_audit)
 from .langevin import (DynamicsConfig, ChainState, Trajectory,
-                       ChainDivergedError, gld_step, run_chain,
+                       ChainDivergedError, gld_step, run_chain, run_chains,
                        gld_zero_grad_stationary_variance)
 from .oracle import (GaussianPosterior, conjugate_posterior, finite_diff_grad,
                      small_ball_mc, gaussian_correlation_mc,

@@ -250,6 +250,7 @@ def _two_layer_setup(rng, M=8, d=2, R=2.0, D=1.0, bandwidth=1.0):
 # preset: posterior-validate
 # ---------------------------------------------------------------------------
 
+
 def posterior_validate(seed=0, overrides=None):
     """Chain marginal against the exact conjugate posterior (linear-Gaussian case)."""
     p = _merged(PRESET_DEFAULTS["posterior-validate"], overrides or {}, "posterior-validate")
@@ -263,13 +264,17 @@ def posterior_validate(seed=0, overrides=None):
                             thin=1, seed=seed)
     samples = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
     header = ["mode", "chain_mean", "exact_mean", "stderr", "z"]
-    rows, zs = [], []
+    rows, zs, mean_vec = [], [], np.empty(p["n_modes"])
+    # each mode's samples are copied into one contiguous buffer, so that its statistics read
+    # them in one pass; a copy of all modes at once would double the memory of the record
+    series = np.empty(len(samples))
     for k in range(p["n_modes"]):
-        se = orc.batch_means_stderr(samples[:, k])
-        z = (samples[:, k].mean() - post.mean[k, 0]) / se
+        series[:] = samples[:, k]
+        se = orc.batch_means_stderr(series)
+        mean_vec[k] = series.mean()
+        z = (mean_vec[k] - post.mean[k, 0]) / se
         zs.append(abs(z))
-        rows.append([k, samples[:, k].mean(), post.mean[k, 0], se, z])
-    mean_vec = samples.mean(axis=0)
+        rows.append([k, mean_vec[k], post.mean[k, 0], se, z])
     rel = float(np.linalg.norm(mean_vec - post.mean[:, 0]) / np.linalg.norm(post.mean[:, 0]))
     criteria = [
         CriterionResult("posterior-mean-z", max(zs) <= 3.0, max(zs), "<= 3 per mode",
@@ -367,10 +372,10 @@ def stepsize_bias(seed=0, overrides=None):
 def ergodicity(seed=0, overrides=None):
     """Coupled chains from distant starts: exponential decay of a test-function gap.
 
-    Each pair runs two :func:`langevin.run_chain` calls with the same seed, so
-    both chains read the same noise (a synchronous coupling) and the gap decays
-    at the contraction rate of the drift; the ensemble-averaged gap of a bounded
-    smooth test function is fitted log-linearly.
+    Both chains of a pair have the same seed, so they read the same noise (a
+    synchronous coupling) and the gap decays at the contraction rate of the drift;
+    the ensemble-averaged gap of a bounded smooth test function is fitted
+    log-linearly.  All pairs run as one stack of :func:`langevin.run_chains`.
     """
     p = _merged(PRESET_DEFAULTS["ergodicity"], overrides or {}, "ergodicity")
     rng = np.random.default_rng(seed)
@@ -380,17 +385,18 @@ def ergodicity(seed=0, overrides=None):
     c_dir = rng.standard_normal(p["n_modes"])
     c_dir /= np.linalg.norm(c_dir)
 
-    value_gaps = np.zeros(p["steps"])
-    for pair in range(p["n_pairs"]):
-        pair_cfg = replace(cfg, seed=seed * 1000 + pair)
-        Wa = md.TransportMap(coeffs=md.identity_coeffs(model, basis), basis=basis)
+    Wa = md.TransportMap(coeffs=md.identity_coeffs(model, basis), basis=basis)
+    starts = []   # pair by pair: the chain from the identity map, then its distant start
+    for _ in range(p["n_pairs"]):
         start_b = Wa.coeffs + 4.0 + rng.standard_normal(Wa.coeffs.shape)
-        Wb = md.TransportMap(coeffs=start_b, basis=basis)
-        rec_a, rec_b = (lg.run_chain(pair_cfg, model, "squared", data,
-                                     init_state=lg.ChainState(step=0, map=W)).coeffs
-                        for W in (Wa, Wb))
-        value_gaps += np.abs(np.tanh(rec_a[:, :, 0].dot(c_dir))
-                             - np.tanh(rec_b[:, :, 0].dot(c_dir)))
+        starts += [Wa, md.TransportMap(coeffs=start_b, basis=basis)]
+    seeds = [seed * 1000 + pair for pair in range(p["n_pairs"]) for _ in range(2)]
+    trajs = lg.run_chains(cfg, [model] * len(starts), "squared", [data] * len(starts), seeds,
+                          init_states=[lg.ChainState(step=0, map=W) for W in starts])
+    value_gaps = np.zeros(p["steps"])
+    for traj_a, traj_b in zip(trajs[::2], trajs[1::2]):
+        value_gaps += np.abs(np.tanh(traj_a.coeffs[:, :, 0].dot(c_dir))
+                             - np.tanh(traj_b.coeffs[:, :, 0].dot(c_dir)))
     value_gaps /= p["n_pairs"]
     usable = value_gaps > p["gap_floor"]
     ks = np.arange(1, p["steps"] + 1)[usable]
@@ -782,16 +788,18 @@ def pac_bayes(seed=0, overrides=None):
     p = _merged(PRESET_DEFAULTS["pac-bayes"], overrides or {}, "pac-bayes")
     n, n_seeds = int(p["n"]), int(p["n_seeds"])
     beta, lam, R_bar = float(n), 1.0 / n, ls.clipped_loss_range(p["R"], p["noise"])
+    seeds = range(seed, seed + n_seeds)
+    models, datas, tests = zip(*(_pac_bayes_task(s, p) for s in seeds))
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam, n_modes=models[0].basis.n_modes,
+                            steps=int(p["steps"]), burn_in=int(p["burn_in"]),
+                            thin=int(p["thin"]), seed=seed)
+    cfg_ref = replace(cfg, eta=p["eta"] * p["ref_eta_factor"], steps=int(p["ref_steps"]),
+                      burn_in=int(p["burn_in"]) * 2)
+    # two stacks of one member per seed: the chains, then their references (seed s + 1)
+    trajs = lg.run_chains(cfg, models, "squared", datas, list(seeds), init="zero")
+    refs = lg.run_chains(cfg_ref, models, "squared", datas, [s + 1 for s in seeds], init="zero")
     rows = []
-    for s in range(seed, seed + n_seeds):
-        model, data, test = _pac_bayes_task(s, p)
-        cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
-                                n_modes=model.basis.n_modes, steps=int(p["steps"]),
-                                burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=s)
-        traj = lg.run_chain(cfg, model, "squared", data, init="zero")
-        cfg_ref = replace(cfg, eta=p["eta"] * p["ref_eta_factor"], steps=int(p["ref_steps"]),
-                          burn_in=int(p["burn_in"]) * 2, seed=s + 1)
-        ref = lg.run_chain(cfg_ref, model, "squared", data, init="zero")
+    for s, model, data, test, traj, ref in zip(seeds, models, datas, tests, trajs, refs):
         train = traj.risk(model, "squared", data)
         xi_hat = abs(float(train.mean()) - float(ref.risk(model, "squared", data).mean()))
         bound = an.pac_bayes_bound(R_bar, beta, n, delta=0.5, Xi_k=xi_hat)

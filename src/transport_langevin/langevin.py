@@ -16,6 +16,11 @@ is an AR(1) process, which :func:`simulate_ou_sq_norms` solves in closed form
 over blocks of steps with numpy alone.  A chain whose gradient is affine
 (identity map, squared loss) is the same AR(1) in the eigenbasis of its linear
 map, and :func:`run_chain` solves it with the same block solver when it is stable.
+
+:func:`run_chains` runs K chains as one stack: members of one architecture and one
+coefficient shape, each with its own model, dataset, seed and initial state, under one
+schedule.  The state carries a leading member axis, each member draws its noise from its
+own generator, and :func:`run_chain` is the stack of one member.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "ChainDivergedError",
     "gld_step",
     "run_chain",
+    "run_chains",
     "simulate_ou_sq_norms",
     "gld_zero_grad_stationary_variance",
 ]
@@ -106,12 +112,16 @@ class ChainState:
 class ChainDivergedError(RuntimeError):
     """Raised when an update produces non-finite coefficients.
 
-    Carries the last finite state so the caller can inspect or restart.
+    Carries the last finite state so the caller can inspect or restart, and the
+    index of the member it belongs to in a stack of chains (0 for a single chain,
+    whose message names no member).
     """
 
-    def __init__(self, state: ChainState):
-        super().__init__(f"chain diverged after step {state.step}")
+    def __init__(self, state: ChainState, member: Optional[int] = None):
+        where = "" if member is None else f" (member {member})"
+        super().__init__(f"chain diverged after step {state.step}{where}")
         self.state = state
+        self.member = member or 0
 
 
 @dataclass
@@ -128,8 +138,15 @@ class Trajectory:
         return np.array([value(c) for c in self.coeffs])
 
 
-# steps per block of run_chain: one noise draw, one finiteness check, one copy into the record
+# steps per block of the stepwise loop: per block, one noise draw per member, one finiteness
+# check and one copy into the record
 _BLOCK = 1024
+
+# steps per block of the block solve.  4,096 steps of 8 modes fill 256 KB, so that its three
+# buffers stay in L2 (16,384 steps ran about 3x slower); a stack or a map with more
+# coefficients takes fewer steps per block, so that a buffer holds at most _AFFINE_FLOATS floats
+_AFFINE_BLOCK = 4096
+_AFFINE_FLOATS = 8 * _AFFINE_BLOCK
 
 # the block AR(1) solve: at most _OU_BLOCK steps per block, and min|d|^-L <= e^_OU_MAX_LOG_GAIN
 # (finite in float64); each noise draw of simulate_ou_sq_norms fills at most oracle._CHUNK floats
@@ -140,17 +157,19 @@ _OU_MAX_LOG_GAIN = 600.0
 def _implicit_euler(coeffs, g, eta, N: int, s_col, noise, out=None) -> np.ndarray:
     """The chain update S_eta(P_N(coeffs - eta*g) + noise), written into ``out``.
 
-    ``eta`` is :attr:`DynamicsConfig._eta`, a 0-d array.  ``noise`` is the
-    scaled draw amp*eps for the N retained modes, or None when the amplitude
-    is 0.  ``g`` is left as it is: the caller reads its norm.
+    ``coeffs`` is one map's (n_modes, d_out) coefficients or a stack of them,
+    (K, n_modes, d_out), with ``s_col`` of the same rank.  ``eta`` is
+    :attr:`DynamicsConfig._eta`, a 0-d array.  ``noise`` is the scaled draw
+    amp*eps for the N retained modes, or None when the amplitude is 0.  ``g`` is
+    left as it is: the caller reads its norm.
     """
     # eta*g is written into the step's own buffer, never into g
     drift = np.multiply(g, eta, out=out)
     np.subtract(coeffs, drift, out=drift)
-    if N < drift.shape[0]:
-        drift[N:] = 0.0
+    if N < drift.shape[-2]:
+        drift[..., N:, :] = 0.0
         if noise is not None:
-            drift[:N] += noise
+            drift[..., :N, :] += noise
     elif noise is not None:
         drift += noise
     return np.multiply(drift, s_col, out=drift)
@@ -172,16 +191,16 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
         out = ChainState(step=state.step + 1, map=new)
     except ValueError:   # the one finiteness check, ChainState's own, refused the update
         raise ChainDivergedError(state) from None
-    out.last_grad_norm = _grad_norm(g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.last_grad_norm = _grad_norm(g)
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _grad_norm(g) -> float:
     """``float(np.linalg.norm(g))``, bit for bit: the square root of the flat dot product.
 
     It is ``inf`` without a warning when the squared norm overflows, under the
-    ``errstate`` that :func:`run_chain` runs its steps in.
+    ``errstate`` that :func:`run_chains` runs its steps in and :func:`gld_step` sets.
     """
     # np.linalg.norm computes the same for ord=None, behind several numpy calls
     r = g.ravel(order="K")
@@ -217,128 +236,197 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     steps on the burn-in/thin schedule; :meth:`Trajectory.risk` evaluates the
     loss on it.
 
-    When the objective declares its gradient affine (``grad.affine``) and the
-    chain it gives is stable, the steps are solved in blocks instead
-    (:func:`_affine_solver`): the same noise and the same states up to
-    rounding, not bit for bit.
+    This is the stack of one member of :func:`run_chains`, seeded by cfg.seed:
+    the steps run in blocks, each drawing its noise in one call (the same
+    numbers as one draw per step) and checking finiteness once, and a chain
+    whose gradient is affine and stable is solved in blocks (:func:`_affine_solver`),
+    to rounding rather than bit for bit.  The first non-finite step raises
+    :class:`ChainDivergedError` carrying the last finite state and its step number.
+    """
+    return run_chains(cfg, [model], loss_kind, [dataset], [cfg.seed], init=init,
+                      init_states=[init_state])[0]
 
-    The record's steps follow from the initial step, cfg.steps, cfg.burn_in
-    and cfg.thin, so the record is allocated once at its final size.  The
-    steps run in blocks of up to ``_BLOCK``.  Each block draws its noise in
-    one call (the same numbers as one draw per step) and checks finiteness
-    once; the first non-finite step of a block raises
-    :class:`ChainDivergedError` carrying the last finite state and its step
-    number.  Only then are the block's rows on the schedule copied into the
-    record.
+
+def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
+               init: str = "identity", init_states=None) -> list[Trajectory]:
+    """Run K chains as one stack; one :class:`Trajectory` per member, in member order.
+
+    Member k is the chain ``run_chain(replace(cfg, seed=seeds[k]), models[k], loss_kind,
+    datasets[k], init=init, init_state=init_states[k])``: the sequences hold one entry
+    per member, and ``init_states`` may be None or hold None for a member that starts
+    at ``init``.  The members share the schedule of ``cfg`` (η, β, λ, truncation,
+    steps, burn-in and thinning; cfg.seed is not read), one architecture, one
+    coefficient shape, one data shape, one initial step and one γ.
+
+    The state is one (K, n_modes, d_out) array, and each member draws its block's
+    noise from its own generator, so member k's noise does not depend on K or on
+    k's place in the stack.  Identity-map and two-layer members step through
+    batched products (``models._stacked_grad``), and each member's records equal
+    its own :func:`run_chain` bit for bit; resnet and wasserstein chains take one
+    member only.  An affine stable stack is solved in blocks, one ``eigh`` per
+    member; it takes the stepwise path when any member's linear map is not stable.
+
+    The record is one (K, n_records, n_modes, d_out) array, allocated once and
+    filled once per block; each trajectory holds its member's slice, and all share
+    one array of record steps.  A block is checked for finiteness as a whole; its
+    first non-finite (step, member) raises :class:`ChainDivergedError` carrying that
+    member's last finite state and its index.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
-    basis = _models.model_basis(model)
-    rng = np.random.default_rng(cfg.seed)
-    if init_state is not None:
-        state = init_state
-    else:
-        W0 = initial_map(model, basis, init)
-        W0 = W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes))
-        state = ChainState(step=0, map=W0)
-    gamma = state.map.gamma
-    _, grad_fn = _models.risk_objective(model, loss_kind, dataset, gamma)
-    N, s_col = cfg._resolvent(basis)
+    K = len(models)
+    if K < 1 or len(datasets) != K or len(seeds) != K or \
+            (init_states is not None and len(init_states) != K):
+        raise ValueError("a stack of chains needs one model, one dataset and one seed per "
+                         "member, and one initial state per member if any")
+    starts = [_start(cfg, model, init, state)
+              for model, state in zip(models, init_states or [None] * K)]
+    step_no, gamma, shape = starts[0].step, starts[0].map.gamma, starts[0].map.coeffs.shape
+    if any((s.step, s.map.gamma, s.map.coeffs.shape) != (step_no, gamma, shape) for s in starts):
+        raise ValueError("the members of a stack of chains must start at one step, with "
+                         "one gamma and one coefficient shape")
+    bases = [_models.model_basis(model) for model in models]
+    grad_fn = _models._stacked_grad(models, loss_kind, datasets, gamma)
+    resolvents = [cfg._resolvent(basis) for basis in bases]
+    N, s_col = resolvents[0][0], np.stack([col for _, col in resolvents])
     eta, amp = cfg._eta, cfg.noise_amp
+    rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    def as_map(c):
-        return _models.TransportMap(coeffs=c, basis=basis, gamma=gamma)
+    def as_map(k, c):
+        return _models.TransportMap(coeffs=c, basis=bases[k], gamma=gamma)
 
-    coeffs = state.map.coeffs.copy()
-    step_no = state.step
+    coeffs = np.stack([s.map.coeffs for s in starts])
+    m, d_out = shape
     rec_steps = _record_steps(step_no, step_no + cfg.steps, cfg.burn_in, cfg.thin)
-    rec_coeffs = np.empty((rec_steps.size,) + coeffs.shape)
+    rec_coeffs = np.empty((K, rec_steps.size, m, d_out))
     n_rec = 0
-    block = min(_BLOCK, cfg.steps)
-    buf = np.empty((block,) + coeffs.shape)
+    block = max(1, min(_AFFINE_BLOCK, _AFFINE_FLOATS // (K * m * d_out), cfg.steps))
     solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, block)
+    if solve is None:
+        block = min(_BLOCK, cfg.steps)
+    buf = np.empty((K, block, m, d_out))
+    noise = np.empty((K, block, N, d_out)) if amp > 0.0 else None
     if solve is not None:
-        buf[:, N:] = 0.0                # P_N: the solve writes the retained rows only
+        buf[:, :, N:] = 0.0             # P_N: the solve writes the retained rows only
+    # the steps of one member run on its 2-D arrays, where each numpy call costs less
+    if K == 1:
+        step_out, step_noise, step_s = buf[0], None if noise is None else noise[0], s_col[0]
+    else:
+        step_out, step_s = buf.swapaxes(0, 1), s_col
+        step_noise = None if noise is None else noise.swapaxes(0, 1)
 
     # overflow on the way to divergence is handled by the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cfg.steps, block):
             b = min(block, cfg.steps - start)
-            noise = amp * rng.standard_normal((b, N, coeffs.shape[1])) if amp > 0.0 else None
+            if noise is not None:
+                for rng, member_noise in zip(rngs, noise[:, :b]):
+                    rng.standard_normal(out=member_noise)
+                noise[:, :b] *= amp
             if solve is None:
-                prev = coeffs
+                prev = coeffs[0] if K == 1 else coeffs
                 for i in range(b):
                     g = grad_fn(prev)
-                    prev = _implicit_euler(prev, g, eta, N, s_col,
-                                           None if noise is None else noise[i], out=buf[i])
+                    prev = _implicit_euler(prev, g, eta, N, step_s,
+                                           None if noise is None else step_noise[i],
+                                           out=step_out[i])
             else:
-                solve(coeffs, noise, buf[:b])
-                before_last = buf[b - 2] if b > 1 else coeffs
-            finite = np.isfinite(buf[:b]).all(axis=(1, 2))
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                last = buf[bad - 1].copy() if bad else coeffs
-                raise ChainDivergedError(ChainState(step=step_no + bad, map=as_map(last)))
+                solve(coeffs, None if noise is None else noise[:, :b], buf[:, :b])
+                before_last = buf[:, b - 2] if b > 1 else coeffs
+            if not np.isfinite(buf[:, :b]).all():
+                raise _diverged(buf[:, :b], coeffs, step_no, as_map)
             if n_rec < rec_steps.size and rec_steps[n_rec] <= step_no + b:
-                rows = buf[rec_steps[n_rec] - step_no - 1:b:cfg.thin]
-                rec_coeffs[n_rec:n_rec + len(rows)] = rows
-                n_rec += len(rows)
-            coeffs = buf[b - 1].copy()
+                rows = buf[:, rec_steps[n_rec] - step_no - 1:b:cfg.thin]
+                rec_coeffs[:, n_rec:n_rec + rows.shape[1]] = rows
+                n_rec += rows.shape[1]
+            coeffs = buf[:, b - 1].copy()
             step_no += b
         if solve is not None:
-            g = grad_fn(before_last)
-        final = ChainState(step=step_no, map=as_map(coeffs),
-                           last_grad_norm=_grad_norm(g))
+            g = grad_fn(before_last[0] if K == 1 else before_last)
+        g = g.reshape(coeffs.shape)
+        return [Trajectory(steps=rec_steps, coeffs=rec_coeffs[k],
+                           final_state=ChainState(step=step_no, map=as_map(k, coeffs[k]),
+                                                  last_grad_norm=_grad_norm(g[k])))
+                for k in range(K)]
 
-    return Trajectory(steps=rec_steps, coeffs=rec_coeffs, final_state=final)
+
+def _start(cfg: DynamicsConfig, model, init: str, state: Optional[ChainState]) -> ChainState:
+    """``state``, or the map ``init`` of the model's basis projected on cfg's truncation."""
+    if state is not None:
+        return state
+    W0 = initial_map(model, _models.model_basis(model), init)
+    return ChainState(step=0, map=W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes)))
+
+
+def _diverged(states, before, step_no: int, as_map) -> ChainDivergedError:
+    """The error for the first non-finite state of a block ``states`` (K, b, n_modes, d_out):
+    its earliest step, and the lowest member at that step; ``before`` is the state before
+    the block."""
+    finite = np.isfinite(states).all(axis=(2, 3))
+    first = np.where(finite.all(axis=1), finite.shape[1], finite.argmin(axis=1))
+    k = int(first.argmin())
+    bad = int(first[k])
+    last = (states[k, bad - 1] if bad else before[k]).copy()
+    return ChainDivergedError(ChainState(step=step_no + bad, map=as_map(k, last)),
+                              member=k if len(states) > 1 else None)
 
 
 def _affine_solver(grad_fn, cfg: DynamicsConfig, N: int, s_col, shape, block: int):
-    """``solve(w, noise, out)`` for a chain whose gradient is affine, or None.
+    """``solve(w, noise, out)`` for a stack of chains whose gradients are affine, or None.
 
-    With ``grad_fn.affine()`` = (H, b), the retained rows x follow the linear
-    recurrence x' = A x + S(eta b_N + noise) with A = S(I - eta H_NN), S the
-    resolvent diagonal.  A is similar to the symmetric S^1/2 (I - eta H_NN) S^1/2
-    = Q diag(d) Q^T, so A = V diag(d) V^-1 with V = S^1/2 Q and V^-1 = Q^T S^-1/2,
-    and each eigen coordinate u = V^-1 x is the AR(1) u' = d u + e that
-    :func:`_ar1_blocks` solves.  None, for the step-by-step path, unless the
-    gradient declares its affine form, the state has one column and max |d| < 1.
+    With ``grad_fn.affine()`` = (H, b), member k's retained rows x follow the linear
+    recurrence x' = A x + S(eta b_N + noise) with A = S(I - eta H_NN), S its resolvent
+    diagonal.  A is similar to the symmetric S^1/2 (I - eta H_NN) S^1/2 = Q diag(d) Q^T,
+    so A = V diag(d) V^-1 with V = S^1/2 Q and V^-1 = Q^T S^-1/2, and each eigen
+    coordinate u = V^-1 x is the AR(1) u' = d u + e that :func:`_ar1_blocks` solves,
+    the members' coordinates side by side as its columns.  One batched ``eigh`` gives
+    every member's Q and d.  None, for the step-by-step path, unless the gradients
+    declare their affine form, the state has one column and max |d| < 1 over the stack.
 
-    ``solve`` writes the ``len(out)`` states after ``w`` into the retained rows
-    of ``out``, given the block's scaled noise (None when the amplitude is 0).
-    Rows of ``w`` beyond N enter the first step through H, as in P_N(w - eta g).
+    ``solve`` writes the states after ``w`` (K, n_modes, 1) into the retained rows of
+    ``out`` (K, rows, n_modes, 1), given the block's scaled noise (K, rows, N, 1), or
+    None when the amplitude is 0.  Rows of ``w`` beyond N enter the first step through
+    H, as in P_N(w - eta g).
     """
     affine = getattr(grad_fn, "affine", None)
-    if affine is None or shape[1] != 1:
+    K, m, d_out = shape
+    if affine is None or d_out != 1:
         return None
-    H, b_vec = affine()
-    eta, r = float(cfg.eta), np.sqrt(s_col[:N, 0])
-    d, Q = np.linalg.eigh(r[:, None] * (np.eye(N) - eta * H[:N, :N]) * r)
+    # a one-member stack's gradient takes 2-D maps; its (H, b) gain the member axis here
+    H, b_vec = (a.reshape((K,) + a.shape[-2:]) for a in affine())
+    eta, r = float(cfg.eta), np.sqrt(s_col[:, :N])          # r: (K, N, 1)
+    r_row = r.swapaxes(1, 2)
+    d, Q = np.linalg.eigh(r * (np.eye(N) - eta * H[:, :N, :N]) * r_row)
     if not np.abs(d).max() < 1.0:            # also refuses the nan of a non-finite H
         return None
-    G = Q.T * r                          # V^-1 S, and also V^T: x = V u is the row u @ G
-    e0 = G.dot(eta * b_vec[:N, 0])       # the drift's constant part, in eigen coordinates
-    rest = -eta * G.dot(H[:N, N:])       # the first step's term in the rows beyond N
-    L = _ar1_block_length(d)
-    gains = _ar1_gains(d, 1.0, L)
+    G = Q.swapaxes(1, 2) * r_row         # V^-1 S, and also V^T: x = V u is the row u @ G
+    GT = G.swapaxes(1, 2)
+    e0 = np.matmul(G, eta * b_vec[:, :N])[..., 0]     # the drift's constant part, (K, N)
+    rest = -eta * np.matmul(G, H[:, :N, N:])        # the first step's term in the rows beyond N
+    L = min(_ar1_block_length(d), block)
+    # the gains of each distinct eigenvalue once: the members of a stack often share them
+    values, which = np.unique(d, return_inverse=True)
+    gains = tuple(gain[:, which.reshape(-1)] for gain in _ar1_gains(values, 1.0, L))
     n_blocks = -(-block // L)
-    buf = np.empty((n_blocks, L, N))
-    flat = buf.reshape(n_blocks * L, N)
+    buf = np.empty((n_blocks, L, K * N))
+    flat = buf.reshape(n_blocks * L, K, N)
 
     def solve(w, noise, out):
-        rows = len(out)
+        rows = out.shape[1]
         e = flat[:rows]
+        by_member = e.transpose(1, 0, 2)
         if noise is None:
             e[:] = e0
         else:
-            np.dot(noise.reshape(rows, N), G.T, out=e)
+            np.matmul(noise[..., 0], GT, out=by_member)
             e += e0
-        if N < shape[0]:
-            e[0] += rest.dot(w[N:, 0])
+        if N < m:
+            e[0] += np.matmul(rest, w[:, N:])[..., 0]
         nb = -(-rows // L)
         flat[rows:nb * L] = 0.0
-        _ar1_blocks(buf[:nb], gains, (w[:N, 0] / r).dot(Q))
-        np.matmul(e, G, out=out[:, :N, 0])
+        u0 = np.matmul((w[:, :N] / r).swapaxes(1, 2), Q)     # V^-1 w, (K, 1, N)
+        _ar1_blocks(buf[:nb], gains, u0.reshape(K * N))
+        np.matmul(by_member, G, out=out[:, :, :N, 0])
 
     return solve
 

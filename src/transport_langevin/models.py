@@ -264,7 +264,7 @@ def forward(model: ModelSpec, W: TransportMap, x):
         out = eval_basis(W.basis, X) @ W.effective_coeffs()
         return out[0] if single else out
     _input_bound_warning(model, X)()
-    fwd, _ = _passes(model, W.basis, W.gamma, X)
+    fwd, _ = _passes([model], [W.basis], W.gamma, [X])
     out, _ = fwd(W.coeffs)
     return float(out[0]) if single else out
 
@@ -312,7 +312,7 @@ def _objective(model: ModelSpec, basis: SpectralBasis, gamma: float, loss_kind: 
         return _transport_objective(basis, gamma, dataset.x, dataset.y,
                                     model.wasserstein_penalty, model.mmd_bandwidth)
     X, y = np.asarray(dataset.x, dtype=float), dataset.y
-    fwd, back = _passes(model, basis, gamma, X)
+    fwd, back = _passes([model], [basis], gamma, [X])
     warn = _input_bound_warning(model, X)
 
     def value(coeffs):
@@ -320,6 +320,12 @@ def _objective(model: ModelSpec, basis: SpectralBasis, gamma: float, loss_kind: 
         f, _ = fwd(coeffs)
         return float(np.mean(loss_eval_derivs(loss_kind, y, f, 0)))
 
+    return value, _loss_grad(fwd, back, loss_kind, y)
+
+
+def _loss_grad(fwd, back, loss_kind: str, y):
+    """grad(coeffs) of the mean pointwise loss through the passes ``fwd`` and ``back``, with
+    ``grad.affine`` when the loss is squared and ``back`` declares its affine form."""
     def grad(coeffs):
         f, cache = fwd(coeffs)
         return back(cache, loss_eval_derivs(loss_kind, y, f, 1))
@@ -327,7 +333,37 @@ def _objective(model: ModelSpec, basis: SpectralBasis, gamma: float, loss_kind: 
     affine = getattr(back, "squared_affine", None)
     if loss_kind == "squared" and affine is not None:
         grad.affine = functools.partial(affine, y)
-    return value, grad
+    return grad
+
+
+# the architectures whose passes take a stack of members
+_STACKED = ("identity-map", "two-layer")
+
+
+def _stacked_grad(models, loss_kind: str, datasets, gamma: float = 0.0):
+    """grad(C) of the empirical risks of K members, for :func:`langevin.run_chains`.
+
+    One member's gradient is its :func:`risk_objective` gradient, on its (n_modes, d_out)
+    coefficients.  A stack of K > 1 takes C of shape (K, n_modes, d_out) and returns that
+    shape, through one set of batched passes; ``grad.affine()`` then gives (K, ...) arrays.
+    Only identity-map and two-layer members stack, and they must share the architecture,
+    the clip config and the shapes of their maps and data; anything else raises ValueError.
+    """
+    if len(models) == 1:
+        return risk_objective(models[0], loss_kind, datasets[0], gamma)[1]
+    arch = models[0].arch
+    if arch not in _STACKED:
+        raise ValueError(f"{arch} chains do not stack: run them one at a time with run_chain")
+    bases = [model_basis(model) for model in models]
+    X = [np.asarray(data.x, dtype=float) for data in datasets]
+    y = [np.asarray(data.y, dtype=float) for data in datasets]
+    if any((model.arch, model.clip, basis.n_modes, x.shape, t.shape)
+           != (arch, models[0].clip, bases[0].n_modes, X[0].shape, y[0].shape)
+           for model, basis, x, t in zip(models, bases, X, y)):
+        raise ValueError("the members of a stack of chains must share the architecture, the "
+                         "clip config, the mode count and the data shape")
+    fwd, back = _passes(models, bases, gamma, X)
+    return _loss_grad(fwd, back, loss_kind, np.stack(y))
 
 
 def _input_bound_warning(model: ModelSpec, X: np.ndarray):
@@ -348,90 +384,135 @@ def _input_bound_warning(model: ModelSpec, X: np.ndarray):
     return warn
 
 
-def _passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
-    """The scalar predictor on the fixed inputs ``X`` (n, d), as closures of the raw
-    coefficients of a map over ``basis``: ``fwd(coeffs) -> (f, cache)`` and
-    ``back(cache, lp) -> gradient``, with ``lp`` dloss/df at each input.  ``back``
-    may overwrite its cache, so each cache is passed to it once.
+def _passes(models, bases, gamma: float, Xs):
+    """The scalar predictor of K members on their fixed inputs, as closures of the raw
+    coefficients of their maps: ``fwd(coeffs) -> (f, cache)`` and ``back(cache, lp) ->
+    gradient``, with ``lp`` dloss/df at each input.  ``back`` may overwrite its cache, so
+    each cache is passed to it once.
+
+    Member k is the map over ``bases[k]`` of ``models[k]`` on the inputs ``Xs[k]`` (n, d).
+    One member's arrays have no member axis: coeffs (n_modes, d_out) and f (n,).  A stack
+    of K > 1 adds a leading axis to both, and its products are ``np.matmul`` over it, the
+    same BLAS calls per member as one member's ``dot``; only the architectures in
+    ``_STACKED`` take K > 1.
     """
-    return _PASSES[model.arch](model, basis, gamma, X)
+    return _PASSES[models[0].arch](models, bases, gamma, Xs)
 
 
-def _identity_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
-    """The map itself, f = W(x) = Phi(x) . coeffs, with Phi evaluated on ``X`` once.
+def _members(arrays) -> np.ndarray:
+    """The one member's array, or the members' arrays stacked on a leading axis."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stack_mv(A, v):
+    return np.matmul(A, v[..., None])[..., 0]
+
+
+def _stack_vm(v, A):
+    return np.matmul(v[..., None, :], A)[..., 0, :]
+
+
+def _products(K: int):
+    """(matrix-matrix, matrix-vector, vector-matrix) products for K members.
+
+    One member's are ``ndarray.dot`` on 2-D arrays: np.matmul costs about 0.6 µs more
+    per call on these small arrays, and a chain step makes several.
+    """
+    if K == 1:
+        return np.ndarray.dot, np.ndarray.dot, np.ndarray.dot
+    return np.matmul, _stack_mv, _stack_vm
+
+
+def _gamma_scaler(bases, gamma: float):
+    """c -> each member's mode k scaled by mu_k^(gamma/2), as :func:`_gamma_scale` does."""
+    if gamma == 0.0:
+        return lambda c: c
+    if len(bases) == 1:
+        eigen = bases[0].eigen
+        return lambda c: fractional_power_scale(c, eigen, gamma)
+    cols = np.stack([b.eigen.mu[:b.n_modes] ** (gamma / 2.0) for b in bases])[..., None]
+    return lambda c: c * cols
+
+
+def _identity_passes(models, bases, gamma: float, Xs):
+    """The map itself, f = W(x) = Phi(x) . coeffs, with Phi evaluated on the inputs once.
 
     Unscaled (gamma = 0), ``back.squared_affine(y)`` gives the squared-loss gradient
     (2/n) Phi^T (f - y) as the affine map H coeffs - b: H = (2/n) Phi^T Phi and
     b = (2/n) Phi^T y, a column.
     """
-    Phi = eval_basis(basis, X)
-    PhiT, eigen, scaled = Phi.T, basis.eigen, gamma != 0.0
+    mm, mv, _ = _products(len(bases))
+    features = {}   # members on one basis and one input array share their features
+    for basis, X in zip(bases, Xs):
+        if (id(basis), id(X)) not in features:
+            features[id(basis), id(X)] = eval_basis(basis, X)
+    Phi = _members([features[id(basis), id(X)] for basis, X in zip(bases, Xs)])
+    PhiT, scale = Phi.swapaxes(-1, -2), _gamma_scaler(bases, gamma)
     # n as a 0-d array: numpy converts a Python-number operand again on every call
-    n = np.array(float(Phi.shape[0]))
+    n = np.array(float(Phi.shape[-2]))
 
-    # .dot: the same BLAS products as @, with less dispatch per call; a linear chain
-    # step is a few µs, so gamma is tested here rather than in a call to _gamma_scale
+    # a linear chain step is a few µs: the products are dot for one member
     def fwd(coeffs):
-        if scaled:
-            coeffs = fractional_power_scale(coeffs, eigen, gamma)
-        return Phi.dot(coeffs[:, 0]), None
+        return mv(Phi, scale(coeffs)[..., 0]), None
 
     def back(cache, lp):
-        g = PhiT.dot(lp)
+        g = mv(PhiT, lp)
         g /= n                                          # in place: g is this call's own array
-        g = g[:, None]
-        return fractional_power_scale(g, eigen, gamma) if scaled else g
+        return scale(g[..., None])
 
     def squared_affine(y):
         two_n = 2.0 / n
-        return two_n * PhiT.dot(Phi), two_n * PhiT.dot(np.asarray(y, dtype=float))[:, None]
+        return two_n * mm(PhiT, Phi), two_n * mv(PhiT, np.asarray(y, dtype=float))[..., None]
 
-    if not scaled:
+    if gamma == 0.0:
         back.squared_affine = squared_affine
     return fwd, back
 
 
-def _two_layer_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
+def _two_layer_passes(models, bases, gamma: float, Xs):
     """f(x) = sum_m weight_m * clip(V2_m) * act(clip(V1_m) . x); ``t = tanh(V/R)`` gives
     both the clip R*t and its derivative 1 - t^2."""
-    E = _cloud_features(model, basis)
-    ET, XT = E.T, X.T
-    omega, eigen = model.cloud.weights, basis.eigen
+    mm, mv, vm = _products(len(models))
+    E = _members([_cloud_features(model, basis) for model, basis in zip(models, bases)])
+    X = _members(Xs)
+    ET, XT = E.swapaxes(-1, -2), X.swapaxes(-1, -2)
+    omega = _members([model.cloud.weights for model in models])
+    scale = _gamma_scaler(bases, gamma)
     # n and R as 0-d arrays: numpy converts a Python-number operand again on every call
-    n, R = np.array(float(X.shape[0])), np.array(float(model.clip.R))
-    act, actd = _activation(model.clip.activation)
+    n, R = np.array(float(X.shape[-2])), np.array(float(models[0].clip.R))
+    act, actd = _activation(models[0].clip.activation)
 
-    # .dot: the same BLAS products as @, with less dispatch per call
     def fwd(coeffs):
-        V = E.dot(_gamma_scale(coeffs, eigen, gamma))   # (M, d+1) unclipped map values
+        V = mm(E, scale(coeffs))                        # (M, d+1) unclipped map values
         V /= R
         t = np.tanh(V, out=V)
         Vb = R * t                                      # clip(V, R)
-        Z = Vb[:, :-1].dot(XT)                          # (M, n) pre-activations
+        Z = mm(Vb[..., :-1], XT)                        # (M, n) pre-activations
         S = act(Z)
-        w2 = omega * Vb[:, -1]
-        return w2.dot(S), (t, Z, S, w2)
+        w2 = omega * Vb[..., -1]
+        return vm(w2, S), (t, Z, S, w2)
 
     def back(cache, lp):
         t, Z, S, w2 = cache
         Cd = _ONE - t ** 2
         kernel = actd(Z, S)                             # (M, n), may be Z's buffer
-        kernel *= lp
+        kernel *= lp[..., None, :]
         dV = np.empty_like(t)
-        np.multiply(w2[:, None], kernel.dot(X), out=dV[:, :-1])
-        np.multiply(omega, S.dot(lp), out=dV[:, -1])
+        np.multiply(w2[..., None], mm(kernel, X), out=dV[..., :-1])
+        np.multiply(omega, mv(S, lp), out=dV[..., -1])
         dV /= n
         dV *= Cd
-        return _gamma_scale(ET.dot(dV), eigen, gamma)
+        return scale(mm(ET, dV))
 
     return fwd, back
 
 
-def _resnet_passes(model: ModelSpec, basis: SpectralBasis, gamma: float, X: np.ndarray):
+def _resnet_passes(models, bases, gamma: float, Xs):
     """T residual blocks z <- z + sum_m weight_m act(z . clip(V_m)) a_m, read out along
     u = 1/sqrt(d).  Block t reads columns t*d..(t+1)*d of the map values at the cloud;
-    ``th = tanh(V/R)`` gives both the clip R*th and its derivative 1 - th^2.
+    ``th = tanh(V/R)`` gives both the clip R*th and its derivative 1 - th^2.  One member.
     """
+    (model,), (basis,), (X,) = models, bases, Xs
     n, T, d = X.shape[0], model.resnet_blocks, model.cloud.dim
     R = model.clip.R
     act, actd = _activation(model.clip.activation)
@@ -528,15 +609,25 @@ def _transport_objective(basis: SpectralBasis, gamma: float, source_samples, tar
                      - 2.0 * _gaussian_kernel(F, Tgt, h).mean())
         return disp + penalty * mmd2
 
+    # d/dF_i of penalty * MMD^2 is sum_j w_j K(F_i, P_j) (F_i - P_j) over the points P of
+    # [F; Tgt]: w_j = -2/(m^2 h^2) on F, as both slots of the ff term contribute, and
+    # 2/(m t h^2) on Tgt, times the penalty
+    weights = penalty * np.concatenate([np.full(m, -2.0 / (m ** 2 * h ** 2)),
+                                        np.full(t, 2.0 / (m * t * h ** 2))])
+    # 0-d arrays: numpy converts a Python-number operand again on every call
+    neg_half_inv_h2, two_over_m = np.array(-0.5 / h ** 2), np.array(2.0 / m)
+    PhiT = Phi.T
+
     def grad(coeffs):
-        F = Phi @ _gamma_scale(coeffs, eigen, gamma)
-        dF = -2.0 * (S - F) / m
-        Kff, Kft = _gaussian_kernel(F, F, h), _gaussian_kernel(F, Tgt, h)
-        # d/dF of the V-statistic MMD^2; both slots of the ff term contribute
-        dmmd = (-2.0 / (m ** 2 * h ** 2)) * (Kff.sum(axis=1)[:, None] * F - Kff @ F) \
-            + (2.0 / (m * t * h ** 2)) * (Kft.sum(axis=1)[:, None] * F - Kft @ Tgt)
-        dF = dF + penalty * dmmd
-        return _gamma_scale(Phi.T @ dF, eigen, gamma)
+        F = Phi.dot(_gamma_scale(coeffs, eigen, gamma))
+        # the direct differences F_i - P_j give the kernel and its weighted sum from one exp
+        D = F[:, None, :] - np.concatenate([F, Tgt])        # (m, m + t, dim)
+        sq = np.square(D).sum(axis=2)
+        Kw = np.exp(np.multiply(sq, neg_half_inv_h2, out=sq), out=sq)
+        Kw *= weights
+        dF = np.matmul(Kw[:, None, :], D)[:, 0, :]
+        dF += two_over_m * (F - S)                          # the displacement term
+        return _gamma_scale(PhiT.dot(dF), eigen, gamma)
 
     return value, grad
 

@@ -1,7 +1,11 @@
-"""The arithmetic of tools/bench_pairs.py on synthetic records; runs no benchmark."""
+"""The arithmetic of tools/bench_pairs.py on synthetic records and stand-in runners; runs no
+benchmark, and each step probe only once, at a few steps."""
 
 import importlib.util
+import os
 import statistics
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -216,3 +220,47 @@ def test_artifact_pass_records_a_preset_only_one_tree_lists(tmp_path):
     diff = rec["diff"]
     assert diff["only_change"] == ["run/r/results.csv", "stdout/run-r.txt"]
     assert diff["only_parent"] == [] and diff["moved"] == []
+
+
+def test_step_ratio_pass_alternates_fresh_processes_and_takes_the_ratio_of_each_pair(tmp_path):
+    # a stand-in probe: the parent reads 10 µs, the change 8 µs on even pairs and 9 µs on odd
+    # ones; the pass must run each probe in the tree it names, in alternating order
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    calls = []
+
+    def run(cmd, cwd, env, **kwargs):
+        assert cmd[:2] == [bp.sys.executable, "-c"] and cmd[2] == bp._PROBE
+        assert env["PYTHONPATH"] == str(cwd / "src")
+        side = cwd.name
+        pair = sum(1 for c in calls if c[:2] == (cmd[3], side))
+        calls.append((cmd[3], side))
+        us = 10.0 if side == "parent" else (8.0 if pair % 2 == 0 else 9.0)
+        return types.SimpleNamespace(returncode=0, stdout=f"{us}\n", stderr="")
+
+    rec = bp.step_ratio_pass(trees, run=run, pairs=4)
+    assert list(rec["probes"]) == list(bp.STEP_PROBES)
+    first = [c for c in calls if c[0] == bp.STEP_PROBES[0]]
+    assert [side for _, side in first] == ["parent", "change", "change", "parent"] * 2
+    probe = rec["probes"][bp.STEP_PROBES[-1]]
+    assert probe["parent_us"] == [10.0] * 4 and probe["change_us"] == [8.0, 9.0, 8.0, 9.0]
+    assert probe["ratios"] == pytest.approx([0.8, 0.9, 0.8, 0.9])
+    assert probe["median_ratio"] == pytest.approx(0.85)
+    assert (probe["q1"], probe["q3"]) == pytest.approx((0.8, 0.9))
+    assert probe["iqr"] == pytest.approx(0.1)
+    # a probe that fails names itself and its tree
+    with pytest.raises(RuntimeError, match=f"probe {bp.STEP_PROBES[0]} in .*parent"):
+        bp.step_ratio_pass(trees, run=lambda *a, **k: types.SimpleNamespace(
+            returncode=1, stdout="", stderr="boom"), pairs=1)
+
+
+def test_step_probes_run_on_this_tree():
+    # every probe runs through the package's public API and prints one positive number
+    env = dict(os.environ, PYTHONPATH=str(_PATH.parent.parent / "src"))
+    probe = bp._PROBE.replace("units = sys.argv[1], np.random.default_rng(0), 1000",
+                              "units = sys.argv[1], np.random.default_rng(0), 20")
+    assert probe != bp._PROBE
+    for name in bp.STEP_PROBES:
+        out = subprocess.run([sys.executable, "-c", probe, name], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) > 0.0

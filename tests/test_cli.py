@@ -44,7 +44,9 @@ def test_run_is_byte_reproducible(tmp_path):
         assert a == b, name
 
 
-# every preset at a reduced budget, for the cross-process reproducibility check
+# every preset at a reduced budget, for the cross-process reproducibility check; ergodicity's
+# two pairs and pac-bayes's two seeds run as stacks of chains, whose batched products must not
+# depend on the BLAS thread count either
 _REDUCED = {
     "posterior-validate": {"burn_in": 500, "kept": 2000},
     "ou-moment": {"steps": 3000, "burn_in": 500},
@@ -196,6 +198,7 @@ def test_bad_override_value_is_status_2(tmp_path, capsys, monkeypatch, payload, 
         raise AssertionError("a chain ran before the overrides were checked")
 
     monkeypatch.setattr(ex.lg, "run_chain", no_chain)
+    monkeypatch.setattr(ex.lg, "run_chains", no_chain)
     cfg = _write_cfg(tmp_path, payload)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -397,14 +400,15 @@ class _FirstChain(Exception):
 
 def test_audit_of_pac_bayes_reads_the_first_seed_of_the_preset(capsys, monkeypatch):
     # the audit of pac-bayes at seed s is the audit of the network and training set its
-    # first chain, seed s's, trains on
+    # first chain, seed s's, trains on: the first member of its first stack
     from transport_langevin import analysis as an
 
-    def first_chain(cfg, model, loss_kind, data, **kwargs):
-        raise _FirstChain(model, loss_kind, data)
+    def first_stack(cfg, models, loss_kind, datasets, seeds, **kwargs):
+        assert seeds[0] == 2
+        raise _FirstChain(models[0], loss_kind, datasets[0])
 
     with monkeypatch.context() as m:
-        m.setattr(ex.lg, "run_chain", first_chain)
+        m.setattr(ex.lg, "run_chains", first_stack)
         with pytest.raises(_FirstChain) as caught:
             ex.run_preset("pac-bayes", seed=2)
     model, loss_kind, data = caught.value.args

@@ -144,6 +144,7 @@ def test_pac_bayes_check_rejects_bad_ref_eta_factor(monkeypatch):
         raise AssertionError("a chain ran before the overrides were checked")
 
     monkeypatch.setattr(ex.lg, "run_chain", no_chain)
+    monkeypatch.setattr(ex.lg, "run_chains", no_chain)
     for factor in (-1.0, 0.0, 640.0, 1000.0):
         with pytest.raises(ValueError, match="'ref_eta_factor'"):
             ex.run_preset("pac-bayes", overrides={"ref_eta_factor": factor})
@@ -156,6 +157,7 @@ def test_pac_bayes_check_rejects_a_schedule_that_records_nothing(monkeypatch):
         raise AssertionError("a chain ran before the overrides were checked")
 
     monkeypatch.setattr(ex.lg, "run_chain", no_chain)
+    monkeypatch.setattr(ex.lg, "run_chains", no_chain)
     for overrides, needle in (({"steps": 2000, "burn_in": 2000}, "preset 'pac-bayes'"),
                               ({"steps": 2000, "burn_in": 1000, "thin": 1001},
                                "preset 'pac-bayes'"),

@@ -313,6 +313,10 @@ def _block_solve_eigenvalues(cfg, model, data):
     return np.linalg.eigvalsh(r[:, None] * (np.eye(N) - cfg.eta * H[:N, :N]) * r)
 
 
+# steps per block of the block solve, for maps of at most 8 coefficients
+_AB = lg._AFFINE_BLOCK
+
+
 def _assert_block_solve_matches_stepwise(cfg, model, data, state):
     # run_chain takes the block solve; the schedule, the shapes and the steps agree exactly
     # with the gld_step loop, the states to rounding, and rows beyond N are exactly zero
@@ -320,7 +324,8 @@ def _assert_block_solve_matches_stepwise(cfg, model, data, state):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
         traj = lg.run_chain(cfg, model, "squared", data, init_state=state)
-    assert len(solves) == -(-cfg.steps // lg._BLOCK)
+    assert model.basis.n_modes * _AB <= lg._AFFINE_FLOATS
+    assert len(solves) == -(-cfg.steps // _AB)
     ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data, state)
     np.testing.assert_array_equal(traj.steps, ref_steps)
     assert traj.coeffs.shape == ref_coeffs.shape and traj.steps.size > 0
@@ -338,7 +343,7 @@ def test_block_solve_matches_the_stepwise_chain_across_blocks():
     # two block boundaries, and a thin that divides neither the block nor the AR(1) block
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
-                            steps=2 * _B + 3, burn_in=5, thin=7, seed=21)
+                            steps=2 * _AB + 3, burn_in=5, thin=7, seed=21)
     _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
     # a single step: the gradient norm is the initial state's
     one = dataclasses.replace(cfg, steps=1, burn_in=0, thin=1)
@@ -349,7 +354,7 @@ def test_block_solve_from_a_state_with_coefficients_beyond_the_truncation():
     # the retained modes feel the rows beyond N through the first gradient; P_N zeroes them
     model, data = _linear_setup(n_modes=6)
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
-                            steps=_B + 40, burn_in=14, thin=9, seed=8)
+                            steps=_AB + 40, burn_in=14, thin=9, seed=8)
     coeffs = np.random.default_rng(1).standard_normal((6, 1))
     state = lg.ChainState(step=13, map=md.TransportMap(coeffs=coeffs, basis=model.basis))
     traj = _assert_block_solve_matches_stepwise(cfg, model, data, state)
@@ -364,7 +369,7 @@ def test_block_solve_with_a_negative_eigenvalue():
     # integer power, as a float power of a negative number is nan
     model, data = _linear_setup(n=40)
     cfg = lg.DynamicsConfig(eta=0.6, beta=40.0, lam=0.5, n_modes=4,
-                            steps=_B + 300, burn_in=100, thin=3, seed=6)
+                            steps=_AB + 300, burn_in=100, thin=3, seed=6)
     d = _block_solve_eigenvalues(cfg, model, data)
     assert d.min() < 0.0 and np.abs(d).max() < 1.0
     with np.errstate(invalid="ignore"):
@@ -377,7 +382,7 @@ def test_block_solve_without_noise_draws_nothing(monkeypatch):
     # beta = inf: no draw on either path, so the generator ends where it started
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=np.inf, lam=0.5, n_modes=3,
-                            steps=_B + 17, burn_in=2, thin=5, seed=3)
+                            steps=_AB + 17, burn_in=2, thin=5, seed=3)
     assert cfg.noise_amp == 0.0
     made, default_rng = [], np.random.default_rng
     monkeypatch.setattr(lg.np.random, "default_rng",
@@ -393,8 +398,8 @@ def test_same_seed_chains_from_two_starts_differ_by_powers_of_the_linear_map():
     # the synchronous coupling of the ergodicity preset: the same seed draws the same noise,
     # so x_a - x_b follows x' = A x with A = S(I - eta H) exactly, across a block boundary
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.002, beta=4.0, lam=0.5, n_modes=4,
-                            steps=_B + 50, seed=5)
+    cfg = lg.DynamicsConfig(eta=0.0005, beta=4.0, lam=0.5, n_modes=4,
+                            steps=_AB + 50, seed=5)
     rng = np.random.default_rng(2)
     starts = [rng.standard_normal((4, 1)) + shift for shift in (0.0, 4.0)]
     solves, ar1_blocks = [], lg._ar1_blocks
@@ -817,3 +822,164 @@ def test_gld_step_is_the_reference_update_and_reports_the_norm_of_its_gradient(
     drift[:N] += cfg.noise_amp * np.random.default_rng(5).standard_normal((N, d_out))
     drift[:N] *= s[:, None]
     np.testing.assert_array_equal(out.map.coeffs, drift)
+
+
+# ---------------------------------------------------------------------------
+# stacks of chains
+# ---------------------------------------------------------------------------
+
+def _stack_member(arch, seed, n=24):
+    """A small two-layer (squared loss) or identity-map (logistic loss) task of its own seed."""
+    rng = np.random.default_rng(seed)
+    if arch == "two-layer":
+        M = 5
+        cloud = md.finite_width_cloud(rng.standard_normal((M, 2)), rng.uniform(-1, 1, M))
+        model = md.ModelSpec(arch=arch, cloud=cloud, clip=md.ClipConfig(R=2.0),
+                             basis=gram_eigenbasis(cloud, 1.0, M))
+        x = rng.uniform(-0.6, 0.6, (n, 2))
+        return model, md.Dataset(x=x, y=np.sin(x[:, 0]) + 0.1 * rng.standard_normal(n))
+    model = md.ModelSpec(arch=arch, basis=cosine_basis(5, dim_in=1))
+    x = rng.uniform(0, 1, (n, 1))
+    return model, md.Dataset(x=x, y=np.where(rng.uniform(0, 1, n) < x[:, 0], 1.0, -1.0))
+
+
+def _assert_same_trajectory(a, b):
+    np.testing.assert_array_equal(a.steps, b.steps)
+    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    assert a.final_state.step == b.final_state.step
+    np.testing.assert_array_equal(a.final_state.map.coeffs, b.final_state.map.coeffs)
+    assert a.final_state.last_grad_norm == b.final_state.last_grad_norm
+
+
+@pytest.mark.parametrize("arch, loss, gamma", [("two-layer", "squared", 0.0),
+                                               ("identity-map", "logistic", 0.0),
+                                               ("two-layer", "squared", 0.5)])
+def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma):
+    # three networks or bases, three datasets and three seeds, across a block boundary, with a
+    # record schedule that does not divide the block; the stack steps through batched products
+    models, datas = zip(*(_stack_member(arch, s) for s in (3, 4, 5)))
+    seeds = [11, 12, 13]
+    starts = [lg.ChainState(step=2, map=md.TransportMap(
+        coeffs=np.zeros((m.basis.n_modes, md.map_output_dim(m))), basis=m.basis, gamma=gamma))
+        for m in models]
+    cfg = lg.DynamicsConfig(eta=0.05, beta=24.0, lam=0.1, n_modes=models[0].basis.n_modes,
+                            steps=_B + 37, burn_in=20, thin=7)
+    stack = lg.run_chains(cfg, models, loss, datas, seeds, init_states=starts)
+    assert len(stack) == 3 and stack[0].coeffs.shape[0] > 0
+    for model, data, seed, start, traj in zip(models, datas, seeds, starts, stack):
+        alone = lg.run_chain(dataclasses.replace(cfg, seed=seed), model, loss, data,
+                             init_state=start)
+        _assert_same_trajectory(traj, alone)
+        assert traj.final_state.map.gamma == gamma
+    # member 2's records depend neither on the other members nor on its place in the stack
+    for picked in ([2, 0], [1, 2, 0]):
+        sub = lg.run_chains(cfg, [models[k] for k in picked], loss, [datas[k] for k in picked],
+                            [seeds[k] for k in picked], init_states=[starts[k] for k in picked])
+        _assert_same_trajectory(sub[picked.index(2)], stack[2])
+
+
+def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
+    # two chains of one task and one seed from two starts (ergodicity's coupling), and a
+    # chain of another task on another basis, so another resolvent: one block solve per block
+    # for the whole stack, each member equal to its own gld_step loop to rounding
+    (model, data), (_, other_data) = _linear_setup(), _linear_setup(seed=1)
+    points = md.finite_width_cloud(np.random.default_rng(3).uniform(0, 1, (6, 1)), np.zeros(6))
+    other = md.ModelSpec(arch="identity-map", basis=gram_eigenbasis(points, 0.5, 4, False))
+    assert not np.array_equal(other.basis.eigen.mu, model.basis.eigen.mu)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+                            steps=_AB + 40, burn_in=10, thin=3)
+    rng = np.random.default_rng(2)
+    models, datas, seeds = [model, model, other], [data, data, other_data], [7, 7, 8]
+    starts = [lg.ChainState(step=0, map=md.TransportMap(
+        coeffs=rng.standard_normal((4, 1)) + shift, basis=m.basis))
+        for m, shift in zip(models, (0, 4, 0))]
+    solves, ar1_blocks = [], lg._ar1_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
+        stack = lg.run_chains(cfg, models, "squared", datas, seeds, init_states=starts)
+    assert len(solves) == 2
+    for m, d, seed, state, traj in zip(models, datas, seeds, starts, stack):
+        ref_steps, ref_coeffs, ref_final = _stepwise_record(dataclasses.replace(cfg, seed=seed),
+                                                            m, d, state)
+        np.testing.assert_array_equal(traj.steps, ref_steps)
+        np.testing.assert_allclose(traj.coeffs, ref_coeffs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.final_state.map.coeffs, ref_final.map.coeffs,
+                                   rtol=0, atol=1e-12)
+        assert traj.final_state.last_grad_norm == pytest.approx(ref_final.last_grad_norm,
+                                                                abs=1e-12)
+    # the two members of one seed differ by the powers of A = S(I - eta H) alone
+    _, grad = md.risk_objective(model, "squared", data)
+    H, _ = grad.affine()
+    N, s_col = cfg._resolvent(model.basis)
+    A = s_col[:N] * (np.eye(N) - cfg.eta * H[:N, :N])
+    gap = starts[0].map.coeffs[:N, 0] - starts[1].map.coeffs[:N, 0]
+    gap = A.dot(gap) + s_col[:N, 0] * (-cfg.eta) * H[:N, N:].dot(
+        starts[0].map.coeffs[N:, 0] - starts[1].map.coeffs[N:, 0])
+    for k in range(2, cfg.steps + 1):
+        gap = A.dot(gap)
+        if k in stack[0].steps:
+            row = int(np.searchsorted(stack[0].steps, k))
+            np.testing.assert_allclose(stack[0].coeffs[row, :N, 0] - stack[1].coeffs[row, :N, 0],
+                                       gap, rtol=0, atol=1e-12)
+
+
+def test_a_diverging_member_of_a_stack_is_named_with_its_last_finite_state():
+    # member 1's inputs all sit at x = 0, where every cosine mode is large: its linear map
+    # expands at this step size, so the whole stack steps one update at a time
+    model, good = _linear_setup(n=40)
+    bad = md.Dataset(x=np.zeros((40, 1)), y=np.ones(40))
+    cfg = lg.DynamicsConfig(eta=0.5, beta=4.0, lam=0.5, n_modes=4, steps=3 * _B)
+    with pytest.raises(lg.ChainDivergedError) as exc:
+        lg.run_chains(cfg, [model, model], "squared", [good, bad], [1, 2])
+    last = exc.value.state
+    assert exc.value.member == 1 and "(member 1)" in str(exc.value)
+    assert 0 < last.step < cfg.steps and np.all(np.isfinite(last.map.coeffs))
+    # the carried state is member 1's own, and run alone it diverges after the same step
+    upto = lg.run_chain(dataclasses.replace(cfg, seed=2, steps=last.step), model, "squared", bad)
+    np.testing.assert_array_equal(upto.final_state.map.coeffs, last.map.coeffs)
+    with pytest.raises(lg.ChainDivergedError) as alone:
+        lg.run_chain(dataclasses.replace(cfg, seed=2), model, "squared", bad)
+    assert alone.value.state.step == last.step and alone.value.member == 0
+    assert "member" not in str(alone.value)
+
+
+@pytest.mark.parametrize("arch", ["resnet", "wasserstein"])
+def test_resnet_and_wasserstein_chains_run_alone_but_do_not_stack(arch):
+    rng = np.random.default_rng(6)
+    M, d = 4, 2
+    if arch == "resnet":
+        cloud = md.finite_width_cloud(rng.standard_normal((M, d)), rng.uniform(-1, 1, M),
+                                      a_vec=rng.standard_normal((M, d)) / 2.0)
+        model = md.ModelSpec(arch=arch, cloud=cloud, resnet_blocks=2,
+                             basis=gram_eigenbasis(cloud, 1.0, M, include_a=False))
+        data = md.Dataset(x=rng.uniform(-0.5, 0.5, (10, d)), y=rng.standard_normal(10))
+    else:
+        src = rng.standard_normal((8, d))
+        cloud = md.finite_width_cloud(src, np.zeros(8))
+        model = md.ModelSpec(arch=arch, cloud=cloud, basis=gram_eigenbasis(cloud, 1.0, M, False))
+        data = md.Dataset(x=src, y=src + 1.0)
+    cfg = lg.DynamicsConfig(eta=0.01, beta=100.0, lam=0.1, n_modes=M, steps=5)
+    (one,) = lg.run_chains(cfg, [model], "squared", [data], [3])
+    _assert_same_trajectory(one, lg.run_chain(dataclasses.replace(cfg, seed=3), model,
+                                              "squared", data))
+    with pytest.raises(ValueError, match=f"{arch} chains do not stack"):
+        lg.run_chains(cfg, [model, model], "squared", [data, data], [3, 4])
+
+
+def test_a_stack_refuses_members_that_do_not_fit_together():
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=5)
+    with pytest.raises(ValueError, match="one seed per member"):
+        lg.run_chains(cfg, [model, model], "squared", [data, data], [1])
+    with pytest.raises(ValueError, match="one initial state per member"):
+        lg.run_chains(cfg, [model, model], "squared", [data, data], [1, 2], init_states=[None])
+    later = lg.run_chain(cfg, model, "squared", data).final_state
+    with pytest.raises(ValueError, match="must start at one step"):
+        lg.run_chains(cfg, [model, model], "squared", [data, data], [1, 2],
+                      init_states=[None, later])
+    wide, wide_data = _linear_setup(n_modes=6)
+    with pytest.raises(ValueError, match="one coefficient shape"):
+        lg.run_chains(cfg, [model, wide], "squared", [data, wide_data], [1, 2])
+    short = md.Dataset(x=data.x[:5], y=data.y[:5])
+    with pytest.raises(ValueError, match="the data shape"):
+        lg.run_chains(cfg, [model, model], "squared", [data, short], [1, 2])

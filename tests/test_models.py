@@ -580,6 +580,15 @@ def _arch_case(arch, rng, activation="tanh", n=7):
     return model, data, (M, 3 * d if resnet else d + 1)
 
 
+def _assert_gradient_equals_the_reference(arch, g, ref_g):
+    """Bit for bit, but wasserstein's to rounding: the package sums its kernel terms over
+    the direct differences F_i - P_j, and the reference over the expanded square."""
+    if arch == "wasserstein":
+        np.testing.assert_allclose(g, ref_g, rtol=1e-13, atol=1e-13 * np.abs(ref_g).max())
+    else:
+        np.testing.assert_array_equal(g, ref_g, arch)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
 @pytest.mark.parametrize("arch,activation", [("resnet", "tanh"), ("resnet", "smoothed-relu"),
                                              ("wasserstein", "tanh")])
@@ -594,8 +603,9 @@ def test_resnet_and_wasserstein_objectives_equal_the_reference_bit_for_bit(arch,
                                 gamma=gamma)
             ref_f, ref_g, ref_risk = _reference(model, W, data, "squared")
             np.testing.assert_array_equal(md.forward(model, W, data.x), ref_f)
-            np.testing.assert_array_equal(grad(W.coeffs), ref_g)
-            np.testing.assert_array_equal(md.gradient(model, W, data, "squared"), ref_g)
+            _assert_gradient_equals_the_reference(arch, grad(W.coeffs), ref_g)
+            _assert_gradient_equals_the_reference(arch, md.gradient(model, W, data, "squared"),
+                                                  ref_g)
             assert value(W.coeffs) == ref_risk
             assert md.empirical_risk(model, W, "squared", data) == ref_risk
             if arch == "wasserstein":
@@ -620,7 +630,8 @@ def test_forward_and_gradient_read_the_basis_of_the_map():
             ref_f, ref_g, ref_risk = _reference(model, W, data, "squared")
             for spec in (model, bare):
                 np.testing.assert_array_equal(md.forward(spec, W, data.x), ref_f, arch)
-                np.testing.assert_array_equal(md.gradient(spec, W, data, "squared"), ref_g, arch)
+                _assert_gradient_equals_the_reference(
+                    arch, md.gradient(spec, W, data, "squared"), ref_g)
                 assert md.empirical_risk(spec, W, "squared", data) == ref_risk, arch
 
 

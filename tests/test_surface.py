@@ -4,6 +4,7 @@ the names the package no longer has."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -51,3 +52,16 @@ def test_removed_names_are_gone():
         present = [n for n in _REMOVED if hasattr(owner, n)]
         assert not present, (owner.__name__, present)
     assert "mode" not in {f.name for f in dataclasses.fields(md.ParticleCloud)}
+
+
+def test_the_chain_entry_points_are_public_module_functions():
+    # one chain, a stack of chains and one step; perfbench's tracer wraps the first and the
+    # last by name, with their parameters
+    from transport_langevin import langevin as lg
+    for name in ("run_chain", "run_chains", "gld_step", "simulate_ou_sq_norms"):
+        assert name in lg.__all__ and inspect.isfunction(getattr(lg, name)), name
+    assert transport_langevin.run_chains is lg.run_chains
+    assert list(inspect.signature(lg.run_chain).parameters)[:4] == [
+        "cfg", "model", "loss_kind", "dataset"]
+    assert list(inspect.signature(lg.run_chains).parameters)[:5] == [
+        "cfg", "models", "loss_kind", "datasets", "seeds"]

@@ -17,9 +17,14 @@ defaults under ``PYTHONHASHSEED=0``: every preset ``run`` at seed 0, the
 ``sweep`` of regression-rate over ``n`` and the standard output of each run,
 the sweep and every demo. ``tools/artifact_diff.py`` compares the two trees,
 and the record holds each command's exit status and the comparison, so that
-"byte-identical" is a record anyone can re-run.  Each side's tier-1 suite then
-runs once under ``pytest --durations``; its record holds the passed, failed and
-error counts and pytest's exit code.
+"byte-identical" is a record anyone can re-run.  The step-ratio pass then times
+one chain step, or one gradient call, of each of ``STEP_PROBES`` in fresh
+processes: ``PROBE_PAIRS`` alternating pairs of the two trees per probe, and the
+record holds the change-to-parent ratio of each pair with their median and
+interquartile range.  In-process probes resolve a few percent, where the
+end-to-end runs resolve tens of percent.  Each side's tier-1 suite then runs
+once under ``pytest --durations``; its record holds the passed, failed and error
+counts and pytest's exit code.
 
 Per metric the record holds both sides' medians and quartiles over the pairs,
 the relative change of the medians, the parent's interquartile range relative
@@ -56,6 +61,58 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=3
 CLI = ["-m", "transport_langevin"]
 SWEEP = ["sweep", "--preset", "regression-rate", "--axis", "n",
          "--values", "64,128,256,512,1024", "--seed", "0"]
+
+PROBE_PAIRS = 20
+# what the step-ratio pass times, each through the package's public API at one step
+# (or call) per unit: a two-layer chain at n = 64 and n = 1,024, an identity-map chain
+# with a logistic loss, and the wasserstein gradient
+STEP_PROBES = ("two-layer-n64", "two-layer-n1024", "identity-logistic", "wasserstein-grad")
+# prints the best of 15 timings of one probe, in µs per step or per call
+_PROBE = r"""
+import sys, time
+import numpy as np
+from transport_langevin import langevin as lg, models as md
+from transport_langevin.spectral import cosine_basis, eval_basis, gram_eigenbasis
+
+probe, rng, units = sys.argv[1], np.random.default_rng(0), 1000
+if probe == "wasserstein-grad":
+    src = rng.standard_normal((24, 1))
+    tgt = 0.5 * rng.standard_normal((24, 1)) + 1.0
+    cloud = md.finite_width_cloud(src, np.zeros(24))
+    model = md.ModelSpec(arch="wasserstein", cloud=cloud, wasserstein_penalty=25.0,
+                         mmd_bandwidth=0.8, basis=gram_eigenbasis(cloud, 0.3, 12, False))
+    _, grad = md.risk_objective(model, "squared", md.Dataset(x=src, y=tgt))
+    c = lg.initial_map(model, model.basis).coeffs
+
+    def once():
+        for _ in range(units):
+            grad(c)
+else:
+    if probe.startswith("two-layer"):
+        n, M = int(probe.split("-n")[1]), 6
+        cloud = md.finite_width_cloud(rng.standard_normal((M, 2)), rng.uniform(-1, 1, M))
+        model = md.ModelSpec(arch="two-layer", cloud=cloud, basis=gram_eigenbasis(cloud, 1.0, M))
+        r, th = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * np.pi, n)
+        x = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        data, loss, eta, beta = md.Dataset(x=x, y=np.tanh(x.sum(axis=1))), "squared", 0.1, n
+    else:
+        n, model = 300, md.ModelSpec(arch="identity-map", basis=cosine_basis(6, dim_in=1))
+        x = rng.uniform(0.05, 0.95, (n, 1))
+        y = np.where(eval_basis(model.basis, x)[:, 1] > 0, 1.0, -1.0)
+        data, loss, eta, beta = md.Dataset(x=x, y=y), "logistic", 0.05, 100.0
+    cfg = lg.DynamicsConfig(eta=eta, beta=float(beta), lam=1.0 / beta,
+                            n_modes=model.basis.n_modes, steps=units, burn_in=units)
+
+    def once():
+        lg.run_chain(cfg, model, loss, data, init="zero")
+once()
+best = float("inf")
+for _ in range(15):
+    t = time.perf_counter()
+    once()
+    best = min(best, time.perf_counter() - t)
+print(best / units * 1e6)
+"""
 
 _spec = importlib.util.spec_from_file_location(
     "artifact_diff", Path(__file__).resolve().with_name("artifact_diff.py"))
@@ -199,6 +256,36 @@ def artifact_pass(trees: dict, work_dir: Path, run=subprocess.run) -> dict:
     }
 
 
+def step_ratio_pass(trees: dict, run=subprocess.run, pairs: int = PROBE_PAIRS) -> dict:
+    """Per probe of ``STEP_PROBES``, ``pairs`` alternating fresh-process timings of each tree.
+
+    Pair ``i`` runs the parent first when ``i`` is even and the change first when it is
+    odd; its ratio is the change's µs over the parent's, so a ratio below 1 is a gain.
+    ``run`` is called like ``subprocess.run``.
+    """
+    probes = {}
+    for probe in STEP_PROBES:
+        us = {"parent": [], "change": []}
+        for i in range(pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
+                out = run([sys.executable, "-c", _PROBE, probe], cwd=trees[side], env=env,
+                          capture_output=True, text=True, timeout=600)
+                if out.returncode != 0:
+                    raise RuntimeError(f"probe {probe} in {trees[side]}: exit "
+                                       f"{out.returncode}\n{out.stderr}")
+                us[side].append(float(out.stdout.split()[-1]))
+        ratios = [c / p for p, c in zip(us["parent"], us["change"])]
+        q1, median, q3 = quartiles(ratios)
+        probes[probe] = {"median_ratio": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
+                         "ratios": ratios, "parent_us": us["parent"], "change_us": us["change"]}
+    return {
+        "what": (f"best-of-15 µs per chain step (per gradient call for wasserstein-grad) in a "
+                 f"fresh process, {pairs} alternating pairs per probe; ratio = change / parent"),
+        "probes": probes,
+    }
+
+
 def workload_record(seeds, runs: dict, bounds: dict) -> dict:
     """The per-workload block of the BENCH file from each side's run records."""
     par, chg = runs["parent"], runs["change"]
@@ -282,6 +369,11 @@ def main(argv=None) -> int:
     moved = out["artifacts"]["diff"]["moved"]
     print(f"added the artifact comparison to {path}: {len(moved)} file(s) moved",
           file=sys.stderr)
+    out["step_ratios"] = step_ratio_pass(trees)
+    path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    print(f"added the step ratios to {path}: " + ", ".join(
+        f"{name} {rec['median_ratio']:.3f}" for name, rec in out["step_ratios"]["probes"].items()),
+        file=sys.stderr)
     tier1 = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
     for side in ("parent", "change"):
         envvars = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
