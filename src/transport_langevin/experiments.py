@@ -250,7 +250,6 @@ def _two_layer_setup(rng, M=8, d=2, R=2.0, D=1.0, bandwidth=1.0):
 # preset: posterior-validate
 # ---------------------------------------------------------------------------
 
-
 def posterior_validate(seed=0, overrides=None):
     """Chain marginal against the exact conjugate posterior (linear-Gaussian case)."""
     p = _merged(PRESET_DEFAULTS["posterior-validate"], overrides or {}, "posterior-validate")

@@ -263,8 +263,10 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     k's place in the stack.  Identity-map and two-layer members step through
     batched products (``models._stacked_grad``), and each member's records equal
     its own :func:`run_chain` bit for bit; resnet and wasserstein chains take one
-    member only.  An affine stable stack is solved in blocks, one ``eigh`` per
-    member; it takes the stepwise path when any member's linear map is not stable.
+    member only.  An affine stable stack is solved in blocks after one batched
+    ``eigh``; it takes the stepwise path when any member's linear map is not stable,
+    and its block lengths depend on K, so there a member's records depend on the
+    stack by rounding.
 
     The record is one (K, n_records, n_modes, d_out) array, allocated once and
     filled once per block; each trajectory holds its member's slice, and all share

@@ -12,8 +12,9 @@ architectures differ in how the map values turn into a predictor:
 Training sees an architecture only through one objective, built once per
 dataset: ``_objective`` gives value(coeffs) and grad(coeffs), and forward,
 gradient, empirical_risk and risk_objective all read it.  The pointwise
-losses wrap one forward/backward pair per architecture (``_passes``);
-wasserstein has its soft transport objective.
+losses wrap one forward/backward pair per architecture (``_passes``), which
+identity-map and two-layer also run over a stack of members for
+:func:`langevin.run_chains`; wasserstein has its soft transport objective.
 
 Clipping is componentwise R*tanh(v/R); its derivative enters every analytic
 gradient, which is written in coefficient space so that it agrees with finite
@@ -451,7 +452,6 @@ def _identity_passes(models, bases, gamma: float, Xs):
     # n as a 0-d array: numpy converts a Python-number operand again on every call
     n = np.array(float(Phi.shape[-2]))
 
-    # a linear chain step is a few µs: the products are dot for one member
     def fwd(coeffs):
         return mv(Phi, scale(coeffs)[..., 0]), None
 
