@@ -851,18 +851,19 @@ def _assert_same_trajectory(a, b):
     assert a.final_state.last_grad_norm == b.final_state.last_grad_norm
 
 
-@pytest.mark.parametrize("arch, loss, gamma", [("two-layer", "squared", 0.0),
-                                               ("identity-map", "logistic", 0.0),
-                                               ("two-layer", "squared", 0.5)])
-def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma):
+@pytest.mark.parametrize("arch, loss, gamma, beta", [("two-layer", "squared", 0.0, 24.0),
+                                                     ("identity-map", "logistic", 0.0, 24.0),
+                                                     ("two-layer", "squared", 0.5, np.inf)])
+def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma, beta):
     # three networks or bases, three datasets and three seeds, across a block boundary, with a
-    # record schedule that does not divide the block; the stack steps through batched products
+    # record schedule that does not divide the block and a truncation below the mode count;
+    # the stack steps through batched products
     models, datas = zip(*(_stack_member(arch, s) for s in (3, 4, 5)))
     seeds = [11, 12, 13]
     starts = [lg.ChainState(step=2, map=md.TransportMap(
         coeffs=np.zeros((m.basis.n_modes, md.map_output_dim(m))), basis=m.basis, gamma=gamma))
         for m in models]
-    cfg = lg.DynamicsConfig(eta=0.05, beta=24.0, lam=0.1, n_modes=models[0].basis.n_modes,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=beta, lam=0.1, n_modes=models[0].basis.n_modes - 1,
                             steps=_B + 37, burn_in=20, thin=7)
     stack = lg.run_chains(cfg, models, loss, datas, seeds, init_states=starts)
     assert len(stack) == 3 and stack[0].coeffs.shape[0] > 0
@@ -871,6 +872,7 @@ def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma):
                              init_state=start)
         _assert_same_trajectory(traj, alone)
         assert traj.final_state.map.gamma == gamma
+        assert np.all(traj.coeffs[:, cfg.n_modes:] == 0.0)
     # member 2's records depend neither on the other members nor on its place in the stack
     for picked in ([2, 0], [1, 2, 0]):
         sub = lg.run_chains(cfg, [models[k] for k in picked], loss, [datas[k] for k in picked],
