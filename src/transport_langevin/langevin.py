@@ -143,10 +143,11 @@ class Trajectory:
 _BLOCK = 1024
 
 # steps per block of the block solve.  4,096 steps of 8 modes fill 256 KB, so that its three
-# buffers stay in L2 (16,384 steps ran about 3x slower); a stack or a map with more
-# coefficients takes fewer steps per block, so that a buffer holds at most _AFFINE_FLOATS floats
+# buffers stay in L2 (16,384 steps ran about 3x slower)
 _AFFINE_BLOCK = 4096
-_AFFINE_FLOATS = 8 * _AFFINE_BLOCK
+# on either path, a stack or a map with more coefficients takes fewer steps per block, so that
+# a block buffer holds at most _BLOCK_FLOATS floats whatever the number of members
+_BLOCK_FLOATS = 8 * _AFFINE_BLOCK
 
 # the block AR(1) solve: at most _OU_BLOCK steps per block, and min|d|^-L <= e^_OU_MAX_LOG_GAIN
 # (finite in float64); each noise draw of simulate_ou_sq_norms fills at most oracle._CHUNK floats
@@ -264,13 +265,16 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     batched products (``models._stacked_grad``), and each member's records equal
     its own :func:`run_chain` bit for bit; resnet and wasserstein chains take one
     member only.  An affine stable stack is solved in blocks after one batched
-    ``eigh``; it takes the stepwise path when any member's linear map is not stable,
-    and its block lengths depend on K, so there a member's records depend on the
-    stack by rounding.
+    ``eigh``, and there a member's records depend on the other members by rounding:
+    the whole stack takes the stepwise path when any member's linear map is not
+    stable, the AR(1) blocks are as short as the member of smallest |d| needs
+    (:func:`_ar1_block_length`), and the steps per block shrink with K.
 
-    The record is one (K, n_records, n_modes, d_out) array, allocated once and
-    filled once per block; each trajectory holds its member's slice, and all share
-    one array of record steps.  A block is checked for finiteness as a whole; its
+    On either path a block's buffers hold at most ``_BLOCK_FLOATS`` floats each, so
+    they do not grow with K.  The record is one (K, n_records, n_modes, d_out) array,
+    allocated once and filled once per block, so it holds every member's records at
+    once; each trajectory holds its member's slice, and all share one array of record
+    steps.  A block is checked for finiteness as a whole; its
     first non-finite (step, member) raises :class:`ChainDivergedError` carrying that
     member's last finite state and its index.
     """
@@ -302,10 +306,9 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     rec_steps = _record_steps(step_no, step_no + cfg.steps, cfg.burn_in, cfg.thin)
     rec_coeffs = np.empty((K, rec_steps.size, m, d_out))
     n_rec = 0
-    block = max(1, min(_AFFINE_BLOCK, _AFFINE_FLOATS // (K * m * d_out), cfg.steps))
-    solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, block)
-    if solve is None:
-        block = min(_BLOCK, cfg.steps)
+    cap = max(1, min(_BLOCK_FLOATS // (K * m * d_out), cfg.steps))
+    solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, min(_AFFINE_BLOCK, cap))
+    block = min(_BLOCK if solve is None else _AFFINE_BLOCK, cap)
     buf = np.empty((K, block, m, d_out))
     noise = np.empty((K, block, N, d_out)) if amp > 0.0 else None
     if solve is not None:

@@ -428,10 +428,7 @@ def _gamma_scaler(bases, gamma: float):
     """c -> each member's mode k scaled by mu_k^(gamma/2), as :func:`_gamma_scale` does."""
     if gamma == 0.0:
         return lambda c: c
-    if len(bases) == 1:
-        eigen = bases[0].eigen
-        return lambda c: fractional_power_scale(c, eigen, gamma)
-    cols = np.stack([b.eigen.mu[:b.n_modes] ** (gamma / 2.0) for b in bases])[..., None]
+    cols = _members([b.eigen.mu[:b.n_modes] ** (gamma / 2.0) for b in bases])[..., None]
     return lambda c: c * cols
 
 

@@ -324,7 +324,7 @@ def _assert_block_solve_matches_stepwise(cfg, model, data, state):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
         traj = lg.run_chain(cfg, model, "squared", data, init_state=state)
-    assert model.basis.n_modes * _AB <= lg._AFFINE_FLOATS
+    assert model.basis.n_modes * _AB <= lg._BLOCK_FLOATS
     assert len(solves) == -(-cfg.steps // _AB)
     ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data, state)
     np.testing.assert_array_equal(traj.steps, ref_steps)
@@ -923,6 +923,62 @@ def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
             row = int(np.searchsorted(stack[0].steps, k))
             np.testing.assert_allclose(stack[0].coeffs[row, :N, 0] - stack[1].coeffs[row, :N, 0],
                                        gap, rtol=0, atol=1e-12)
+
+
+def test_a_member_with_a_near_zero_eigenvalue_shortens_the_ar1_blocks_of_the_whole_stack():
+    # member 1's inputs crowd near x = 0, where every cosine mode is near 1.  At
+    # eta = (1 - 1e-12) / h, h the largest eigenvalue of its H, one of its d is about 1e-12:
+    # d^-L must stay finite, so the stack solves in AR(1) blocks of 21 steps, where member 0
+    # alone takes 256; each member still equals its own gld_step loop
+    model, data = _linear_setup(n=40)
+    rng = np.random.default_rng(3)
+    steep = md.Dataset(x=rng.uniform(0.0, 0.1, (40, 1)), y=rng.standard_normal(40))
+    _, grad = md.risk_objective(model, "squared", steep)
+    n_modes = 3
+    h = np.linalg.eigvalsh(grad.affine()[0][:n_modes, :n_modes]).max()
+    cfg = lg.DynamicsConfig(eta=(1.0 - 1e-12) / h, beta=4.0, lam=0.5, n_modes=n_modes,
+                            steps=600, burn_in=5, thin=3)
+    d_steep = _block_solve_eigenvalues(cfg, model, steep)
+    assert np.abs(d_steep).min() < 1e-10 and np.abs(d_steep).max() < 1.0
+    assert np.abs(_block_solve_eigenvalues(cfg, model, data)).min() > 1e-2
+    lengths, ar1_blocks = {}, lg._ar1_blocks
+
+    def run(models, datas, seeds, key):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lg, "_ar1_blocks",
+                       lambda x, *a: lengths.setdefault(key, x.shape[1]) and ar1_blocks(x, *a))
+            return lg.run_chains(cfg, models, "squared", datas, seeds)
+
+    stack = run([model, model], [data, steep], [4, 5], "stack")
+    (alone,) = run([model], [data], [4], "alone")
+    assert lengths == {"stack": 21, "alone": lg._OU_BLOCK}
+    for d, seed, traj in zip((data, steep), (4, 5), stack):
+        start = _projected_start(model, cfg, 0)
+        ref_steps, ref_coeffs, _ = _stepwise_record(dataclasses.replace(cfg, seed=seed),
+                                                    model, d, start)
+        np.testing.assert_array_equal(traj.steps, ref_steps)
+        np.testing.assert_allclose(traj.coeffs, ref_coeffs, rtol=0, atol=1e-12)
+    # member 0's records depend on its company by rounding only
+    np.testing.assert_allclose(stack[0].coeffs, alone.coeffs, rtol=0, atol=1e-12)
+
+
+def test_a_stack_holds_its_records_once_and_its_block_buffers_do_not_grow_with_k():
+    # eight two-layer members step by step: the noise and state buffers of a block hold at
+    # most _BLOCK_FLOATS floats each, where 1,024 steps of each member would fill 2 MB
+    models, datas = zip(*(_stack_member("two-layer", s) for s in range(8)))
+    cfg = lg.DynamicsConfig(eta=0.05, beta=24.0, lam=0.1, n_modes=models[0].basis.n_modes,
+                            steps=3000, burn_in=100)
+    seeds = list(range(8))
+    lg.run_chains(dataclasses.replace(cfg, steps=1), models, "squared", datas, seeds)
+    tracemalloc.start()
+    try:
+        stack = lg.run_chains(cfg, models, "squared", datas, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * len(models) * _B * stack[0].coeffs[0].size * 8 > 2 * lg._BLOCK_FLOATS * 8 + (1 << 20)
+    records = stack[0].coeffs.base.nbytes + stack[0].steps.nbytes
+    assert peak <= records + (1 << 20), peak
 
 
 def test_a_diverging_member_of_a_stack_is_named_with_its_last_finite_state():

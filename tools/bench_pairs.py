@@ -65,17 +65,41 @@ SWEEP = ["sweep", "--preset", "regression-rate", "--axis", "n",
 PROBE_PAIRS = 20
 # what the step-ratio pass times, each through the package's public API at one step
 # (or call) per unit: a two-layer chain at n = 64 and n = 1,024, an identity-map chain
-# with a logistic loss, and the wasserstein gradient
-STEP_PROBES = ("two-layer-n64", "two-layer-n1024", "identity-logistic", "wasserstein-grad")
+# with a logistic loss, the wasserstein gradient, and ten two-layer chains at n = 64 of
+# ten seeds, networks and datasets, as pac-bayes runs them (one step of all ten per unit)
+STEP_PROBES = ("two-layer-n64", "two-layer-n1024", "identity-logistic", "wasserstein-grad",
+               "pac-bayes-stack")
 # prints the best of 15 timings of one probe, in µs per step or per call
 _PROBE = r"""
-import sys, time
+import dataclasses, sys, time
 import numpy as np
 from transport_langevin import langevin as lg, models as md
 from transport_langevin.spectral import cosine_basis, eval_basis, gram_eigenbasis
 
+
+def two_layer(rng, n, M=6):
+    cloud = md.finite_width_cloud(rng.standard_normal((M, 2)), rng.uniform(-1, 1, M))
+    model = md.ModelSpec(arch="two-layer", cloud=cloud, basis=gram_eigenbasis(cloud, 1.0, M))
+    r, th = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * np.pi, n)
+    x = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    return model, md.Dataset(x=x, y=np.tanh(x.sum(axis=1)))
+
+
 probe, rng, units = sys.argv[1], np.random.default_rng(0), 1000
-if probe == "wasserstein-grad":
+if probe == "pac-bayes-stack":
+    n, seeds = 64, list(range(10))
+    models, datas = zip(*(two_layer(np.random.default_rng(s), n) for s in seeds))
+    cfg = lg.DynamicsConfig(eta=0.1, beta=float(n), lam=1.0 / n,
+                            n_modes=models[0].basis.n_modes, steps=units, burn_in=units)
+    if hasattr(lg, "run_chains"):
+        def once():
+            lg.run_chains(cfg, models, "squared", datas, seeds, init="zero")
+    else:   # a tree without the stacked entry point runs the members one by one
+        def once():
+            for model, data, seed in zip(models, datas, seeds):
+                lg.run_chain(dataclasses.replace(cfg, seed=seed), model, "squared", data,
+                             init="zero")
+elif probe == "wasserstein-grad":
     src = rng.standard_normal((24, 1))
     tgt = 0.5 * rng.standard_normal((24, 1)) + 1.0
     cloud = md.finite_width_cloud(src, np.zeros(24))
@@ -89,12 +113,8 @@ if probe == "wasserstein-grad":
             grad(c)
 else:
     if probe.startswith("two-layer"):
-        n, M = int(probe.split("-n")[1]), 6
-        cloud = md.finite_width_cloud(rng.standard_normal((M, 2)), rng.uniform(-1, 1, M))
-        model = md.ModelSpec(arch="two-layer", cloud=cloud, basis=gram_eigenbasis(cloud, 1.0, M))
-        r, th = np.sqrt(rng.uniform(0, 1, n)), rng.uniform(0, 2 * np.pi, n)
-        x = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        data, loss, eta, beta = md.Dataset(x=x, y=np.tanh(x.sum(axis=1))), "squared", 0.1, n
+        n = int(probe.split("-n")[1])
+        (model, data), loss, eta, beta = two_layer(rng, n), "squared", 0.1, n
     else:
         n, model = 300, md.ModelSpec(arch="identity-map", basis=cosine_basis(6, dim_in=1))
         x = rng.uniform(0.05, 0.95, (n, 1))
@@ -280,8 +300,9 @@ def step_ratio_pass(trees: dict, run=subprocess.run, pairs: int = PROBE_PAIRS) -
         probes[probe] = {"median_ratio": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
                          "ratios": ratios, "parent_us": us["parent"], "change_us": us["change"]}
     return {
-        "what": (f"best-of-15 µs per chain step (per gradient call for wasserstein-grad) in a "
-                 f"fresh process, {pairs} alternating pairs per probe; ratio = change / parent"),
+        "what": (f"best-of-15 µs per chain step (per gradient call for wasserstein-grad, per "
+                 f"step of all ten chains for pac-bayes-stack) in a fresh process, {pairs} "
+                 f"alternating pairs per probe; ratio = change / parent"),
         "probes": probes,
     }
 
