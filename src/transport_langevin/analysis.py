@@ -113,6 +113,12 @@ def pac_bayes_bound(R_bar: float, beta: float, n: int, delta: float, Xi_k: float
     return float(R_bar ** 2 / rn * (2.0 * (1.0 + 2.0 * beta / rn) + log_term) + 2.0 * Xi_k)
 
 
+# the fewest points each log-linear fit below takes
+DECAY_FIT_MIN_POINTS = 4   # fit_geometric_decay's (k, gap) pairs
+BIAS_FIT_MIN_POINTS = 3    # fit_stepsize_bias's step sizes
+RATE_FIT_MIN_POINTS = 4    # excess_risk_rate_fit's sample sizes
+
+
 def _loglinear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of ys against xs plus the r^2 of the fit."""
     A = np.column_stack([xs, np.ones_like(xs)])
@@ -130,8 +136,8 @@ def fit_geometric_decay(series, eta: float = 1.0) -> tuple[float, float]:
     ``series`` is a sequence of (k, gap) pairs with positive gaps.
     """
     arr = np.asarray(list(series), dtype=float)
-    if arr.shape[0] < 4:
-        raise ValueError("need at least 4 points")
+    if arr.shape[0] < DECAY_FIT_MIN_POINTS:
+        raise ValueError(f"need at least {DECAY_FIT_MIN_POINTS} points")
     ks, gaps = arr[:, 0], arr[:, 1]
     if np.any(gaps <= 0):
         raise ValueError("gaps must be positive")
@@ -143,8 +149,8 @@ def fit_stepsize_bias(etas, biases) -> float:
     """Log-log slope of discretization bias against step size."""
     etas = np.asarray(etas, dtype=float)
     biases = np.asarray(biases, dtype=float)
-    if etas.size < 3:
-        raise ValueError("need at least 3 step sizes")
+    if etas.size < BIAS_FIT_MIN_POINTS:
+        raise ValueError(f"need at least {BIAS_FIT_MIN_POINTS} step sizes")
     if np.any(etas <= 0) or np.any(biases <= 0):
         raise ValueError("step sizes and biases must be positive")
     slope, _ = _loglinear_fit(np.log(etas), np.log(biases))
@@ -244,8 +250,8 @@ def excess_risk_rate_fit(ns, risks) -> float:
     """Log-log slope of excess risk against sample size."""
     ns = np.asarray(ns, dtype=float)
     risks = np.asarray(risks, dtype=float)
-    if ns.size < 4:
-        raise ValueError("need at least 4 sample sizes")
+    if ns.size < RATE_FIT_MIN_POINTS:
+        raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} sample sizes")
     if np.any(risks <= 0):
         raise ValueError("risks must be positive")
     slope, _ = _loglinear_fit(np.log(ns), np.log(risks))

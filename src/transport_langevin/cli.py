@@ -61,7 +61,7 @@ def _load_config(path) -> dict:
 def _check_overrides(preset: str, overrides: dict):
     """Raise ConfigError unless every override is a key of the preset with a valid value."""
     try:
-        ex._merged(ex.PRESET_DEFAULTS[preset], overrides, preset)
+        ex._merged(preset, overrides)
     except (KeyError, ValueError) as exc:
         raise ConfigError(exc.args[0]) from exc
 

@@ -1,9 +1,10 @@
 """Experiment presets: each one exercises a verifiable claim at desk scale.
 
-Every preset is a pure function of (seed, overrides) returning a structured
-result with per-criterion pass/fail lines and a results table; the command
-line wraps them with CSV artifacts and exit codes, and the acceptance suite
-runs the same presets and sweeps.
+Every preset is a pure function of (seed, config) returning a structured
+result with per-criterion pass/fail lines and a results table; ``run_preset``
+builds the config from the preset's defaults and the overrides and checks it
+first.  The command line wraps the presets with CSV artifacts and exit codes,
+and the acceptance suite runs the same presets and sweeps.
 """
 
 from __future__ import annotations
@@ -90,137 +91,163 @@ PRESET_DEFAULTS = {
 }
 
 
-# per preset, each chain it records as (steps, burn-in, thin) keys, None for no burn-in or
-# no thinning, and the fewest records the preset needs: 2 where it takes a batch-means stderr
-_SCHEDULES = {
-    "posterior-validate": [("kept", None, None, 2)],
-    "ou-moment": [("steps", "burn_in", None, 2)],
-    "stepsize-bias": [("kept", None, None, 2), ("ref_kept", None, None, 2)],
-    "regression-rate": [("steps", "burn_in", "thin", 1)],
-    "classification-rate": [("steps", "burn_in", "thin", 1)],
-    "finite-width-demo": [("max_steps", None, "check_every", 1)],
-    "pac-bayes": [("steps", "burn_in", "thin", 1)],
-}
-
-# per preset, the integer keys whose least value is above 1: ergodicity fits its gap decay
-# over its steps, the correlation oracle's covariance takes at least 2 samples, and the
-# classification teacher sits on the second cosine mode
-_DECAY_FIT_POINTS = 4   # the fewest gaps analysis.fit_geometric_decay fits
-_INT_LOW = {"ergodicity": {"steps": _DECAY_FIT_POINTS}, "correlation-suite": {"n_samples": 2},
-            "classification-rate": {"n_modes": 2}}
-# the most coordinates oracle.gaussian_correlation_mc samples, its default dim_cap
-_CORRELATION_DIM_CAP = 16
+# the least value of a key, as (value, strict), in every preset that declares it and does
+# not set its own in _CHECKS; other integer keys are counts or sizes, at least 1, and
+# other float keys take any finite number
+_LEAST = {"burn_in": (0, False), "eta": (0.0, False), "etas": (0.0, False),
+          "beta": (0.0, True), "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False),
+          "step": (0.0, True), "radii": (0.0, True), "ref_eta_factor": (0.0, True)}
 # the most grid values per axis of a bernstein-suite radius, so at most 10^6 grid points
 # per radius: any step >= 0.001 passes (the band is narrower than 1); the default 0.005
 # gives at most 201 values
 _BERNSTEIN_AXIS_CAP = 1000
 
-# lower limits (value, strict) of the float keys the chain, clip and grid configs check
-_FLOAT_LOW = {"eta": (0.0, False), "etas": (0.0, False), "beta": (0.0, True),
-              "lam": (0.0, True), "R": (1.0, False), "noise": (0.0, False),
-              "step": (0.0, True), "radii": (0.0, True), "ref_eta_factor": (0.0, True)}
+
+@dataclass(frozen=True)
+class _Checks:
+    """One preset's entry of the rule table, as ``_merged`` reads it."""
+    least: dict = field(default_factory=dict)
+    records: tuple = ()
+    rules: tuple = ()
 
 
-def _merged(defaults: dict, overrides: dict, preset: str) -> dict:
-    """Defaults updated by overrides, each coerced to the type of its default.
+_BETA_ABOVE_ETA = (("beta", "eta"), lambda p: p["beta"] > p["eta"], "'beta' > 'eta'")
+_N_ABOVE_ETA = (("n", "eta"), lambda p: p["n"] > p["eta"],
+                "'n' > 'eta' (the chain runs at beta = n)")
+_D_IS_2 = (("d",), lambda p: p["d"] == 2,
+           "be 2, the dimension of the unit disc its inputs are drawn from")
+_CHECKS = {
+    "posterior-validate": _Checks(records=(("kept", None, None, 2),), rules=(_N_ABOVE_ETA,)),
+    "ou-moment": _Checks(records=(("steps", "burn_in", None, 2),)),
+    "stepsize-bias": _Checks(
+        records=(("kept", None, None, 2), ("ref_kept", None, None, 2)),
+        rules=((("etas",), lambda p: len(p["etas"]) >= an.BIAS_FIT_MIN_POINTS,
+                f"hold at least {an.BIAS_FIT_MIN_POINTS} step sizes for the bias fit"),
+               (("beta", "etas"), lambda p: p["beta"] > max(p["etas"]),
+                "'beta' > every step size of 'etas'"))),
+    # it fits the decay of its gaps over its steps
+    "ergodicity": _Checks(least={"steps": (an.DECAY_FIT_MIN_POINTS, False)},
+                          rules=(_BETA_ABOVE_ETA,)),
+    "grad-check": _Checks(),
+    "lipschitz-suite": _Checks(),
+    # a radius's grid holds floor((hi - lo) / step) + 1 values, at most the cap exactly when
+    # (hi - lo) / step < cap; a float quotient turns a tiny step into inf, not an error
+    "bernstein-suite": _Checks(rules=((
+        ("step",), lambda p: max(float(hi - lo) for lo, hi in map(ls.feasible_band, p["radii"]))
+        / p["step"] < _BERNSTEIN_AXIS_CAP,
+        f"give at most {_BERNSTEIN_AXIS_CAP} grid values per axis at every radius of "
+        "'radii' (10^6 grid points per radius; any step >= 0.001 does)"),)),
+    # the oracle's covariance takes at least 2 samples
+    "correlation-suite": _Checks(least={"n_samples": (2, False)}, rules=((
+        ("max_dim",), lambda p: p["max_dim"] <= orc.CORRELATION_DIM_CAP,
+        f"be <= {orc.CORRELATION_DIM_CAP}, the correlation oracle's dimension cap"),)),
+    "regression-rate": _Checks(records=(("steps", "burn_in", "thin", 1),),
+                               rules=(_D_IS_2, _N_ABOVE_ETA)),
+    # the teacher sits on the second cosine mode
+    "classification-rate": _Checks(least={"n_modes": (2, False)},
+                                   records=(("steps", "burn_in", "thin", 1),),
+                                   rules=(_BETA_ABOVE_ETA,)),
+    "finite-width-demo": _Checks(records=(("max_steps", None, "check_every", 1),),
+                                 rules=(_D_IS_2, _BETA_ABOVE_ETA)),
+    "wasserstein-demo": _Checks(rules=((
+        ("n_modes", "n_source"), lambda p: p["n_modes"] <= p["n_source"],
+        "'n_modes' <= 'n_source' (its basis is built on the source points)"), _BETA_ABOVE_ETA)),
+    # its reference chain runs at eta * ref_eta_factor, beta = n, and burns in 2 * burn_in
+    "pac-bayes": _Checks(records=(("steps", "burn_in", "thin", 1),), rules=(
+        (("n", "eta", "ref_eta_factor"), lambda p: p["n"] > p["eta"] * p["ref_eta_factor"],
+         "'n' > 'eta' * 'ref_eta_factor'"),
+        (("ref_steps", "burn_in", "thin"),
+         lambda p: p["ref_steps"] - 2 * p["burn_in"] >= p["thin"],
+         "'ref_steps' >= 2 * 'burn_in' + 'thin'"),
+        _D_IS_2, _N_ABOVE_ETA)),
+}
 
-    Unknown keys raise KeyError and bad values ValueError.  Integer keys take integral
-    numbers only and, as counts or sizes, must be >= 1 (``burn_in`` >= 0, ``_INT_LOW``
-    where more is needed); list keys take non-empty lists of numbers, and stepsize-bias
-    needs as many ``etas`` as its bias fit.  Float values must be finite and within
-    ``_FLOAT_LOW``, a preset's beta must exceed its eta (pac-bayes's reference chain's too,
-    and it must record a sample), correlation-suite's ``max_dim`` is at most
-    ``_CORRELATION_DIM_CAP``, wasserstein-demo's ``n_modes`` at most its ``n_source``, an
-    input dimension ``d`` is 2, and ``_SCHEDULES`` holds.
+
+def _least(preset: str, key: str) -> tuple:
+    """The least value of ``key`` in ``preset``, as (value, strict)."""
+    fallback = (1, False) if isinstance(PRESET_DEFAULTS[preset][key], int) else (-math.inf, False)
+    return _CHECKS[preset].least.get(key, _LEAST.get(key, fallback))
+
+
+def _merged(preset: str, overrides: dict) -> dict:
+    """The preset's defaults updated by overrides, checked against its entry of ``_CHECKS``.
+
+    Unknown keys raise KeyError and bad values ValueError.  An override takes the type of
+    its default: integer keys take integral numbers, float keys finite ones and list keys
+    non-empty lists of finite numbers, each at least its ``_least``: the entry's ``least``,
+    else ``_LEAST``.  Then each of the entry's ``rules`` (keys, holds, requirement) holds:
+    ``holds(config)`` is true, and the requirement says what it asks of the one key
+    ("must ...") or of the keys together ("need ...").  Last, each chain of its
+    ``records``, as (steps, burn-in, thin) keys with None for no burn-in or no thinning,
+    records at least the fewest samples named with it: 2 where the preset takes a
+    batch-means stderr.
     """
-    out = dict(defaults)
+    out, checks = dict(PRESET_DEFAULTS[preset]), _CHECKS[preset]
     for key, val in overrides.items():
-        if key not in defaults:
+        if key not in out:
             raise KeyError(f"unknown override key {key!r} for preset {preset!r}")
-        default, where = defaults[key], f"override {key!r} for preset {preset!r}"
-        if isinstance(default, list):
-            if not (isinstance(val, (list, tuple)) and val and all(map(_is_number, val))):
-                raise ValueError(f"{where} must be a non-empty list of numbers, got {val!r}")
-            for v in val:
-                _checked_float(key, v, where)
-            out[key] = list(val)
-        elif not _is_number(val):
-            raise ValueError(f"{where} must be a number, got {val!r}")
-        elif isinstance(default, int):
-            low = 0 if key == "burn_in" else _INT_LOW.get(preset, {}).get(key, 1)
-            if not float(val).is_integer() or val < low:
-                raise ValueError(f"{where} must be an integer >= {low}, got {val!r}")
-            out[key] = int(val)
-        else:
-            out[key] = _checked_float(key, val, where)
-    # the step-size bias preset fits its biases over etas like a sweep over eta
-    min_etas = _BIAS_FIT[0]
-    if preset == "stepsize-bias" and len(out["etas"]) < min_etas:
-        raise ValueError(f"override 'etas' for preset 'stepsize-bias' needs at least "
-                         f"{min_etas} step sizes for the bias fit, got {out['etas']!r}")
-    if preset == "correlation-suite" and out["max_dim"] > _CORRELATION_DIM_CAP:
-        raise ValueError(f"override 'max_dim' for preset 'correlation-suite' must be <= "
-                         f"{_CORRELATION_DIM_CAP}, the correlation oracle's dimension cap, "
-                         f"got {out['max_dim']!r}")
-    if preset == "wasserstein-demo" and out["n_modes"] > out["n_source"]:
-        raise ValueError(f"overrides for preset 'wasserstein-demo' need 'n_modes' <= "
-                         f"'n_source' (its basis is built on the source points), got "
-                         f"n_modes={out['n_modes']!r} and n_source={out['n_source']!r}")
-    if preset == "bernstein-suite":
-        widest = max(_bernstein_axis(R, out["step"])[2] for R in out["radii"])
-        if widest > _BERNSTEIN_AXIS_CAP:
-            raise ValueError(f"override 'step' for preset 'bernstein-suite' must give at most "
-                             f"{_BERNSTEIN_AXIS_CAP} grid values per axis (10^6 grid points "
-                             f"per radius; any step >= 0.001 does), got step={out['step']!r} "
-                             f"with {widest} values")
-    if preset == "pac-bayes":   # its reference chain runs at eta * ref_eta_factor, beta = n
-        if not out["n"] > out["eta"] * out["ref_eta_factor"]:
-            raise ValueError(f"overrides for preset 'pac-bayes' need 'n' > 'eta' * "
-                             f"'ref_eta_factor', got n={out['n']!r}, eta={out['eta']!r} and "
-                             f"ref_eta_factor={out['ref_eta_factor']!r}")
-        if out["ref_steps"] - 2 * out["burn_in"] < out["thin"]:   # it burns in 2 * burn_in
-            raise ValueError(f"overrides for preset 'pac-bayes' need 'ref_steps' >= 2 * 'burn_in'"
-                             f" + 'thin', got ref_steps={out['ref_steps']!r}, burn_in="
-                             f"{out['burn_in']!r} and thin={out['thin']!r}")
-    # the two-layer inputs are points of the unit disc (_disc_points)
-    if out.get("d", 2) != 2:
-        raise ValueError(f"override 'd' for preset {preset!r} must be 2, the dimension of "
-                         f"the unit disc its inputs are drawn from, got {out['d']!r}")
-    eta_max = max([out.get("eta", 0.0)] + out.get("etas", []))
-    # three presets run their chain at beta = n instead of a declared beta
-    beta_key = "n" if preset in ("posterior-validate", "regression-rate", "pac-bayes") else "beta"
-    if beta_key in out and not out[beta_key] > eta_max:
-        runs_at = " (the chain runs at beta = n)" if beta_key == "n" else ""
-        raise ValueError(f"overrides for preset {preset!r} need {beta_key!r} > 'eta'{runs_at}, "
-                         f"got {beta_key}={out[beta_key]!r} and eta={eta_max!r}")
-    for steps, burn_in, thin, least in _SCHEDULES.get(preset, []):
+        out[key] = _coerced(preset, key, val)
+    for keys, holds, requirement in checks.rules:
+        if not holds(out):
+            if len(keys) == 1:
+                raise _refusal(preset, keys[0], f"must {requirement}, got {out[keys[0]]!r}")
+            *given, last = [f"{k}={out[k]!r}" for k in keys]
+            raise _refusal(preset, None, f"need {requirement}, got {', '.join(given)} and {last}")
+    for steps, burn_in, thin, least in checks.records:
         records = max(out[steps] - out.get(burn_in, 0), 0) // out.get(thin, 1)
         if records < least:
             given = ", ".join(f"{k}={out[k]!r}" for k in (steps, burn_in, thin) if k)
-            raise ValueError(f"overrides for preset {preset!r} ({given}) record {records} "
-                             f"sample(s) of a chain, fewer than the {least} it needs")
+            raise _refusal(preset, None, f"({given}) record {records} sample(s) of a chain, "
+                                         f"fewer than the {least} it needs")
     return out
 
 
-def _checked_float(key: str, val, where: str) -> float:
-    val = float(val)
-    low, strict = _FLOAT_LOW.get(key, (-np.inf, False))
-    if not np.isfinite(val) or val < low or (strict and val == low):
-        limit = f" {'>' if strict else '>='} {low:g}" if key in _FLOAT_LOW else ""
-        raise ValueError(f"{where} must be a finite number{limit}, got {val!r}")
-    return val
+def _coerced(preset: str, key: str, val):
+    """One override value as the type of its default, or the ValueError that refuses it."""
+    if isinstance(PRESET_DEFAULTS[preset][key], list):
+        if not (isinstance(val, (list, tuple)) and val and all(map(_is_number, val))):
+            raise _refusal(preset, key, f"must be a non-empty list of numbers, got {val!r}")
+        return [_number(preset, key, v) for v in val]
+    return _number(preset, key, val)
+
+
+def _number(preset: str, key: str, val):
+    """A number of ``key``, an int where its default is one, at least its ``_least``."""
+    if not _is_number(val):
+        raise _refusal(preset, key, f"must be a number, got {val!r}")
+    low, strict = _least(preset, key)
+    try:
+        number = float(val)
+    except OverflowError:   # an integer no float holds
+        number = math.inf
+    if isinstance(PRESET_DEFAULTS[preset][key], int) and math.isfinite(number):
+        if not number.is_integer() or number < low:
+            raise _refusal(preset, key, f"must be an integer >= {low}, got {val!r}")
+        return int(val)
+    if not math.isfinite(number) or number < low or (strict and number == low):
+        limit = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        raise _refusal(preset, key, f"must be a finite number{limit}, got {val!r}")
+    return number
 
 
 def _is_number(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
+def _refusal(preset: str, key: Optional[str], clause: str) -> ValueError:
+    """The error of a refused config: of one key, or of several with ``key`` None."""
+    head = "overrides" if key is None else f"override {key!r}"
+    return ValueError(f"{head} for preset {preset!r} {clause}")
+
+
 # ---------------------------------------------------------------------------
 # shared builders
 # ---------------------------------------------------------------------------
 
-def _linear_gaussian_setup(rng, n_modes, n, noise=0.2):
-    """Coefficient-linear regression model on the unit interval."""
+def _linear_gaussian_setup(rng, p):
+    """Coefficient-linear regression model on the unit interval, of ``p``'s n_modes, n
+    and noise (0.2 where ``p`` has none)."""
+    n_modes, n, noise = p["n_modes"], p["n"], p.get("noise", 0.2)
     basis = cosine_basis(n_modes, dim_in=1)
     model = md.ModelSpec(arch="identity-map", basis=basis)
     base = np.array([0.9, 0.6, -0.45, 0.3, -0.22, 0.18, -0.12, 0.1, -0.08, 0.06])
@@ -250,11 +277,10 @@ def _two_layer_setup(rng, M=8, d=2, R=2.0, D=1.0, bandwidth=1.0):
 # preset: posterior-validate
 # ---------------------------------------------------------------------------
 
-def posterior_validate(seed=0, overrides=None):
+def posterior_validate(seed, p):
     """Chain marginal against the exact conjugate posterior (linear-Gaussian case)."""
-    p = _merged(PRESET_DEFAULTS["posterior-validate"], overrides or {}, "posterior-validate")
     rng = np.random.default_rng(seed)
-    basis, model, data, _ = _linear_gaussian_setup(rng, p["n_modes"], p["n"], p["noise"])
+    basis, model, data, _ = _linear_gaussian_setup(rng, p)
     beta, lam = float(p["n"]), 1.0 / p["n"]
     Phi = eval_basis(basis, data.x)
     post = orc.conjugate_posterior(basis, Phi, data.y, beta=beta, lam=lam)
@@ -289,9 +315,8 @@ def posterior_validate(seed=0, overrides=None):
 # preset: ou-moment
 # ---------------------------------------------------------------------------
 
-def ou_moment(seed=0, overrides=None):
+def ou_moment(seed, p):
     """Noise-only recursion, the zero-gradient chain at 2*beta: MC vs closed-form E||Z||^2."""
-    p = _merged(PRESET_DEFAULTS["ou-moment"], overrides or {}, "ou-moment")
     rng = np.random.default_rng(seed)
     grid = [
         dict(eta=0.1, beta=1.0, lam=1.0, n_modes=1, c_mu=1.0),
@@ -333,15 +358,14 @@ def ou_moment(seed=0, overrides=None):
 # preset: stepsize-bias
 # ---------------------------------------------------------------------------
 
-def stepsize_bias(seed=0, overrides=None):
+def stepsize_bias(seed, p):
     """Discretization bias of E||W||^2 against one small-step reference chain.
 
     The reference runs at eta_min/8; the biases over the eta grid are fitted
     log-log and the slope is the measured discretization order.
     """
-    p = _merged(PRESET_DEFAULTS["stepsize-bias"], overrides or {}, "stepsize-bias")
     rng = np.random.default_rng(seed)
-    _, model, data, _ = _linear_gaussian_setup(rng, p["n_modes"], p["n"])
+    _, model, data, _ = _linear_gaussian_setup(rng, p)
 
     def run(eta, steps, chain_seed):
         burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
@@ -368,7 +392,7 @@ def stepsize_bias(seed=0, overrides=None):
 # preset: ergodicity
 # ---------------------------------------------------------------------------
 
-def ergodicity(seed=0, overrides=None):
+def ergodicity(seed, p):
     """Coupled chains from distant starts: exponential decay of a test-function gap.
 
     Both chains of a pair have the same seed, so they read the same noise (a
@@ -376,9 +400,8 @@ def ergodicity(seed=0, overrides=None):
     the ensemble-averaged gap of a bounded smooth test function is fitted
     log-linearly.  All pairs run as one stack of :func:`langevin.run_chains`.
     """
-    p = _merged(PRESET_DEFAULTS["ergodicity"], overrides or {}, "ergodicity")
     rng = np.random.default_rng(seed)
-    basis, model, data, _ = _linear_gaussian_setup(rng, p["n_modes"], p["n"])
+    basis, model, data, _ = _linear_gaussian_setup(rng, p)
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
                             n_modes=p["n_modes"], steps=p["steps"])
     c_dir = rng.standard_normal(p["n_modes"])
@@ -400,7 +423,7 @@ def ergodicity(seed=0, overrides=None):
     usable = value_gaps > p["gap_floor"]
     ks = np.arange(1, p["steps"] + 1)[usable]
     gaps = value_gaps[usable]
-    if gaps.size >= _DECAY_FIT_POINTS:
+    if gaps.size >= an.DECAY_FIT_MIN_POINTS:
         rate, r2 = an.fit_geometric_decay(list(zip(ks, gaps)), eta=p["eta"])
     else:   # too few gaps above the floor to fit a decay: both criteria fail
         rate = r2 = float("nan")
@@ -453,16 +476,15 @@ def _random_model_config(arch, rng):
     raise ValueError(arch)
 
 
-def grad_check(seed=0, overrides=None):
+def grad_check(seed, p):
     """Analytic gradients against central finite differences, per architecture."""
-    p = _merged(PRESET_DEFAULTS["grad-check"], overrides or {}, "grad-check")
     header = ["arch", "config", "rel_err"]
     rows, criteria = [], []
     # each architecture draws from its own stream, keyed by its position here
     for k, arch in enumerate(("two-layer", "identity", "resnet")):
         rng = np.random.default_rng([seed, k])
         worst = 0.0
-        for i in range(int(p["n_configs"])):
+        for i in range(p["n_configs"]):
             model, W, data = _random_model_config(arch, rng)
             loss = "squared" if i % 2 == 0 else "logistic"
             if loss == "logistic":
@@ -482,22 +504,21 @@ def grad_check(seed=0, overrides=None):
 # preset: lipschitz-suite
 # ---------------------------------------------------------------------------
 
-def lipschitz_suite(seed=0, overrides=None):
+def lipschitz_suite(seed, p):
     """Sup-norm/map-distance inequality on random clipped two-layer pairs."""
-    p = _merged(PRESET_DEFAULTS["lipschitz-suite"], overrides or {}, "lipschitz-suite")
     rng = np.random.default_rng(seed)
     header = ["pair", "lhs", "rhs", "margin"]
     rows = []
     violations = 0
     worst_margin = -np.inf
-    for i in range(int(p["n_pairs"])):
+    for i in range(p["n_pairs"]):
         M, d = int(rng.integers(2, 8)), int(rng.integers(1, 4))
         D = float(rng.uniform(0.5, 2.0))
         model = _two_layer_setup(rng, M=M, d=d, R=float(rng.uniform(1.0, 3.0)), D=D,
                                  bandwidth=float(rng.uniform(0.6, 1.5)))
         Wa = md.TransportMap(coeffs=rng.standard_normal((M, d + 1)) * 2, basis=model.basis)
         Wb = md.TransportMap(coeffs=rng.standard_normal((M, d + 1)) * 2, basis=model.basis)
-        grid = rng.standard_normal((int(p["n_grid"]), d))
+        grid = rng.standard_normal((p["n_grid"], d))
         norms = np.linalg.norm(grid, axis=1)
         grid *= (D * rng.uniform(0, 1, grid.shape[0]) ** (1.0 / d) / np.maximum(norms, 1e-12))[:, None]
         lhs, rhs = md.lipschitz_gap(model, Wa, Wb, grid)
@@ -516,21 +537,13 @@ def lipschitz_suite(seed=0, overrides=None):
 # preset: bernstein-suite
 # ---------------------------------------------------------------------------
 
-def _bernstein_axis(R: float, step: float) -> tuple[float, float, int]:
-    """The feasible band (lo, hi) of radius R and the number of grid values lo + i*step
-    in it, counted without building the grid."""
-    lo, hi = ls.feasible_band(R)
-    return lo, hi, math.floor((hi - lo) / step) + 1
-
-
-def bernstein_suite(seed=0, overrides=None):
+def bernstein_suite(seed, p):
     """Exhaustive grid check of the squared-log-ratio inequality."""
-    p = _merged(PRESET_DEFAULTS["bernstein-suite"], overrides or {}, "bernstein-suite")
     header = ["R", "grid_points", "violations", "max_gap"]
     rows = []
     total_viol = 0
     for R in p["radii"]:
-        lo, hi, _ = _bernstein_axis(R, p["step"])
+        lo, hi = ls.feasible_band(R)
         grid = np.arange(lo, hi + 1e-12, p["step"])
         grid = grid[(grid >= lo) & (grid <= hi)]
         P, Q = np.meshgrid(grid, grid, indexing="ij")
@@ -555,7 +568,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def correlation_suite(seed=0, overrides=None):
+def correlation_suite(seed, p):
     """Monte-Carlo probe of the product inequality for centered ellipsoids.
 
     Every pair's ``(dim, a, b)`` is drawn first from ``default_rng(seed)``;
@@ -570,8 +583,7 @@ def correlation_suite(seed=0, overrides=None):
     # imported here: concurrent.futures loads logging, which the other presets never need
     from concurrent.futures import ThreadPoolExecutor
 
-    p = _merged(PRESET_DEFAULTS["correlation-suite"], overrides or {}, "correlation-suite")
-    n_pairs, n_samples = int(p["n_pairs"]), int(p["n_samples"])
+    n_pairs, n_samples = p["n_pairs"], p["n_samples"]
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(n_pairs):
@@ -608,8 +620,8 @@ def correlation_suite(seed=0, overrides=None):
 
 def _regression_task(seed, p):
     """Teacher-in-model clipped two-layer network of ``p``'s M, d and R; fixed across n."""
-    model = _two_layer_setup(np.random.default_rng(seed), M=int(p["M"]), d=int(p["d"]),
-                             R=p["R"], D=1.0, bandwidth=1.0)
+    model = _two_layer_setup(np.random.default_rng(seed), M=p["M"], d=p["d"], R=p["R"],
+                             D=1.0, bandwidth=1.0)
     return model, md.TransportMap(coeffs=md.identity_coeffs(model, model.basis),
                                   basis=model.basis)
 
@@ -620,38 +632,42 @@ def _regression_data(rng, n, noise, model, teacher):
     return md.Dataset(x=x, y=md.forward(model, teacher, x) + rng.uniform(-noise, noise, n))
 
 
-def regression_rate(seed=0, overrides=None):
-    """Excess risk of the chain-averaged posterior at one sample size."""
-    p = _merged(PRESET_DEFAULTS["regression-rate"], overrides or {}, "regression-rate")
+def _regression_setup(seed, p):
+    """regression-rate's network, its teacher and its n training points."""
     model, teacher = _regression_task(seed, p)
+    data_rng = np.random.default_rng(seed + 10 * p["n"])
+    return model, teacher, _regression_data(data_rng, p["n"], p["noise"], model, teacher)
+
+
+def regression_rate(seed, p):
+    """Excess risk of the chain-averaged posterior at one sample size."""
+    model, teacher, data = _regression_setup(seed, p)
     test_x = _disc_points(np.random.default_rng(seed + 777), 2048)
     f_star = md.forward(model, teacher, test_x)
-    n = int(p["n"])
-    data = _regression_data(np.random.default_rng(seed + 10 * n), n, p["noise"], model, teacher)
-    beta, lam = float(n), 1.0 / n
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
-                            n_modes=model.basis.n_modes, steps=int(p["steps"]),
-                            burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=seed)
+    beta, lam = float(p["n"]), 1.0 / p["n"]
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam, n_modes=model.basis.n_modes,
+                            steps=p["steps"], burn_in=p["burn_in"], thin=p["thin"], seed=seed)
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
     # the squared loss against f* on the test points is the squared error of each record
     excess = float(np.mean(traj.risk(model, "squared", md.Dataset(x=test_x, y=f_star))))
     final = md.TransportMap(coeffs=traj.coeffs[-1], basis=model.basis)
-    rows = [[n, excess, md.empirical_risk(model, final, "squared", data)]]
+    rows = [[p["n"], excess, md.empirical_risk(model, final, "squared", data)]]
     return ExperimentResult("regression-rate", seed, [],
                             ["n", "excess_risk", "final_train_loss"], rows,
-                            extras={"excess_risk": excess, "n": n})
+                            extras={"excess_risk": excess, "n": p["n"]})
 
 
 # ---------------------------------------------------------------------------
 # preset: classification-rate
 # ---------------------------------------------------------------------------
 
-def _classification_task(seed, n_modes=6, margin_amp=4.5, n=300):
-    """Low-noise binary task on two bands of the unit interval."""
-    basis = cosine_basis(n_modes, dim_in=1)
+def _classification_task(seed, p):
+    """Low-noise binary task on two bands of the unit interval, of ``p``'s n_modes,
+    margin_amp and n."""
+    basis = cosine_basis(p["n_modes"], dim_in=1)
     model = md.ModelSpec(arch="identity-map", basis=basis)
-    teacher = np.zeros(n_modes)
-    teacher[1] = margin_amp  # f*(x) = margin_amp * sqrt(2) cos(pi x)
+    teacher = np.zeros(p["n_modes"])
+    teacher[1] = p["margin_amp"]  # f*(x) = margin_amp * sqrt(2) cos(pi x)
     rng = np.random.default_rng(seed)
     bands = [(0.05, 0.42), (0.58, 0.95)]
 
@@ -662,10 +678,10 @@ def _classification_task(seed, n_modes=6, margin_amp=4.5, n=300):
         hi = np.where(side == 0, bands[0][1], bands[1][1])
         return (lo + u * (hi - lo))[:, None]
 
-    x = sample_x(n, rng)
+    x = sample_x(p["n"], rng)
     f_star = eval_basis(basis, x) @ teacher
     prob1 = 1.0 / (1.0 + np.exp(-f_star))
-    y = np.where(rng.uniform(0, 1, n) < prob1, 1.0, -1.0)
+    y = np.where(rng.uniform(0, 1, p["n"]) < prob1, 1.0, -1.0)
     grid = np.concatenate([np.linspace(*bands[0], 200), np.linspace(*bands[1], 200)])[:, None]
     f_grid = eval_basis(basis, grid) @ teacher
     probs_grid = 1.0 / (1.0 + np.exp(-f_grid))
@@ -673,17 +689,14 @@ def _classification_task(seed, n_modes=6, margin_amp=4.5, n=300):
     return model, md.Dataset(x=x, y=y), grid, probs_grid, bayes
 
 
-def classification_rate(seed=0, overrides=None):
+def classification_rate(seed, p):
     """Misclassification probability of posterior samples at one temperature; the
     criterion audits the task's low-noise margin, min |P(Y=1|x) - 1/2| >= 0.3."""
-    p = _merged(PRESET_DEFAULTS["classification-rate"], overrides or {}, "classification-rate")
-    model, data, grid, probs_grid, bayes = _classification_task(seed, int(p["n_modes"]),
-                                                                p["margin_amp"], int(p["n"]))
+    model, data, grid, probs_grid, bayes = _classification_task(seed, p)
     noise_gap = float(np.min(np.abs(probs_grid - 0.5)))
-    beta = float(p["beta"])
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=1.0 / beta,
-                            n_modes=model.basis.n_modes, steps=int(p["steps"]),
-                            burn_in=int(p["burn_in"]), thin=int(p["thin"]), seed=seed)
+    beta = p["beta"]
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=1.0 / beta, n_modes=model.basis.n_modes,
+                            steps=p["steps"], burn_in=p["burn_in"], thin=p["thin"], seed=seed)
     traj = lg.run_chain(cfg, model, "logistic", data, init="zero")
     maps = [md.TransportMap(coeffs=c, basis=model.basis) for c in traj.coeffs]
     err = an.classification_error_prob(maps, model, bayes, grid)
@@ -702,15 +715,15 @@ def classification_rate(seed=0, overrides=None):
 def _finite_width_task(seed, p):
     """The network and its noiseless teacher data."""
     rng = np.random.default_rng(seed)
-    model = _two_layer_setup(rng, M=int(p["M"]), d=int(p["d"]), R=p["R"], D=1.0)
-    teacher_coeffs = rng.standard_normal((model.basis.n_modes, int(p["d"]) + 1)) \
+    model = _two_layer_setup(rng, M=p["M"], d=p["d"], R=p["R"], D=1.0)
+    teacher_coeffs = rng.standard_normal((model.basis.n_modes, p["d"] + 1)) \
         * p["teacher_scale"] * np.sqrt(model.basis.mu)[:, None]
     teacher = md.TransportMap(coeffs=teacher_coeffs, basis=model.basis)
-    x = _disc_points(rng, int(p["n"]))
+    x = _disc_points(rng, p["n"])
     return model, md.Dataset(x=x, y=md.forward(model, teacher, x))
 
 
-def finite_width_demo(seed=0, overrides=None):
+def finite_width_demo(seed, p):
     """Fixed-width training: 8 particles, loss must fall to a tenth.
 
     The teacher is another map over the same cloud with coefficients scaled
@@ -718,21 +731,20 @@ def finite_width_demo(seed=0, overrides=None):
     sits close to it); the step budget of the claim is 5*10^4 but the drop
     happens within the first few thousand steps.
     """
-    p = _merged(PRESET_DEFAULTS["finite-width-demo"], overrides or {}, "finite-width-demo")
     model, data = _finite_width_task(seed, p)
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
-                            n_modes=model.basis.n_modes, steps=int(p["max_steps"]),
-                            burn_in=0, thin=int(p["check_every"]), seed=seed)
+                            n_modes=model.basis.n_modes, steps=p["max_steps"],
+                            burn_in=0, thin=p["check_every"], seed=seed)
     W0 = lg.initial_map(model, model.basis, "zero")
     init_loss = md.empirical_risk(model, W0, "squared", data)
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
     loss = traj.risk(model, "squared", data)
     below = np.nonzero(loss < 0.1 * init_loss)[0]
-    steps_needed = int(traj.steps[below[0]]) if below.size else int(p["budget"]) + 1
+    steps_needed = int(traj.steps[below[0]]) if below.size else p["budget"] + 1
     crit = CriterionResult("finite-width-loss-drop",
-                           below.size > 0 and steps_needed <= int(p["budget"]),
+                           below.size > 0 and steps_needed <= p["budget"],
                            float(steps_needed),
-                           f"loss < 0.1x initial within {int(p['budget'])} steps",
+                           f"loss < 0.1x initial within {p['budget']} steps",
                            f"initial {init_loss:.4g}, final {loss[-1]:.4g}")
     rows = [[int(s), float(l)] for s, l in zip(traj.steps, loss)]
     return ExperimentResult("finite-width-demo", seed, [crit], ["step", "train_loss"], rows,
@@ -743,20 +755,19 @@ def finite_width_demo(seed=0, overrides=None):
 # preset: wasserstein-demo
 # ---------------------------------------------------------------------------
 
-def wasserstein_demo(seed=0, overrides=None):
+def wasserstein_demo(seed, p):
     """Soft transport-map fit between two 1-d Gaussian samples."""
-    p = _merged(PRESET_DEFAULTS["wasserstein-demo"], overrides or {}, "wasserstein-demo")
     rng = np.random.default_rng(seed)
-    src = rng.standard_normal((int(p["n_source"]), 1))
-    tgt = p["target_scale"] * rng.standard_normal((int(p["n_source"]), 1)) + p["target_shift"]
-    cloud = md.finite_width_cloud(src, np.zeros(int(p["n_source"])))
-    basis = gram_eigenbasis(cloud, 0.3, int(p["n_modes"]), include_a=False)
+    src = rng.standard_normal((p["n_source"], 1))
+    tgt = p["target_scale"] * rng.standard_normal((p["n_source"], 1)) + p["target_shift"]
+    cloud = md.finite_width_cloud(src, np.zeros(p["n_source"]))
+    basis = gram_eigenbasis(cloud, 0.3, p["n_modes"], include_a=False)
     model = md.ModelSpec(arch="wasserstein", basis=basis, cloud=cloud,
                          wasserstein_penalty=p["penalty"], mmd_bandwidth=p["mmd_bandwidth"])
     data = md.Dataset(x=src, y=tgt)
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
-                            n_modes=basis.n_modes, steps=int(p["steps"]), burn_in=0,
-                            thin=max(int(p["steps"]) // 40, 1), seed=seed)
+                            n_modes=basis.n_modes, steps=p["steps"], burn_in=0,
+                            thin=max(p["steps"] // 40, 1), seed=seed)
     W0 = lg.initial_map(model, basis, "identity")
     init_obj = md.empirical_risk(model, W0, "squared", data)
     traj = lg.run_chain(cfg, model, "squared", data)
@@ -777,23 +788,21 @@ def wasserstein_demo(seed=0, overrides=None):
 def _pac_bayes_task(s, p):
     """Seed s's network, its n training points and 4n test points from one stream."""
     model, teacher = _regression_task(s, p)
-    data_rng, n = np.random.default_rng(s + 5000), int(p["n"])
+    data_rng, n = np.random.default_rng(s + 5000), p["n"]
     return model, *(_regression_data(data_rng, m, p["noise"], model, teacher) for m in (n, 4 * n))
 
 
-def pac_bayes(seed=0, overrides=None):
+def pac_bayes(seed, p):
     """Bound vs observed train/test gap on seeds ``seed .. seed + n_seeds - 1``, with the
     optimization term replaced by the measured chain-vs-reference gap."""
-    p = _merged(PRESET_DEFAULTS["pac-bayes"], overrides or {}, "pac-bayes")
-    n, n_seeds = int(p["n"]), int(p["n_seeds"])
+    n, n_seeds = p["n"], p["n_seeds"]
     beta, lam, R_bar = float(n), 1.0 / n, ls.clipped_loss_range(p["R"], p["noise"])
     seeds = range(seed, seed + n_seeds)
     models, datas, tests = zip(*(_pac_bayes_task(s, p) for s in seeds))
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam, n_modes=models[0].basis.n_modes,
-                            steps=int(p["steps"]), burn_in=int(p["burn_in"]),
-                            thin=int(p["thin"]), seed=seed)
-    cfg_ref = replace(cfg, eta=p["eta"] * p["ref_eta_factor"], steps=int(p["ref_steps"]),
-                      burn_in=int(p["burn_in"]) * 2)
+                            steps=p["steps"], burn_in=p["burn_in"], thin=p["thin"], seed=seed)
+    cfg_ref = replace(cfg, eta=p["eta"] * p["ref_eta_factor"], steps=p["ref_steps"],
+                      burn_in=p["burn_in"] * 2)
     # two stacks of one member per seed: the chains, then their references (seed s + 1)
     trajs = lg.run_chains(cfg, models, "squared", datas, list(seeds), init="zero")
     refs = lg.run_chains(cfg_ref, models, "squared", datas, [s + 1 for s in seeds], init="zero")
@@ -838,25 +847,20 @@ SWEEPABLE_AXES = ("n", "beta", "eta", "lam", "M", "n_modes")
 def run_preset(name: str, seed: int = 0, overrides: Optional[dict] = None) -> ExperimentResult:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}")
-    return PRESETS[name](seed=seed, overrides=overrides or {})
+    return PRESETS[name](seed, _merged(name, overrides or {}))
 
 
 def _audit_setup(preset: str, seed: int, overrides: dict):
     """(model, loss kind, dataset, class probabilities or None) that ``preset`` trains on at
     (seed, overrides), for the assumption audit; None for a preset with no such setup."""
-    p = _merged(PRESET_DEFAULTS[preset], overrides, preset)
+    p = _merged(preset, overrides)
     if preset in ("posterior-validate", "stepsize-bias", "ergodicity"):
-        noise = {"noise": p["noise"]} if "noise" in p else {}   # the others run at the default
-        _, model, data, _ = _linear_gaussian_setup(np.random.default_rng(seed), p["n_modes"],
-                                                   p["n"], **noise)
+        _, model, data, _ = _linear_gaussian_setup(np.random.default_rng(seed), p)
     elif preset == "classification-rate":
-        model, data, _, probs, _ = _classification_task(seed, int(p["n_modes"]),
-                                                        p["margin_amp"], int(p["n"]))
+        model, data, _, probs, _ = _classification_task(seed, p)
         return model, "logistic", data, probs
     elif preset == "regression-rate":
-        model, teacher = _regression_task(seed, p)
-        data_rng = np.random.default_rng(seed + 10 * int(p["n"]))
-        data = _regression_data(data_rng, int(p["n"]), p["noise"], model, teacher)
+        model, _, data = _regression_setup(seed, p)
     elif preset == "finite-width-demo":
         model, data = _finite_width_task(seed, p)
     elif preset == "pac-bayes":   # the first seed's network and training set
@@ -895,10 +899,11 @@ def _bias_rule(etas, biases):
 # a fit: (fewest values it needs, its name when there are fewer, rule
 # (values, ys) -> (name, measured, verdict)).  stepsize-bias fits the biases of
 # its own eta grid, and is no sweep.
-_BIAS_FIT = (3, "bias-slope", _bias_rule)
+_BIAS_FIT = (an.BIAS_FIT_MIN_POINTS, "bias-slope", _bias_rule)
 # (preset, axis) -> (extras key of each run, *fit)
 _SWEEP_FITS = {
-    ("regression-rate", "n"): ("excess_risk", 4, "excess-risk-slope", _regression_rule),
+    ("regression-rate", "n"): ("excess_risk", an.RATE_FIT_MIN_POINTS, "excess-risk-slope",
+                               _regression_rule),
     ("classification-rate", "beta"): ("error_prob", 3, "log-error-beta-corr",
                                       _classification_rule),
 }

@@ -186,9 +186,12 @@ class CorrelationEstimate(NamedTuple):
     stderr: float            # delta-method stderr of (p_both - p_product)
 
 
+# the most coordinates gaussian_correlation_mc samples
+CORRELATION_DIM_CAP = 16
+
+
 def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
-                            n_samples: int, rng: np.random.Generator,
-                            dim_cap: int = 16) -> CorrelationEstimate:
+                            n_samples: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Shared-sample estimate of P(A and B) against P(A)*P(B) for the
     centered ellipsoids {sum a_i alpha_i^2 <= 1} and {sum b_i alpha_i^2 <= 1}.
 
@@ -202,8 +205,8 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
     dim = a.size
     if b.size != dim:
         raise ValueError("weight vectors must have equal length")
-    if dim > dim_cap:
-        raise ValueError(f"dimension {dim} exceeds the configured cap {dim_cap}")
+    if dim > CORRELATION_DIM_CAP:
+        raise ValueError(f"dimension {dim} exceeds the cap {CORRELATION_DIM_CAP}")
     if n_samples < 2:
         raise ValueError("use at least 2 samples")
     n_ab = n_a = n_b = 0

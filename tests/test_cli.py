@@ -177,6 +177,12 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "thin=10"),
     ({"preset": "pac-bayes", "overrides": {"steps": 2000, "burn_in": 2000}},
      "(steps=2000, burn_in=2000, thin=10) record 0 sample(s)"),
+    ({"preset": "grad-check", "overrides": {"n_configs": 10 ** 400}},
+     "override 'n_configs' for preset 'grad-check' must be a finite number >= 1"),
+    ({"preset": "grad-check", "overrides": {"tol": 10 ** 400}},
+     "override 'tol' for preset 'grad-check' must be a finite number"),
+    ({"preset": "bernstein-suite", "overrides": {"step": 1e-310}},
+     "override 'step' for preset 'bernstein-suite' must give at most 1000 grid values per axis"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
@@ -192,7 +198,8 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "bernstein-negative-step", "bernstein-zero-radius", "bernstein-negative-radius",
         "grad-check-zero-step", "pac-bayes-eta-not-below-n", "pac-bayes-zero-ref-eta-factor",
         "pac-bayes-reference-eta-not-below-n", "pac-bayes-reference-records-nothing",
-        "pac-bayes-burn-in-takes-every-step"])
+        "pac-bayes-burn-in-takes-every-step", "int-beyond-float-range-for-an-int-key",
+        "int-beyond-float-range-for-a-float-key", "bernstein-step-with-infinitely-many-values"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, monkeypatch, payload, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the overrides were checked")

@@ -1,5 +1,5 @@
 import concurrent.futures
-import inspect
+import math
 import os
 import sys
 import threading
@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transport_langevin import experiments as ex
 from transport_langevin import langevin as lg
@@ -46,7 +48,7 @@ def _stepwise_ergodicity_gaps(seed, overrides):
     the same seed per pair, one step of each chain at a time."""
     p = {**ex.PRESET_DEFAULTS["ergodicity"], **overrides}
     rng = np.random.default_rng(seed)
-    basis, model, data, _ = ex._linear_gaussian_setup(rng, p["n_modes"], p["n"])
+    basis, model, data, _ = ex._linear_gaussian_setup(rng, p)
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], n_modes=p["n_modes"])
     c_dir = rng.standard_normal(p["n_modes"])
     c_dir /= np.linalg.norm(c_dir)
@@ -84,7 +86,7 @@ def test_overrides_change_the_run():
 
 
 def test_sweep_fit_regression_and_insufficient():
-    results = [ex.regression_rate(0, {"n": n, "steps": 1500, "burn_in": 500})
+    results = [ex.run_preset("regression-rate", 0, {"n": n, "steps": 1500, "burn_in": 500})
                for n in (64, 128)]
     row = ex.sweep_fit("regression-rate", "n", [64, 128], results)
     assert row[3] == "insufficient-points"
@@ -124,10 +126,54 @@ def test_classification_sweep_zero_escape_logic():
 
 
 def test_every_declared_default_is_a_preset():
-    assert set(ex.PRESET_DEFAULTS) == set(ex.PRESETS)
-    # the per-preset rule tables of _merged name presets only
-    assert set(ex._SCHEDULES) <= set(ex.PRESETS)
-    assert set(ex._INT_LOW) <= set(ex.PRESETS)
+    assert set(ex.PRESET_DEFAULTS) == set(ex.PRESETS) == set(ex._CHECKS)
+    # every key the rule table names is a key of its preset, and each shared least value
+    # is some preset's
+    for preset, checks in ex._CHECKS.items():
+        named = set(checks.least).union(*(keys for keys, _, _ in checks.rules),
+                                        *(chain[:3] for chain in checks.records)) - {None}
+        assert named <= set(ex.PRESET_DEFAULTS[preset]), preset
+    assert set(ex._LEAST) <= set().union(*ex.PRESET_DEFAULTS.values())
+
+
+def _near(low):
+    """Numbers at and around a least value of the rule table."""
+    if low == -math.inf:
+        return [-1e308, -1.0, 0.0]
+    return [low - 1, low, low + 1, low + 0.5, float(low), math.nextafter(low, -math.inf),
+            math.nextafter(low, math.inf)]
+
+
+# no number a config key takes: not finite, no number, an empty or nested list, ints no
+# float holds
+_HOSTILE = [math.nan, math.inf, -math.inf, True, False, "1", "", None, [], [[0.1]], [0.1, "x"],
+            {}, 10 ** 400, -10 ** 400]
+
+
+@pytest.mark.parametrize("preset", sorted(ex.PRESET_DEFAULTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_merged_returns_a_checked_config_or_refuses_it(preset, data):
+    defaults = ex.PRESET_DEFAULTS[preset]
+    overrides = {}
+    for key in data.draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1, max_size=3,
+                                  unique=True)):
+        number = (st.sampled_from(_near(ex._least(preset, key)[0]) + _HOSTILE)
+                  | st.integers(-2, 40) | st.floats(allow_nan=True, allow_infinity=True))
+        if isinstance(defaults[key], list):
+            number = st.lists(number, min_size=1, max_size=4) | number
+        overrides[key] = data.draw(number)
+    try:
+        out = ex._merged(preset, overrides)
+    except (KeyError, ValueError):
+        return
+    for key, default in defaults.items():
+        if isinstance(default, int):
+            assert type(out[key]) is int, (key, out[key])
+        else:
+            values = out[key] if isinstance(default, list) else [out[key]]
+            assert values and all(type(v) is float and math.isfinite(v) for v in values), \
+                (key, out[key])
 
 
 def test_pac_bayes_check_rejects_eta_not_below_n():
@@ -227,8 +273,7 @@ def test_correlation_suite_leaves_no_thread_running():
 
 
 def test_correlation_suite_max_dim_is_capped_at_the_oracle_cap():
-    cap = inspect.signature(orc.gaussian_correlation_mc).parameters["dim_cap"].default
-    assert ex._CORRELATION_DIM_CAP == cap
+    cap = orc.CORRELATION_DIM_CAP
     res = ex.run_preset("correlation-suite", seed=0,
                         overrides={"n_pairs": 2, "n_samples": 2000, "max_dim": cap})
     assert len(res.table_rows) == 2

@@ -608,7 +608,7 @@ def _ou_moment_configs(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lg, "gld_zero_grad_stationary_variance",
                   lambda cfg, eigen: seen.append((cfg, eigen)) or variance(cfg, eigen))
-        rows = ex.ou_moment(0, {"steps": 50, "burn_in": 0}).table_rows
+        rows = ex.run_preset("ou-moment", 0, {"steps": 50, "burn_in": 0}).table_rows
     assert len(seen) == len(rows) == 10
     configs = []
     for (chain_cfg, eigen), row in zip(seen, rows):

@@ -167,7 +167,8 @@ def test_gaussian_correlation_identical_and_whole_space():
     with pytest.raises(ValueError):
         orc.gaussian_correlation_mc(spec, -a, a, 10_000, rng)
     with pytest.raises(ValueError):
-        orc.gaussian_correlation_mc(spec, np.ones(20), np.ones(20), 10_000, rng, dim_cap=16)
+        beyond = np.ones(orc.CORRELATION_DIM_CAP + 1)
+        orc.gaussian_correlation_mc(spec, beyond, beyond, 10_000, rng)
 
 
 def _cov_formula_correlation(spec, a, b, n_samples, rng):
@@ -208,7 +209,7 @@ def test_gaussian_correlation_matches_the_cov_formula():
         b = rng.uniform(0, 8, dim)
         assert np.any(a == 0.0) and np.any(a > 0.0)
         r1, r2 = np.random.default_rng(dim), np.random.default_rng(dim)
-        est = orc.gaussian_correlation_mc(spec, a, b, n_samples, r1, dim_cap=16)
+        est = orc.gaussian_correlation_mc(spec, a, b, n_samples, r1)
         p_both, p_product, stderr = _cov_formula_correlation(spec, a, b, n_samples, r2)
         assert r1.bit_generator.state == r2.bit_generator.state
         assert est.p_both == p_both and est.p_product == p_product

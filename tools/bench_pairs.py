@@ -71,7 +71,7 @@ STEP_PROBES = ("two-layer-n64", "two-layer-n1024", "identity-logistic", "wassers
                "pac-bayes-stack")
 # prints the best of 15 timings of one probe, in µs per step or per call
 _PROBE = r"""
-import dataclasses, sys, time
+import sys, time
 import numpy as np
 from transport_langevin import langevin as lg, models as md
 from transport_langevin.spectral import cosine_basis, eval_basis, gram_eigenbasis
@@ -91,14 +91,9 @@ if probe == "pac-bayes-stack":
     models, datas = zip(*(two_layer(np.random.default_rng(s), n) for s in seeds))
     cfg = lg.DynamicsConfig(eta=0.1, beta=float(n), lam=1.0 / n,
                             n_modes=models[0].basis.n_modes, steps=units, burn_in=units)
-    if hasattr(lg, "run_chains"):
-        def once():
-            lg.run_chains(cfg, models, "squared", datas, seeds, init="zero")
-    else:   # a tree without the stacked entry point runs the members one by one
-        def once():
-            for model, data, seed in zip(models, datas, seeds):
-                lg.run_chain(dataclasses.replace(cfg, seed=seed), model, "squared", data,
-                             init="zero")
+
+    def once():
+        lg.run_chains(cfg, models, "squared", datas, seeds, init="zero")
 elif probe == "wasserstein-grad":
     src = rng.standard_normal((24, 1))
     tgt = 0.5 * rng.standard_normal((24, 1)) + 1.0
