@@ -42,6 +42,8 @@ def _load_config(path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:     # an integer literal past Python's digit limit
+        raise ConfigError(f"config parse failure: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(cfg) - _TOP_KEYS

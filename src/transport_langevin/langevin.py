@@ -25,7 +25,6 @@ own generator, and :func:`run_chain` is the stack of one member.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -76,25 +75,11 @@ class DynamicsConfig:
     def noise_amp(self) -> float:
         return 0.0 if np.isinf(self.beta) else np.sqrt(2.0 * self.eta / self.beta)
 
-    @cached_property
-    def _eta(self) -> np.ndarray:
-        # eta as a 0-d array: numpy converts a Python-float operand again on every step
-        return np.array(float(self.eta))
-
     def _resolvent(self, basis) -> tuple[int, np.ndarray]:
-        """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N.
-
-        The config is frozen, so the result is kept and reused while ``basis``
-        is the same object; the kept reference makes the identity check sound.
-        The column is shared between calls and must not be written to.
-        """
-        last = self.__dict__.get("_last_resolvent")
-        if last is not None and last[0] is basis:
-            return last[1]
+        """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N."""
         N = min(self.n_modes, basis.n_modes)
         s = np.ones(basis.n_modes)
         s[:N] = _resolvent_factor(self.eta, self.lam, basis.eigen.mu[:N])
-        self.__dict__["_last_resolvent"] = (basis, (N, s[:, None]))
         return N, s[:, None]
 
 
@@ -102,7 +87,6 @@ class DynamicsConfig:
 class ChainState:
     step: int
     map: _models.TransportMap
-    last_grad_norm: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.map.coeffs).all():
@@ -138,16 +122,13 @@ class Trajectory:
         return np.array([value(c) for c in self.coeffs])
 
 
-# steps per block of the stepwise loop: per block, one noise draw per member, one finiteness
-# check and one copy into the record
-_BLOCK = 1024
-
-# steps per block of the block solve.  4,096 steps of 8 modes fill 256 KB, so that its three
+# steps per block: per block, one noise draw per member, one finiteness check and one copy
+# into the record.  4,096 steps of 8 modes fill 256 KB, so that the block solve's three
 # buffers stay in L2 (16,384 steps ran about 3x slower)
-_AFFINE_BLOCK = 4096
-# on either path, a stack or a map with more coefficients takes fewer steps per block, so that
-# a block buffer holds at most _BLOCK_FLOATS floats whatever the number of members
-_BLOCK_FLOATS = 8 * _AFFINE_BLOCK
+_BLOCK = 4096
+# a stack or a map with more coefficients takes fewer steps per block, so that a block buffer
+# holds at most _BLOCK_FLOATS floats whatever the number of members
+_BLOCK_FLOATS = 8 * _BLOCK
 
 # the block AR(1) solve: at most _OU_BLOCK steps per block, and min|d|^-L <= e^_OU_MAX_LOG_GAIN
 # (finite in float64); each noise draw of simulate_ou_sq_norms fills at most oracle._CHUNK floats
@@ -159,10 +140,9 @@ def _implicit_euler(coeffs, g, eta, N: int, s_col, noise, out=None) -> np.ndarra
     """The chain update S_eta(P_N(coeffs - eta*g) + noise), written into ``out``.
 
     ``coeffs`` is one map's (n_modes, d_out) coefficients or a stack of them,
-    (K, n_modes, d_out), with ``s_col`` of the same rank.  ``eta`` is
-    :attr:`DynamicsConfig._eta`, a 0-d array.  ``noise`` is the scaled draw
-    amp*eps for the N retained modes, or None when the amplitude is 0.  ``g`` is
-    left as it is: the caller reads its norm.
+    (K, n_modes, d_out), with ``s_col`` of the same rank.  ``noise`` is the scaled
+    draw amp*eps for the N retained modes, or None when the amplitude is 0.  ``g``
+    is left as it is.
     """
     # eta*g is written into the step's own buffer, never into g
     drift = np.multiply(g, eta, out=out)
@@ -187,25 +167,11 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
     N, s_col = cfg._resolvent(W.basis)
     amp = cfg.noise_amp
     noise = amp * rng.standard_normal((N, W.coeffs.shape[1])) if amp > 0.0 else None
-    new = W.copy_with(_implicit_euler(W.coeffs, g, cfg._eta, N, s_col, noise))
+    new = W.copy_with(_implicit_euler(W.coeffs, g, cfg.eta, N, s_col, noise))
     try:
-        out = ChainState(step=state.step + 1, map=new)
+        return ChainState(step=state.step + 1, map=new)
     except ValueError:   # the one finiteness check, ChainState's own, refused the update
         raise ChainDivergedError(state) from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        out.last_grad_norm = _grad_norm(g)
-    return out
-
-
-def _grad_norm(g) -> float:
-    """``float(np.linalg.norm(g))``, bit for bit: the square root of the flat dot product.
-
-    It is ``inf`` without a warning when the squared norm overflows, under the
-    ``errstate`` that :func:`run_chains` runs its steps in and :func:`gld_step` sets.
-    """
-    # np.linalg.norm computes the same for ord=None, behind several numpy calls
-    r = g.ravel(order="K")
-    return math.sqrt(r.dot(r))
 
 
 def initial_map(model, basis, kind: str = "identity") -> _models.TransportMap:
@@ -295,7 +261,8 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     grad_fn = _models._stacked_grad(models, loss_kind, datasets, gamma)
     resolvents = [cfg._resolvent(basis) for basis in bases]
     N, s_col = resolvents[0][0], np.stack([col for _, col in resolvents])
-    eta, amp = cfg._eta, cfg.noise_amp
+    # eta as a 0-d array: numpy converts a Python-float operand again on every step
+    eta, amp = np.array(float(cfg.eta)), cfg.noise_amp
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     def as_map(k, c):
@@ -306,9 +273,8 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     rec_steps = _record_steps(step_no, step_no + cfg.steps, cfg.burn_in, cfg.thin)
     rec_coeffs = np.empty((K, rec_steps.size, m, d_out))
     n_rec = 0
-    cap = max(1, min(_BLOCK_FLOATS // (K * m * d_out), cfg.steps))
-    solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, min(_AFFINE_BLOCK, cap))
-    block = min(_BLOCK if solve is None else _AFFINE_BLOCK, cap)
+    block = max(1, min(_BLOCK, _BLOCK_FLOATS // (K * m * d_out), cfg.steps))
+    solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, block)
     buf = np.empty((K, block, m, d_out))
     noise = np.empty((K, block, N, d_out)) if amp > 0.0 else None
     if solve is not None:
@@ -337,7 +303,6 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
                                            out=step_out[i])
             else:
                 solve(coeffs, None if noise is None else noise[:, :b], buf[:, :b])
-                before_last = buf[:, b - 2] if b > 1 else coeffs
             if not np.isfinite(buf[:, :b]).all():
                 raise _diverged(buf[:, :b], coeffs, step_no, as_map)
             if n_rec < rec_steps.size and rec_steps[n_rec] <= step_no + b:
@@ -346,13 +311,9 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
                 n_rec += rows.shape[1]
             coeffs = buf[:, b - 1].copy()
             step_no += b
-        if solve is not None:
-            g = grad_fn(before_last[0] if K == 1 else before_last)
-        g = g.reshape(coeffs.shape)
-        return [Trajectory(steps=rec_steps, coeffs=rec_coeffs[k],
-                           final_state=ChainState(step=step_no, map=as_map(k, coeffs[k]),
-                                                  last_grad_norm=_grad_norm(g[k])))
-                for k in range(K)]
+    return [Trajectory(steps=rec_steps, coeffs=rec_coeffs[k],
+                       final_state=ChainState(step=step_no, map=as_map(k, coeffs[k])))
+            for k in range(K)]
 
 
 def _start(cfg: DynamicsConfig, model, init: str, state: Optional[ChainState]) -> ChainState:

@@ -101,7 +101,8 @@ def clipped_loss_range(R: float, noise_bound_C: float) -> float:
 
 def feasible_band(R: float) -> tuple[float, float]:
     """Probability band reachable by a logistic link with |f| <= R."""
-    return 1.0 / (1.0 + np.exp(R)), 1.0 / (1.0 + np.exp(-R))
+    with np.errstate(over="ignore"):     # exp(R) is inf above R ~ 709: the right lower end, 0
+        return 1.0 / (1.0 + np.exp(R)), 1.0 / (1.0 + np.exp(-R))
 
 
 def bernstein_check(p, q, R: float):

@@ -31,8 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .losses import loss_eval_derivs
-from .spectral import (EigenSequence, SpectralBasis, _gaussian_kernel, eval_basis,
-                       fractional_power_scale)
+from .spectral import SpectralBasis, _gaussian_kernel, eval_basis
 
 __all__ = [
     "Dataset",
@@ -134,7 +133,7 @@ class TransportMap:
             raise ValueError("gamma must be non-negative")
 
     def effective_coeffs(self) -> np.ndarray:
-        return _gamma_scale(self.coeffs, self.basis.eigen, self.gamma)
+        return _gamma_scaler([self.basis], self.gamma)(self.coeffs)
 
     def copy_with(self, coeffs) -> "TransportMap":
         return TransportMap(coeffs=np.asarray(coeffs, dtype=float), basis=self.basis, gamma=self.gamma)
@@ -425,7 +424,9 @@ def _products(K: int):
 
 
 def _gamma_scaler(bases, gamma: float):
-    """c -> each member's mode k scaled by mu_k^(gamma/2), as :func:`_gamma_scale` does."""
+    """c -> each member's mode k scaled by mu_k^(gamma/2); ``c`` itself when gamma is 0."""
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
     if gamma == 0.0:
         return lambda c: c
     cols = _members([b.eigen.mu[:b.n_modes] ** (gamma / 2.0) for b in bases])[..., None]
@@ -514,11 +515,11 @@ def _resnet_passes(models, bases, gamma: float, Xs):
     R = model.clip.R
     act, actd = _activation(model.clip.activation)
     E = _cloud_features(model, basis)
-    omega, a_vec, eigen = model.cloud.weights, model.cloud.a_vec, basis.eigen
+    omega, a_vec, scale = model.cloud.weights, model.cloud.a_vec, _gamma_scaler(bases, gamma)
     u = np.full(d, 1.0 / np.sqrt(d))
 
     def fwd(coeffs):
-        C = _gamma_scale(coeffs, eigen, gamma).reshape(basis.n_modes, T, d)
+        C = scale(coeffs).reshape(basis.n_modes, T, d)
         z = X
         cache = []
         for t in range(T):
@@ -539,18 +540,13 @@ def _resnet_passes(models, bases, gamma: float, Xs):
             dV = (Q.T @ z_in) * omega[:, None] * (_ONE - th ** 2)
             dC[:, t, :] = E.T @ dV
             G = G + (Q * omega[None, :]) @ Vb
-        return _gamma_scale(dC.reshape(basis.n_modes, T * d), eigen, gamma)
+        return scale(dC.reshape(basis.n_modes, T * d))
 
     return fwd, back
 
 
 _PASSES = {"identity-map": _identity_passes, "two-layer": _two_layer_passes,
            "resnet": _resnet_passes}
-
-
-def _gamma_scale(c: np.ndarray, eigen: EigenSequence, gamma: float) -> np.ndarray:
-    """Mode k scaled by mu_k^(gamma/2); ``c`` itself when gamma is 0."""
-    return c if gamma == 0.0 else fractional_power_scale(c, eigen, gamma)
 
 
 def lipschitz_gap(model: ModelSpec, W: TransportMap, W2: TransportMap, x_grid) -> tuple[float, float]:
@@ -595,12 +591,12 @@ def _transport_objective(basis: SpectralBasis, gamma: float, source_samples, tar
     Tgt = np.atleast_2d(np.asarray(target_samples, dtype=float))
     if S.shape[0] == 0 or Tgt.shape[0] == 0:
         raise ValueError("both sample sets must be non-empty")
-    Phi, eigen = eval_basis(basis, S), basis.eigen
+    Phi, scale = eval_basis(basis, S), _gamma_scaler([basis], gamma)
     m, t = S.shape[0], Tgt.shape[0]
     ktt = _gaussian_kernel(Tgt, Tgt, h).mean()
 
     def value(coeffs):
-        F = Phi @ _gamma_scale(coeffs, eigen, gamma)
+        F = Phi @ scale(coeffs)
         disp = float(np.mean(np.sum((S - F) ** 2, axis=1)))
         mmd2 = float(_gaussian_kernel(F, F, h).mean() + ktt
                      - 2.0 * _gaussian_kernel(F, Tgt, h).mean())
@@ -616,7 +612,7 @@ def _transport_objective(basis: SpectralBasis, gamma: float, source_samples, tar
     PhiT = Phi.T
 
     def grad(coeffs):
-        F = Phi.dot(_gamma_scale(coeffs, eigen, gamma))
+        F = Phi.dot(scale(coeffs))
         # the direct differences F_i - P_j give the kernel and its weighted sum from one exp
         D = F[:, None, :] - np.concatenate([F, Tgt])        # (m, m + t, dim)
         sq = np.square(D).sum(axis=2)
@@ -624,7 +620,7 @@ def _transport_objective(basis: SpectralBasis, gamma: float, source_samples, tar
         Kw *= weights
         dF = np.matmul(Kw[:, None, :], D)[:, 0, :]
         dF += two_over_m * (F - S)                          # the displacement term
-        return _gamma_scale(PhiT.dot(dF), eigen, gamma)
+        return scale(PhiT.dot(dF))
 
     return value, grad
 

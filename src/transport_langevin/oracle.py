@@ -48,10 +48,6 @@ class GaussianPosterior:
         if np.any(np.linalg.eigvalsh(C) <= 0):
             raise ValueError("covariance must be positive definite")
 
-    @property
-    def marginal_variances(self) -> np.ndarray:
-        return np.diag(self.covariance)
-
 
 def conjugate_posterior(basis, feature_matrix, y, beta: float, lam: float) -> GaussianPosterior:
     """Gaussian invariant measure of the coefficient-linear squared-loss model.

@@ -252,6 +252,17 @@ def test_parse_failure_reports_line_and_column(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_an_integer_past_the_digit_limit_is_status_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an integer literal of
+    # more digits than int() converts
+    p = tmp_path / "huge.json"
+    p.write_text('{"preset": "grad-check", "overrides": {"n_configs": 1' + "0" * 5000 + "}}")
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error: config parse failure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_preset_is_status_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"preset": "nope"})
     rc = cli.main(["run", "--config", cfg])

@@ -140,12 +140,19 @@ def test_zero_gradient_chain_matches_discrete_stationary_variance():
                                basis.eigen.mu / 2.0, rtol=1e-8)
 
 
+# steps per block of the stepwise tests that cross block boundaries, set by monkeypatching:
+# stepwise records do not depend on the block length, and the record schedule is also
+# tested at the real length (test_run_chain_record_at_the_real_block_size_...)
+_SB = 64
+
+
 def test_run_chain_matches_stepwise_updates(monkeypatch):
     # run_chain and gld_step share one update function: equal bit for bit, noise included,
     # across two block boundaries and with a record schedule that does not divide the block
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
-                            steps=2 * lg._BLOCK + 3, burn_in=5, thin=7, seed=21)
+                            steps=2 * _SB + 3, burn_in=5, thin=7, seed=21)
+    monkeypatch.setattr(lg, "_BLOCK", _SB)
     monkeypatch.setattr(md, "risk_objective", _no_affine_objective)
     traj = lg.run_chain(cfg, model, "squared", data)
     rng = np.random.default_rng(cfg.seed)
@@ -161,7 +168,6 @@ def test_run_chain_matches_stepwise_updates(monkeypatch):
     np.testing.assert_array_equal(traj.steps, expected_steps)
     np.testing.assert_array_equal(traj.coeffs, np.array(stepwise)[expected_steps - 1])
     np.testing.assert_array_equal(traj.final_state.map.coeffs, state.map.coeffs)
-    assert traj.final_state.last_grad_norm == state.last_grad_norm
 
 
 def test_run_chain_divergence_carries_last_finite_state():
@@ -187,13 +193,13 @@ _B = lg._BLOCK
 
 @settings(max_examples=12, deadline=None)
 @given(block=st.integers(min_value=0, max_value=2),
-       row=st.one_of(st.just(0), st.integers(min_value=1, max_value=_B - 2), st.just(_B - 1)))
+       row=st.one_of(st.just(0), st.integers(min_value=1, max_value=_SB - 2), st.just(_SB - 1)))
 def test_block_divergence_reports_exact_last_finite_step(block, row):
     # the gradient turns infinite at step k + 1: on the first step (block 0, row 0) or
     # on the first, a middle or the last row of a block
-    k = block * _B + row
+    k = block * _SB + row
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=3 * _B + 5, seed=4)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=3 * _SB + 5, seed=4)
     risk_objective = md.risk_objective
 
     def tripping_objective(*args):
@@ -208,6 +214,7 @@ def test_block_divergence_reports_exact_last_finite_step(block, row):
         return value, tripping_grad
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_BLOCK", _SB)
         mp.setattr(md, "risk_objective", tripping_objective)
         with pytest.raises(lg.ChainDivergedError) as exc:
             lg.run_chain(cfg, model, "squared", data)
@@ -278,7 +285,6 @@ def test_run_chain_record_equals_a_list_and_concatenate_reference(block, init, s
     np.testing.assert_array_equal(traj.coeffs, ref_coeffs)
     assert traj.final_state.step == ref_final.step == init + steps
     np.testing.assert_array_equal(traj.final_state.map.coeffs, ref_final.map.coeffs)
-    assert traj.final_state.last_grad_norm == ref_final.last_grad_norm
 
 
 def test_run_chain_record_at_the_real_block_size_and_divergence_with_a_record():
@@ -314,7 +320,7 @@ def _block_solve_eigenvalues(cfg, model, data):
 
 
 # steps per block of the block solve, for maps of at most 8 coefficients
-_AB = lg._AFFINE_BLOCK
+_AB = lg._BLOCK
 
 
 def _assert_block_solve_matches_stepwise(cfg, model, data, state):
@@ -333,7 +339,6 @@ def _assert_block_solve_matches_stepwise(cfg, model, data, state):
     assert traj.final_state.step == ref_final.step == state.step + cfg.steps
     np.testing.assert_allclose(traj.final_state.map.coeffs, ref_final.map.coeffs, rtol=0,
                                atol=1e-12)
-    assert traj.final_state.last_grad_norm == pytest.approx(ref_final.last_grad_norm, abs=1e-12)
     assert np.all(traj.coeffs[:, cfg.n_modes:] == 0.0)
     assert np.all(traj.final_state.map.coeffs[cfg.n_modes:] == 0.0)
     return traj
@@ -345,7 +350,7 @@ def test_block_solve_matches_the_stepwise_chain_across_blocks():
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=2 * _AB + 3, burn_in=5, thin=7, seed=21)
     _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
-    # a single step: the gradient norm is the initial state's
+    # a single step: one block of one row
     one = dataclasses.replace(cfg, steps=1, burn_in=0, thin=1)
     _assert_block_solve_matches_stepwise(one, model, data, _projected_start(model, cfg, 0))
 
@@ -394,6 +399,30 @@ def test_block_solve_without_noise_draws_nothing(monkeypatch):
     assert made[0].bit_generator.state == made[2].bit_generator.state == fresh
 
 
+def test_a_block_solved_chain_never_calls_its_gradient(monkeypatch):
+    # the solve reads the gradient's affine form (H, b) only, on every block and at the end
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+                            steps=_AB + 17, burn_in=2, thin=5, seed=3)
+    calls, solves, ar1_blocks = [], [], lg._ar1_blocks
+
+    def counting_objective(*args):
+        value, grad = _RISK_OBJECTIVE(*args)
+
+        def counting_grad(c):
+            calls.append(None)
+            return grad(c)
+
+        counting_grad.affine = grad.affine
+        return value, counting_grad
+
+    monkeypatch.setattr(md, "risk_objective", counting_objective)
+    monkeypatch.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
+    traj = lg.run_chain(cfg, model, "squared", data)
+    assert len(solves) == 2 and traj.final_state.step == cfg.steps
+    assert calls == []
+
+
 def test_same_seed_chains_from_two_starts_differ_by_powers_of_the_linear_map():
     # the synchronous coupling of the ergodicity preset: the same seed draws the same noise,
     # so x_a - x_b follows x' = A x with A = S(I - eta H) exactly, across a block boundary
@@ -433,9 +462,9 @@ def test_run_chain_holds_its_record_once():
     assert peak <= traj.coeffs.nbytes + traj.steps.nbytes + (1 << 20), peak
 
 
-def test_an_overflowing_gradient_norm_is_inf_without_a_warning(monkeypatch):
-    # the update stays finite while the gradient's squared norm overflows, in gld_step
-    # and on the last step of run_chain alike
+def test_a_huge_gradient_gives_a_finite_update_without_a_warning(monkeypatch):
+    # the update stays finite, in gld_step and in run_chain alike, though the gradient's
+    # squared norm would overflow
     model, data = _linear_setup()
     cfg = lg.DynamicsConfig(eta=1e-3, beta=4.0, lam=0.5, n_modes=3, steps=3, seed=0)
     huge = np.full((model.basis.n_modes, 1), 1e200)
@@ -445,8 +474,8 @@ def test_an_overflowing_gradient_norm_is_inf_without_a_warning(monkeypatch):
         out = lg.gld_step(_projected_start(model, cfg, 0), cfg, model, "squared", data,
                           np.random.default_rng(0), grad_fn=lambda W: huge)
         traj = lg.run_chain(cfg, model, "squared", data)
-    assert np.all(np.isfinite(out.map.coeffs)) and out.last_grad_norm == np.inf
-    assert np.all(np.isfinite(traj.coeffs)) and traj.final_state.last_grad_norm == np.inf
+    assert np.all(np.isfinite(out.map.coeffs))
+    assert np.all(np.isfinite(traj.coeffs)) and np.all(np.isfinite(traj.final_state.map.coeffs))
 
 
 _coeff = st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: abs(v) > 1e-6)
@@ -799,10 +828,9 @@ def test_ou_bound_holds_on_grid():
 
 @pytest.mark.parametrize("n_modes, N, d_out, order, scale", [
     (4, 4, 1, "C", 1.0), (6, 3, 3, "F", 1.0), (5, 5, 2, "C", 1e200)])
-def test_gld_step_is_the_reference_update_and_reports_the_norm_of_its_gradient(
-        n_modes, N, d_out, order, scale):
+def test_gld_step_is_the_reference_update_and_leaves_g_alone(n_modes, N, d_out, order, scale):
     # the update as written before it took numpy's per-call overhead off, with the
-    # Python-float eta; the gradient is left as it is and its norm is np.linalg.norm's
+    # Python-float eta; the gradient is left as it is
     rng = np.random.default_rng([n_modes, N, d_out])
     basis = cosine_basis(n_modes, dim_in=1)
     model = md.ModelSpec(arch="identity-map", basis=basis)
@@ -811,10 +839,8 @@ def test_gld_step_is_the_reference_update_and_reports_the_norm_of_its_gradient(
     W = W.copy_with(rng.standard_normal((n_modes, d_out)) * (np.arange(n_modes) < N)[:, None])
     g = np.asarray(rng.standard_normal((n_modes, d_out)) * scale, order=order)
     g_before = g.copy()
-    with np.errstate(over="ignore"):     # the squared norm of the large gradient is inf
-        out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
-                          np.random.default_rng(5), grad_fn=lambda m: g)
-        assert out.last_grad_norm == float(np.linalg.norm(g))
+    out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
+                      np.random.default_rng(5), grad_fn=lambda m: g)
     np.testing.assert_array_equal(g, g_before)
     s = 1.0 / (1.0 + cfg.eta * cfg.lam / basis.eigen.mu[:N])
     drift = W.coeffs - cfg.eta * g
@@ -848,23 +874,25 @@ def _assert_same_trajectory(a, b):
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
     assert a.final_state.step == b.final_state.step
     np.testing.assert_array_equal(a.final_state.map.coeffs, b.final_state.map.coeffs)
-    assert a.final_state.last_grad_norm == b.final_state.last_grad_norm
 
 
 @pytest.mark.parametrize("arch, loss, gamma, beta", [("two-layer", "squared", 0.0, 24.0),
                                                      ("identity-map", "logistic", 0.0, 24.0),
                                                      ("two-layer", "squared", 0.5, np.inf)])
-def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma, beta):
-    # three networks or bases, three datasets and three seeds, across a block boundary, with a
+def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma, beta, monkeypatch):
+    # three networks or bases, three datasets and three seeds, across block boundaries, with a
     # record schedule that does not divide the block and a truncation below the mode count;
-    # the stack steps through batched products
+    # the stack steps through batched products.  A member alone takes _SB steps per block, and
+    # a stack fewer, as the float cap of a block buffer binds
     models, datas = zip(*(_stack_member(arch, s) for s in (3, 4, 5)))
+    monkeypatch.setattr(lg, "_BLOCK_FLOATS", _SB * models[0].basis.n_modes
+                        * md.map_output_dim(models[0]))
     seeds = [11, 12, 13]
     starts = [lg.ChainState(step=2, map=md.TransportMap(
         coeffs=np.zeros((m.basis.n_modes, md.map_output_dim(m))), basis=m.basis, gamma=gamma))
         for m in models]
     cfg = lg.DynamicsConfig(eta=0.05, beta=beta, lam=0.1, n_modes=models[0].basis.n_modes - 1,
-                            steps=_B + 37, burn_in=20, thin=7)
+                            steps=_SB + 37, burn_in=20, thin=7)
     stack = lg.run_chains(cfg, models, loss, datas, seeds, init_states=starts)
     assert len(stack) == 3 and stack[0].coeffs.shape[0] > 0
     for model, data, seed, start, traj in zip(models, datas, seeds, starts, stack):
@@ -907,8 +935,6 @@ def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
         np.testing.assert_allclose(traj.coeffs, ref_coeffs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.final_state.map.coeffs, ref_final.map.coeffs,
                                    rtol=0, atol=1e-12)
-        assert traj.final_state.last_grad_norm == pytest.approx(ref_final.last_grad_norm,
-                                                                abs=1e-12)
     # the two members of one seed differ by the powers of A = S(I - eta H) alone
     _, grad = md.risk_objective(model, "squared", data)
     H, _ = grad.affine()
@@ -964,7 +990,7 @@ def test_a_member_with_a_near_zero_eigenvalue_shortens_the_ar1_blocks_of_the_who
 
 def test_a_stack_holds_its_records_once_and_its_block_buffers_do_not_grow_with_k():
     # eight two-layer members step by step: the noise and state buffers of a block hold at
-    # most _BLOCK_FLOATS floats each, where 1,024 steps of each member would fill 2 MB
+    # most _BLOCK_FLOATS floats each, where _B steps of each member would fill 8 MB
     models, datas = zip(*(_stack_member("two-layer", s) for s in range(8)))
     cfg = lg.DynamicsConfig(eta=0.05, beta=24.0, lam=0.1, n_modes=models[0].basis.n_modes,
                             steps=3000, burn_in=100)

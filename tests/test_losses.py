@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,13 @@ def test_bernstein_check_rejects_outside_band():
         ls.bernstein_check(0.05, 0.5, 1.0)
     with pytest.raises(ValueError):
         ls.bernstein_check(0.5, 0.99, 1.0)
+
+
+def test_feasible_band_of_a_large_radius_is_the_unit_interval_without_a_warning():
+    # exp(R) overflows to inf above R ~ 709, which puts the lower end at exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ls.feasible_band(1000.0) == (0.0, 1.0)
 
 
 def test_bernstein_full_grid_small():

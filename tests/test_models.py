@@ -5,7 +5,8 @@ import pytest
 
 from transport_langevin import models as md
 from transport_langevin import oracle as orc
-from transport_langevin.spectral import cosine_basis, gram_eigenbasis, eval_basis
+from transport_langevin.spectral import (cosine_basis, eval_basis, fractional_power_scale,
+                                         gram_eigenbasis)
 
 
 def test_clip_properties():
@@ -326,7 +327,7 @@ def _reference_two_layer_gradient(model, W, dataset, loss_kind):
     dV1 = (omega * Vb[:, -1])[:, None] * (kernel @ X) / n * Cd[:, :-1]
     dV2 = omega * (S @ lp) / n * Cd[:, -1]
     dV = np.column_stack([dV1, dV2])
-    return md._gamma_scale(E.T @ dV, W.basis.eigen, W.gamma)
+    return fractional_power_scale(E.T @ dV, W.basis.eigen, W.gamma)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "smoothed-relu"])
@@ -401,15 +402,15 @@ def _reference_identity_objective(model, loss_kind, dataset, gamma):
 
     def value(coeffs):
         if scaled:
-            coeffs = md.fractional_power_scale(coeffs, eigen, gamma)
+            coeffs = fractional_power_scale(coeffs, eigen, gamma)
         return float(np.mean(md.loss_eval_derivs(loss_kind, y, Phi @ coeffs[:, 0], 0)))
 
     def grad(coeffs):
         if scaled:
-            coeffs = md.fractional_power_scale(coeffs, eigen, gamma)
+            coeffs = fractional_power_scale(coeffs, eigen, gamma)
         lp = md.loss_eval_derivs(loss_kind, y, Phi @ coeffs[:, 0], 1)
         g = (Phi.T @ lp)[:, None] / n
-        return md.fractional_power_scale(g, eigen, gamma) if scaled else g
+        return fractional_power_scale(g, eigen, gamma) if scaled else g
 
     return value, grad
 
@@ -503,7 +504,7 @@ def _reference_resnet_gradient(model, W, dataset, loss_kind):
         dV = (Q.T @ z_in) * omega[:, None] * (1.0 - np.tanh(V / R) ** 2)
         dC[:, t, :] = E.T @ dV
         G = G + (Q * omega[None, :]) @ Vb
-    return md._gamma_scale(dC.reshape(W.basis.n_modes, T * d), W.basis.eigen, W.gamma)
+    return fractional_power_scale(dC.reshape(W.basis.n_modes, T * d), W.basis.eigen, W.gamma)
 
 
 def _reference_mmd_terms(A, B, h):
@@ -530,7 +531,7 @@ def _reference_wasserstein_gradient(model, W, S, Tgt):
     dmmd = (-2.0 / (m ** 2 * h ** 2)) * (Kff.sum(axis=1)[:, None] * F - Kff @ F) \
         + (2.0 / (m * t * h ** 2)) * (Kft.sum(axis=1)[:, None] * F - Kft @ Tgt)
     dF = dF + model.wasserstein_penalty * dmmd
-    return md._gamma_scale(Phi.T @ dF, W.basis.eigen, W.gamma)
+    return fractional_power_scale(Phi.T @ dF, W.basis.eigen, W.gamma)
 
 
 def _reference(model, W, data, loss):
@@ -654,3 +655,11 @@ def test_risk_objective_evaluates_features_when_built_only(arch, monkeypatch):
         value(c)
         grad(c)
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("arch", md.ARCHS)
+def test_risk_objective_refuses_a_negative_gamma(arch):
+    # mu^(gamma/2) with gamma < 0 would grow with the mode index, the map no longer smoother
+    model, data, _ = _arch_case(arch, np.random.default_rng(19))
+    with pytest.raises(ValueError, match="gamma must be non-negative"):
+        md.risk_objective(model, "squared", data, -0.5)
