@@ -258,9 +258,9 @@ def _linear_gaussian_setup(rng, p):
     return basis, model, md.Dataset(x=x, y=y), np.asarray(teacher, dtype=float)
 
 
-def _disc_points(rng, n, radius=1.0):
-    """Uniform points in the disc of the given radius."""
-    r = radius * np.sqrt(rng.uniform(0, 1, n))
+def _disc_points(rng, n):
+    """Uniform points in the unit disc."""
+    r = np.sqrt(rng.uniform(0, 1, n))
     th = rng.uniform(0, 2 * np.pi, n)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
 

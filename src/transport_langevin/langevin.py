@@ -15,7 +15,8 @@ so :attr:`DynamicsConfig.noise_amp` is the one noise convention.  Per mode it
 is an AR(1) process, which :func:`simulate_ou_sq_norms` solves in closed form
 over blocks of steps with numpy alone.  A chain whose gradient is affine
 (identity map, squared loss) is the same AR(1) in the eigenbasis of its linear
-map, and :func:`run_chain` solves it with the same block solver when it is stable.
+map, and :func:`run_chain` solves it with the same block solver when it is stable
+and untruncated (n_modes equal to the basis's mode count).
 
 :func:`run_chains` runs K chains as one stack: members of one architecture and one
 coefficient shape, each with its own model, dataset, seed and initial state, under one
@@ -206,8 +207,9 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     This is the stack of one member of :func:`run_chains`, seeded by cfg.seed:
     the steps run in blocks, each drawing its noise in one call (the same
     numbers as one draw per step) and checking finiteness once, and a chain
-    whose gradient is affine and stable is solved in blocks (:func:`_affine_solver`),
-    to rounding rather than bit for bit.  The first non-finite step raises
+    whose gradient is affine and stable, and whose truncation keeps every mode of the
+    basis, is solved in blocks (:func:`_affine_solver`), to rounding rather than bit
+    for bit.  The first non-finite step raises
     :class:`ChainDivergedError` carrying the last finite state and its step number.
     """
     return run_chains(cfg, [model], loss_kind, [dataset], [cfg.seed], init=init,
@@ -277,8 +279,6 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, block)
     buf = np.empty((K, block, m, d_out))
     noise = np.empty((K, block, N, d_out)) if amp > 0.0 else None
-    if solve is not None:
-        buf[:, :, N:] = 0.0             # P_N: the solve writes the retained rows only
     # the steps of one member run on its 2-D arrays, where each numpy call costs less
     if K == 1:
         step_out, step_noise, step_s = buf[0], None if noise is None else noise[0], s_col[0]
@@ -340,35 +340,34 @@ def _diverged(states, before, step_no: int, as_map) -> ChainDivergedError:
 def _affine_solver(grad_fn, cfg: DynamicsConfig, N: int, s_col, shape, block: int):
     """``solve(w, noise, out)`` for a stack of chains whose gradients are affine, or None.
 
-    With ``grad_fn.affine()`` = (H, b), member k's retained rows x follow the linear
-    recurrence x' = A x + S(eta b_N + noise) with A = S(I - eta H_NN), S its resolvent
-    diagonal.  A is similar to the symmetric S^1/2 (I - eta H_NN) S^1/2 = Q diag(d) Q^T,
+    With ``grad_fn.affine()`` = (H, b), member k's coefficients x follow the linear
+    recurrence x' = A x + S(eta b + noise) with A = S(I - eta H), S its resolvent
+    diagonal.  A is similar to the symmetric S^1/2 (I - eta H) S^1/2 = Q diag(d) Q^T,
     so A = V diag(d) V^-1 with V = S^1/2 Q and V^-1 = Q^T S^-1/2, and each eigen
     coordinate u = V^-1 x is the AR(1) u' = d u + e that :func:`_ar1_blocks` solves,
     the members' coordinates side by side as its columns.  One batched ``eigh`` gives
     every member's Q and d.  None, for the step-by-step path, unless the gradients
-    declare their affine form, the state has one column and max |d| < 1 over the stack.
+    declare their affine form, the state has one column, the truncation N keeps all its
+    rows and max |d| < 1 over the stack.
 
-    ``solve`` writes the states after ``w`` (K, n_modes, 1) into the retained rows of
-    ``out`` (K, rows, n_modes, 1), given the block's scaled noise (K, rows, N, 1), or
-    None when the amplitude is 0.  Rows of ``w`` beyond N enter the first step through
-    H, as in P_N(w - eta g).
+    ``solve`` writes the states after ``w`` (K, n_modes, 1) into ``out``
+    (K, rows, n_modes, 1), given the block's scaled noise (K, rows, n_modes, 1), or
+    None when the amplitude is 0.
     """
     affine = getattr(grad_fn, "affine", None)
     K, m, d_out = shape
-    if affine is None or d_out != 1:
+    if affine is None or d_out != 1 or N < m:
         return None
     # a one-member stack's gradient takes 2-D maps; its (H, b) gain the member axis here
     H, b_vec = (a.reshape((K,) + a.shape[-2:]) for a in affine())
-    eta, r = float(cfg.eta), np.sqrt(s_col[:, :N])          # r: (K, N, 1)
+    eta, r = float(cfg.eta), np.sqrt(s_col)                  # r: (K, N, 1)
     r_row = r.swapaxes(1, 2)
-    d, Q = np.linalg.eigh(r * (np.eye(N) - eta * H[:, :N, :N]) * r_row)
+    d, Q = np.linalg.eigh(r * (np.eye(N) - eta * H) * r_row)
     if not np.abs(d).max() < 1.0:            # also refuses the nan of a non-finite H
         return None
     G = Q.swapaxes(1, 2) * r_row         # V^-1 S, and also V^T: x = V u is the row u @ G
     GT = G.swapaxes(1, 2)
-    e0 = np.matmul(G, eta * b_vec[:, :N])[..., 0]     # the drift's constant part, (K, N)
-    rest = -eta * np.matmul(G, H[:, :N, N:])        # the first step's term in the rows beyond N
+    e0 = np.matmul(G, eta * b_vec)[..., 0]            # the drift's constant part, (K, N)
     L = min(_ar1_block_length(d), block)
     # the gains of each distinct eigenvalue once: the members of a stack often share them
     values, which = np.unique(d, return_inverse=True)
@@ -386,13 +385,11 @@ def _affine_solver(grad_fn, cfg: DynamicsConfig, N: int, s_col, shape, block: in
         else:
             np.matmul(noise[..., 0], GT, out=by_member)
             e += e0
-        if N < m:
-            e[0] += np.matmul(rest, w[:, N:])[..., 0]
         nb = -(-rows // L)
         flat[rows:nb * L] = 0.0
-        u0 = np.matmul((w[:, :N] / r).swapaxes(1, 2), Q)     # V^-1 w, (K, 1, N)
+        u0 = np.matmul((w / r).swapaxes(1, 2), Q)            # V^-1 w, (K, 1, N)
         _ar1_blocks(buf[:nb], gains, u0.reshape(K * N))
-        np.matmul(by_member, G, out=out[:, :, :N, 0])
+        np.matmul(by_member, G, out=out[..., 0])
 
     return solve
 

@@ -132,11 +132,10 @@ def bernstein_check(p, q, R: float):
 
 
 def smoothness_audit(model, loss_kind: str, dataset, n_probes: int,
-                     rng: np.random.Generator, alpha: float = 0.25,
-                     probe_scale: float = 1.0) -> LossBounds:
+                     rng: np.random.Generator) -> LossBounds:
     """Empirical lower bounds on the gradient bound B, the Lipschitz constant
-    of the gradient (measured against the alpha-weighted norm) and the loss
-    range, obtained by probing random maps.
+    of the gradient (measured against the alpha = 1/4 weighted norm) and the loss
+    range, obtained by probing random maps with coefficients N(0, mu_k).
     """
     from . import models as _models
     from .spectral import weighted_norm
@@ -150,7 +149,7 @@ def smoothness_audit(model, loss_kind: str, dataset, n_probes: int,
     d_out = _models.map_output_dim(model)
 
     def draw():
-        c = rng.standard_normal((basis.n_modes, d_out)) * np.sqrt(mu)[:, None] * probe_scale
+        c = rng.standard_normal((basis.n_modes, d_out)) * np.sqrt(mu)[:, None]
         return _models.TransportMap(coeffs=c, basis=basis)
 
     probes = [draw() for _ in range(n_probes)]
@@ -162,7 +161,7 @@ def smoothness_audit(model, loss_kind: str, dataset, n_probes: int,
     L_hat = 0.0
     for i in range(n_probes - 1):
         dW = probes[i].coeffs - probes[i + 1].coeffs
-        denom = weighted_norm(dW, basis.eigen, alpha)
+        denom = weighted_norm(dW, basis.eigen, 0.25)
         if denom > 1e-14:
             L_hat = max(L_hat, float(np.linalg.norm(grads[i] - grads[i + 1])) / denom)
     return LossBounds(B=B_hat, L_lip=L_hat, R_bar=R_hat, empirical=True)

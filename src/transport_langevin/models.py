@@ -3,7 +3,7 @@
 A map W is stored by its mode coefficients against a spectral basis; the
 architectures differ in how the map values turn into a predictor:
 
-* ``two-layer``     f_W(x) = sum_m weight_m * clip(V2_m) * act(clip(V1_m) . x)
+* ``two-layer``     f_W(x) = sum_m weight_m * clip(V2_m) * tanh(clip(V1_m) . x)
                     with (V1_m, V2_m) the map value at particle m,
 * ``identity-map``  f_W(x) = W(x), scalar output,
 * ``wasserstein``   f_W(x) = W(x), vector output,
@@ -18,7 +18,8 @@ identity-map and two-layer also run over a stack of members for
 
 Clipping is componentwise R*tanh(v/R); its derivative enters every analytic
 gradient, which is written in coefficient space so that it agrees with finite
-differences of the empirical risk.
+differences of the empirical risk.  The networks' activation is tanh: the clipped-loss
+range and the (1 + R*D) Lipschitz bound need |act| <= 1.
 """
 
 from __future__ import annotations
@@ -141,17 +142,14 @@ class TransportMap:
 
 @dataclass(frozen=True)
 class ClipConfig:
-    """Clipping radius, activation choice and the input-norm bound."""
+    """Clipping radius and the input-norm bound; the activation is tanh."""
 
     R: float = 2.0
-    activation: str = "tanh"
     input_bound_D: float = 1.0
 
     def __post_init__(self):
         if self.R < 1:
             raise ValueError("clip radius R must be >= 1")
-        if self.activation not in ("tanh", "smoothed-relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.input_bound_D <= 0:
             raise ValueError("input bound D must be positive")
 
@@ -183,21 +181,6 @@ def clip(v, R: float):
     if R < 1:
         raise ValueError("R must be >= 1")
     return R * np.tanh(np.asarray(v, dtype=float) / R)
-
-
-def _activation(name: str):
-    """The activation and its derivative ``actd(z, a)``, given ``a = act(z)``; ``actd`` may
-    write its result into ``z``'s buffer, so ``z`` is spent after the call."""
-    if name == "tanh":
-        return np.tanh, lambda z, a: np.subtract(_ONE, np.square(a, out=z), out=z)
-    # smoothed relu: softplus, 1-Lipschitz and smooth
-    def sp(z):
-        return np.logaddexp(0.0, z)
-
-    def spd(z, a):
-        return _ONE / (_ONE + np.exp(-z))
-
-    return sp, spd
 
 
 def model_basis(model: ModelSpec) -> SpectralBasis:
@@ -289,9 +272,9 @@ def gradient(model: ModelSpec, W: TransportMap, dataset: Dataset, loss_kind: str
 def risk_objective(model: ModelSpec, loss_kind: str, dataset: Dataset, gamma: float = 0.0):
     """Closures value(coeffs) and grad(coeffs) of the empirical risk on raw coefficients.
 
-    The map is over the model's basis; features, weights and activation are
-    looked up here, once.  gamma scales the coefficients before the features
-    and the gradient after them.  The value warns, as :func:`forward` does,
+    The map is over the model's basis; features and weights are looked up
+    here, once.  gamma scales the coefficients before the features and the
+    gradient after them.  The value warns, as :func:`forward` does,
     when an input lies beyond the declared bound D; the gradient does not.
 
     Where the gradient is affine in the coefficients (identity map, squared
@@ -468,7 +451,7 @@ def _identity_passes(models, bases, gamma: float, Xs):
 
 
 def _two_layer_passes(models, bases, gamma: float, Xs):
-    """f(x) = sum_m weight_m * clip(V2_m) * act(clip(V1_m) . x); ``t = tanh(V/R)`` gives
+    """f(x) = sum_m weight_m * clip(V2_m) * tanh(clip(V1_m) . x); ``t = tanh(V/R)`` gives
     both the clip R*t and its derivative 1 - t^2."""
     mm, mv, vm = _products(len(models))
     E = _members([_cloud_features(model, basis) for model, basis in zip(models, bases)])
@@ -478,7 +461,6 @@ def _two_layer_passes(models, bases, gamma: float, Xs):
     scale = _gamma_scaler(bases, gamma)
     # n and R as 0-d arrays: numpy converts a Python-number operand again on every call
     n, R = np.array(float(X.shape[-2])), np.array(float(models[0].clip.R))
-    act, actd = _activation(models[0].clip.activation)
 
     def fwd(coeffs):
         V = mm(E, scale(coeffs))                        # (M, d+1) unclipped map values
@@ -486,14 +468,14 @@ def _two_layer_passes(models, bases, gamma: float, Xs):
         t = np.tanh(V, out=V)
         Vb = R * t                                      # clip(V, R)
         Z = mm(Vb[..., :-1], XT)                        # (M, n) pre-activations
-        S = act(Z)
+        S = np.tanh(Z)
         w2 = omega * Vb[..., -1]
         return vm(w2, S), (t, Z, S, w2)
 
     def back(cache, lp):
         t, Z, S, w2 = cache
         Cd = _ONE - t ** 2
-        kernel = actd(Z, S)                             # (M, n), may be Z's buffer
+        kernel = np.subtract(_ONE, np.square(S, out=Z), out=Z)   # (M, n) 1 - S^2, in Z's buffer
         kernel *= lp[..., None, :]
         dV = np.empty_like(t)
         np.multiply(w2[..., None], mm(kernel, X), out=dV[..., :-1])
@@ -506,14 +488,13 @@ def _two_layer_passes(models, bases, gamma: float, Xs):
 
 
 def _resnet_passes(models, bases, gamma: float, Xs):
-    """T residual blocks z <- z + sum_m weight_m act(z . clip(V_m)) a_m, read out along
+    """T residual blocks z <- z + sum_m weight_m tanh(z . clip(V_m)) a_m, read out along
     u = 1/sqrt(d).  Block t reads columns t*d..(t+1)*d of the map values at the cloud;
     ``th = tanh(V/R)`` gives both the clip R*th and its derivative 1 - th^2.  One member.
     """
     (model,), (basis,), (X,) = models, bases, Xs
     n, T, d = X.shape[0], model.resnet_blocks, model.cloud.dim
     R = model.clip.R
-    act, actd = _activation(model.clip.activation)
     E = _cloud_features(model, basis)
     omega, a_vec, scale = model.cloud.weights, model.cloud.a_vec, _gamma_scaler(bases, gamma)
     u = np.full(d, 1.0 / np.sqrt(d))
@@ -526,7 +507,7 @@ def _resnet_passes(models, bases, gamma: float, Xs):
             th = np.tanh(E @ C[:, t, :] / R)          # (M, d)
             Vb = R * th                               # clip(V, R)
             P = z @ Vb.T                              # (n, M)
-            S = act(P)
+            S = np.tanh(P)
             cache.append((z, th, Vb, P, S))
             z = z + (S * omega[None, :]) @ a_vec
         return z @ u, cache
@@ -536,7 +517,7 @@ def _resnet_passes(models, bases, gamma: float, Xs):
         dC = np.zeros((basis.n_modes, T, d))
         for t in range(T - 1, -1, -1):
             z_in, th, Vb, P, S = cache[t]
-            Q = (G @ a_vec.T) * actd(P, S)            # (n, M)
+            Q = (G @ a_vec.T) * np.subtract(_ONE, np.square(S, out=P), out=P)   # (n, M)
             dV = (Q.T @ z_in) * omega[:, None] * (_ONE - th ** 2)
             dC[:, t, :] = E.T @ dV
             G = G + (Q * omega[None, :]) @ Vb

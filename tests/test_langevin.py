@@ -325,7 +325,7 @@ _AB = lg._BLOCK
 
 def _assert_block_solve_matches_stepwise(cfg, model, data, state):
     # run_chain takes the block solve; the schedule, the shapes and the steps agree exactly
-    # with the gld_step loop, the states to rounding, and rows beyond N are exactly zero
+    # with the gld_step loop, the states to rounding
     solves, ar1_blocks = [], lg._ar1_blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
@@ -339,14 +339,12 @@ def _assert_block_solve_matches_stepwise(cfg, model, data, state):
     assert traj.final_state.step == ref_final.step == state.step + cfg.steps
     np.testing.assert_allclose(traj.final_state.map.coeffs, ref_final.map.coeffs, rtol=0,
                                atol=1e-12)
-    assert np.all(traj.coeffs[:, cfg.n_modes:] == 0.0)
-    assert np.all(traj.final_state.map.coeffs[cfg.n_modes:] == 0.0)
     return traj
 
 
 def test_block_solve_matches_the_stepwise_chain_across_blocks():
     # two block boundaries, and a thin that divides neither the block nor the AR(1) block
-    model, data = _linear_setup()
+    model, data = _linear_setup(n_modes=3)
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=2 * _AB + 3, burn_in=5, thin=7, seed=21)
     _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
@@ -355,18 +353,28 @@ def test_block_solve_matches_the_stepwise_chain_across_blocks():
     _assert_block_solve_matches_stepwise(one, model, data, _projected_start(model, cfg, 0))
 
 
-def test_block_solve_from_a_state_with_coefficients_beyond_the_truncation():
-    # the retained modes feel the rows beyond N through the first gradient; P_N zeroes them
+def test_a_truncated_affine_chain_runs_step_by_step_bit_for_bit():
+    # N = 3 of 6 modes: the block solve refuses the chain, which then equals its gld_step loop
+    # bit for bit, from a state with coefficients beyond N, which the first step zeroes
     model, data = _linear_setup(n_modes=6)
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=_AB + 40, burn_in=14, thin=9, seed=8)
+    _, grad = md.risk_objective(model, "squared", data)
+    for n_modes, refused in ((3, True), (6, False)):
+        N, s_col = dataclasses.replace(cfg, n_modes=n_modes)._resolvent(model.basis)
+        solve = lg._affine_solver(grad, cfg, N, s_col[None], (1, 6, 1), _AB)
+        assert (solve is None) == refused, n_modes
     coeffs = np.random.default_rng(1).standard_normal((6, 1))
     state = lg.ChainState(step=13, map=md.TransportMap(coeffs=coeffs, basis=model.basis))
-    traj = _assert_block_solve_matches_stepwise(cfg, model, data, state)
+    solves, ar1_blocks = [], lg._ar1_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
+        traj = lg.run_chain(cfg, model, "squared", data, init_state=state)
+    assert solves == []
+    ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data, state)
     assert traj.steps[0] == 23   # the schedule counts from step 0: 14 + 9
-    projected = lg.ChainState(step=13, map=state.map.copy_with(project_P_N(coeffs, 3)))
-    assert np.abs(lg.run_chain(cfg, model, "squared", data, init_state=projected).coeffs[0]
-                  - traj.coeffs[0]).max() > 1e-6
+    _assert_same_trajectory(traj, lg.Trajectory(ref_steps, ref_coeffs, ref_final))
+    assert np.all(traj.coeffs[:, 3:] == 0.0)
 
 
 def test_block_solve_with_a_negative_eigenvalue():
@@ -385,7 +393,7 @@ def test_block_solve_with_a_negative_eigenvalue():
 
 def test_block_solve_without_noise_draws_nothing(monkeypatch):
     # beta = inf: no draw on either path, so the generator ends where it started
-    model, data = _linear_setup()
+    model, data = _linear_setup(n_modes=3)
     cfg = lg.DynamicsConfig(eta=0.05, beta=np.inf, lam=0.5, n_modes=3,
                             steps=_AB + 17, burn_in=2, thin=5, seed=3)
     assert cfg.noise_amp == 0.0
@@ -401,7 +409,7 @@ def test_block_solve_without_noise_draws_nothing(monkeypatch):
 
 def test_a_block_solved_chain_never_calls_its_gradient(monkeypatch):
     # the solve reads the gradient's affine form (H, b) only, on every block and at the end
-    model, data = _linear_setup()
+    model, data = _linear_setup(n_modes=3)
     cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
                             steps=_AB + 17, burn_in=2, thin=5, seed=3)
     calls, solves, ar1_blocks = [], [], lg._ar1_blocks
@@ -916,7 +924,7 @@ def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
     points = md.finite_width_cloud(np.random.default_rng(3).uniform(0, 1, (6, 1)), np.zeros(6))
     other = md.ModelSpec(arch="identity-map", basis=gram_eigenbasis(points, 0.5, 4, False))
     assert not np.array_equal(other.basis.eigen.mu, model.basis.eigen.mu)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=4,
                             steps=_AB + 40, burn_in=10, thin=3)
     rng = np.random.default_rng(2)
     models, datas, seeds = [model, model, other], [data, data, other_data], [7, 7, 8]
@@ -939,15 +947,13 @@ def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
     _, grad = md.risk_objective(model, "squared", data)
     H, _ = grad.affine()
     N, s_col = cfg._resolvent(model.basis)
-    A = s_col[:N] * (np.eye(N) - cfg.eta * H[:N, :N])
-    gap = starts[0].map.coeffs[:N, 0] - starts[1].map.coeffs[:N, 0]
-    gap = A.dot(gap) + s_col[:N, 0] * (-cfg.eta) * H[:N, N:].dot(
-        starts[0].map.coeffs[N:, 0] - starts[1].map.coeffs[N:, 0])
-    for k in range(2, cfg.steps + 1):
+    A = s_col * (np.eye(N) - cfg.eta * H)
+    gap = starts[0].map.coeffs[:, 0] - starts[1].map.coeffs[:, 0]
+    for k in range(1, cfg.steps + 1):
         gap = A.dot(gap)
         if k in stack[0].steps:
             row = int(np.searchsorted(stack[0].steps, k))
-            np.testing.assert_allclose(stack[0].coeffs[row, :N, 0] - stack[1].coeffs[row, :N, 0],
+            np.testing.assert_allclose(stack[0].coeffs[row, :, 0] - stack[1].coeffs[row, :, 0],
                                        gap, rtol=0, atol=1e-12)
 
 
@@ -956,13 +962,12 @@ def test_a_member_with_a_near_zero_eigenvalue_shortens_the_ar1_blocks_of_the_who
     # eta = (1 - 1e-12) / h, h the largest eigenvalue of its H, one of its d is about 1e-12:
     # d^-L must stay finite, so the stack solves in AR(1) blocks of 21 steps, where member 0
     # alone takes 256; each member still equals its own gld_step loop
-    model, data = _linear_setup(n=40)
+    model, data = _linear_setup(n_modes=3, n=40)
     rng = np.random.default_rng(3)
     steep = md.Dataset(x=rng.uniform(0.0, 0.1, (40, 1)), y=rng.standard_normal(40))
     _, grad = md.risk_objective(model, "squared", steep)
-    n_modes = 3
-    h = np.linalg.eigvalsh(grad.affine()[0][:n_modes, :n_modes]).max()
-    cfg = lg.DynamicsConfig(eta=(1.0 - 1e-12) / h, beta=4.0, lam=0.5, n_modes=n_modes,
+    h = np.linalg.eigvalsh(grad.affine()[0]).max()
+    cfg = lg.DynamicsConfig(eta=(1.0 - 1e-12) / h, beta=4.0, lam=0.5, n_modes=3,
                             steps=600, burn_in=5, thin=3)
     d_steep = _block_solve_eigenvalues(cfg, model, steep)
     assert np.abs(d_steep).min() < 1e-10 and np.abs(d_steep).max() < 1.0

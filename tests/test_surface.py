@@ -17,12 +17,12 @@ from transport_langevin import models as md
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(transport_langevin.__path__)
                   if m.name != "__main__")
 
-# names deleted with the checkpoint, JSON and i.i.d.-cloud code, and criterion 12's own
-# entry point, now the pac-bayes preset; none may come back
+# names deleted with the checkpoint, JSON and i.i.d.-cloud code, criterion 12's own
+# entry point, now the pac-bayes preset, and the activation choice; none may come back
 _REMOVED = ("save_checkpoint", "load_checkpoint", "map_to_json", "map_from_json",
             "cloud_to_json", "cloud_from_json", "_basis_to_dict", "_basis_from_dict",
             "sample_cloud", "clip_deriv", "RateParams", "pac_bayes_check",
-            "_PAC_BAYES_DEFAULTS")
+            "_PAC_BAYES_DEFAULTS", "_activation")
 
 
 def _module(name):
@@ -52,6 +52,8 @@ def test_removed_names_are_gone():
         present = [n for n in _REMOVED if hasattr(owner, n)]
         assert not present, (owner.__name__, present)
     assert "mode" not in {f.name for f in dataclasses.fields(md.ParticleCloud)}
+    with pytest.raises(TypeError):
+        md.ClipConfig(activation="tanh")
 
 
 def test_the_chain_entry_points_are_public_module_functions():
