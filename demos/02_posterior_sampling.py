@@ -25,7 +25,7 @@ data = Dataset(x=x, y=y)
 beta, lam = float(n), 1.0 / n
 post = conjugate_posterior(basis, eval_basis(basis, x), y, beta=beta, lam=lam)
 
-cfg = DynamicsConfig(eta=2e-3, beta=beta, lam=lam, n_modes=n_modes,
+cfg = DynamicsConfig(eta=2e-3, beta=beta, lam=lam,
                      steps=120_000, burn_in=20_000, thin=1, seed=0)
 samples = run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
 

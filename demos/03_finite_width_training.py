@@ -33,7 +33,7 @@ data = Dataset(x=x, y=y)
 W0 = initial_map(model, basis, "zero")
 print(f"initial training loss: {empirical_risk(model, W0, 'squared', data):.5f}")
 
-cfg = DynamicsConfig(eta=0.2, beta=1e6, lam=1e-5, n_modes=M,
+cfg = DynamicsConfig(eta=0.2, beta=1e6, lam=1e-5,
                      steps=8000, burn_in=0, thin=400, seed=0)
 traj = run_chain(cfg, model, "squared", data, init="zero")
 for s, l in zip(traj.steps, traj.risk(model, "squared", data)):

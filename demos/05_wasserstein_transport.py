@@ -29,7 +29,7 @@ data = Dataset(x=src, y=tgt)
 W0 = initial_map(model, basis, "identity")
 print(f"objective at the identity map: {empirical_risk(model, W0, 'squared', data):.3f}")
 
-cfg = DynamicsConfig(eta=0.02, beta=1e5, lam=1e-6, n_modes=12,
+cfg = DynamicsConfig(eta=0.02, beta=1e5, lam=1e-6,
                      steps=30_000, burn_in=0, thin=3000, seed=0)
 traj = run_chain(cfg, model, "squared", data)
 for s, v in zip(traj.steps, traj.risk(model, "squared", data)):

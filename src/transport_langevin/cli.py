@@ -42,7 +42,7 @@ def _load_config(path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:     # an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:   # an integer past the digit limit, deep nesting
         raise ConfigError(f"config parse failure: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -51,8 +51,10 @@ def _load_config(path) -> dict:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
     if "preset" not in cfg:
         raise ConfigError("config must name a preset")
-    if cfg["preset"] not in ex.PRESETS:
+    if not isinstance(cfg["preset"], str) or cfg["preset"] not in ex.PRESETS:
         raise ConfigError(f"unknown preset {cfg['preset']!r}; use --preset-list")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     overrides = cfg.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ConfigError("overrides must be an object")
@@ -94,6 +96,17 @@ def _write_csv(path, header, rows, config_hash, seed):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _out_dir(args, cfg: dict, name: str) -> Path:
+    """The output directory of this run, created before anything runs."""
+    out_dir = Path(args.out or cfg.get("output_dir", "out")) / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:     # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot create output directory {str(out_dir)!r}: {reason}") from exc
+    return out_dir
+
+
 def _write_artifacts(result: ex.ExperimentResult, out_dir: Path, config_hash: str):
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "results.csv", result.table_header, result.table_rows,
@@ -115,7 +128,7 @@ def _write_artifacts(result: ex.ExperimentResult, out_dir: Path, config_hash: st
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     seed = _seed(args, cfg)
-    out_dir = Path(args.out or cfg.get("output_dir", "out")) / cfg["preset"]
+    out_dir = _out_dir(args, cfg, cfg["preset"])
     try:
         result = ex.run_preset(cfg["preset"], seed=seed, overrides=cfg.get("overrides", {}))
     except ChainDivergedError as exc:
@@ -142,6 +155,7 @@ def _cmd_sweep(args) -> int:
     # every value is checked against the preset's own keys before any run starts
     for value in values:
         _check_overrides(preset, {**base_overrides, args.axis: value})
+    out_dir = _out_dir(args, cfg, f"{preset}-sweep-{args.axis}")
 
     try:
         results, fit_row = ex.sweep(preset, args.axis, values, seed, base_overrides)
@@ -149,8 +163,6 @@ def _cmd_sweep(args) -> int:
         print(f"runtime divergence: {exc}", file=sys.stderr)
         return 3
 
-    out_dir = Path(args.out or cfg.get("output_dir", "out")) / f"{preset}-sweep-{args.axis}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = _config_hash({**cfg, "seed": seed, "sweep": [args.axis, values]})
     keys = [k for k in sorted(results[0].extras) if not isinstance(results[0].extras[k], list)]
     header = [args.axis] + [f"extra_{k}" for k in keys]

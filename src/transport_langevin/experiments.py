@@ -284,7 +284,7 @@ def posterior_validate(seed, p):
     beta, lam = float(p["n"]), 1.0 / p["n"]
     Phi = eval_basis(basis, data.x)
     post = orc.conjugate_posterior(basis, Phi, data.y, beta=beta, lam=lam)
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam, n_modes=p["n_modes"],
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                             steps=p["burn_in"] + p["kept"], burn_in=p["burn_in"],
                             thin=1, seed=seed)
     samples = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
@@ -334,8 +334,7 @@ def ou_moment(seed, p):
     rows, zs, bound_ok = [], [], True
     for g in grid:
         eigen = make_eigen_sequence(g["c_mu"], 2.0, g["n_modes"])
-        cfg = lg.DynamicsConfig(eta=g["eta"], beta=2.0 * g["beta"], lam=g["lam"],
-                                n_modes=g["n_modes"])
+        cfg = lg.DynamicsConfig(eta=g["eta"], beta=2.0 * g["beta"], lam=g["lam"])
         sq = lg.simulate_ou_sq_norms(cfg, eigen, p["steps"], rng)[p["burn_in"]:]
         exact = float(lg.gld_zero_grad_stationary_variance(cfg, eigen).sum())
         bound = eigen.c_mu / (g["beta"] * g["lam"])
@@ -369,7 +368,7 @@ def stepsize_bias(seed, p):
 
     def run(eta, steps, chain_seed):
         burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
-        cfg = lg.DynamicsConfig(eta=eta, beta=p["beta"], lam=p["lam"], n_modes=p["n_modes"],
+        cfg = lg.DynamicsConfig(eta=eta, beta=p["beta"], lam=p["lam"],
                                 steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
         c = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
         sq = np.sum(np.square(c, out=c), axis=1)   # squared in place: no second record
@@ -402,8 +401,7 @@ def ergodicity(seed, p):
     """
     rng = np.random.default_rng(seed)
     basis, model, data, _ = _linear_gaussian_setup(rng, p)
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
-                            n_modes=p["n_modes"], steps=p["steps"])
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], steps=p["steps"])
     c_dir = rng.standard_normal(p["n_modes"])
     c_dir /= np.linalg.norm(c_dir)
 
@@ -645,7 +643,7 @@ def regression_rate(seed, p):
     test_x = _disc_points(np.random.default_rng(seed + 777), 2048)
     f_star = md.forward(model, teacher, test_x)
     beta, lam = float(p["n"]), 1.0 / p["n"]
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam, n_modes=model.basis.n_modes,
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                             steps=p["steps"], burn_in=p["burn_in"], thin=p["thin"], seed=seed)
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
     # the squared loss against f* on the test points is the squared error of each record
@@ -695,7 +693,7 @@ def classification_rate(seed, p):
     model, data, grid, probs_grid, bayes = _classification_task(seed, p)
     noise_gap = float(np.min(np.abs(probs_grid - 0.5)))
     beta = p["beta"]
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=1.0 / beta, n_modes=model.basis.n_modes,
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=1.0 / beta,
                             steps=p["steps"], burn_in=p["burn_in"], thin=p["thin"], seed=seed)
     traj = lg.run_chain(cfg, model, "logistic", data, init="zero")
     maps = [md.TransportMap(coeffs=c, basis=model.basis) for c in traj.coeffs]
@@ -732,8 +730,7 @@ def finite_width_demo(seed, p):
     happens within the first few thousand steps.
     """
     model, data = _finite_width_task(seed, p)
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
-                            n_modes=model.basis.n_modes, steps=p["max_steps"],
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], steps=p["max_steps"],
                             burn_in=0, thin=p["check_every"], seed=seed)
     W0 = lg.initial_map(model, model.basis, "zero")
     init_loss = md.empirical_risk(model, W0, "squared", data)
@@ -765,9 +762,8 @@ def wasserstein_demo(seed, p):
     model = md.ModelSpec(arch="wasserstein", basis=basis, cloud=cloud,
                          wasserstein_penalty=p["penalty"], mmd_bandwidth=p["mmd_bandwidth"])
     data = md.Dataset(x=src, y=tgt)
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"],
-                            n_modes=basis.n_modes, steps=p["steps"], burn_in=0,
-                            thin=max(p["steps"] // 40, 1), seed=seed)
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], steps=p["steps"],
+                            burn_in=0, thin=max(p["steps"] // 40, 1), seed=seed)
     W0 = lg.initial_map(model, basis, "identity")
     init_obj = md.empirical_risk(model, W0, "squared", data)
     traj = lg.run_chain(cfg, model, "squared", data)
@@ -799,7 +795,7 @@ def pac_bayes(seed, p):
     beta, lam, R_bar = float(n), 1.0 / n, ls.clipped_loss_range(p["R"], p["noise"])
     seeds = range(seed, seed + n_seeds)
     models, datas, tests = zip(*(_pac_bayes_task(s, p) for s in seeds))
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam, n_modes=models[0].basis.n_modes,
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                             steps=p["steps"], burn_in=p["burn_in"], thin=p["thin"], seed=seed)
     cfg_ref = replace(cfg, eta=p["eta"] * p["ref_eta_factor"], steps=p["ref_steps"],
                       burn_in=p["burn_in"] * 2)

@@ -5,8 +5,8 @@ One chain step is
     W_{k+1} = S_eta( W_k - eta * grad(W_k) + sqrt(2*eta/beta) * eps_k )
 
 with S_eta the per-mode resolvent 1/(1 + eta*lam/mu_k) and eps_k i.i.d.
-standard normal per retained mode and output coordinate (zero beyond the
-truncation).  The noise-only reference recursion at temperature beta,
+standard normal per mode of the map's basis and output coordinate.  The
+noise-only reference recursion at temperature beta,
 
     Z_{n+1} = S_eta( Z_n + sqrt(eta/beta) * eps_n ),
 
@@ -15,8 +15,7 @@ so :attr:`DynamicsConfig.noise_amp` is the one noise convention.  Per mode it
 is an AR(1) process, which :func:`simulate_ou_sq_norms` solves in closed form
 over blocks of steps with numpy alone.  A chain whose gradient is affine
 (identity map, squared loss) is the same AR(1) in the eigenbasis of its linear
-map, and :func:`run_chain` solves it with the same block solver when it is stable
-and untruncated (n_modes equal to the basis's mode count).
+map, and :func:`run_chain` solves it with the same block solver when it is stable.
 
 :func:`run_chains` runs K chains as one stack: members of one architecture and one
 coefficient shape, each with its own model, dataset, seed and initial state, under one
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import models as _models
 from . import oracle as _oracle
-from .spectral import EigenSequence, _resolvent_factor, project_P_N
+from .spectral import EigenSequence, _resolvent_factor
 
 __all__ = [
     "DynamicsConfig",
@@ -51,12 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """Step size, temperature, regularization weight, truncation and schedule."""
+    """Step size, temperature, regularization weight and schedule."""
 
     eta: float
     beta: float
     lam: float
-    n_modes: int
     steps: int = 1
     burn_in: int = 0
     thin: int = 1
@@ -69,19 +67,16 @@ class DynamicsConfig:
             raise ValueError("lam must be positive")
         if not self.beta > self.eta:
             raise ValueError("beta must exceed eta")
-        if self.n_modes < 1 or self.steps < 0 or self.burn_in < 0 or self.thin < 1:
-            raise ValueError("n_modes >= 1, steps >= 0, burn_in >= 0, thin >= 1 required")
+        if self.steps < 0 or self.burn_in < 0 or self.thin < 1:
+            raise ValueError("steps >= 0, burn_in >= 0, thin >= 1 required")
 
     @cached_property
     def noise_amp(self) -> float:
         return 0.0 if np.isinf(self.beta) else np.sqrt(2.0 * self.eta / self.beta)
 
-    def _resolvent(self, basis) -> tuple[int, np.ndarray]:
-        """Retained-mode count N and the resolvent column 1/(1 + eta*lam/mu_k), 1 beyond N."""
-        N = min(self.n_modes, basis.n_modes)
-        s = np.ones(basis.n_modes)
-        s[:N] = _resolvent_factor(self.eta, self.lam, basis.eigen.mu[:N])
-        return N, s[:, None]
+    def _resolvent(self, basis) -> np.ndarray:
+        """The resolvent column 1/(1 + eta*lam/mu_k) of the basis's modes."""
+        return _resolvent_factor(self.eta, self.lam, basis.mu)[:, None]
 
 
 @dataclass
@@ -137,22 +132,18 @@ _OU_BLOCK = 256
 _OU_MAX_LOG_GAIN = 600.0
 
 
-def _implicit_euler(coeffs, g, eta, N: int, s_col, noise, out=None) -> np.ndarray:
-    """The chain update S_eta(P_N(coeffs - eta*g) + noise), written into ``out``.
+def _implicit_euler(coeffs, g, eta, s_col, noise, out=None) -> np.ndarray:
+    """The chain update S_eta(coeffs - eta*g + noise), written into ``out``.
 
     ``coeffs`` is one map's (n_modes, d_out) coefficients or a stack of them,
     (K, n_modes, d_out), with ``s_col`` of the same rank.  ``noise`` is the scaled
-    draw amp*eps for the N retained modes, or None when the amplitude is 0.  ``g``
+    draw amp*eps of the coefficients' shape, or None when the amplitude is 0.  ``g``
     is left as it is.
     """
     # eta*g is written into the step's own buffer, never into g
     drift = np.multiply(g, eta, out=out)
     np.subtract(coeffs, drift, out=drift)
-    if N < drift.shape[-2]:
-        drift[..., N:, :] = 0.0
-        if noise is not None:
-            drift[..., :N, :] += noise
-    elif noise is not None:
+    if noise is not None:
         drift += noise
     return np.multiply(drift, s_col, out=drift)
 
@@ -165,10 +156,9 @@ def gld_step(state: ChainState, cfg: DynamicsConfig, model, loss_kind, dataset,
     """
     W = state.map
     g = grad_fn(W) if grad_fn is not None else _models.gradient(model, W, dataset, loss_kind)
-    N, s_col = cfg._resolvent(W.basis)
     amp = cfg.noise_amp
-    noise = amp * rng.standard_normal((N, W.coeffs.shape[1])) if amp > 0.0 else None
-    new = W.copy_with(_implicit_euler(W.coeffs, g, cfg.eta, N, s_col, noise))
+    noise = amp * rng.standard_normal(W.coeffs.shape) if amp > 0.0 else None
+    new = W.copy_with(_implicit_euler(W.coeffs, g, cfg.eta, cfg._resolvent(W.basis), noise))
     try:
         return ChainState(step=state.step + 1, map=new)
     except ValueError:   # the one finiteness check, ChainState's own, refused the update
@@ -207,9 +197,8 @@ def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
     This is the stack of one member of :func:`run_chains`, seeded by cfg.seed:
     the steps run in blocks, each drawing its noise in one call (the same
     numbers as one draw per step) and checking finiteness once, and a chain
-    whose gradient is affine and stable, and whose truncation keeps every mode of the
-    basis, is solved in blocks (:func:`_affine_solver`), to rounding rather than bit
-    for bit.  The first non-finite step raises
+    whose gradient is affine and stable is solved in blocks (:func:`_affine_solver`),
+    to rounding rather than bit for bit.  The first non-finite step raises
     :class:`ChainDivergedError` carrying the last finite state and its step number.
     """
     return run_chains(cfg, [model], loss_kind, [dataset], [cfg.seed], init=init,
@@ -223,9 +212,9 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     Member k is the chain ``run_chain(replace(cfg, seed=seeds[k]), models[k], loss_kind,
     datasets[k], init=init, init_state=init_states[k])``: the sequences hold one entry
     per member, and ``init_states`` may be None or hold None for a member that starts
-    at ``init``.  The members share the schedule of ``cfg`` (η, β, λ, truncation,
-    steps, burn-in and thinning; cfg.seed is not read), one architecture, one
-    coefficient shape, one data shape, one initial step and one γ.
+    at ``init``.  The members share the schedule of ``cfg`` (η, β, λ, steps, burn-in
+    and thinning; cfg.seed is not read), one architecture, one coefficient shape, one
+    data shape, one initial step and one γ.
 
     The state is one (K, n_modes, d_out) array, and each member draws its block's
     noise from its own generator, so member k's noise does not depend on K or on
@@ -253,7 +242,7 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
             (init_states is not None and len(init_states) != K):
         raise ValueError("a stack of chains needs one model, one dataset and one seed per "
                          "member, and one initial state per member if any")
-    starts = [_start(cfg, model, init, state)
+    starts = [_start(model, init, state)
               for model, state in zip(models, init_states or [None] * K)]
     step_no, gamma, shape = starts[0].step, starts[0].map.gamma, starts[0].map.coeffs.shape
     if any((s.step, s.map.gamma, s.map.coeffs.shape) != (step_no, gamma, shape) for s in starts):
@@ -261,8 +250,7 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
                          "one gamma and one coefficient shape")
     bases = [_models.model_basis(model) for model in models]
     grad_fn = _models._stacked_grad(models, loss_kind, datasets, gamma)
-    resolvents = [cfg._resolvent(basis) for basis in bases]
-    N, s_col = resolvents[0][0], np.stack([col for _, col in resolvents])
+    s_col = np.stack([cfg._resolvent(basis) for basis in bases])
     # eta as a 0-d array: numpy converts a Python-float operand again on every step
     eta, amp = np.array(float(cfg.eta)), cfg.noise_amp
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -276,9 +264,9 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     rec_coeffs = np.empty((K, rec_steps.size, m, d_out))
     n_rec = 0
     block = max(1, min(_BLOCK, _BLOCK_FLOATS // (K * m * d_out), cfg.steps))
-    solve = _affine_solver(grad_fn, cfg, N, s_col, coeffs.shape, block)
+    solve = _affine_solver(grad_fn, cfg, s_col, coeffs.shape, block)
     buf = np.empty((K, block, m, d_out))
-    noise = np.empty((K, block, N, d_out)) if amp > 0.0 else None
+    noise = np.empty_like(buf) if amp > 0.0 else None
     # the steps of one member run on its 2-D arrays, where each numpy call costs less
     if K == 1:
         step_out, step_noise, step_s = buf[0], None if noise is None else noise[0], s_col[0]
@@ -298,7 +286,7 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
                 prev = coeffs[0] if K == 1 else coeffs
                 for i in range(b):
                     g = grad_fn(prev)
-                    prev = _implicit_euler(prev, g, eta, N, step_s,
+                    prev = _implicit_euler(prev, g, eta, step_s,
                                            None if noise is None else step_noise[i],
                                            out=step_out[i])
             else:
@@ -316,12 +304,11 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
             for k in range(K)]
 
 
-def _start(cfg: DynamicsConfig, model, init: str, state: Optional[ChainState]) -> ChainState:
-    """``state``, or the map ``init`` of the model's basis projected on cfg's truncation."""
+def _start(model, init: str, state: Optional[ChainState]) -> ChainState:
+    """``state``, or the map ``init`` of the model's basis at step 0."""
     if state is not None:
         return state
-    W0 = initial_map(model, _models.model_basis(model), init)
-    return ChainState(step=0, map=W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes)))
+    return ChainState(step=0, map=initial_map(model, _models.model_basis(model), init))
 
 
 def _diverged(states, before, step_no: int, as_map) -> ChainDivergedError:
@@ -337,7 +324,7 @@ def _diverged(states, before, step_no: int, as_map) -> ChainDivergedError:
                               member=k if len(states) > 1 else None)
 
 
-def _affine_solver(grad_fn, cfg: DynamicsConfig, N: int, s_col, shape, block: int):
+def _affine_solver(grad_fn, cfg: DynamicsConfig, s_col, shape, block: int):
     """``solve(w, noise, out)`` for a stack of chains whose gradients are affine, or None.
 
     With ``grad_fn.affine()`` = (H, b), member k's coefficients x follow the linear
@@ -347,16 +334,15 @@ def _affine_solver(grad_fn, cfg: DynamicsConfig, N: int, s_col, shape, block: in
     coordinate u = V^-1 x is the AR(1) u' = d u + e that :func:`_ar1_blocks` solves,
     the members' coordinates side by side as its columns.  One batched ``eigh`` gives
     every member's Q and d.  None, for the step-by-step path, unless the gradients
-    declare their affine form, the state has one column, the truncation N keeps all its
-    rows and max |d| < 1 over the stack.
+    declare their affine form, the state has one column and max |d| < 1 over the stack.
 
     ``solve`` writes the states after ``w`` (K, n_modes, 1) into ``out``
     (K, rows, n_modes, 1), given the block's scaled noise (K, rows, n_modes, 1), or
     None when the amplitude is 0.
     """
     affine = getattr(grad_fn, "affine", None)
-    K, m, d_out = shape
-    if affine is None or d_out != 1 or N < m:
+    K, N, d_out = shape
+    if affine is None or d_out != 1:
         return None
     # a one-member stack's gradient takes 2-D maps; its (H, b) gain the member axis here
     H, b_vec = (a.reshape((K,) + a.shape[-2:]) for a in affine())
@@ -439,10 +425,9 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     noise is drawn in chunks of whole blocks into one buffer of at most ``oracle._CHUNK``
     floats (one block at least), the same numbers as one (n_steps, n_modes)
     draw, so memory beyond the returned trace does not grow with n_steps.
-    Modes beyond ``len(eigen)`` are truncated, as in :meth:`DynamicsConfig._resolvent`.
     """
-    m = min(cfg.n_modes, len(eigen))
-    s = _resolvent_factor(cfg.eta, cfg.lam, eigen.mu[:m])
+    m = len(eigen)
+    s = _resolvent_factor(cfg.eta, cfg.lam, eigen.mu)
     L = _ar1_block_length(s)
     gains = _ar1_gains(s, s * cfg.noise_amp, L)
     n_blocks = max(1, _oracle._CHUNK // (L * m))
@@ -470,5 +455,5 @@ def gld_zero_grad_stationary_variance(cfg: DynamicsConfig, eigen: EigenSequence)
     its sum is, bit for bit, the stationary E||Z||^2 of the noise-only recursion at
     beta, which is at most c_mu/(beta*lam).
     """
-    mu = eigen.mu[: cfg.n_modes]
+    mu = eigen.mu
     return 2.0 * mu / (cfg.beta * cfg.lam * (2.0 + cfg.eta * cfg.lam / mu))

@@ -183,6 +183,10 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "override 'tol' for preset 'grad-check' must be a finite number"),
     ({"preset": "bernstein-suite", "overrides": {"step": 1e-310}},
      "override 'step' for preset 'bernstein-suite' must give at most 1000 grid values per axis"),
+    ({"preset": ["ergodicity"]}, "unknown preset ['ergodicity']"),
+    ({"preset": {}}, "unknown preset {}"),
+    ({"preset": "grad-check", "output_dir": 5}, "output_dir must be a string, got 5"),
+    ({"preset": "grad-check", "output_dir": None}, "output_dir must be a string, got None"),
 ], ids=["non-integral-int", "zero-count", "string-for-list", "string-for-number",
         "negative-seed", "negative-eta", "clip-radius-below-1", "nan-float",
         "inf-in-list", "beta-not-above-eta", "eta-not-below-n-posterior",
@@ -199,7 +203,8 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "grad-check-zero-step", "pac-bayes-eta-not-below-n", "pac-bayes-zero-ref-eta-factor",
         "pac-bayes-reference-eta-not-below-n", "pac-bayes-reference-records-nothing",
         "pac-bayes-burn-in-takes-every-step", "int-beyond-float-range-for-an-int-key",
-        "int-beyond-float-range-for-a-float-key", "bernstein-step-with-infinitely-many-values"])
+        "int-beyond-float-range-for-a-float-key", "bernstein-step-with-infinitely-many-values",
+        "preset-a-list", "preset-an-object", "output-dir-a-number", "output-dir-null"])
 def test_bad_override_value_is_status_2(tmp_path, capsys, monkeypatch, payload, needle):
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain ran before the overrides were checked")
@@ -261,6 +266,43 @@ def test_an_integer_past_the_digit_limit_is_status_2(tmp_path, capsys):
     assert rc == 2
     assert "config error: config parse failure" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "n", "--values", "64,128"],
+                                     ["audit"]], ids=lambda c: c[0])
+def test_a_config_nested_too_deeply_for_the_parser_is_status_2(tmp_path, capsys, command):
+    # json.loads raises RecursionError, not a ValueError, past Python's recursion limit
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    rc = cli.main(command[:1] + ["--config", str(p), "--out", str(tmp_path / "o")] + command[1:])
+    assert rc == 2
+    assert "config error: config parse failure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "n", "--values", "64,128"]],
+                         ids=lambda c: c[0])
+def test_an_output_directory_that_cannot_be_created_is_status_2(tmp_path, capsys, monkeypatch,
+                                                                  command):
+    # a path below a file: the run ends before any chain, with the directory named
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the output directory was made")
+
+    monkeypatch.setattr(ex.lg, "run_chain", no_chain)
+    monkeypatch.setattr(ex.lg, "run_chains", no_chain)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "x")
+    cfg = _write_cfg(tmp_path, {"preset": "regression-rate", "output_dir": out})
+    nul = _write_cfg(tmp_path, {"preset": "regression-rate", "output_dir": "o\x00x"}, "nul.json")
+    # the directory of the config file, the one --out names, and a path no OS takes
+    for argv, reason in ((["--config", cfg], "Not a directory"),
+                         (["--preset", "regression-rate", "--out", out], "Not a directory"),
+                         (["--config", nul], "embedded null byte")):
+        assert cli.main(command[:1] + argv + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory ")
+        assert "regression-rate" in err and err.rstrip().endswith(reason)
 
 
 def test_unknown_preset_is_status_2(tmp_path, capsys):

@@ -49,7 +49,7 @@ def _stepwise_ergodicity_gaps(seed, overrides):
     p = {**ex.PRESET_DEFAULTS["ergodicity"], **overrides}
     rng = np.random.default_rng(seed)
     basis, model, data, _ = ex._linear_gaussian_setup(rng, p)
-    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], n_modes=p["n_modes"])
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"])
     c_dir = rng.standard_normal(p["n_modes"])
     c_dir /= np.linalg.norm(c_dir)
     _, grad = md.risk_objective(model, "squared", data)

@@ -13,8 +13,8 @@ from transport_langevin import langevin as lg
 from transport_langevin import models as md
 from transport_langevin import oracle as orc
 from transport_langevin.spectral import (EigenSequence, SpectralBasis, cosine_basis,
-                                         diagonal_basis, gram_eigenbasis, make_eigen_sequence,
-                                         project_P_N, resolvent_S_eta)
+                                         diagonal_basis, eval_basis, gram_eigenbasis,
+                                         make_eigen_sequence, resolvent_S_eta)
 
 
 # the objective as the package builds it, before any test substitutes another
@@ -39,10 +39,10 @@ def _linear_setup(n_modes=4, n=12, seed=0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        lg.DynamicsConfig(eta=0.5, beta=0.4, lam=1.0, n_modes=2)  # beta <= eta
+        lg.DynamicsConfig(eta=0.5, beta=0.4, lam=1.0)  # beta <= eta
     with pytest.raises(ValueError):
-        lg.DynamicsConfig(eta=-0.1, beta=1.0, lam=1.0, n_modes=2)
-    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0, n_modes=2)
+        lg.DynamicsConfig(eta=-0.1, beta=1.0, lam=1.0)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0)
     assert cfg.noise_amp == 0.0
 
 
@@ -51,7 +51,7 @@ def test_gld_step_pure_resolvent_contraction():
     basis = diagonal_basis(1, c_mu=1.0)
     model = md.ModelSpec(arch="identity-map", basis=basis)
     W = md.TransportMap(coeffs=np.array([[1.0]]), basis=basis)
-    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0, n_modes=1)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0)
     state = lg.ChainState(step=0, map=W)
     rng = np.random.default_rng(0)
     out = lg.gld_step(state, cfg, model, "squared", None, rng,
@@ -66,7 +66,7 @@ def test_gld_step_eta_zero_is_identity():
     basis = diagonal_basis(3)
     model = md.ModelSpec(arch="identity-map", basis=basis)
     W = md.TransportMap(coeffs=np.array([[1.0], [2.0], [-0.5]]), basis=basis)
-    cfg = lg.DynamicsConfig(eta=0.0, beta=1.0, lam=1.0, n_modes=3)
+    cfg = lg.DynamicsConfig(eta=0.0, beta=1.0, lam=1.0)
     out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
                       np.random.default_rng(0), grad_fn=lambda m: np.ones_like(m.coeffs))
     np.testing.assert_array_equal(out.map.coeffs, W.coeffs)
@@ -76,7 +76,7 @@ def test_gld_step_divergence_carries_last_state():
     basis = diagonal_basis(2)
     model = md.ModelSpec(arch="identity-map", basis=basis)
     W = md.TransportMap(coeffs=np.ones((2, 1)), basis=basis)
-    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0, n_modes=2)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0)
     state = lg.ChainState(step=5, map=W)
     with pytest.raises(lg.ChainDivergedError) as exc:
         lg.gld_step(state, cfg, model, "squared", None, np.random.default_rng(0),
@@ -90,7 +90,7 @@ def test_gld_step_non_finite_update_raises_once_without_warnings(bad, monkeypatc
     basis = diagonal_basis(3)
     model = md.ModelSpec(arch="identity-map", basis=basis)
     state = lg.ChainState(step=2, map=md.TransportMap(coeffs=np.ones((3, 2)), basis=basis))
-    cfg = lg.DynamicsConfig(eta=0.1, beta=4.0, lam=1.0, n_modes=2)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=4.0, lam=1.0)
     checks = []
     real_isfinite = np.isfinite
     monkeypatch.setattr(lg.np, "isfinite", lambda a: checks.append(1) or real_isfinite(a))
@@ -118,7 +118,7 @@ def test_zero_gradient_chain_matches_discrete_stationary_variance():
     n_modes = 3
     basis = diagonal_basis(n_modes)
     model = md.ModelSpec(arch="identity-map", basis=basis)
-    cfg = lg.DynamicsConfig(eta=0.2, beta=2.0, lam=1.0, n_modes=n_modes,
+    cfg = lg.DynamicsConfig(eta=0.2, beta=2.0, lam=1.0,
                             steps=60_000, burn_in=2_000, thin=1, seed=42)
     rng = np.random.default_rng(cfg.seed)
     state = lg.ChainState(step=0, map=md.TransportMap(coeffs=np.zeros((n_modes, 1)), basis=basis))
@@ -135,9 +135,36 @@ def test_zero_gradient_chain_matches_discrete_stationary_variance():
         se = orc.batch_means_stderr(sq)
         assert abs(sq.mean() - target[k]) < 3 * se, f"mode {k}"
     # eta -> 0 limit recovers the reference-measure variance mu/(beta*lam)
-    cfg0 = lg.DynamicsConfig(eta=1e-9, beta=2.0, lam=1.0, n_modes=n_modes)
+    cfg0 = lg.DynamicsConfig(eta=1e-9, beta=2.0, lam=1.0)
     np.testing.assert_allclose(lg.gld_zero_grad_stationary_variance(cfg0, basis.eigen),
                                basis.eigen.mu / 2.0, rtol=1e-8)
+
+
+@pytest.mark.parametrize("path, steps, tol", [("block", 200_000, 0.05), ("step", 50_000, 0.10)])
+def test_a_linear_chain_samples_the_exact_discrete_stationary_covariance(path, steps, tol):
+    # x' = A x + c + S amp eps with A = S(I - eta H), H = (2/n) Phi^T Phi from the basis's
+    # features: the stationary covariance solves Sigma = A Sigma A^T + Q, Q = (2 eta/beta) S^2
+    # (a Kronecker solve).  Each mode's sample variance matches it on both paths, so the
+    # noise amplitude of a chain with a gradient is checked: noise x1.5 puts it 2.25x off
+    model, data = _linear_setup(n_modes=3, n=12, seed=3)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, steps=steps + 1000, burn_in=1000,
+                            seed=3)
+    Phi = eval_basis(model.basis, data.x)
+    H = 2.0 / len(data.y) * Phi.T.dot(Phi)
+    S = np.diag(1.0 / (1.0 + cfg.eta * cfg.lam / model.basis.mu))
+    A = S.dot(np.eye(3) - cfg.eta * H)
+    Q = 2.0 * cfg.eta / cfg.beta * S.dot(S)
+    sigma = np.linalg.solve(np.eye(9) - np.kron(A, A), Q.reshape(-1)).reshape(3, 3)
+    assert np.abs(np.linalg.eigvals(A)).max() < 0.95     # mixes well within the burn-in
+    solves, ar1_blocks = [], lg._ar1_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
+        if path == "step":
+            mp.setattr(md, "risk_objective", _no_affine_objective)
+        records = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
+    assert (len(solves) > 0) == (path == "block")
+    rel = records.var(axis=0) / np.diag(sigma) - 1.0
+    assert np.all(np.abs(rel) <= tol), rel
 
 
 # steps per block of the stepwise tests that cross block boundaries, set by monkeypatching:
@@ -150,16 +177,13 @@ def test_run_chain_matches_stepwise_updates(monkeypatch):
     # run_chain and gld_step share one update function: equal bit for bit, noise included,
     # across two block boundaries and with a record schedule that does not divide the block
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5,
                             steps=2 * _SB + 3, burn_in=5, thin=7, seed=21)
     monkeypatch.setattr(lg, "_BLOCK", _SB)
     monkeypatch.setattr(md, "risk_objective", _no_affine_objective)
     traj = lg.run_chain(cfg, model, "squared", data)
     rng = np.random.default_rng(cfg.seed)
-    basis = model.basis
-    from transport_langevin.spectral import project_P_N
-    W0 = lg.initial_map(model, basis, "identity")
-    state = lg.ChainState(step=0, map=W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes)))
+    state = _identity_start(model, 0)
     stepwise = []
     for k in range(cfg.steps):
         state = lg.gld_step(state, cfg, model, "squared", data, rng)
@@ -173,7 +197,7 @@ def test_run_chain_matches_stepwise_updates(monkeypatch):
 def test_run_chain_divergence_carries_last_finite_state():
     # eta * lambda_max(H) > 2 on the retained modes: the squared-loss chain blows up
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=5000, seed=21)
+    cfg = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, steps=5000, seed=21)
     with pytest.raises(lg.ChainDivergedError) as exc:
         lg.run_chain(cfg, model, "squared", data)
     last = exc.value.state
@@ -181,7 +205,7 @@ def test_run_chain_divergence_carries_last_finite_state():
     assert np.all(np.isfinite(last.map.coeffs))
     assert f"after step {last.step}" in str(exc.value)
     # the carried state is the chain's own state at that step, reached without a warning
-    upto = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=last.step, seed=21)
+    upto = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, steps=last.step, seed=21)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = lg.run_chain(upto, model, "squared", data)
@@ -199,7 +223,7 @@ def test_block_divergence_reports_exact_last_finite_step(block, row):
     # on the first, a middle or the last row of a block
     k = block * _SB + row
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=3 * _SB + 5, seed=4)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, steps=3 * _SB + 5, seed=4)
     risk_objective = md.risk_objective
 
     def tripping_objective(*args):
@@ -222,9 +246,8 @@ def test_block_divergence_reports_exact_last_finite_step(block, row):
     assert last.step == k
     if k == 0:
         expected = lg.initial_map(model, model.basis, "identity").coeffs
-        expected[cfg.n_modes:] = 0.0
     else:
-        upto = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=k, seed=4)
+        upto = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, steps=k, seed=4)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(md, "risk_objective", _no_affine_objective)
             expected = lg.run_chain(upto, model, "squared", data).final_state.map.coeffs
@@ -233,7 +256,7 @@ def test_block_divergence_reports_exact_last_finite_step(block, row):
 
 def test_run_chain_with_no_record_keeps_empty_shapes():
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5,
                             steps=_B + 1, burn_in=_B + 1, seed=2)
     traj = lg.run_chain(cfg, model, "squared", data)
     assert traj.coeffs.shape == (0, model.basis.n_modes, 1)
@@ -255,10 +278,8 @@ def _stepwise_record(cfg, model, data, state):
     return np.array(steps, dtype=np.int64), np.concatenate(rows or [empty]), state
 
 
-def _projected_start(model, cfg, step):
-    W0 = lg.initial_map(model, model.basis, "identity")
-    W0 = W0.copy_with(project_P_N(W0.coeffs, cfg.n_modes))
-    return lg.ChainState(step=step, map=W0)
+def _identity_start(model, step):
+    return lg.ChainState(step=step, map=lg.initial_map(model, model.basis, "identity"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,15 +291,15 @@ def test_run_chain_record_equals_a_list_and_concatenate_reference(block, init, s
     # small blocks put block boundaries on, before and after the recorded steps; burn-in at or
     # past the last step records nothing
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=steps,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, steps=steps,
                             burn_in=burn_in, thin=thin, seed=init + 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lg, "_BLOCK", block)
         mp.setattr(md, "risk_objective", _no_affine_objective)
         traj = lg.run_chain(cfg, model, "squared", data,
-                            init_state=_projected_start(model, cfg, init))
+                            init_state=_identity_start(model, init))
     ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data,
-                                                        _projected_start(model, cfg, init))
+                                                        _identity_start(model, init))
     assert traj.steps.dtype == np.int64
     np.testing.assert_array_equal(traj.steps, ref_steps)
     assert traj.coeffs.shape == ref_coeffs.shape
@@ -289,22 +310,22 @@ def test_run_chain_record_equals_a_list_and_concatenate_reference(block, init, s
 
 def test_run_chain_record_at_the_real_block_size_and_divergence_with_a_record():
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5,
                             steps=2 * _B + 9, burn_in=_B - 2, thin=3, seed=5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(md, "risk_objective", _no_affine_objective)
         traj = lg.run_chain(cfg, model, "squared", data,
-                            init_state=_projected_start(model, cfg, 4))
-    ref_steps, ref_coeffs, _ = _stepwise_record(cfg, model, data, _projected_start(model, cfg, 4))
+                            init_state=_identity_start(model, 4))
+    ref_steps, ref_coeffs, _ = _stepwise_record(cfg, model, data, _identity_start(model, 4))
     np.testing.assert_array_equal(traj.steps, ref_steps)
     np.testing.assert_array_equal(traj.coeffs, ref_coeffs)
     # a chain that diverges after some records: gld_step's error step and last finite state
-    cfg = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, n_modes=3, steps=5000, burn_in=3,
+    cfg = lg.DynamicsConfig(eta=2.0, beta=4.0, lam=0.5, steps=5000, burn_in=3,
                             thin=2, seed=21)
     with pytest.raises(lg.ChainDivergedError) as exc:
-        lg.run_chain(cfg, model, "squared", data, init_state=_projected_start(model, cfg, 7))
+        lg.run_chain(cfg, model, "squared", data, init_state=_identity_start(model, 7))
     with pytest.raises(lg.ChainDivergedError) as ref, np.errstate(over="ignore", invalid="ignore"):
-        _stepwise_record(cfg, model, data, _projected_start(model, cfg, 7))
+        _stepwise_record(cfg, model, data, _identity_start(model, 7))
     last, want = exc.value.state, ref.value.state
     assert 7 + 3 < last.step == want.step < 7 + cfg.steps
     np.testing.assert_array_equal(last.map.coeffs, want.map.coeffs)
@@ -313,10 +334,9 @@ def test_run_chain_record_at_the_real_block_size_and_divergence_with_a_record():
 def _block_solve_eigenvalues(cfg, model, data):
     """The AR(1) coefficients d of the block solve of this chain."""
     _, grad = md.risk_objective(model, "squared", data)
-    N, s_col = cfg._resolvent(model.basis)
     H, _ = grad.affine()
-    r = np.sqrt(s_col[:N, 0])
-    return np.linalg.eigvalsh(r[:, None] * (np.eye(N) - cfg.eta * H[:N, :N]) * r)
+    r = np.sqrt(cfg._resolvent(model.basis)[:, 0])
+    return np.linalg.eigvalsh(r[:, None] * (np.eye(len(r)) - cfg.eta * H) * r)
 
 
 # steps per block of the block solve, for maps of at most 8 coefficients
@@ -345,62 +365,38 @@ def _assert_block_solve_matches_stepwise(cfg, model, data, state):
 def test_block_solve_matches_the_stepwise_chain_across_blocks():
     # two block boundaries, and a thin that divides neither the block nor the AR(1) block
     model, data = _linear_setup(n_modes=3)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5,
                             steps=2 * _AB + 3, burn_in=5, thin=7, seed=21)
-    _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
+    _assert_block_solve_matches_stepwise(cfg, model, data, _identity_start(model, 0))
     # a single step: one block of one row
     one = dataclasses.replace(cfg, steps=1, burn_in=0, thin=1)
-    _assert_block_solve_matches_stepwise(one, model, data, _projected_start(model, cfg, 0))
-
-
-def test_a_truncated_affine_chain_runs_step_by_step_bit_for_bit():
-    # N = 3 of 6 modes: the block solve refuses the chain, which then equals its gld_step loop
-    # bit for bit, from a state with coefficients beyond N, which the first step zeroes
-    model, data = _linear_setup(n_modes=6)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
-                            steps=_AB + 40, burn_in=14, thin=9, seed=8)
-    _, grad = md.risk_objective(model, "squared", data)
-    for n_modes, refused in ((3, True), (6, False)):
-        N, s_col = dataclasses.replace(cfg, n_modes=n_modes)._resolvent(model.basis)
-        solve = lg._affine_solver(grad, cfg, N, s_col[None], (1, 6, 1), _AB)
-        assert (solve is None) == refused, n_modes
-    coeffs = np.random.default_rng(1).standard_normal((6, 1))
-    state = lg.ChainState(step=13, map=md.TransportMap(coeffs=coeffs, basis=model.basis))
-    solves, ar1_blocks = [], lg._ar1_blocks
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
-        traj = lg.run_chain(cfg, model, "squared", data, init_state=state)
-    assert solves == []
-    ref_steps, ref_coeffs, ref_final = _stepwise_record(cfg, model, data, state)
-    assert traj.steps[0] == 23   # the schedule counts from step 0: 14 + 9
-    _assert_same_trajectory(traj, lg.Trajectory(ref_steps, ref_coeffs, ref_final))
-    assert np.all(traj.coeffs[:, 3:] == 0.0)
+    _assert_block_solve_matches_stepwise(one, model, data, _identity_start(model, 0))
 
 
 def test_block_solve_with_a_negative_eigenvalue():
     # eta * lambda_max(H) > 1 flips a mode's sign each step, yet |d| < 1: d^-j must be an
     # integer power, as a float power of a negative number is nan
     model, data = _linear_setup(n=40)
-    cfg = lg.DynamicsConfig(eta=0.6, beta=40.0, lam=0.5, n_modes=4,
+    cfg = lg.DynamicsConfig(eta=0.6, beta=40.0, lam=0.5,
                             steps=_AB + 300, burn_in=100, thin=3, seed=6)
     d = _block_solve_eigenvalues(cfg, model, data)
     assert d.min() < 0.0 and np.abs(d).max() < 1.0
     with np.errstate(invalid="ignore"):
         assert np.isnan(d.min() ** -1.5)
-    traj = _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
+    traj = _assert_block_solve_matches_stepwise(cfg, model, data, _identity_start(model, 0))
     assert np.all(np.isfinite(traj.coeffs))
 
 
 def test_block_solve_without_noise_draws_nothing(monkeypatch):
     # beta = inf: no draw on either path, so the generator ends where it started
     model, data = _linear_setup(n_modes=3)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=np.inf, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=np.inf, lam=0.5,
                             steps=_AB + 17, burn_in=2, thin=5, seed=3)
     assert cfg.noise_amp == 0.0
     made, default_rng = [], np.random.default_rng
     monkeypatch.setattr(lg.np.random, "default_rng",
                         lambda seed: made.append(default_rng(seed)) or made[-1])
-    _assert_block_solve_matches_stepwise(cfg, model, data, _projected_start(model, cfg, 0))
+    _assert_block_solve_matches_stepwise(cfg, model, data, _identity_start(model, 0))
     monkeypatch.setattr(md, "risk_objective", _no_affine_objective)
     lg.run_chain(cfg, model, "squared", data)
     fresh = default_rng(cfg.seed).bit_generator.state
@@ -410,7 +406,7 @@ def test_block_solve_without_noise_draws_nothing(monkeypatch):
 def test_a_block_solved_chain_never_calls_its_gradient(monkeypatch):
     # the solve reads the gradient's affine form (H, b) only, on every block and at the end
     model, data = _linear_setup(n_modes=3)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5,
                             steps=_AB + 17, burn_in=2, thin=5, seed=3)
     calls, solves, ar1_blocks = [], [], lg._ar1_blocks
 
@@ -435,7 +431,7 @@ def test_same_seed_chains_from_two_starts_differ_by_powers_of_the_linear_map():
     # the synchronous coupling of the ergodicity preset: the same seed draws the same noise,
     # so x_a - x_b follows x' = A x with A = S(I - eta H) exactly, across a block boundary
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.0005, beta=4.0, lam=0.5, n_modes=4,
+    cfg = lg.DynamicsConfig(eta=0.0005, beta=4.0, lam=0.5,
                             steps=_AB + 50, seed=5)
     rng = np.random.default_rng(2)
     starts = [rng.standard_normal((4, 1)) + shift for shift in (0.0, 4.0)]
@@ -447,8 +443,8 @@ def test_same_seed_chains_from_two_starts_differ_by_powers_of_the_linear_map():
     assert len(solves) == 2 * 2
     _, grad = md.risk_objective(model, "squared", data)
     H, _ = grad.affine()
-    N, s_col = cfg._resolvent(model.basis)
-    A = s_col[:N] * (np.eye(N) - cfg.eta * H)
+    s_col = cfg._resolvent(model.basis)
+    A = s_col * (np.eye(len(s_col)) - cfg.eta * H)
     gap = starts[0][:, 0] - starts[1][:, 0]
     for k in range(cfg.steps):
         gap = A.dot(gap)
@@ -458,7 +454,7 @@ def test_same_seed_chains_from_two_starts_differ_by_powers_of_the_linear_map():
 
 def test_run_chain_holds_its_record_once():
     model, data = _linear_setup(n_modes=16)
-    cfg = lg.DynamicsConfig(eta=0.01, beta=4.0, lam=0.5, n_modes=16,
+    cfg = lg.DynamicsConfig(eta=0.01, beta=4.0, lam=0.5,
                             steps=40_000, burn_in=100, seed=1)
     lg.run_chain(dataclasses.replace(cfg, steps=1), model, "squared", data)   # one-off state
     tracemalloc.start()
@@ -474,12 +470,12 @@ def test_a_huge_gradient_gives_a_finite_update_without_a_warning(monkeypatch):
     # the update stays finite, in gld_step and in run_chain alike, though the gradient's
     # squared norm would overflow
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=1e-3, beta=4.0, lam=0.5, n_modes=3, steps=3, seed=0)
+    cfg = lg.DynamicsConfig(eta=1e-3, beta=4.0, lam=0.5, steps=3, seed=0)
     huge = np.full((model.basis.n_modes, 1), 1e200)
     monkeypatch.setattr(md, "risk_objective", lambda *args: (None, lambda c: huge))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = lg.gld_step(_projected_start(model, cfg, 0), cfg, model, "squared", data,
+        out = lg.gld_step(_identity_start(model, 0), cfg, model, "squared", data,
                           np.random.default_rng(0), grad_fn=lambda W: huge)
         traj = lg.run_chain(cfg, model, "squared", data)
     assert np.all(np.isfinite(out.map.coeffs))
@@ -496,7 +492,7 @@ def test_update_strictly_contracts_without_gradient_or_noise(eta, lam, coeffs):
     basis = diagonal_basis(len(coeffs))
     model = md.ModelSpec(arch="identity-map", basis=basis)
     W = md.TransportMap(coeffs=np.array(coeffs)[:, None], basis=basis)
-    cfg = lg.DynamicsConfig(eta=eta, beta=np.inf, lam=lam, n_modes=len(coeffs))
+    cfg = lg.DynamicsConfig(eta=eta, beta=np.inf, lam=lam)
     out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
                       np.random.default_rng(0), grad_fn=lambda m: np.zeros_like(m.coeffs))
     assert np.all(np.abs(out.map.coeffs) < np.abs(W.coeffs))
@@ -504,29 +500,28 @@ def test_update_strictly_contracts_without_gradient_or_noise(eta, lam, coeffs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n_modes=st.integers(min_value=1, max_value=6),
-       d_out=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2 ** 32 - 1))
-def test_update_with_eta_zero_is_identity_on_retained_modes(data, n_modes, d_out, seed):
+@given(n_modes=st.integers(min_value=1, max_value=6), d_out=st.integers(min_value=1, max_value=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_update_with_eta_zero_is_identity_on_retained_modes(n_modes, d_out, seed):
+    # every mode of the basis is retained: eta = 0 leaves the whole map as it is
     rng = np.random.default_rng(seed)
     basis = diagonal_basis(n_modes)
     model = md.ModelSpec(arch="identity-map", basis=basis)
     W = md.TransportMap(coeffs=rng.standard_normal((n_modes, d_out)), basis=basis)
-    N = data.draw(st.integers(min_value=1, max_value=n_modes + 2))
-    cfg = lg.DynamicsConfig(eta=0.0, beta=1.0, lam=1.0, n_modes=N)
+    cfg = lg.DynamicsConfig(eta=0.0, beta=1.0, lam=1.0)
     grad = rng.standard_normal((n_modes, d_out))
     out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
                       rng, grad_fn=lambda m: grad)
-    np.testing.assert_array_equal(out.map.coeffs[:N], W.coeffs[:N])
-    assert np.all(out.map.coeffs[N:] == 0.0)
+    np.testing.assert_array_equal(out.map.coeffs, W.coeffs)
 
 
 def test_run_chain_single_step_and_determinism():
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5, n_modes=4,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5,
                             steps=1, burn_in=0, thin=1, seed=3)
     traj = lg.run_chain(cfg, model, "squared", data)
     assert traj.steps.size == 1 and traj.steps[0] == 1
-    cfg2 = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5, n_modes=4,
+    cfg2 = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5,
                              steps=200, burn_in=10, thin=5, seed=3)
     t1 = lg.run_chain(cfg2, model, "squared", data)
     t2 = lg.run_chain(cfg2, model, "squared", data)
@@ -543,7 +538,7 @@ def test_run_chain_training_descends_on_realizable_task():
     teacher = md.TransportMap(coeffs=np.array([[0.5], [0.8], [-0.4], [0.2], [0.1]]), basis=basis)
     x = rng.uniform(0, 1, (40, 1))
     y = md.forward(model, teacher, x)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=2_000.0, lam=0.01, n_modes=5,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=2_000.0, lam=0.01,
                             steps=3_000, burn_in=0, thin=50, seed=1)
     data = md.Dataset(x=x, y=y)
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
@@ -553,7 +548,7 @@ def test_run_chain_training_descends_on_realizable_task():
 
 def test_run_chain_resumes_from_its_final_state():
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5, n_modes=4,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5,
                             steps=50, burn_in=0, thin=10, seed=9)
     traj = lg.run_chain(cfg, model, "squared", data)
     assert traj.coeffs.shape == (traj.steps.size, model.basis.n_modes, 1)
@@ -572,14 +567,14 @@ def test_trajectory_risk_is_the_empirical_risk_of_each_record():
                              basis=gram_eigenbasis(cloud, 1.0, M))
     x = rng.uniform(-0.6, 0.6, (16, d))
     tl_data = md.Dataset(x=x, y=np.sin(x[:, 0]))
-    tl_cfg = lg.DynamicsConfig(eta=0.05, beta=50.0, lam=0.1, n_modes=M,
+    tl_cfg = lg.DynamicsConfig(eta=0.05, beta=50.0, lam=0.1,
                                steps=60, burn_in=10, thin=10, seed=1)
     tl_traj = lg.run_chain(tl_cfg, two_layer, "squared", tl_data, init="zero")
 
     ident, id_data = _linear_setup()
     W0 = md.TransportMap(coeffs=np.full((ident.basis.n_modes, 1), 0.3), basis=ident.basis,
                          gamma=0.5)
-    id_cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5, n_modes=4,
+    id_cfg = lg.DynamicsConfig(eta=0.05, beta=10.0, lam=0.5,
                                steps=40, burn_in=0, thin=8, seed=2)
     id_traj = lg.run_chain(id_cfg, ident, "squared", id_data,
                            init_state=lg.ChainState(step=0, map=W0))
@@ -604,7 +599,7 @@ def _reference_ou_step(z, cfg, eigen, rng, noise_enabled=True):
 
 
 def _reference_ou_stationary_moment(cfg, eigen):
-    mu = eigen.mu[: cfg.n_modes]
+    mu = eigen.mu
     exact = float(np.sum(mu / (cfg.beta * cfg.lam * (2.0 + cfg.eta * cfg.lam / mu))))
     bound = eigen.c_mu / (cfg.beta * cfg.lam)
     return exact, bound
@@ -631,7 +626,7 @@ def _random_ou_configs(rng, count):
         eigen = make_eigen_sequence(c_mu, decay, n_modes)
         cfg = lg.DynamicsConfig(eta=float(rng.uniform(0.0, 0.5)),
                                 beta=float(rng.uniform(0.6, 50)),
-                                lam=float(rng.uniform(0.05, 5)), n_modes=n_modes)
+                                lam=float(rng.uniform(0.05, 5)))
         yield cfg, eigen
 
 
@@ -649,8 +644,8 @@ def _ou_moment_configs(monkeypatch):
     assert len(seen) == len(rows) == 10
     configs = []
     for (chain_cfg, eigen), row in zip(seen, rows):
-        cfg = lg.DynamicsConfig(eta=row[0], beta=row[1], lam=row[2], n_modes=row[3])
-        assert chain_cfg == _at_twice_beta(cfg)
+        cfg = lg.DynamicsConfig(eta=row[0], beta=row[1], lam=row[2])
+        assert chain_cfg == _at_twice_beta(cfg) and len(eigen) == row[3]
         assert (row[6], row[7]) == _reference_ou_stationary_moment(cfg, eigen)
         configs.append((cfg, eigen))
     return configs
@@ -661,9 +656,9 @@ def test_zero_gradient_step_at_twice_beta_is_the_reference_recursion(monkeypatch
     configs = _ou_moment_configs(monkeypatch)
     configs += _random_ou_configs(np.random.default_rng(8), 10)
     for i, (cfg, eigen) in enumerate(configs):
-        basis = SpectralBasis(kind="synthetic-diagonal", dim_in=cfg.n_modes, dim_out=1,
-                              n_modes=cfg.n_modes, eigen=eigen)
-        z_ref = z = np.random.default_rng(i).standard_normal(cfg.n_modes)
+        basis = SpectralBasis(kind="synthetic-diagonal", dim_in=len(eigen), dim_out=1,
+                              n_modes=len(eigen), eigen=eigen)
+        z_ref = z = np.random.default_rng(i).standard_normal(len(eigen))
         rng_ref, rng = np.random.default_rng(100 + i), np.random.default_rng(100 + i)
         for _ in range(50):
             z_ref = _reference_ou_step(z_ref, cfg, eigen, rng_ref)
@@ -673,7 +668,7 @@ def test_zero_gradient_step_at_twice_beta_is_the_reference_recursion(monkeypatch
         assert _at_twice_beta(cfg).noise_amp == np.sqrt(cfg.eta / cfg.beta)
     # at beta = inf both are the noise-free resolvent, with zero a fixed point
     basis = diagonal_basis(4)
-    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0, n_modes=4)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0)
     z0 = np.array([1.0, -2.0, 0.5, 0.0])
     rng_ref, rng = np.random.default_rng(0), np.random.default_rng(0)
     np.testing.assert_array_equal(_zero_grad_step(z0, _at_twice_beta(cfg), basis, rng),
@@ -696,8 +691,8 @@ def test_ou_step_fixed_point_and_stationary_variance():
     # the noise-only recursion at beta = 1, run as the zero-gradient chain at 2*beta
     basis = diagonal_basis(1)
     beta = 1.0
-    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0 * beta, lam=1.0, n_modes=1)
-    cfg_off = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0, n_modes=1)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0 * beta, lam=1.0)
+    cfg_off = lg.DynamicsConfig(eta=0.1, beta=np.inf, lam=1.0)
     z = _zero_grad_step(np.zeros(1), cfg_off, basis, np.random.default_rng(0))
     np.testing.assert_array_equal(z, np.zeros(1))
     # long run variance vs (eta/beta) * s^2/(1-s^2)
@@ -714,11 +709,11 @@ def _lfilter_sq_norms(cfg, eigen, n_steps, rng):
     # the per-mode AR(1) z_t = s z_{t-1} + s*amp*eps_t as a scipy IIR filter
     from scipy.signal import lfilter
 
-    s = 1.0 / (1.0 + cfg.eta * cfg.lam / eigen.mu[: cfg.n_modes])
+    s = 1.0 / (1.0 + cfg.eta * cfg.lam / eigen.mu)
     amp = np.sqrt(cfg.eta / cfg.beta)
-    eps = rng.standard_normal((n_steps, cfg.n_modes))
+    eps = rng.standard_normal((n_steps, len(eigen)))
     z = np.column_stack([lfilter([s[k] * amp], [1.0, -s[k]], eps[:, k])
-                         for k in range(cfg.n_modes)])
+                         for k in range(len(eigen))])
     return np.sum(z ** 2, axis=1)
 
 
@@ -730,7 +725,7 @@ def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
     # ends inside a block whatever the block length
     # the reference runs the recursion at beta = 2, simulate_ou_sq_norms the chain at 2*beta
     eigen = EigenSequence(mu=np.array(mu), c_mu=max(mu[0], 1.0))
-    cfg = lg.DynamicsConfig(eta=1.0, beta=2.0, lam=1.0, n_modes=len(mu))
+    cfg = lg.DynamicsConfig(eta=1.0, beta=2.0, lam=1.0)
     n_steps = next(k for k in itertools.count(orc._CHUNK + 1)
                    if all(k % q for q in range(2, int(k ** 0.5) + 1)))
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
@@ -748,7 +743,7 @@ def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
 def test_simulate_ou_sq_norms_is_the_same_trace_in_one_block_chunks(monkeypatch):
     # the chunk bound only splits the draw: one block per chunk gives the same bits
     eigen = make_eigen_sequence(1.0, 2.0, 5)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0, n_modes=5)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0)
     rng, rng_one = np.random.default_rng(8), np.random.default_rng(8)
     sq = lg.simulate_ou_sq_norms(cfg, eigen, 3_001, rng)
     monkeypatch.setattr(orc, "_CHUNK", 1)
@@ -757,19 +752,9 @@ def test_simulate_ou_sq_norms_is_the_same_trace_in_one_block_chunks(monkeypatch)
     assert rng.bit_generator.state == rng_one.bit_generator.state
 
 
-def test_simulate_ou_sq_norms_truncates_modes_beyond_the_eigen_sequence():
-    eigen = make_eigen_sequence(1.0, 2.0, 4)
-    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0, lam=1.0, n_modes=4)
-    rng, rng_wide = np.random.default_rng(2), np.random.default_rng(2)
-    sq = lg.simulate_ou_sq_norms(cfg, eigen, 1_000, rng)
-    wide = lg.simulate_ou_sq_norms(dataclasses.replace(cfg, n_modes=8), eigen, 1_000, rng_wide)
-    np.testing.assert_array_equal(sq, wide)
-    assert rng.bit_generator.state == rng_wide.bit_generator.state
-
-
 def test_simulate_ou_sq_norms_working_memory_does_not_grow_with_the_step_count():
     eigen = make_eigen_sequence(1.0, 2.0, 8)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0, n_modes=8)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0)
     rng = np.random.default_rng(0)
     extra = []
     # the first traced run counts a few KB of numpy's own small buffers, which cumsum's
@@ -793,7 +778,7 @@ def test_ou_growth_is_monotone_toward_stationary():
     # the recursion at beta = 1.5 is the zero-gradient chain at 2*beta
     eigen = make_eigen_sequence(1.0, 2.0, 3)
     beta = 1.5
-    cfg = lg.DynamicsConfig(eta=0.3, beta=2.0 * beta, lam=1.0, n_modes=3)
+    cfg = lg.DynamicsConfig(eta=0.3, beta=2.0 * beta, lam=1.0)
     rng = np.random.default_rng(11)
     n_steps, n_rep = 60, 4000
     mu = eigen.mu
@@ -814,7 +799,7 @@ def test_ou_stationary_moment_hand_value_and_bound():
     # the stationary E||Z||^2 of the recursion at beta = 1 is the chain's variance at 2*beta
     eigen = make_eigen_sequence(1.0, 2.0, 1)
     beta = 1.0
-    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0 * beta, lam=1.0, n_modes=1)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=2.0 * beta, lam=1.0)
     exact = float(lg.gld_zero_grad_stationary_variance(cfg, eigen).sum())
     bound = eigen.c_mu / (beta * cfg.lam)
     assert exact == pytest.approx(0.1 / 0.21, rel=1e-12)
@@ -822,7 +807,7 @@ def test_ou_stationary_moment_hand_value_and_bound():
     assert exact <= bound
     # eta -> 0 stays bounded: sum mu_k/(2 beta lam) <= c_mu/(beta lam)
     eigen8 = make_eigen_sequence(1.0, 2.0, 8)
-    cfg0 = lg.DynamicsConfig(eta=0.0, beta=2.0 * beta, lam=1.0, n_modes=8)
+    cfg0 = lg.DynamicsConfig(eta=0.0, beta=2.0 * beta, lam=1.0)
     exact0 = float(lg.gld_zero_grad_stationary_variance(cfg0, eigen8).sum())
     assert exact0 == pytest.approx(float(np.sum(eigen8.mu)) / 2.0, rel=1e-12)
     assert exact0 <= eigen8.c_mu / (beta * cfg0.lam)
@@ -834,27 +819,25 @@ def test_ou_bound_holds_on_grid():
         assert exact <= eigen.c_mu / (cfg.beta * cfg.lam) + 1e-15
 
 
-@pytest.mark.parametrize("n_modes, N, d_out, order, scale", [
+@pytest.mark.parametrize("n_modes, seed, d_out, order, scale", [
     (4, 4, 1, "C", 1.0), (6, 3, 3, "F", 1.0), (5, 5, 2, "C", 1e200)])
-def test_gld_step_is_the_reference_update_and_leaves_g_alone(n_modes, N, d_out, order, scale):
+def test_gld_step_is_the_reference_update_and_leaves_g_alone(n_modes, seed, d_out, order, scale):
     # the update as written before it took numpy's per-call overhead off, with the
     # Python-float eta; the gradient is left as it is
-    rng = np.random.default_rng([n_modes, N, d_out])
+    rng = np.random.default_rng([n_modes, seed, d_out])
     basis = cosine_basis(n_modes, dim_in=1)
     model = md.ModelSpec(arch="identity-map", basis=basis)
-    cfg = lg.DynamicsConfig(eta=0.03, beta=2.0, lam=0.7, n_modes=N)
-    W = md.TransportMap(coeffs=np.zeros((n_modes, d_out)), basis=basis)
-    W = W.copy_with(rng.standard_normal((n_modes, d_out)) * (np.arange(n_modes) < N)[:, None])
+    cfg = lg.DynamicsConfig(eta=0.03, beta=2.0, lam=0.7)
+    W = md.TransportMap(coeffs=rng.standard_normal((n_modes, d_out)), basis=basis)
     g = np.asarray(rng.standard_normal((n_modes, d_out)) * scale, order=order)
     g_before = g.copy()
     out = lg.gld_step(lg.ChainState(step=0, map=W), cfg, model, "squared", None,
                       np.random.default_rng(5), grad_fn=lambda m: g)
     np.testing.assert_array_equal(g, g_before)
-    s = 1.0 / (1.0 + cfg.eta * cfg.lam / basis.eigen.mu[:N])
+    s = 1.0 / (1.0 + cfg.eta * cfg.lam / basis.eigen.mu)
     drift = W.coeffs - cfg.eta * g
-    drift[N:] = 0.0
-    drift[:N] += cfg.noise_amp * np.random.default_rng(5).standard_normal((N, d_out))
-    drift[:N] *= s[:, None]
+    drift += cfg.noise_amp * np.random.default_rng(5).standard_normal((n_modes, d_out))
+    drift *= s[:, None]
     np.testing.assert_array_equal(out.map.coeffs, drift)
 
 
@@ -889,9 +872,9 @@ def _assert_same_trajectory(a, b):
                                                      ("two-layer", "squared", 0.5, np.inf)])
 def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma, beta, monkeypatch):
     # three networks or bases, three datasets and three seeds, across block boundaries, with a
-    # record schedule that does not divide the block and a truncation below the mode count;
-    # the stack steps through batched products.  A member alone takes _SB steps per block, and
-    # a stack fewer, as the float cap of a block buffer binds
+    # record schedule that does not divide the block; the stack steps through batched
+    # products.  A member alone takes _SB steps per block, and a stack fewer, as the float
+    # cap of a block buffer binds
     models, datas = zip(*(_stack_member(arch, s) for s in (3, 4, 5)))
     monkeypatch.setattr(lg, "_BLOCK_FLOATS", _SB * models[0].basis.n_modes
                         * md.map_output_dim(models[0]))
@@ -899,8 +882,7 @@ def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma, bet
     starts = [lg.ChainState(step=2, map=md.TransportMap(
         coeffs=np.zeros((m.basis.n_modes, md.map_output_dim(m))), basis=m.basis, gamma=gamma))
         for m in models]
-    cfg = lg.DynamicsConfig(eta=0.05, beta=beta, lam=0.1, n_modes=models[0].basis.n_modes - 1,
-                            steps=_SB + 37, burn_in=20, thin=7)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=beta, lam=0.1, steps=_SB + 37, burn_in=20, thin=7)
     stack = lg.run_chains(cfg, models, loss, datas, seeds, init_states=starts)
     assert len(stack) == 3 and stack[0].coeffs.shape[0] > 0
     for model, data, seed, start, traj in zip(models, datas, seeds, starts, stack):
@@ -908,7 +890,6 @@ def test_a_stack_equals_its_members_run_alone_bit_for_bit(arch, loss, gamma, bet
                              init_state=start)
         _assert_same_trajectory(traj, alone)
         assert traj.final_state.map.gamma == gamma
-        assert np.all(traj.coeffs[:, cfg.n_modes:] == 0.0)
     # member 2's records depend neither on the other members nor on its place in the stack
     for picked in ([2, 0], [1, 2, 0]):
         sub = lg.run_chains(cfg, [models[k] for k in picked], loss, [datas[k] for k in picked],
@@ -924,7 +905,7 @@ def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
     points = md.finite_width_cloud(np.random.default_rng(3).uniform(0, 1, (6, 1)), np.zeros(6))
     other = md.ModelSpec(arch="identity-map", basis=gram_eigenbasis(points, 0.5, 4, False))
     assert not np.array_equal(other.basis.eigen.mu, model.basis.eigen.mu)
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=4,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5,
                             steps=_AB + 40, burn_in=10, thin=3)
     rng = np.random.default_rng(2)
     models, datas, seeds = [model, model, other], [data, data, other_data], [7, 7, 8]
@@ -946,8 +927,8 @@ def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
     # the two members of one seed differ by the powers of A = S(I - eta H) alone
     _, grad = md.risk_objective(model, "squared", data)
     H, _ = grad.affine()
-    N, s_col = cfg._resolvent(model.basis)
-    A = s_col * (np.eye(N) - cfg.eta * H)
+    s_col = cfg._resolvent(model.basis)
+    A = s_col * (np.eye(len(s_col)) - cfg.eta * H)
     gap = starts[0].map.coeffs[:, 0] - starts[1].map.coeffs[:, 0]
     for k in range(1, cfg.steps + 1):
         gap = A.dot(gap)
@@ -967,7 +948,7 @@ def test_a_member_with_a_near_zero_eigenvalue_shortens_the_ar1_blocks_of_the_who
     steep = md.Dataset(x=rng.uniform(0.0, 0.1, (40, 1)), y=rng.standard_normal(40))
     _, grad = md.risk_objective(model, "squared", steep)
     h = np.linalg.eigvalsh(grad.affine()[0]).max()
-    cfg = lg.DynamicsConfig(eta=(1.0 - 1e-12) / h, beta=4.0, lam=0.5, n_modes=3,
+    cfg = lg.DynamicsConfig(eta=(1.0 - 1e-12) / h, beta=4.0, lam=0.5,
                             steps=600, burn_in=5, thin=3)
     d_steep = _block_solve_eigenvalues(cfg, model, steep)
     assert np.abs(d_steep).min() < 1e-10 and np.abs(d_steep).max() < 1.0
@@ -984,7 +965,7 @@ def test_a_member_with_a_near_zero_eigenvalue_shortens_the_ar1_blocks_of_the_who
     (alone,) = run([model], [data], [4], "alone")
     assert lengths == {"stack": 21, "alone": lg._OU_BLOCK}
     for d, seed, traj in zip((data, steep), (4, 5), stack):
-        start = _projected_start(model, cfg, 0)
+        start = _identity_start(model, 0)
         ref_steps, ref_coeffs, _ = _stepwise_record(dataclasses.replace(cfg, seed=seed),
                                                     model, d, start)
         np.testing.assert_array_equal(traj.steps, ref_steps)
@@ -997,7 +978,7 @@ def test_a_stack_holds_its_records_once_and_its_block_buffers_do_not_grow_with_k
     # eight two-layer members step by step: the noise and state buffers of a block hold at
     # most _BLOCK_FLOATS floats each, where _B steps of each member would fill 8 MB
     models, datas = zip(*(_stack_member("two-layer", s) for s in range(8)))
-    cfg = lg.DynamicsConfig(eta=0.05, beta=24.0, lam=0.1, n_modes=models[0].basis.n_modes,
+    cfg = lg.DynamicsConfig(eta=0.05, beta=24.0, lam=0.1,
                             steps=3000, burn_in=100)
     seeds = list(range(8))
     lg.run_chains(dataclasses.replace(cfg, steps=1), models, "squared", datas, seeds)
@@ -1017,7 +998,7 @@ def test_a_diverging_member_of_a_stack_is_named_with_its_last_finite_state():
     # expands at this step size, so the whole stack steps one update at a time
     model, good = _linear_setup(n=40)
     bad = md.Dataset(x=np.zeros((40, 1)), y=np.ones(40))
-    cfg = lg.DynamicsConfig(eta=0.5, beta=4.0, lam=0.5, n_modes=4, steps=3 * _B)
+    cfg = lg.DynamicsConfig(eta=0.5, beta=4.0, lam=0.5, steps=3 * _B)
     with pytest.raises(lg.ChainDivergedError) as exc:
         lg.run_chains(cfg, [model, model], "squared", [good, bad], [1, 2])
     last = exc.value.state
@@ -1047,7 +1028,7 @@ def test_resnet_and_wasserstein_chains_run_alone_but_do_not_stack(arch):
         cloud = md.finite_width_cloud(src, np.zeros(8))
         model = md.ModelSpec(arch=arch, cloud=cloud, basis=gram_eigenbasis(cloud, 1.0, M, False))
         data = md.Dataset(x=src, y=src + 1.0)
-    cfg = lg.DynamicsConfig(eta=0.01, beta=100.0, lam=0.1, n_modes=M, steps=5)
+    cfg = lg.DynamicsConfig(eta=0.01, beta=100.0, lam=0.1, steps=5)
     (one,) = lg.run_chains(cfg, [model], "squared", [data], [3])
     _assert_same_trajectory(one, lg.run_chain(dataclasses.replace(cfg, seed=3), model,
                                               "squared", data))
@@ -1057,7 +1038,7 @@ def test_resnet_and_wasserstein_chains_run_alone_but_do_not_stack(arch):
 
 def test_a_stack_refuses_members_that_do_not_fit_together():
     model, data = _linear_setup()
-    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, n_modes=3, steps=5)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=4.0, lam=0.5, steps=5)
     with pytest.raises(ValueError, match="one seed per member"):
         lg.run_chains(cfg, [model, model], "squared", [data, data], [1])
     with pytest.raises(ValueError, match="one initial state per member"):

@@ -4,13 +4,16 @@ the names the package no longer has."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import transport_langevin
+from transport_langevin import langevin as lg
 from transport_langevin import models as md
 
 # every submodule but __main__, which runs the command line on import
@@ -54,12 +57,29 @@ def test_removed_names_are_gone():
     assert "mode" not in {f.name for f in dataclasses.fields(md.ParticleCloud)}
     with pytest.raises(TypeError):
         md.ClipConfig(activation="tanh")
+    # a chain runs on every mode of its basis: the config sets no mode count
+    with pytest.raises(TypeError):
+        lg.DynamicsConfig(eta=0.1, beta=1.0, lam=1.0, n_modes=3)
+    assert [f.name for f in dataclasses.fields(lg.DynamicsConfig)] == [
+        "eta", "beta", "lam", "steps", "burn_in", "thin", "seed"]
+
+
+def _tracer_layers():
+    """The targets of the benchmark's tracer, ``perfbench/tracer.py``'s ``LAYERS``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.LAYERS
 
 
 def test_the_chain_entry_points_are_public_module_functions():
     # one chain, a stack of chains and one step; perfbench's tracer wraps the first and the
     # last by name, with their parameters
-    from transport_langevin import langevin as lg
     for name in ("run_chain", "run_chains", "gld_step", "simulate_ou_sq_norms"):
         assert name in lg.__all__ and inspect.isfunction(getattr(lg, name)), name
     assert transport_langevin.run_chains is lg.run_chains
@@ -67,3 +87,15 @@ def test_the_chain_entry_points_are_public_module_functions():
         "cfg", "model", "loss_kind", "dataset"]
     assert list(inspect.signature(lg.run_chains).parameters)[:5] == [
         "cfg", "models", "loss_kind", "datasets", "seeds"]
+    # every function the tracer wraps is a public function of its module, and takes the
+    # parameter the tracer counts work by
+    layers = _tracer_layers()
+    assert layers
+    for target in layers:
+        module = _module(target.module)
+        fn = getattr(module, target.function, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, target
+        assert not target.function.startswith("_"), target
+        assert target.function in getattr(module, "__all__", [target.function]), target
+        if target.work_arg:
+            assert target.work_arg in inspect.signature(fn).parameters, target

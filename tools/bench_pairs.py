@@ -89,8 +89,7 @@ probe, rng, units = sys.argv[1], np.random.default_rng(0), 1000
 if probe == "pac-bayes-stack":
     n, seeds = 64, list(range(10))
     models, datas = zip(*(two_layer(np.random.default_rng(s), n) for s in seeds))
-    cfg = lg.DynamicsConfig(eta=0.1, beta=float(n), lam=1.0 / n,
-                            n_modes=models[0].basis.n_modes, steps=units, burn_in=units)
+    cfg = lg.DynamicsConfig(eta=0.1, beta=float(n), lam=1.0 / n, steps=units, burn_in=units)
 
     def once():
         lg.run_chains(cfg, models, "squared", datas, seeds, init="zero")
@@ -115,8 +114,8 @@ else:
         x = rng.uniform(0.05, 0.95, (n, 1))
         y = np.where(eval_basis(model.basis, x)[:, 1] > 0, 1.0, -1.0)
         data, loss, eta, beta = md.Dataset(x=x, y=y), "logistic", 0.05, 100.0
-    cfg = lg.DynamicsConfig(eta=eta, beta=float(beta), lam=1.0 / beta,
-                            n_modes=model.basis.n_modes, steps=units, burn_in=units)
+    cfg = lg.DynamicsConfig(eta=eta, beta=float(beta), lam=1.0 / beta, steps=units,
+                            burn_in=units)
 
     def once():
         lg.run_chain(cfg, model, loss, data, init="zero")
