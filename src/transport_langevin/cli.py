@@ -5,6 +5,10 @@ Subcommands:
 * ``run``    execute one preset, writing results.csv, report.txt and
              provenance.json into the output directory;
 * ``sweep``  run a preset across an axis of values and append the fit row;
+             the values run in forked worker processes, one per usable CPU
+             up to the number of values, and come back in value order, so
+             the artifacts are byte-identical to a serial run's (a worker's
+             warnings print from the worker);
 * ``audit``  print the assumption audit for a preset's setup.
 
 Exit statuses: 0 all criteria passed, 1 criteria failed, 2 configuration

@@ -905,9 +905,35 @@ _SWEEP_FITS = {
 }
 
 
+def _sweep_run(preset: str, seed: int, overrides: dict) -> ExperimentResult:
+    """One value of a sweep: a module-level function, so that a worker process can be
+    handed it by name whatever ``run_preset`` is bound to."""
+    return run_preset(preset, seed, overrides)
+
+
 def sweep(preset: str, axis: str, values, seed: int = 0, overrides: Optional[dict] = None):
-    """Run a preset once per value of one override key, serially: (results, fit row)."""
-    results = [run_preset(preset, seed, {**(overrides or {}), axis: v}) for v in values]
+    """Run a preset once per value of one override key: (results, fit row).
+
+    The values run in forked worker processes, one per usable CPU up to the number
+    of values (in this process when that is one, or where there is no fork).  The
+    results come back in value order, so they equal a serial run's, and the first
+    error in value order is raised as the serial loop would raise it.  A worker's
+    warnings print from the worker.
+    """
+    # imported here: concurrent.futures loads logging, which the other presets never need
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from contextlib import ExitStack
+
+    runs = [{**(overrides or {}), axis: v} for v in values]
+    workers = min(len(runs), _usable_cpus())
+    # fork, not the platform's default start method: spawn and forkserver import the
+    # package again in every worker, and lose whatever the caller has rebound in it
+    fork = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    with ExitStack() as stack:   # leaving it shuts the pool down and joins its workers
+        mapper = stack.enter_context(ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))).map if fork else map
+        results = list(mapper(_sweep_run, [preset] * len(runs), [seed] * len(runs), runs))
     return results, sweep_fit(preset, axis, values, results)
 
 

@@ -102,6 +102,12 @@ class ChainDivergedError(RuntimeError):
         super().__init__(f"chain diverged after step {state.step}{where}")
         self.state = state
         self.member = member or 0
+        self._member_given = member
+
+    def __reduce__(self):
+        # BaseException's own reduce re-calls __init__ with the message alone, so an error
+        # raised in a worker process could not be rebuilt in the caller
+        return type(self), (self.state, self._member_given)
 
 
 @dataclass

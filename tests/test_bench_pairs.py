@@ -2,6 +2,7 @@
 benchmark, and each step probe only once, at a few steps."""
 
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -84,20 +85,23 @@ def test_summary_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert bp.summarize(parent, [p * 1.3 for p in parent], "lower", 0.25)["verdict"] == "worse"
 
 
-def _record(wall, cpu, failed, parts):
+def _record(wall, cpu, failed, parts, tree_cpu=9.0):
     return {"result": {"correct": True, "attempted": 4, "failed": failed,
                        "metrics": {"wall_s": {"value": wall, "unit": "s"},
                                    "cpu_s": {"value": cpu, "unit": "s"}}},
             "passes": [{}] * 3,
-            "parts": {name: {"wall_s": w, "cpu_s": c} for name, (w, c) in parts.items()}}
+            "parts": {name: {"wall_s": w, "cpu_s": c} for name, (w, c) in parts.items()},
+            "tree": {"cpu_s": tree_cpu, "max_rss_mb": 50.0}}
 
 
 def test_workload_record_collects_both_sides_in_pair_order():
     runs = {"parent": [_record(5.0 + i, 7.0 + i, i % 2, {"a": (2.0 + i, 3.0), "b": (3.0, 4.0)})
                        for i in range(4)],
-            "change": [_record(4.0 + i, 4.5 + i, i % 2, {"a": (1.0 + i, 1.0), "b": (3.0, 3.0)})
+            "change": [_record(4.0 + i, 4.5 + i, i % 2, {"a": (1.0 + i, 1.0), "b": (3.0, 3.0)},
+                               tree_cpu=6.0 + 3 * i)
                        for i in range(4)]}
-    bounds = {"wall_s": ("lower", 0.25), "cpu_s": ("lower", 0.25)}
+    bounds = {"wall_s": ("lower", 0.25), "cpu_s": ("lower", 0.25),
+              "peak_rss_mb": ("lower", 0.2)}
     rec = bp.workload_record([41, 42, 43, 44], runs, bounds)
     assert rec["seeds"] == [41, 42, 43, 44]
     assert rec["runs"]["order"] == ["parent first", "change first"] * 2
@@ -107,6 +111,21 @@ def test_workload_record_collects_both_sides_in_pair_order():
     assert rec["metrics"]["wall_s"]["parent_runs"] == [5.0, 6.0, 7.0, 8.0]
     assert rec["parts_wall_s_median"]["parent"] == {"a": 3.5, "b": 3.0}
     assert rec["parts_cpu_s_median"]["change"] == {"a": 1.0, "b": 3.0}
+    # the process tree's CPU is per pass: each record ran 3
+    assert rec["process_tree"]["cpu_s_per_pass"]["parent_runs"] == [3.0] * 4
+    assert rec["process_tree"]["cpu_s_per_pass"]["change_runs"] == [2.0, 3.0, 4.0, 5.0]
+    assert rec["process_tree"]["max_rss_mb"]["verdict"] == "not moved"
+
+
+def test_tree_usage_counts_the_processes_the_command_waits_for():
+    # the wrapped command starts a grandchild that burns 0.3 s of CPU, and exits 3
+    burn = "import time\nt = time.process_time()\nwhile time.process_time() - t < 0.3: pass"
+    nested = f"import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', {burn!r}]) + 3)"
+    out = subprocess.run([sys.executable, "-c", bp._TREE_USAGE, sys.executable, "-c", nested],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    usage = json.loads(out.stdout.splitlines()[-1])
+    assert usage["cpu_s"] >= 0.3 and usage["max_rss_mb"] > 0
 
 
 def test_parse_pytest_reads_the_summary_and_the_call_durations():

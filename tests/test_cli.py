@@ -239,7 +239,7 @@ def test_internal_key_error_is_not_a_config_error(monkeypatch):
 
 
 def test_threads_is_a_sweep_only_flag():
-    # sweeps run serially; no subcommand takes --threads
+    # a sweep sizes its worker pool by the usable CPUs; no subcommand takes --threads
     for argv in (["run", "--preset", "bernstein-suite"],
                  ["sweep", "--preset", "bernstein-suite", "--axis", "n", "--values", "1"],
                  ["audit", "--preset", "bernstein-suite"]):
@@ -427,6 +427,18 @@ def test_sweep_failed_run_without_a_fit_is_status_1(tmp_path, monkeypatch):
     rc = cli.main(["sweep", "--preset", "posterior-validate", "--axis", "eta",
                    "--values", "0.001,0.003", "--out", str(tmp_path / "s")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_diverging_sweep_is_status_3(tmp_path, capsys, monkeypatch, cpus):
+    # eta = 10 diverges in its worker process; the error crosses back to the caller whole
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+    cfg = _write_cfg(tmp_path, {"preset": "posterior-validate",
+                                "overrides": {"kept": 5000, "burn_in": 0}})
+    rc = cli.main(["sweep", "--config", cfg, "--axis", "eta", "--values", "0.001,10",
+                   "--out", str(tmp_path / "s")])
+    assert rc == 3
+    assert "runtime divergence: chain diverged after step 252\n" in capsys.readouterr().err
 
 
 def test_divergence_is_status_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import sys
 import threading
@@ -92,6 +93,43 @@ def test_sweep_fit_regression_and_insufficient():
     assert row[3] == "insufficient-points"
     row = ex.sweep_fit("grad-check", "n", [1], [ex.run_preset("bernstein-suite")])
     assert row[1] == "none"
+
+
+def _criteria(result):
+    return [(c.name, c.passed, c.measured) for c in result.criteria]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_sweep_equals_its_runs_one_by_one_and_leaves_no_worker(monkeypatch, cpus):
+    # one usable CPU runs the values in this process, two run them in forked workers
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+    budget, ns = {"steps": 1500, "burn_in": 500}, (64, 128, 256, 512)
+    results, fit = ex.sweep("regression-rate", "n", ns, seed=1, overrides=budget)
+    assert not multiprocessing.active_children()
+    alone = [ex.run_preset("regression-rate", 1, {**budget, "n": n}) for n in ns]
+    assert [r.table_rows for r in results] == [r.table_rows for r in alone]
+    assert [r.extras for r in results] == [r.extras for r in alone]
+    assert [_criteria(r) for r in results] == [_criteria(r) for r in alone]
+    assert fit == ex.sweep_fit("regression-rate", "n", ns, alone)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_sweep_raises_the_first_error_in_value_order(monkeypatch, cpus):
+    def fake(seed=0, overrides=None):
+        if overrides["eta"] >= 0.002:
+            raise ValueError(f"no run at eta={overrides['eta']}")
+        return ex.ExperimentResult("posterior-validate", seed, [], [], [],
+                                   extras={"pid": os.getpid()})
+
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: cpus)
+    monkeypatch.setitem(ex.PRESETS, "posterior-validate", fake)
+    results, _ = ex.sweep("posterior-validate", "eta", [0.001, 0.0015])
+    # the fake ran in this process only when there is one worker
+    assert all((r.extras["pid"] == os.getpid()) == (cpus == 1) for r in results)
+    with pytest.raises(ValueError) as exc:
+        ex.sweep("posterior-validate", "eta", [0.001, 0.003, 0.002])
+    assert type(exc.value) is ValueError and str(exc.value) == "no run at eta=0.003"
+    assert not multiprocessing.active_children()
 
 
 def test_stepsize_bias_has_a_fit_but_no_sweep():

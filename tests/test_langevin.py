@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 import tracemalloc
 import warnings
 
@@ -1011,6 +1012,21 @@ def test_a_diverging_member_of_a_stack_is_named_with_its_last_finite_state():
         lg.run_chain(dataclasses.replace(cfg, seed=2), model, "squared", bad)
     assert alone.value.state.step == last.step and alone.value.member == 0
     assert "member" not in str(alone.value)
+
+
+@pytest.mark.parametrize("member", [None, 0, 3])
+def test_a_divergence_error_survives_pickling(member):
+    # a sweep's worker process hands its error back to the caller pickled
+    model, _ = _linear_setup()
+    coeffs = np.random.default_rng(1).standard_normal((4, 1))
+    err = lg.ChainDivergedError(lg.ChainState(step=252, map=md.TransportMap(coeffs, model.basis)),
+                                member=member)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is lg.ChainDivergedError and str(back) == str(err)
+    assert str(back) == ("chain diverged after step 252"
+                         + ("" if member is None else f" (member {member})"))
+    assert back.state.step == 252 and back.member == (member or 0)
+    np.testing.assert_array_equal(back.state.map.coeffs, coeffs)
 
 
 @pytest.mark.parametrize("arch", ["resnet", "wasserstein"])

@@ -12,6 +12,10 @@ repository itself is left untouched.  Each of the ten pairs ``i`` (seed
 of ``BENCHMARK.json``, once per side and workload: odd pairs run the
 parent first, even pairs the change first, and the workloads are interleaved
 within each pair, so a slow drift of the machine falls on both sides alike.
+perfbench's ``cpu_s`` and ``peak_rss_mb`` count its own process only, so each
+run also goes through a small wrapper that reads ``RUSAGE_CHILDREN``: the
+record holds the CPU per pass and the largest resident set of the run's whole
+process tree, the worker processes of a sweep included.
 Then the artifact pass makes each side's artifacts at the presets' own
 defaults under ``PYTHONHASHSEED=0``: every preset ``run`` at seed 0, the
 ``sweep`` of regression-rate over ``n`` and the standard output of each run,
@@ -128,6 +132,17 @@ for _ in range(15):
 print(best / units * 1e6)
 """
 
+# runs the command after it, then prints as its last line the CPU seconds (user + system)
+# and the largest resident set of the processes it waited for: the command's process and,
+# through it, every process that one forks or starts and waits for
+_TREE_USAGE = r"""
+import json, resource, subprocess, sys
+code = subprocess.call(sys.argv[1:])
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"cpu_s": usage.ru_utime + usage.ru_stime, "max_rss_mb": usage.ru_maxrss / 1024}))
+sys.exit(code)
+"""
+
 _spec = importlib.util.spec_from_file_location(
     "artifact_diff", Path(__file__).resolve().with_name("artifact_diff.py"))
 artifact_diff = importlib.util.module_from_spec(_spec)
@@ -210,15 +225,19 @@ def unpack(rev: str, dest: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``; its full result record."""
+    """One ``perfbench/run.py --trace 0`` run in ``tree``; its full result record, plus
+    under ``"tree"`` the CPU and largest resident set of the run's whole process tree
+    (perfbench counts its own process only, not the processes a sweep forks)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                         timeout=10 * seconds + 600)
+    out = subprocess.run([sys.executable, "-c", _TREE_USAGE, *cmd], cwd=tree,
+                         capture_output=True, text=True, timeout=10 * seconds + 600)
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree}: exit {out.returncode}\n{out.stderr}")
     path = tree / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["tree"] = json.loads(out.stdout.splitlines()[-1])
+    return record
 
 
 def make_artifacts(tree: Path, dest: Path, run=subprocess.run) -> dict:
@@ -313,9 +332,20 @@ def workload_record(seeds, runs: dict, bounds: dict) -> dict:
     def per_side(key):
         return {side: [key(r) for r in runs[side]] for side in ("parent", "change")}
 
+    # the whole process tree of a run, its own start-up and setup_s probes included
+    cpu = per_side(lambda r: r["tree"]["cpu_s"] / len(r["passes"]))
+    rss = per_side(lambda r: r["tree"]["max_rss_mb"])
+    tree = {
+        "what": ("CPU seconds (user + system) of the perfbench process and every process it "
+                 "waited for, over the whole run, divided by its passes; and the largest "
+                 "resident set among those processes (getrusage RUSAGE_CHILDREN of a wrapper)"),
+        "cpu_s_per_pass": summarize(cpu["parent"], cpu["change"], *bounds["cpu_s"]),
+        "max_rss_mb": summarize(rss["parent"], rss["change"], *bounds["peak_rss_mb"]),
+    }
     return {
         "seeds": list(seeds),
         "metrics": metrics,
+        "process_tree": tree,
         "runs": {"order": ["parent first" if i % 2 == 0 else "change first"
                            for i in range(len(seeds))]},
         "correct": per_side(lambda r: r["result"]["correct"]),
