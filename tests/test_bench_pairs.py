@@ -120,7 +120,8 @@ def test_workload_record_collects_both_sides_in_pair_order():
 def test_tree_usage_counts_the_processes_the_command_waits_for():
     # the wrapped command starts a grandchild that burns 0.3 s of CPU, and exits 3
     burn = "import time\nt = time.process_time()\nwhile time.process_time() - t < 0.3: pass"
-    nested = f"import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', {burn!r}]) + 3)"
+    nested = ("import subprocess, sys\n"
+              f"sys.exit(subprocess.call([sys.executable, '-c', {burn!r}]) + 3)")
     out = subprocess.run([sys.executable, "-c", bp._TREE_USAGE, sys.executable, "-c", nested],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 3

@@ -138,8 +138,8 @@ print(best / units * 1e6)
 _TREE_USAGE = r"""
 import json, resource, subprocess, sys
 code = subprocess.call(sys.argv[1:])
-usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-print(json.dumps({"cpu_s": usage.ru_utime + usage.ru_stime, "max_rss_mb": usage.ru_maxrss / 1024}))
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"cpu_s": ru.ru_utime + ru.ru_stime, "max_rss_mb": ru.ru_maxrss / 1024}))
 sys.exit(code)
 """
 
