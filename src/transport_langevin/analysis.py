@@ -326,7 +326,7 @@ def assumption_audit(basis, model, loss_kind, dataset, *, n_probes: int = 8,
         entries.append(("strong-low-noise", "pass" if gap > 0 else "fail", gap,
                         "min_x |P(Y=1|x) - 1/2| on the generator grid"))
     entries.append(("third-order-smoothness", "not machine-checkable", None,
-                    "audit-only constants; see LossBounds.C_alpha_prime"))
+                    "its constants C_alpha' and alpha' are not probed"))
     entries.append(("predictor-condition", "not machine-checkable", None,
                     "verified only in the documented sufficient cases"))
     return AssumptionReport(entries=entries)

@@ -32,7 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import models as _models
-from . import oracle as _oracle
 from .spectral import EigenSequence, _resolvent_factor
 
 __all__ = [
@@ -133,7 +132,7 @@ _BLOCK = 4096
 _BLOCK_FLOATS = 8 * _BLOCK
 
 # the block AR(1) solve: at most _OU_BLOCK steps per block, and min|d|^-L <= e^_OU_MAX_LOG_GAIN
-# (finite in float64); each noise draw of simulate_ou_sq_norms fills at most oracle._CHUNK floats
+# (finite in float64); each noise draw of simulate_ou_sq_norms fills at most _BLOCK_FLOATS floats
 _OU_BLOCK = 256
 _OU_MAX_LOG_GAIN = 600.0
 
@@ -428,7 +427,7 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
 
     Per mode the chain is the AR(1) z_t = s z_{t-1} + s*amp*eps_t, amp = cfg.noise_amp,
     solved by :func:`_ar1_blocks` with d = s in its own coordinates (V = I).  The
-    noise is drawn in chunks of whole blocks into one buffer of at most ``oracle._CHUNK``
+    noise is drawn in chunks of whole blocks into one buffer of at most ``_BLOCK_FLOATS``
     floats (one block at least), the same numbers as one (n_steps, n_modes)
     draw, so memory beyond the returned trace does not grow with n_steps.
     """
@@ -436,7 +435,7 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     s = _resolvent_factor(cfg.eta, cfg.lam, eigen.mu)
     L = _ar1_block_length(s)
     gains = _ar1_gains(s, s * cfg.noise_amp, L)
-    n_blocks = max(1, _oracle._CHUNK // (L * m))
+    n_blocks = max(1, _BLOCK_FLOATS // (L * m))
     buf = np.empty((n_blocks, L, m))
     out = np.empty(n_steps)
     z = np.zeros(m)

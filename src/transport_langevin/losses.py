@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,27 +25,18 @@ _MINUS_TWO = np.array(-2.0)
 
 @dataclass
 class LossBounds:
-    """Boundedness / smoothness / Bernstein constants of a loss-model pair.
-
-    ``empirical=True`` marks values that were estimated by probing and are
-    therefore lower bounds on the true constants.
+    """Gradient bound B, gradient Lipschitz constant and loss range of a loss-model pair,
+    as :func:`smoothness_audit` probes them: lower bounds on the true constants.
     """
 
     B: float
     L_lip: float
     R_bar: float
-    C_B: float = 0.0
-    s: float = 1.0
-    C_alpha_prime: Optional[float] = None
-    alpha_prime: Optional[float] = None
-    empirical: bool = False
 
     def __post_init__(self):
-        for name in ("B", "L_lip", "R_bar", "C_B"):
+        for name in ("B", "L_lip", "R_bar"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if not (0 < self.s <= 1):
-            raise ValueError("s must lie in (0, 1]")
 
 
 def loss_eval_derivs(kind: str, y, u, order: int = 0):
@@ -164,4 +154,4 @@ def smoothness_audit(model, loss_kind: str, dataset, n_probes: int,
         denom = weighted_norm(dW, basis.eigen, 0.25)
         if denom > 1e-14:
             L_hat = max(L_hat, float(np.linalg.norm(grads[i] - grads[i + 1])) / denom)
-    return LossBounds(B=B_hat, L_lip=L_hat, R_bar=R_hat, empirical=True)
+    return LossBounds(B=B_hat, L_lip=L_hat, R_bar=R_hat)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -201,10 +201,8 @@ def map_output_dim(model: ModelSpec) -> int:
 
 
 def attach_basis(model: ModelSpec, basis: SpectralBasis) -> ModelSpec:
-    return ModelSpec(arch=model.arch, cloud=model.cloud, clip=model.clip, basis=basis,
-                     resnet_blocks=model.resnet_blocks,
-                     wasserstein_penalty=model.wasserstein_penalty,
-                     mmd_bandwidth=model.mmd_bandwidth)
+    """``model`` with ``basis`` attached, every other field kept."""
+    return replace(model, basis=basis)
 
 
 def map_values(model: ModelSpec, W: TransportMap) -> np.ndarray:
@@ -412,7 +410,7 @@ def _gamma_scaler(bases, gamma: float):
         raise ValueError("gamma must be non-negative")
     if gamma == 0.0:
         return lambda c: c
-    cols = _members([b.eigen.mu[:b.n_modes] ** (gamma / 2.0) for b in bases])[..., None]
+    cols = _members([b.mu ** (gamma / 2.0) for b in bases])[..., None]
     return lambda c: c * cols
 
 

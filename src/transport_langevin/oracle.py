@@ -9,7 +9,7 @@ inequality for centered ellipsoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,18 +56,21 @@ def conjugate_posterior(basis, feature_matrix, y, beta: float, lam: float) -> Ga
     2/n * Phi^T Phi, so the posterior precision is
     beta * (2/n * Phi^T Phi + lam * diag(1/mu)); completing the square gives
     the mean.  With no data the posterior is the reference measure itself.
+
+    The feature matrix holds one column per eigenvalue of ``basis``, and the
+    posterior covers every mode of the basis.
     """
-    eigen = basis.eigen
+    mu = basis.eigen.mu
     Phi = np.asarray(feature_matrix, dtype=float)
     if Phi.ndim != 2:
         raise ValueError("feature matrix must be 2-d")
     n, N = Phi.shape
-    if N > len(eigen):
-        raise ValueError("more feature columns than eigenvalues")
+    if N != mu.size:
+        raise ValueError(f"{N} feature columns for a basis of {mu.size} eigenvalues: "
+                         "one column per eigenvalue")
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    mu = eigen.mu[:N]
     if n == 0:
         prec = beta * lam * np.diag(1.0 / mu)
         rhs = np.zeros((N, y.shape[1]))
@@ -102,11 +105,10 @@ def finite_diff_grad(model, loss_kind, dataset, W, step: float = 1e-5) -> np.nda
     return out
 
 
-# elements per chunk of Monte-Carlo draws, here and in langevin.simulate_ou_sq_norms:
-# the working buffer is this many floats, whatever the sample or step count.  Each of
-# correlation-suite's worker threads holds one such buffer and its temporaries: on the
-# two-layer-oracle benchmark (2 CPUs, two workers) 2^16 raised peak RSS by about 2.7 MB
-# over the serial suite, 2^14 by about 0.6 MB
+# elements per chunk of Monte-Carlo draws: the working buffer is this many floats,
+# whatever the sample count.  Each of correlation-suite's worker threads holds one such
+# buffer and its temporaries: on the two-layer-oracle benchmark (2 CPUs, two workers)
+# 2^16 raised peak RSS by about 2.7 MB over the serial suite, 2^14 by about 0.6 MB
 _CHUNK = 1 << 14
 
 
@@ -136,19 +138,18 @@ class SmallBallEstimate(NamedTuple):
     zero_hits: bool          # when True, neg_log is only a lower bound
 
 
-def small_ball_sq_norms(spec: GaussianMeasureSpec, n_samples: int, rng: np.random.Generator,
-                        n_modes: Optional[int] = None) -> np.ndarray:
-    """Sorted squared norms ||alpha||^2 of n_samples draws from the measure's first modes.
+def small_ball_sq_norms(spec: GaussianMeasureSpec, n_samples: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Sorted squared norms ||alpha||^2 of n_samples draws from the measure, every mode
+    of ``spec`` drawn; for fewer modes, build the spec on a shorter eigenvalue sequence.
 
     One draw serves every radius: :func:`small_ball_estimate` counts the
     norms within each.
     """
     if n_samples < 1000:
         raise ValueError("use at least 10^3 samples")
-    if n_modes is None:
-        n_modes = len(spec.eigen)
     sq_norms = np.empty(n_samples)
-    for start, x in _squared_draws(np.sqrt(spec.mode_variances[:n_modes]), n_samples, rng):
+    for start, x in _squared_draws(np.sqrt(spec.mode_variances), n_samples, rng):
         np.sum(x, axis=1, out=sq_norms[start:start + len(x)])
     sq_norms.sort()
     return sq_norms
@@ -170,10 +171,10 @@ def small_ball_estimate(sq_norms: np.ndarray, radius: float) -> SmallBallEstimat
 
 
 def small_ball_mc(spec: GaussianMeasureSpec, radius: float, n_samples: int,
-                  rng: np.random.Generator, n_modes: Optional[int] = None) -> SmallBallEstimate:
-    """Monte-Carlo mass of the centered ball {||alpha|| <= radius} under the measure:
-    :func:`small_ball_sq_norms` then :func:`small_ball_estimate`."""
-    return small_ball_estimate(small_ball_sq_norms(spec, n_samples, rng, n_modes), radius)
+                  rng: np.random.Generator) -> SmallBallEstimate:
+    """Monte-Carlo mass of the centered ball {||alpha|| <= radius} under the measure, over
+    every mode of ``spec``: :func:`small_ball_sq_norms` then :func:`small_ball_estimate`."""
+    return small_ball_estimate(small_ball_sq_norms(spec, n_samples, rng), radius)
 
 
 class CorrelationEstimate(NamedTuple):
@@ -191,22 +192,24 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
     """Shared-sample estimate of P(A and B) against P(A)*P(B) for the
     centered ellipsoids {sum a_i alpha_i^2 <= 1} and {sum b_i alpha_i^2 <= 1}.
 
-    The samples are drawn and counted in chunks of a fixed number of elements,
-    so memory does not grow with n_samples.
+    Each weight vector holds one weight per mode of ``spec``, and every mode is
+    drawn.  The samples are drawn and counted in chunks of a fixed number of
+    elements, so memory does not grow with n_samples.
     """
     a = np.asarray(ellipsoid_a, dtype=float)
     b = np.asarray(ellipsoid_b, dtype=float)
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("ellipsoid weights must be non-negative")
-    dim = a.size
-    if b.size != dim:
-        raise ValueError("weight vectors must have equal length")
+    dim = len(spec.eigen)
+    if a.size != dim or b.size != dim:
+        raise ValueError(f"{a.size} and {b.size} ellipsoid weights for a measure of {dim} "
+                         "modes: one weight per mode")
     if dim > CORRELATION_DIM_CAP:
         raise ValueError(f"dimension {dim} exceeds the cap {CORRELATION_DIM_CAP}")
     if n_samples < 2:
         raise ValueError("use at least 2 samples")
     n_ab = n_a = n_b = 0
-    for _, x in _squared_draws(np.sqrt(spec.mode_variances[:dim]), n_samples, rng):
+    for _, x in _squared_draws(np.sqrt(spec.mode_variances), n_samples, rng):
         # einsum reduces in this thread; a BLAS matrix-vector product on a
         # chunk this size wakes worker threads that spin on after it returns
         in_a = np.einsum("ij,j->i", x, a) <= 1.0

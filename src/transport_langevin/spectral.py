@@ -88,6 +88,10 @@ def make_eigen_sequence(c_mu: float, decay_exponent: float = 2.0, n_modes: int =
 class SpectralBasis:
     """Orthonormal system (e_k) plus the eigenvalues that define the RKHS scale.
 
+    The basis has exactly one mode per eigenvalue: ``n_modes`` is
+    ``len(eigen)`` and ``mu`` is ``eigen.mu``.  To truncate, build the basis
+    from a shorter eigenvalue sequence.
+
     Three kinds are supported:
 
     ``synthetic-diagonal``
@@ -103,7 +107,6 @@ class SpectralBasis:
     kind: str
     dim_in: int
     dim_out: int
-    n_modes: int
     eigen: EigenSequence
     basis_vectors: Optional[np.ndarray] = None      # gram: (M, n_modes) values at the cloud
     anchor_points: Optional[np.ndarray] = None      # gram: (M, dim_in) cloud coordinates
@@ -114,14 +117,13 @@ class SpectralBasis:
     def __post_init__(self):
         if self.kind not in ("synthetic-diagonal", "gram-eigenbasis", "cosine-tensor"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.n_modes < 1 or self.n_modes > len(self.eigen):
-            raise ValueError("n_modes must be in [1, len(eigen)]")
         if self.kind == "gram-eigenbasis":
             E, w = self.basis_vectors, self.anchor_weights
             if E is None or w is None or self.anchor_points is None:
                 raise ValueError("gram-eigenbasis requires basis_vectors, anchor_points, anchor_weights")
-            if self.n_modes > E.shape[0]:
-                raise ValueError("n_modes cannot exceed the number of particles")
+            if E.shape[1] != self.n_modes:
+                raise ValueError(f"basis_vectors has {E.shape[1]} columns but there are "
+                                 f"{self.n_modes} eigenvalues: one column per eigenvalue")
             gram = (E * w[:, None]).T @ E
             if np.max(np.abs(gram - np.eye(self.n_modes))) > _ORTHO_TOL:
                 raise ValueError("basis columns are not orthonormal under the particle weights")
@@ -129,8 +131,12 @@ class SpectralBasis:
             raise ValueError("cosine-tensor requires frequencies")
 
     @property
+    def n_modes(self) -> int:
+        return len(self.eigen)
+
+    @property
     def mu(self) -> np.ndarray:
-        return self.eigen.mu[: self.n_modes]
+        return self.eigen.mu
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def sample_prior(spec: GaussianMeasureSpec, basis: SpectralBasis, rng: np.random
         raise ValueError("basis and measure eigenvalues disagree")
     if d_out is None:
         d_out = basis.dim_out
-    sd = np.sqrt(spec.mode_variances[: basis.n_modes])
+    sd = np.sqrt(spec.mode_variances)
     return rng.standard_normal((basis.n_modes, d_out)) * sd[:, None]
 
 
@@ -281,7 +287,7 @@ def gram_eigenbasis(cloud, kernel_bandwidth: float, n_modes: int, include_a: boo
     eigen = EigenSequence(mu=mu, c_mu=c_mu, decay_exponent=2.0)
     d = pts.shape[1]
     return SpectralBasis(
-        kind="gram-eigenbasis", dim_in=d, dim_out=d, n_modes=n_modes, eigen=eigen,
+        kind="gram-eigenbasis", dim_in=d, dim_out=d, eigen=eigen,
         basis_vectors=E, anchor_points=pts, anchor_weights=weights,
         kernel_bandwidth=float(kernel_bandwidth),
     )
@@ -306,15 +312,14 @@ def cosine_basis(n_modes: int, dim_in: int = 1, dim_out: int = 1,
     eigen = make_eigen_sequence(c_mu, decay_exponent, n_modes)
     freqs = _cosine_frequencies(n_modes, dim_in)
     return SpectralBasis(kind="cosine-tensor", dim_in=dim_in, dim_out=dim_out,
-                         n_modes=n_modes, eigen=eigen, frequencies=freqs)
+                         eigen=eigen, frequencies=freqs)
 
 
 def diagonal_basis(n_modes: int, c_mu: float = 1.0, decay_exponent: float = 2.0,
                    dim_out: int = 1) -> SpectralBasis:
     """Abstract coefficient-space basis with no point evaluation."""
     eigen = make_eigen_sequence(c_mu, decay_exponent, n_modes)
-    return SpectralBasis(kind="synthetic-diagonal", dim_in=n_modes, dim_out=dim_out,
-                         n_modes=n_modes, eigen=eigen)
+    return SpectralBasis(kind="synthetic-diagonal", dim_in=n_modes, dim_out=dim_out, eigen=eigen)
 
 
 def eval_basis(basis: SpectralBasis, x) -> np.ndarray:

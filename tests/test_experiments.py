@@ -41,7 +41,7 @@ def test_ou_moment_holds_one_trace_at_a_time():
     finally:
         tracemalloc.stop()
     # one config's trace, the solver's chunk buffer and small change
-    assert peak <= 8 * steps + 8 * orc._CHUNK + (1 << 19), peak
+    assert peak <= 8 * steps + 8 * lg._BLOCK_FLOATS + (1 << 19), peak
 
 
 def _stepwise_ergodicity_gaps(seed, overrides):

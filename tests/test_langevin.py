@@ -658,7 +658,7 @@ def test_zero_gradient_step_at_twice_beta_is_the_reference_recursion(monkeypatch
     configs += _random_ou_configs(np.random.default_rng(8), 10)
     for i, (cfg, eigen) in enumerate(configs):
         basis = SpectralBasis(kind="synthetic-diagonal", dim_in=len(eigen), dim_out=1,
-                              n_modes=len(eigen), eigen=eigen)
+                              eigen=eigen)
         z_ref = z = np.random.default_rng(i).standard_normal(len(eigen))
         rng_ref, rng = np.random.default_rng(100 + i), np.random.default_rng(100 + i)
         for _ in range(50):
@@ -721,13 +721,13 @@ def _lfilter_sq_norms(cfg, eigen, n_steps, rng):
 @pytest.mark.parametrize("mu", [[1e9], [9.0], [1 / 49], [1e-7], [1e9, 9.0, 1 / 49, 1e-7]],
                          ids=["s=1-1e-9", "s=0.9", "s=0.02", "s=1e-7", "all-four"])
 def test_simulate_ou_sq_norms_matches_the_lfilter_recursion(mu):
-    # eta = lam = 1 puts s = 1/(1 + 1/mu); a noise chunk holds at most _CHUNK rows, so
-    # the least prime above _CHUNK (16,411 at 2^14) spans two chunks, and being prime it
-    # ends inside a block whatever the block length
+    # eta = lam = 1 puts s = 1/(1 + 1/mu); a noise chunk holds at most _BLOCK_FLOATS rows,
+    # so the least prime above _BLOCK_FLOATS (32,771 at 2^15) spans two chunks, and being
+    # prime it ends inside a block whatever the block length
     # the reference runs the recursion at beta = 2, simulate_ou_sq_norms the chain at 2*beta
     eigen = EigenSequence(mu=np.array(mu), c_mu=max(mu[0], 1.0))
     cfg = lg.DynamicsConfig(eta=1.0, beta=2.0, lam=1.0)
-    n_steps = next(k for k in itertools.count(orc._CHUNK + 1)
+    n_steps = next(k for k in itertools.count(lg._BLOCK_FLOATS + 1)
                    if all(k % q for q in range(2, int(k ** 0.5) + 1)))
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
     sq = lg.simulate_ou_sq_norms(_at_twice_beta(cfg), eigen, n_steps, rng)
@@ -747,7 +747,7 @@ def test_simulate_ou_sq_norms_is_the_same_trace_in_one_block_chunks(monkeypatch)
     cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0)
     rng, rng_one = np.random.default_rng(8), np.random.default_rng(8)
     sq = lg.simulate_ou_sq_norms(cfg, eigen, 3_001, rng)
-    monkeypatch.setattr(orc, "_CHUNK", 1)
+    monkeypatch.setattr(lg, "_BLOCK_FLOATS", 1)
     one = lg.simulate_ou_sq_norms(cfg, eigen, 3_001, rng_one)
     np.testing.assert_array_equal(sq, one)
     assert rng.bit_generator.state == rng_one.bit_generator.state
@@ -770,7 +770,7 @@ def test_simulate_ou_sq_norms_working_memory_does_not_grow_with_the_step_count()
             tracemalloc.stop()
         extra.append(peak - 8 * n_steps)   # beyond the returned trace
     extra = extra[1:]
-    assert max(extra) <= 8 * orc._CHUNK + (1 << 19), extra
+    assert max(extra) <= 8 * lg._BLOCK_FLOATS + (1 << 19), extra
     assert abs(extra[1] - extra[0]) <= 4096, extra
 
 

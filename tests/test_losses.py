@@ -123,7 +123,6 @@ def test_smoothness_audit_monotone_and_guarded():
                             np.random.default_rng(0))
     small = ls.smoothness_audit(model, "squared", data, 4, np.random.default_rng(1))
     big = ls.smoothness_audit(model, "squared", data, 16, np.random.default_rng(1))
-    assert small.empirical and big.empirical
     assert big.B >= small.B - 1e-12
     assert big.R_bar >= small.R_bar - 1e-12
 
@@ -147,8 +146,6 @@ def test_smoothness_audit_below_analytic_envelope():
 def test_loss_bounds_validation():
     with pytest.raises(ValueError):
         ls.LossBounds(B=-1.0, L_lip=0.0, R_bar=1.0)
-    with pytest.raises(ValueError):
-        ls.LossBounds(B=1.0, L_lip=0.0, R_bar=1.0, s=1.5)
 
 
 def _same_bits(a, b) -> bool:

@@ -286,6 +286,30 @@ def test_arch_cloud_mismatch_rejected():
         md.ModelSpec(arch="unknown")
 
 
+def test_attach_basis_keeps_every_other_field_and_checks_the_spec():
+    rng = np.random.default_rng(16)
+    M, d = 4, 2
+    cloud = md.finite_width_cloud(rng.standard_normal((M, d)), rng.uniform(-1, 1, M),
+                                  a_vec=rng.standard_normal((M, d)))
+    old, new = (gram_eigenbasis(cloud, h, M, include_a=False) for h in (1.0, 0.7))
+    model = md.ModelSpec(arch="resnet", cloud=cloud, clip=md.ClipConfig(R=3.0, input_bound_D=0.5),
+                         basis=old, resnet_blocks=3, wasserstein_penalty=2.5, mmd_bandwidth=0.3)
+    out = md.attach_basis(model, new)
+    assert out.basis is new
+    for field in dataclasses.fields(md.ModelSpec):
+        if field.default is not dataclasses.MISSING:
+            # every field the spec has is set away from its default here, a new one too
+            assert getattr(model, field.name) != field.default, field.name
+        if field.name != "basis":
+            assert getattr(out, field.name) is getattr(model, field.name), field.name
+    # the spec with the basis attached is checked as any other: resnet needs a_vec
+    plain = md.finite_width_cloud(cloud.w, cloud.a)
+    unchecked = md.ModelSpec(arch="two-layer", cloud=plain, resnet_blocks=2)
+    object.__setattr__(unchecked, "arch", "resnet")
+    with pytest.raises(ValueError, match="a_vec"):
+        md.attach_basis(unchecked, new)
+
+
 def test_input_bound_warning():
     rng = np.random.default_rng(15)
     model = _cloud_model(rng.standard_normal((3, 2)), np.zeros(3), D=0.5)

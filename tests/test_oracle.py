@@ -108,17 +108,18 @@ def test_small_ball_edge_radii():
 
 def test_small_ball_mc_is_one_draw_counted_per_radius():
     # the squared norms as one (n_samples, n_modes) draw gave them, whatever the chunking
-    spec = GaussianMeasureSpec(beta=2.0, lam=0.5, eigen=make_eigen_sequence(1.0, 2.0, 64))
     radii = [0.0, 0.05, 0.3, 0.7, 1.0, 1.5, 4.0]
     for n_modes, n_samples in ((1, 1000), (5, 70_001), (64, 40_000)):
-        sd = np.sqrt(spec.mode_variances[:n_modes])
+        spec = GaussianMeasureSpec(beta=2.0, lam=0.5,
+                                   eigen=make_eigen_sequence(1.0, 2.0, n_modes))
+        sd = np.sqrt(spec.mode_variances)
         ref_rng, rng = np.random.default_rng(n_modes), np.random.default_rng(n_modes)
         ref = np.sum((ref_rng.standard_normal((n_samples, n_modes)) * sd) ** 2, axis=1)
-        sq_norms = orc.small_ball_sq_norms(spec, n_samples, rng, n_modes=n_modes)
+        sq_norms = orc.small_ball_sq_norms(spec, n_samples, rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         np.testing.assert_array_equal(sq_norms, np.sort(ref))
         for r in radii:
-            est = orc.small_ball_mc(spec, r, n_samples, np.random.default_rng(n_modes), n_modes)
+            est = orc.small_ball_mc(spec, r, n_samples, np.random.default_rng(n_modes))
             assert est == orc.small_ball_estimate(sq_norms, r)
             hits = int(np.count_nonzero(ref <= r ** 2))
             assert est.probability == hits / n_samples and est.zero_hits == (hits == 0)
@@ -137,14 +138,15 @@ def _peak_bytes(fn):
 
 def test_monte_carlo_working_memory_does_not_grow_with_the_sample_count():
     spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, 64))
+    spec16 = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, 16))
     a, b = np.full(16, 0.5), np.linspace(0.0, 2.0, 16)
     rng = np.random.default_rng(0)
     # first calls in a process allocate numpy's own one-off state
-    orc.gaussian_correlation_mc(spec, a, b, 1000, rng)
+    orc.gaussian_correlation_mc(spec16, a, b, 1000, rng)
     orc.small_ball_mc(spec, 0.5, 1000, rng)
     peaks = []
     for n_samples in (100_000, 800_000):
-        corr = _peak_bytes(lambda: orc.gaussian_correlation_mc(spec, a, b, n_samples, rng))
+        corr = _peak_bytes(lambda: orc.gaussian_correlation_mc(spec16, a, b, n_samples, rng))
         # the sorted norms small_ball_mc draws take 8 bytes per sample
         ball = _peak_bytes(lambda: orc.small_ball_mc(spec, 0.5, n_samples, rng)) - 8 * n_samples
         peaks.append((corr, ball))
@@ -166,9 +168,38 @@ def test_gaussian_correlation_identical_and_whole_space():
     assert est2.p_both == pytest.approx(est2.p_product, abs=1e-12)  # B is everything
     with pytest.raises(ValueError):
         orc.gaussian_correlation_mc(spec, -a, a, 10_000, rng)
-    with pytest.raises(ValueError):
-        beyond = np.ones(orc.CORRELATION_DIM_CAP + 1)
-        orc.gaussian_correlation_mc(spec, beyond, beyond, 10_000, rng)
+    dim = orc.CORRELATION_DIM_CAP + 1
+    beyond = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, dim))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        orc.gaussian_correlation_mc(beyond, np.ones(dim), np.ones(dim), 10_000, rng)
+
+
+def test_the_monte_carlo_oracles_read_every_mode_of_their_measure():
+    spec = GaussianMeasureSpec(beta=1.0, lam=1.0, eigen=make_eigen_sequence(1.0, 2.0, 4))
+    rng = np.random.default_rng(0)
+    # the small-ball oracles take no mode count: a smaller measure is a shorter sequence
+    for extra in (2, -1, 0):
+        with pytest.raises(TypeError):
+            orc.small_ball_mc(spec, 0.5, 20_000, rng, extra)
+        with pytest.raises(TypeError):
+            orc.small_ball_sq_norms(spec, 20_000, rng, extra)
+    # one correlation weight per mode, in each vector; a mismatch names both counts
+    a = np.array([0.5, 1.0, 2.0, 0.1])
+    for wa, wb in ((a[:3], a[:3]), (a, a[:3]), (np.append(a, 1.0), np.append(a, 1.0))):
+        with pytest.raises(ValueError, match=f"{wa.size} and {wb.size} ellipsoid weights "
+                                             "for a measure of 4 modes"):
+            orc.gaussian_correlation_mc(spec, wa, wb, 10_000, rng)
+
+
+def test_conjugate_posterior_needs_one_feature_column_per_eigenvalue():
+    basis = diagonal_basis(4)
+    y = np.ones(5)
+    for cols in (2, 5):
+        with pytest.raises(ValueError, match=f"{cols} feature columns for a basis of 4 "
+                                             "eigenvalues"):
+            orc.conjugate_posterior(basis, np.ones((5, cols)), y, beta=1.0, lam=1.0)
+    assert orc.conjugate_posterior(basis, np.ones((5, 4)), y, beta=1.0, lam=1.0).mean.shape \
+        == (4, 1)
 
 
 def _cov_formula_correlation(spec, a, b, n_samples, rng):

@@ -169,6 +169,29 @@ def test_gram_nystrom_matches_cloud_columns():
     np.testing.assert_allclose(got, basis.basis_vectors, atol=1e-9)
 
 
+def test_a_basis_has_exactly_the_modes_of_its_eigenvalues():
+    rng = np.random.default_rng(6)
+    gram = sp.gram_eigenbasis(_toy_cloud(rng, 10, 2), kernel_bandwidth=1.0, n_modes=6)
+    for basis in (gram, sp.cosine_basis(5, dim_in=2), sp.diagonal_basis(3)):
+        assert basis.n_modes == len(basis.eigen)
+        assert basis.mu is basis.eigen.mu
+    # the mode count is no field: it cannot be set beside the eigenvalues
+    eigen = sp.make_eigen_sequence(1.0, 2.0, 4)
+    with pytest.raises(TypeError):
+        sp.SpectralBasis(kind="synthetic-diagonal", dim_in=4, dim_out=1, n_modes=2, eigen=eigen)
+    # a gram basis holds one column per eigenvalue
+    fields = dict(kind=gram.kind, dim_in=gram.dim_in, dim_out=gram.dim_out,
+                  anchor_points=gram.anchor_points, anchor_weights=gram.anchor_weights,
+                  kernel_bandwidth=gram.kernel_bandwidth)
+    shorter = sp.EigenSequence(mu=gram.mu[:4], c_mu=gram.eigen.c_mu)
+    with pytest.raises(ValueError, match="6 columns but there are 4 eigenvalues"):
+        sp.SpectralBasis(eigen=shorter, basis_vectors=gram.basis_vectors, **fields)
+    with pytest.raises(ValueError, match="4 columns but there are 6 eigenvalues"):
+        sp.SpectralBasis(eigen=gram.eigen, basis_vectors=gram.basis_vectors[:, :4], **fields)
+    same = sp.SpectralBasis(eigen=shorter, basis_vectors=gram.basis_vectors[:, :4], **fields)
+    assert same.n_modes == 4
+
+
 def test_cosine_basis_orthonormal_under_uniform():
     basis = sp.cosine_basis(6, dim_in=1)
     x = (np.arange(20000) + 0.5)[:, None] / 20000

@@ -14,7 +14,10 @@ import pytest
 
 import transport_langevin
 from transport_langevin import langevin as lg
+from transport_langevin import losses as ls
 from transport_langevin import models as md
+from transport_langevin import oracle as orc
+from transport_langevin import spectral as sp
 
 # every submodule but __main__, which runs the command line on import
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(transport_langevin.__path__)
@@ -62,6 +65,23 @@ def test_removed_names_are_gone():
         lg.DynamicsConfig(eta=0.1, beta=1.0, lam=1.0, n_modes=3)
     assert [f.name for f in dataclasses.fields(lg.DynamicsConfig)] == [
         "eta", "beta", "lam", "steps", "burn_in", "thin", "seed"]
+    # a basis has exactly the modes of its eigenvalues, and the small-ball oracles draw
+    # every mode of their measure: neither takes a mode count
+    assert [f.name for f in dataclasses.fields(sp.SpectralBasis)] == [
+        "kind", "dim_in", "dim_out", "eigen", "basis_vectors", "anchor_points",
+        "anchor_weights", "kernel_bandwidth", "frequencies"]
+    with pytest.raises(TypeError):
+        sp.SpectralBasis(kind="synthetic-diagonal", dim_in=2, dim_out=1, n_modes=2,
+                         eigen=sp.make_eigen_sequence(1.0, 2.0, 2))
+    assert list(inspect.signature(orc.small_ball_sq_norms).parameters) == [
+        "spec", "n_samples", "rng"]
+    assert list(inspect.signature(orc.small_ball_mc).parameters) == [
+        "spec", "radius", "n_samples", "rng"]
+    # LossBounds keeps the three constants smoothness_audit probes
+    assert [f.name for f in dataclasses.fields(ls.LossBounds)] == ["B", "L_lip", "R_bar"]
+    for removed in ("C_B", "s", "C_alpha_prime", "alpha_prime", "empirical"):
+        with pytest.raises(TypeError):
+            ls.LossBounds(B=1.0, L_lip=0.0, R_bar=1.0, **{removed: 1.0})
 
 
 def _tracer_layers():
