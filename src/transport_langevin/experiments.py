@@ -287,16 +287,16 @@ def posterior_validate(seed, p):
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=beta, lam=lam,
                             steps=p["burn_in"] + p["kept"], burn_in=p["burn_in"],
                             thin=1, seed=seed)
-    samples = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
+    # the chain's blocks feed the statistics as they are made: no record is kept
+    steps, _, blocks = lg._record_blocks(cfg, [model], "squared", [data], [seed])
+    stats = orc._BatchMeans(len(steps), p["n_modes"])
+    for block in blocks:
+        stats.add(block[0, :, :, 0])
+    mean_vec, ses = stats.mean(), stats.stderr()
     header = ["mode", "chain_mean", "exact_mean", "stderr", "z"]
-    rows, zs, mean_vec = [], [], np.empty(p["n_modes"])
-    # each mode's samples are copied into one contiguous buffer, so that its statistics read
-    # them in one pass; a copy of all modes at once would double the memory of the record
-    series = np.empty(len(samples))
+    rows, zs = [], []
     for k in range(p["n_modes"]):
-        series[:] = samples[:, k]
-        se = orc.batch_means_stderr(series)
-        mean_vec[k] = series.mean()
+        se = float(ses[k])
         z = (mean_vec[k] - post.mean[k, 0]) / se
         zs.append(abs(z))
         rows.append([k, mean_vec[k], post.mean[k, 0], se, z])
@@ -370,9 +370,12 @@ def stepsize_bias(seed, p):
         burn = int(min(steps // 5, 40.0 / max(eta, 1e-6)) + 2000)
         cfg = lg.DynamicsConfig(eta=eta, beta=p["beta"], lam=p["lam"],
                                 steps=steps + burn, burn_in=burn, thin=1, seed=chain_seed)
-        c = lg.run_chain(cfg, model, "squared", data).coeffs[:, :, 0]
-        sq = np.sum(np.square(c, out=c), axis=1)   # squared in place: no second record
-        return float(sq.mean()), orc.batch_means_stderr(sq)
+        # each block's squared norms feed the statistics: no record is kept
+        steps, _, blocks = lg._record_blocks(cfg, [model], "squared", [data], [chain_seed])
+        stats = orc._BatchMeans(len(steps), 1)
+        for block in blocks:
+            stats.add(np.sum(np.square(block[0, :, :, 0]), axis=1)[:, None])
+        return float(stats.mean()[0]), float(stats.stderr()[0])
 
     ref_mean, _ = run(min(p["etas"]) / 8.0, p["ref_kept"], seed + 1)
     rows = []

@@ -181,11 +181,12 @@ def initial_map(model, basis, kind: str = "identity") -> _models.TransportMap:
     return _models.TransportMap(coeffs=coeffs, basis=basis)
 
 
-def _record_steps(first: int, last: int, burn_in: int, thin: int) -> np.ndarray:
-    """The steps in (first, last] on the schedule burn_in + thin*j, j >= 1, as int64."""
+def _record_steps(first: int, last: int, burn_in: int, thin: int) -> range:
+    """The steps in (first, last] on the schedule burn_in + thin*j, j >= 1: a range,
+    which holds no array however many steps it counts."""
     j0 = max(1, (first - burn_in) // thin + 1)
-    j1 = (last - burn_in) // thin
-    return burn_in + thin * np.arange(j0, max(j0, j1 + 1), dtype=np.int64)
+    j1 = max(j0 - 1, (last - burn_in) // thin)
+    return range(burn_in + thin * j0, burn_in + thin * (j1 + 1), thin)
 
 
 def run_chain(cfg: DynamicsConfig, model, loss_kind, dataset, *,
@@ -233,12 +234,42 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     (:func:`_ar1_block_length`), and the steps per block shrink with K.
 
     On either path a block's buffers hold at most ``_BLOCK_FLOATS`` floats each, so
-    they do not grow with K.  The record is one (K, n_records, n_modes, d_out) array,
-    allocated once and filled once per block, so it holds every member's records at
-    once; each trajectory holds its member's slice, and all share one array of record
-    steps.  A block is checked for finiteness as a whole; its
-    first non-finite (step, member) raises :class:`ChainDivergedError` carrying that
-    member's last finite state and its index.
+    they do not grow with K.  The steps run in the block stream of
+    :func:`_record_blocks`, and this function collects it: the record is one
+    (K, n_records, n_modes, d_out) array, allocated once and filled once per block, so
+    it holds every member's records at once; each trajectory holds its member's slice,
+    and all share one array of record steps.  A block is checked for finiteness as a
+    whole; its first non-finite (step, member) raises :class:`ChainDivergedError`
+    carrying that member's last finite state and its index.
+    """
+    schedule, shape, blocks = _record_blocks(cfg, models, loss_kind, datasets, seeds,
+                                             init=init, init_states=init_states)
+    rec_steps = np.arange(schedule.start, schedule.stop, schedule.step, dtype=np.int64)
+    rec_coeffs = np.empty((len(models), len(schedule)) + shape)
+    n_rec = 0
+    while True:
+        try:
+            rows = next(blocks)
+        except StopIteration as done:
+            finals = done.value
+            break
+        rec_coeffs[:, n_rec:n_rec + rows.shape[1]] = rows
+        n_rec += rows.shape[1]
+    return [Trajectory(steps=rec_steps, coeffs=rec_coeffs[k], final_state=state)
+            for k, state in enumerate(finals)]
+
+
+def _record_blocks(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
+                   init: str = "identity", init_states=None):
+    """The stack of chains of :func:`run_chains` as a stream of blocks.
+
+    Returns (the record steps as a range, one record's (n_modes, d_out), stream); a bad
+    stack raises here, before any step runs.  The stream is a generator that runs the
+    steps in blocks and yields each block's rows on the burn-in/thin schedule,
+    (K, rows, n_modes, d_out), and skips a block that holds none.  The rows are a
+    read-only view into the reused block buffer, valid only until the next block, so
+    a consumer that keeps no record holds at most one block.  The generator's return
+    value is the final :class:`ChainState` of each member.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -266,8 +297,6 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     coeffs = np.stack([s.map.coeffs for s in starts])
     m, d_out = shape
     rec_steps = _record_steps(step_no, step_no + cfg.steps, cfg.burn_in, cfg.thin)
-    rec_coeffs = np.empty((K, rec_steps.size, m, d_out))
-    n_rec = 0
     block = max(1, min(_BLOCK, _BLOCK_FLOATS // (K * m * d_out), cfg.steps))
     solve = _affine_solver(grad_fn, cfg, s_col, coeffs.shape, block)
     buf = np.empty((K, block, m, d_out))
@@ -279,34 +308,40 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
         step_out, step_s = buf.swapaxes(0, 1), s_col
         step_noise = None if noise is None else noise.swapaxes(0, 1)
 
-    # overflow on the way to divergence is handled by the finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
+    def stream(coeffs, step_no):
+        n_rec = 0
         for start in range(0, cfg.steps, block):
             b = min(block, cfg.steps - start)
-            if noise is not None:
-                for rng, member_noise in zip(rngs, noise[:, :b]):
-                    rng.standard_normal(out=member_noise)
-                noise[:, :b] *= amp
-            if solve is None:
-                prev = coeffs[0] if K == 1 else coeffs
-                for i in range(b):
-                    g = grad_fn(prev)
-                    prev = _implicit_euler(prev, g, eta, step_s,
-                                           None if noise is None else step_noise[i],
-                                           out=step_out[i])
-            else:
-                solve(coeffs, None if noise is None else noise[:, :b], buf[:, :b])
+            # overflow on the way to divergence is handled by the finiteness check; the
+            # errstate is left before the yield, so that it never reaches the consumer
+            with np.errstate(over="ignore", invalid="ignore"):
+                if noise is not None:
+                    for rng, member_noise in zip(rngs, noise[:, :b]):
+                        rng.standard_normal(out=member_noise)
+                    noise[:, :b] *= amp
+                if solve is None:
+                    prev = coeffs[0] if K == 1 else coeffs
+                    for i in range(b):
+                        g = grad_fn(prev)
+                        prev = _implicit_euler(prev, g, eta, step_s,
+                                               None if noise is None else step_noise[i],
+                                               out=step_out[i])
+                else:
+                    solve(coeffs, None if noise is None else noise[:, :b], buf[:, :b])
             if not np.isfinite(buf[:, :b]).all():
                 raise _diverged(buf[:, :b], coeffs, step_no, as_map)
-            if n_rec < rec_steps.size and rec_steps[n_rec] <= step_no + b:
+            rows = None
+            if n_rec < len(rec_steps) and rec_steps[n_rec] <= step_no + b:
                 rows = buf[:, rec_steps[n_rec] - step_no - 1:b:cfg.thin]
-                rec_coeffs[:, n_rec:n_rec + rows.shape[1]] = rows
+                rows.flags.writeable = False
                 n_rec += rows.shape[1]
             coeffs = buf[:, b - 1].copy()
             step_no += b
-    return [Trajectory(steps=rec_steps, coeffs=rec_coeffs[k],
-                       final_state=ChainState(step=step_no, map=as_map(k, coeffs[k])))
-            for k in range(K)]
+            if rows is not None:
+                yield rows
+        return [ChainState(step=step_no, map=as_map(k, coeffs[k])) for k in range(K)]
+
+    return rec_steps, shape, stream(coeffs, step_no)
 
 
 def _start(model, init: str, state: Optional[ChainState]) -> ChainState:

@@ -208,15 +208,14 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
         raise ValueError(f"dimension {dim} exceeds the cap {CORRELATION_DIM_CAP}")
     if n_samples < 2:
         raise ValueError("use at least 2 samples")
+    weights = np.stack([a, b])
     n_ab = n_a = n_b = 0
     for _, x in _squared_draws(np.sqrt(spec.mode_variances), n_samples, rng):
-        # einsum reduces in this thread; a BLAS matrix-vector product on a
-        # chunk this size wakes worker threads that spin on after it returns
-        in_a = np.einsum("ij,j->i", x, a) <= 1.0
-        in_b = np.einsum("ij,j->i", x, b) <= 1.0
-        n_ab += int(np.count_nonzero(in_a & in_b))
-        n_a += int(np.count_nonzero(in_a))
-        n_b += int(np.count_nonzero(in_b))
+        # one (2, dim) by (dim, rows) product: at this size BLAS runs it in this thread
+        inside = np.matmul(weights, x.T) <= 1.0
+        n_a += int(np.count_nonzero(inside[0]))
+        n_b += int(np.count_nonzero(inside[1]))
+        n_ab += int(np.count_nonzero(inside[0] & inside[1]))
     p_ab, p_a, p_b = n_ab / n_samples, n_a / n_samples, n_b / n_samples
     # delta method on g(m_ab, m_a, m_b) = m_ab - m_a*m_b with shared samples; any two
     # of the indicators 1{A and B}, 1{A}, 1{B} multiply to 1{A and B}, so their
@@ -230,14 +229,91 @@ def gaussian_correlation_mc(spec: GaussianMeasureSpec, ellipsoid_a, ellipsoid_b,
     return CorrelationEstimate(float(p_ab), float(p_a * p_b), float(np.sqrt(max(var, 0.0))))
 
 
-def batch_means_stderr(series: np.ndarray) -> float:
-    """Batch-means standard error of the mean of a correlated series of >= 2 values."""
-    series = np.asarray(series, dtype=float)
-    n = series.size
+def _batch_grid(n: int) -> tuple[int, int, int]:
+    """(leading values left out, batches, values per batch) of batch means on n >= 2
+    values: about sqrt(n) batches of equal length, the remainder dropped from the front."""
     if n < 2:
         raise ValueError(f"a batch-means stderr needs at least 2 values, got {n}")
     n_batches = max(int(np.floor(np.sqrt(n))), 2)
     batch = n // n_batches
-    trimmed = series[n - n_batches * batch:]
-    means = trimmed.reshape(n_batches, batch).mean(axis=1)
-    return float(np.std(means, ddof=1) / np.sqrt(n_batches))
+    return n - n_batches * batch, n_batches, batch
+
+
+def _batch_means(series: np.ndarray) -> np.ndarray:
+    """The batch means of a series on :func:`_batch_grid`."""
+    series = np.asarray(series, dtype=float)
+    skip, n_batches, batch = _batch_grid(series.size)
+    return series[skip:].reshape(n_batches, batch).mean(axis=1)
+
+
+def _means_stderr(means: np.ndarray) -> np.ndarray:
+    """The batch-means standard error from each row of batch means."""
+    return np.std(means, axis=-1, ddof=1) / np.sqrt(means.shape[-1])
+
+
+def batch_means_stderr(series: np.ndarray) -> float:
+    """Batch-means standard error of the mean of a correlated series of >= 2 values."""
+    return float(_means_stderr(_batch_means(series)))
+
+
+class _BatchMeans:
+    """Running sums and batch means of ``width`` series of ``n`` values each, fed in
+    blocks of rows, one value of each series per row, so that no series is held whole.
+
+    The batches are those of :func:`_batch_grid`.  Each block is copied series by series
+    into one contiguous buffer, and a batch that spans blocks is staged contiguously,
+    so every batch mean is reduced as :func:`_batch_means` reduces it: the batch means
+    and :meth:`stderr` equal ``batch_means_stderr`` on each whole series bit for bit.
+    :meth:`mean` sums the blocks' sums, so it equals the series' mean to rounding.
+    Working memory is one block and one batch of each series, and the batch means.
+    """
+
+    def __init__(self, n: int, width: int):
+        self.skip, n_batches, self.batch = _batch_grid(n)
+        self.n, self.count = n, 0
+        self.total = np.zeros(width)
+        self.means = np.empty((width, n_batches))
+        self._done = 0                               # batches finished
+        self._stage = np.empty((width, self.batch))  # the batch under way, series by series
+        self._fill = 0                               # its values so far
+
+    def add(self, rows) -> None:
+        """Feed the next rows, (n_rows, width)."""
+        r = len(rows)
+        if self.count + r > self.n:
+            raise ValueError(f"{self.count + r} values fed to batch means of {self.n}")
+        cols = np.ascontiguousarray(np.asarray(rows, dtype=float).T)
+        self.total += cols.sum(axis=1)
+        cols = cols[:, max(0, self.skip - self.count):]
+        self.count += r
+        if self._fill:       # complete the batch under way
+            take = min(self.batch - self._fill, cols.shape[1])
+            self._stage[:, self._fill:self._fill + take] = cols[:, :take]
+            self._fill += take
+            cols = cols[:, take:]
+            if self._fill == self.batch:
+                self.means[:, self._done] = self._stage.mean(axis=1)
+                self._done, self._fill = self._done + 1, 0
+        k = cols.shape[1] // self.batch          # whole batches in this block
+        whole = k * self.batch
+        if k:
+            self.means[:, self._done:self._done + k] = \
+                cols[:, :whole].reshape(len(cols), k, self.batch).mean(axis=2)
+            self._done += k
+        if whole < cols.shape[1]:
+            self._fill = cols.shape[1] - whole
+            self._stage[:, :self._fill] = cols[:, whole:]
+
+    def _check_complete(self):
+        if self.count != self.n:
+            raise ValueError(f"batch means of {self.n} values were fed {self.count}")
+
+    def mean(self) -> np.ndarray:
+        """The mean of each series."""
+        self._check_complete()
+        return self.total / self.n
+
+    def stderr(self) -> np.ndarray:
+        """The batch-means standard error of each series' mean."""
+        self._check_complete()
+        return _means_stderr(self.means)

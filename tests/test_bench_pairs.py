@@ -165,9 +165,15 @@ FAILED tests/test_cli.py::test_run_writes_artifacts_and_passes - assert 1 == 0
 
 def _fake_cli(calls, gap, presets=("p", "q")):
     """A stand-in for subprocess.run over the package CLI and the demos: ``presets``, q's
-    one number being ``gap`` and q failing its criterion when gap is not 0.5."""
+    one number being ``gap`` and q failing its criterion when gap is not 0.5.  A command
+    run through the usage wrapper ends its output with the wrapper's usage line, whose
+    peak RSS is 40 MB plus the command's place among the wrapped calls."""
     def run(cmd, cwd, env, **kwargs):
         calls.append((cmd, cwd, env))
+        wrapped = cmd[1:3] == ["-c", bp._TREE_USAGE]
+        if wrapped:
+            assert cmd[3] == sys.executable
+            cmd = cmd[3:]
         args = cmd[1:]
         out, code = "", 0
         if args[0] != "-m":
@@ -184,6 +190,9 @@ def _fake_cli(calls, gap, presets=("p", "q")):
             dest = Path(args[args.index("--out") + 1]) / "regression-rate-sweep-n"
             dest.mkdir(parents=True)
             (dest / "sweep.csv").write_text("n,fit\n64,1.0\n")
+        if wrapped:
+            rss = 40.0 + sum(c[0][1:3] == ["-c", bp._TREE_USAGE] for c in calls)
+            out += json.dumps({"cpu_s": 0.25, "max_rss_mb": rss}) + "\n"
         return types.SimpleNamespace(returncode=code, stdout=out, stderr="")
     return run
 
@@ -199,14 +208,18 @@ def test_artifact_pass_runs_both_trees_and_records_what_moved(tmp_path):
                                                                     ("change", 0.25))}
     rec = bp.artifact_pass(trees, tmp_path / "work",
                            run=lambda cmd, cwd, **kw: runners[cwd.name](cmd, cwd, **kw))
+    wrapper = [sys.executable, "-c", bp._TREE_USAGE, sys.executable]
     for side, tree in trees.items():
-        assert [cmd[1:] for cmd, _, _ in calls[side]][:2] == [
-            ["-m", "transport_langevin", "--preset-list"],
-            ["-m", "transport_langevin", "run", "--preset", "p", "--seed", "0", "--out",
-             str(tmp_path / "work" / "artifacts" / side / "run")]]
-        assert [cmd[1:] for cmd, _, _ in calls[side]][3][2:] == bp.SWEEP + [
+        # the listing runs as it is; every other command runs through the usage wrapper
+        assert calls[side][0][0] == [sys.executable, "-m", "transport_langevin",
+                                     "--preset-list"]
+        assert all(cmd[:4] == wrapper for cmd, _, _ in calls[side][1:])
+        assert calls[side][1][0][4:] == [
+            "-m", "transport_langevin", "run", "--preset", "p", "--seed", "0", "--out",
+            str(tmp_path / "work" / "artifacts" / side / "run")]
+        assert calls[side][3][0][6:] == bp.SWEEP + [
             "--out", str(tmp_path / "work" / "artifacts" / side / "sweep")]
-        assert [cmd[1] for cmd, _, _ in calls[side]][4:] == [
+        assert [cmd[4] for cmd, _, _ in calls[side][4:]] == [
             str(tree / "demos" / "00_a.py"), str(tree / "demos" / "01_b.py")]
         for _, cwd, env in calls[side]:
             assert cwd == tree and env["PYTHONHASHSEED"] == "0"
@@ -214,6 +227,11 @@ def test_artifact_pass_runs_both_trees_and_records_what_moved(tmp_path):
     assert rec["exit_codes"]["parent"] == {
         "run-p": 0, "run-q": 0, "sweep-regression-rate-n": 0, "demo-00_a": 0, "demo-01_b": 0}
     assert rec["exit_codes"]["change"]["run-q"] == 1
+    # each command's CPU and peak RSS, on both sides, in the wrapped calls' order
+    for side in ("parent", "change"):
+        assert rec["usage"][side] == {
+            name: {"cpu_s": 0.25, "max_rss_mb": 41.0 + i}
+            for i, name in enumerate(rec["exit_codes"][side])}
     # 2 results, 1 sweep file and 5 stdout files per side
     assert rec["files"] == {"parent": 8, "change": 8}
     diff = rec["diff"]
@@ -221,8 +239,16 @@ def test_artifact_pass_runs_both_trees_and_records_what_moved(tmp_path):
     assert diff["only_parent"] == diff["only_change"] == []
     assert diff["drift"]["run/q/results.csv"]["mean_gap"]["max_rel"] == pytest.approx(0.5)
     out = tmp_path / "work" / "artifacts" / "change" / "stdout"
+    # the usage line is split off: the saved output is the command's own
     assert (out / "run-q.txt").read_text() == "preset: q\n"
     assert (out / "demo-01_b.txt").read_text() == "demo 01_b\n"
+    assert (out / "sweep-regression-rate-n.txt").read_text() == ""
+
+
+def test_split_usage_keeps_output_that_ends_without_a_newline():
+    usage = {"cpu_s": 1.5, "max_rss_mb": 60.0}
+    for own in ("", "a\nb\n", "no newline at the end"):
+        assert bp.split_usage(own + json.dumps(usage) + "\n") == (own, usage)
 
 
 def test_artifact_pass_records_a_preset_only_one_tree_lists(tmp_path):

@@ -44,6 +44,35 @@ def test_ou_moment_holds_one_trace_at_a_time():
     assert peak <= 8 * steps + 8 * lg._BLOCK_FLOATS + (1 << 19), peak
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("preset, budgets, width", [
+    ("posterior-validate", lambda kept: dict(burn_in=2000, kept=kept), 8),
+    ("stepsize-bias", lambda kept: dict(kept=kept, ref_kept=kept), 1),
+])
+def test_streamed_presets_hold_no_record(preset, budgets, width):
+    # the chain's blocks feed the statistics as they are made, so the working memory grows
+    # with the kept steps only by the batch means and the batch under way, about
+    # sqrt(kept) values of each of the `width` series each; a record would grow by 8 bytes
+    # per kept step and mode
+    def peak(kept):
+        return _traced_peak(lambda: ex.run_preset(preset, seed=0, overrides=budgets(kept)))
+
+    # traced warm-up runs: numpy's first calls under tracing leave small buffers live
+    peak(200_000)
+    peak(20_000)
+    small, big = peak(20_000), peak(200_000)
+    batch_growth = 2 * 8 * width * (math.isqrt(200_000) - math.isqrt(20_000))
+    assert big - small <= batch_growth + 8192, (small, big)
+
+
 def _stepwise_ergodicity_gaps(seed, overrides):
     """The ergodicity preset's mean gaps from coupled gld_step loops: two generators with
     the same seed per pair, one step of each chain at a time."""

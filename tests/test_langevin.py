@@ -1069,3 +1069,43 @@ def test_a_stack_refuses_members_that_do_not_fit_together():
     short = md.Dataset(x=data.x[:5], y=data.y[:5])
     with pytest.raises(ValueError, match="the data shape"):
         lg.run_chains(cfg, [model, model], "squared", [data, short], [1, 2])
+
+
+@pytest.mark.parametrize("arch", ["identity-map", "two-layer"])
+def test_the_block_stream_is_the_record_of_run_chains(arch):
+    # the stream's rows, block by block, are run_chains' record, and its return value is
+    # each member's final state
+    models, datas = zip(*(_stack_member(arch, s) for s in range(3)))
+    loss = "squared" if arch == "two-layer" else "logistic"
+    cfg = lg.DynamicsConfig(eta=0.02, beta=24.0, lam=0.1, steps=2 * _B + 300,
+                            burn_in=_B + 7, thin=3)
+    seeds = [5, 6, 7]
+    trajs = lg.run_chains(cfg, models, loss, datas, seeds)
+    schedule, shape, blocks = lg._record_blocks(cfg, models, loss, datas, seeds)
+    assert shape == trajs[0].coeffs.shape[1:]
+    np.testing.assert_array_equal(np.array(schedule), trajs[0].steps)
+    got = []
+    while True:
+        try:
+            rows = next(blocks)
+        except StopIteration as done:
+            finals = done.value
+            break
+        assert not rows.flags.writeable
+        got.append(rows.copy())
+    # the blocks before the first record yield nothing
+    block = min(lg._BLOCK, lg._BLOCK_FLOATS // (len(models) * shape[0] * shape[1]))
+    n_blocks, silent = -(-cfg.steps // block), (schedule[0] - 1) // block
+    assert silent >= 1 and len(got) == n_blocks - silent
+    record = np.concatenate(got, axis=1)
+    for k, traj in enumerate(trajs):
+        np.testing.assert_array_equal(record[k], traj.coeffs)
+        assert finals[k].step == traj.final_state.step == cfg.steps
+        np.testing.assert_array_equal(finals[k].map.coeffs, traj.final_state.map.coeffs)
+
+
+def test_a_bad_stack_is_refused_before_the_stream_starts():
+    model, data = _linear_setup()
+    cfg = lg.DynamicsConfig(eta=0.01, beta=4.0, lam=0.5, steps=10)
+    with pytest.raises(ValueError, match="one seed per member"):
+        lg._record_blocks(cfg, [model], "squared", [data], [0, 1])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transport_langevin import models as md
 from transport_langevin import oracle as orc
@@ -269,8 +271,11 @@ def test_conjugate_posterior_matches_cho_solve():
 
 def test_batch_means_stderr_needs_two_values():
     for series in ([], [1.5]):
-        with pytest.raises(ValueError, match="at least 2 values"):
+        message = f"needs at least 2 values, got {len(series)}"
+        with pytest.raises(ValueError, match=message):
             orc.batch_means_stderr(np.array(series))
+        with pytest.raises(ValueError, match=message):
+            orc._BatchMeans(len(series), 8)
     assert orc.batch_means_stderr(np.array([1.0, 3.0])) == pytest.approx(1.0)
 
 
@@ -287,3 +292,34 @@ def test_batch_means_stderr_shrinks_with_horizon():
     r = np.mean([orc.batch_means_stderr(ar1(4000)) / orc.batch_means_stderr(ar1(8000))
                  for _ in range(reps)])
     assert r == pytest.approx(np.sqrt(2.0), rel=0.2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 2500), width=st.sampled_from([1, 8]),
+       cuts=st.lists(st.integers(0, 2500), max_size=12))
+# 10 values: 3 batches of 3 after 1 dropped value, fed in blocks that cut the dropped value
+# off from the first batch and every batch in two
+@example(n=10, width=8, cuts=[1, 2, 5, 6, 8])
+@example(n=2, width=1, cuts=[1])
+def test_streamed_batch_means_equal_those_of_the_whole_series(n, width, cuts):
+    series = np.cumsum(np.random.default_rng(n).standard_normal((n, width)), axis=0)
+    stats = orc._BatchMeans(n, width)
+    for block in np.split(series, sorted(c % (n + 1) for c in cuts)):
+        stats.add(block)
+    assert stats.count == n
+    stderr = stats.stderr()
+    for k in range(width):
+        whole = np.ascontiguousarray(series[:, k])
+        np.testing.assert_array_equal(stats.means[k], orc._batch_means(whole))
+        np.testing.assert_array_equal(stderr[k], orc.batch_means_stderr(whole))
+    np.testing.assert_allclose(stats.mean(), series.mean(axis=0), rtol=1e-12)
+
+
+def test_streamed_batch_means_refuse_a_short_or_long_feed():
+    stats = orc._BatchMeans(10, 2)
+    stats.add(np.ones((6, 2)))
+    for read in (stats.mean, stats.stderr):
+        with pytest.raises(ValueError, match="of 10 values were fed 6"):
+            read()
+    with pytest.raises(ValueError, match="11 values fed to batch means of 10"):
+        stats.add(np.ones((5, 2)))

@@ -19,9 +19,11 @@ process tree, the worker processes of a sweep included.
 Then the artifact pass makes each side's artifacts at the presets' own
 defaults under ``PYTHONHASHSEED=0``: every preset ``run`` at seed 0, the
 ``sweep`` of regression-rate over ``n`` and the standard output of each run,
-the sweep and every demo. ``tools/artifact_diff.py`` compares the two trees,
-and the record holds each command's exit status and the comparison, so that
-"byte-identical" is a record anyone can re-run.  The step-ratio pass then times
+the sweep and every demo, each through the same wrapper.
+``tools/artifact_diff.py`` compares the two trees, and the record holds each
+command's exit status, CPU and largest resident set and the comparison, so that
+"byte-identical" is a record anyone can re-run, and a preset that no workload
+runs still has its memory and CPU on record.  The step-ratio pass then times
 one chain step, or one gradient call, of each of ``STEP_PROBES`` in fresh
 processes: ``PROBE_PAIRS`` alternating pairs of the two trees per probe, and the
 record holds the change-to-parent ratio of each pair with their median and
@@ -236,19 +238,28 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} in {tree}: exit {out.returncode}\n{out.stderr}")
     path = tree / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(path.read_text(encoding="utf-8"))
-    record["tree"] = json.loads(out.stdout.splitlines()[-1])
+    record["tree"] = split_usage(out.stdout)[1]
     return record
 
 
+def split_usage(stdout: str) -> tuple[str, dict]:
+    """The standard output of a command run through ``_TREE_USAGE``: the command's own
+    output, and the usage the wrapper printed after it."""
+    at = stdout.rindex('{"cpu_s"')
+    return stdout[:at], json.loads(stdout[at:])
+
+
 def make_artifacts(tree: Path, dest: Path, run=subprocess.run) -> dict:
-    """Artifacts of ``tree`` at the presets' defaults into ``dest``; each command's exit status.
+    """Artifacts of ``tree`` at the presets' defaults into ``dest``; per command its exit
+    status, CPU seconds and largest resident set.
 
     ``dest/run/<preset>/`` holds every preset's ``run`` at seed 0,
     ``dest/sweep/regression-rate-sweep-n/`` the regression-rate sweep over ``n``,
     and ``dest/stdout/<command>.txt`` the standard output of each of those
     commands and of every demo in ``tree/demos``.  Everything runs in ``tree``
-    from its own ``src`` under ``PYTHONHASHSEED=0``; ``run`` is called like
-    ``subprocess.run``.
+    from its own ``src`` under ``PYTHONHASHSEED=0``, each command through the
+    ``_TREE_USAGE`` wrapper, which counts the processes it forks too; ``run`` is
+    called like ``subprocess.run``.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
 
@@ -269,9 +280,10 @@ def make_artifacts(tree: Path, dest: Path, run=subprocess.run) -> dict:
     (dest / "stdout").mkdir(parents=True)
     status = {}
     for name, args in commands.items():
-        out = call(args)
-        (dest / "stdout" / f"{name}.txt").write_text(out.stdout, encoding="utf-8")
-        status[name] = out.returncode
+        out = call(["-c", _TREE_USAGE, sys.executable, *args])
+        stdout, usage = split_usage(out.stdout)
+        (dest / "stdout" / f"{name}.txt").write_text(stdout, encoding="utf-8")
+        status[name] = {"exit_code": out.returncode, **usage}
     return status
 
 
@@ -284,7 +296,14 @@ def artifact_pass(trees: dict, work_dir: Path, run=subprocess.run) -> dict:
                  "command and of every demo, at the presets' defaults under "
                  "PYTHONHASHSEED=0; compared by tools/artifact_diff.py"),
         "files": {side: sum(p.is_file() for p in dests[side].rglob("*")) for side in dests},
-        "exit_codes": status,
+        "exit_codes": {side: {name: cmd["exit_code"] for name, cmd in status[side].items()}
+                       for side in status},
+        "usage": {
+            "what": ("per command, one run: CPU seconds (user + system) and the largest "
+                     "resident set of its process and every process it waited for "
+                     "(getrusage RUSAGE_CHILDREN of a wrapper)"),
+            **{side: {name: {key: cmd[key] for key in ("cpu_s", "max_rss_mb")}
+                      for name, cmd in status[side].items()} for side in status}},
         "diff": artifact_diff.compare(dests["parent"], dests["change"]),
     }
 
