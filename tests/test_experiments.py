@@ -44,7 +44,7 @@ def test_ou_moment_holds_one_trace_at_a_time():
     assert peak <= 8 * steps + 8 * lg._BLOCK_FLOATS + (1 << 19), peak
 
 
-def _traced_peak(fn):
+def _peak_bytes(fn):
     tracemalloc.start()
     try:
         fn()
@@ -63,7 +63,7 @@ def test_streamed_presets_hold_no_record(preset, budgets, width):
     # sqrt(kept) values of each of the `width` series each; a record would grow by 8 bytes
     # per kept step and mode
     def peak(kept):
-        return _traced_peak(lambda: ex.run_preset(preset, seed=0, overrides=budgets(kept)))
+        return _peak_bytes(lambda: ex.run_preset(preset, seed=0, overrides=budgets(kept)))
 
     # traced warm-up runs: numpy's first calls under tracing leave small buffers live
     peak(200_000)

@@ -312,7 +312,8 @@ def test_streamed_batch_means_equal_those_of_the_whole_series(n, width, cuts):
         whole = np.ascontiguousarray(series[:, k])
         np.testing.assert_array_equal(stats.means[k], orc._batch_means(whole))
         np.testing.assert_array_equal(stderr[k], orc.batch_means_stderr(whole))
-    np.testing.assert_allclose(stats.mean(), series.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(stats.mean(), series.mean(axis=0), rtol=1e-12,
+                               atol=1e-12 * np.abs(series).max())
 
 
 def test_streamed_batch_means_refuse_a_short_or_long_feed():
