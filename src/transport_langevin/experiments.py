@@ -316,7 +316,11 @@ def posterior_validate(seed, p):
 # ---------------------------------------------------------------------------
 
 def ou_moment(seed, p):
-    """Noise-only recursion, the zero-gradient chain at 2*beta: MC vs closed-form E||Z||^2."""
+    """Noise-only recursion, the zero-gradient chain at 2*beta: MC vs closed-form E||Z||^2.
+
+    Each config's squared norms past ``burn_in`` feed a running sum and batch means
+    chunk by chunk as they are made (``langevin._ou_sq_norm_blocks``): no trace is kept.
+    """
     rng = np.random.default_rng(seed)
     grid = [
         dict(eta=0.1, beta=1.0, lam=1.0, n_modes=1, c_mu=1.0),
@@ -335,15 +339,16 @@ def ou_moment(seed, p):
     for g in grid:
         eigen = make_eigen_sequence(g["c_mu"], 2.0, g["n_modes"])
         cfg = lg.DynamicsConfig(eta=g["eta"], beta=2.0 * g["beta"], lam=g["lam"])
-        sq = lg.simulate_ou_sq_norms(cfg, eigen, p["steps"], rng)[p["burn_in"]:]
+        stats = orc._BatchMeans(p["steps"] - p["burn_in"], 1)
+        for start, norms in lg._ou_sq_norm_blocks(cfg, eigen, p["steps"], rng):
+            stats.add(norms[max(0, p["burn_in"] - start):, None])
         exact = float(lg.gld_zero_grad_stationary_variance(cfg, eigen).sum())
         bound = eigen.c_mu / (g["beta"] * g["lam"])
-        se = orc.batch_means_stderr(sq)
-        z = (sq.mean() - exact) / se
+        mc_mean, se = stats.mean()[0], float(stats.stderr()[0])
+        z = (mc_mean - exact) / se
         zs.append(abs(z))
         bound_ok &= exact <= bound + 1e-15
-        rows.append([g["eta"], g["beta"], g["lam"], g["n_modes"], sq.mean(), se, exact, bound, z])
-        del sq   # one trace alive at a time: free it before the next config simulates
+        rows.append([g["eta"], g["beta"], g["lam"], g["n_modes"], mc_mean, se, exact, bound, z])
     criteria = [
         CriterionResult("ou-moment-z", max(zs) <= 3.0, max(zs), "<= 3 per config",
                         "MC mean vs closed form over the 10-config grid"),
@@ -400,7 +405,9 @@ def ergodicity(seed, p):
     Both chains of a pair have the same seed, so they read the same noise (a
     synchronous coupling) and the gap decays at the contraction rate of the drift;
     the ensemble-averaged gap of a bounded smooth test function is fitted
-    log-linearly.  All pairs run as one stack of :func:`langevin.run_chains`.
+    log-linearly.  All pairs run as one stack of chains, whose blocks
+    (``langevin._record_blocks``) are reduced to the gaps as they are made: no record
+    is kept.
     """
     rng = np.random.default_rng(seed)
     basis, model, data, _ = _linear_gaussian_setup(rng, p)
@@ -414,12 +421,19 @@ def ergodicity(seed, p):
         start_b = Wa.coeffs + 4.0 + rng.standard_normal(Wa.coeffs.shape)
         starts += [Wa, md.TransportMap(coeffs=start_b, basis=basis)]
     seeds = [seed * 1000 + pair for pair in range(p["n_pairs"]) for _ in range(2)]
-    trajs = lg.run_chains(cfg, [model] * len(starts), "squared", [data] * len(starts), seeds,
-                          init_states=[lg.ChainState(step=0, map=W) for W in starts])
+    _, _, blocks = lg._record_blocks(cfg, [model] * len(starts), "squared",
+                                     [data] * len(starts), seeds,
+                                     init_states=[lg.ChainState(step=0, map=W) for W in starts])
+    # every step is recorded: a block's rows are its steps, whose gaps are summed pair by
+    # pair; matmul takes each member's products as that member's own (rows, n_modes) dot
     value_gaps = np.zeros(p["steps"])
-    for traj_a, traj_b in zip(trajs[::2], trajs[1::2]):
-        value_gaps += np.abs(np.tanh(traj_a.coeffs[:, :, 0].dot(c_dir))
-                             - np.tanh(traj_b.coeffs[:, :, 0].dot(c_dir)))
+    n_rec = 0
+    for block in blocks:
+        gaps = value_gaps[n_rec:n_rec + block.shape[1]]
+        values = np.tanh(np.matmul(block[..., 0], c_dir))
+        for pair_gap in np.abs(values[::2] - values[1::2]):
+            gaps += pair_gap
+        n_rec += block.shape[1]
     value_gaps /= p["n_pairs"]
     usable = value_gaps > p["gap_floor"]
     ks = np.arange(1, p["steps"] + 1)[usable]

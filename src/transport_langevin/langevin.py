@@ -448,7 +448,9 @@ def _ar1_blocks(x, gains, z):
     """
     gain_in, gain_out, gain_carry = gains
     x *= gain_in
-    np.cumsum(x, axis=1, out=x)
+    # add.accumulate is cumsum's own loop; cumsum's wrapper and method each left a varying
+    # few KB of small allocations per run under tracemalloc
+    np.add.accumulate(x, axis=1, out=x)
     x *= gain_out
     for b in range(len(x)):
         x[b] += gain_carry * z
@@ -456,15 +458,14 @@ def _ar1_blocks(x, gains, z):
     return z.copy()
 
 
-def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Trace of ||Z_n||^2 for the zero-gradient chain of ``cfg`` started at zero.
+def _ou_sq_norm_blocks(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int,
+                       rng: np.random.Generator):
+    """The trace of :func:`simulate_ou_sq_norms` as a stream of chunks.
 
-    Per mode the chain is the AR(1) z_t = s z_{t-1} + s*amp*eps_t, amp = cfg.noise_amp,
-    solved by :func:`_ar1_blocks` with d = s in its own coordinates (V = I).  The
-    noise is drawn in chunks of whole blocks into one buffer of at most ``_BLOCK_FLOATS``
-    floats (one block at least), the same numbers as one (n_steps, n_modes)
-    draw, so memory beyond the returned trace does not grow with n_steps.
+    Yields ``(start, norms)``: the squared norms of steps start .. start + len(norms) - 1,
+    a read-only view into one reused buffer, valid only until the next chunk, so a
+    consumer that keeps no trace holds one chunk.  The noise of each chunk is drawn
+    after the consumer is done with the one before.
     """
     m = len(eigen)
     s = _resolvent_factor(cfg.eta, cfg.lam, eigen.mu)
@@ -472,7 +473,11 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
     gains = _ar1_gains(s, s * cfg.noise_amp, L)
     n_blocks = max(1, _BLOCK_FLOATS // (L * m))
     buf = np.empty((n_blocks, L, m))
-    out = np.empty(n_steps)
+    sq_norms = np.empty(n_blocks * L)
+    # the chunks are slices of one read-only view: the flag's setter, run on each
+    # chunk's view, also left a varying few KB of small allocations under tracemalloc
+    read_only = sq_norms.view()
+    read_only.flags.writeable = False
     z = np.zeros(m)
     for start in range(0, n_steps, n_blocks * L):
         rows = min(n_blocks * L, n_steps - start)
@@ -483,7 +488,24 @@ def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int
         rng.standard_normal(out=y)
         flat[rows:] = 0.0
         z = _ar1_blocks(x, gains, z)
-        np.sum(np.square(y, out=y), axis=1, out=out[start:start + rows])
+        np.sum(np.square(y, out=y), axis=1, out=sq_norms[:rows])
+        yield start, read_only[:rows]
+
+
+def simulate_ou_sq_norms(cfg: DynamicsConfig, eigen: EigenSequence, n_steps: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Trace of ||Z_n||^2 for the zero-gradient chain of ``cfg`` started at zero.
+
+    Per mode the chain is the AR(1) z_t = s z_{t-1} + s*amp*eps_t, amp = cfg.noise_amp,
+    solved by :func:`_ar1_blocks` with d = s in its own coordinates (V = I).  The
+    noise is drawn in chunks of whole blocks into one buffer of at most ``_BLOCK_FLOATS``
+    floats (one block at least), the same numbers as one (n_steps, n_modes)
+    draw, so memory beyond the returned trace does not grow with n_steps.  The chunks
+    are the stream of :func:`_ou_sq_norm_blocks`, which this function collects.
+    """
+    out = np.empty(n_steps)
+    for start, norms in _ou_sq_norm_blocks(cfg, eigen, n_steps, rng):
+        out[start:start + len(norms)] = norms
     return out
 
 

@@ -53,24 +53,43 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("preset, budgets, width", [
-    ("posterior-validate", lambda kept: dict(burn_in=2000, kept=kept), 8),
-    ("stepsize-bias", lambda kept: dict(kept=kept, ref_kept=kept), 1),
-])
-def test_streamed_presets_hold_no_record(preset, budgets, width):
-    # the chain's blocks feed the statistics as they are made, so the working memory grows
-    # with the kept steps only by the batch means and the batch under way, about
-    # sqrt(kept) values of each of the `width` series each; a record would grow by 8 bytes
-    # per kept step and mode
-    def peak(kept):
-        return _peak_bytes(lambda: ex.run_preset(preset, seed=0, overrides=budgets(kept)))
+def _batch_growth(width):
+    # batch means hold about sqrt(n) values of each of their `width` series twice: the
+    # batch means and the batch under way
+    return lambda small, big: 2 * 8 * width * (math.isqrt(big) - math.isqrt(small))
 
+
+# ergodicity's table holds one row a step: the [step, mean gap] list of its results.csv row
+# (a two-item list of 72 bytes, an int of 28 and a numpy float of 32) and the (step, gap)
+# pair its decay fit reads, about 190 bytes a step at their peak (traced on 4,000 rows);
+# 256 bytes a step leaves room for them and is an eighth of the 64 x 4 x 8 = 2,048 bytes
+# a step of the stack's record holds
+_TABLE_ROW_BYTES = 256
+
+
+@pytest.mark.parametrize("preset, budgets, sizes, allowed", [
+    pytest.param("posterior-validate", lambda kept: dict(burn_in=2000, kept=kept),
+                 (20_000, 200_000), _batch_growth(8), id="posterior-validate"),
+    pytest.param("stepsize-bias", lambda kept: dict(kept=kept, ref_kept=kept),
+                 (20_000, 200_000), _batch_growth(1), id="stepsize-bias"),
+    pytest.param("ou-moment", lambda kept: dict(burn_in=2000, steps=2000 + kept),
+                 (20_000, 200_000), _batch_growth(1), id="ou-moment"),
+    pytest.param("ergodicity", lambda steps: dict(steps=steps), (400, 4000),
+                 lambda small, big: _TABLE_ROW_BYTES * (big - small), id="ergodicity"),
+])
+def test_streamed_presets_hold_no_record(preset, budgets, sizes, allowed):
+    # the blocks feed the statistics as they are made, so the working memory grows with
+    # the step count only by what the statistics and the output table hold; a record, or
+    # ou-moment's trace, would grow by 8 bytes per kept step, mode and member
+    def peak(n):
+        return _peak_bytes(lambda: ex.run_preset(preset, seed=0, overrides=budgets(n)))
+
+    n_small, n_big = sizes
     # traced warm-up runs: numpy's first calls under tracing leave small buffers live
-    peak(200_000)
-    peak(20_000)
-    small, big = peak(20_000), peak(200_000)
-    batch_growth = 2 * 8 * width * (math.isqrt(200_000) - math.isqrt(20_000))
-    assert big - small <= batch_growth + 8192, (small, big)
+    peak(n_big)
+    peak(n_small)
+    small, big = peak(n_small), peak(n_big)
+    assert big - small <= allowed(n_small, n_big) + 8192, (small, big)
 
 
 def _stepwise_ergodicity_gaps(seed, overrides):

@@ -774,6 +774,31 @@ def test_simulate_ou_sq_norms_working_memory_does_not_grow_with_the_step_count()
     assert abs(extra[1] - extra[0]) <= 4096, extra
 
 
+def test_the_ou_chunk_stream_is_the_trace_and_feeds_batch_means_bit_for_bit(monkeypatch):
+    # two blocks per chunk, so that the run spans several chunks and ends inside one
+    monkeypatch.setattr(lg, "_BLOCK_FLOATS", 3 * lg._OU_BLOCK * 2)
+    eigen = make_eigen_sequence(1.0, 2.0, 3)
+    cfg = lg.DynamicsConfig(eta=0.05, beta=2.0, lam=1.0)
+    n_steps = 5 * 2 * lg._OU_BLOCK + 101
+    rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+    trace = lg.simulate_ou_sq_norms(cfg, eigen, n_steps, rng_ref)
+    chunks = []
+    for start, norms in lg._ou_sq_norm_blocks(cfg, eigen, n_steps, rng):
+        assert not norms.flags.writeable
+        chunks.append((start, norms.copy()))
+    np.testing.assert_array_equal(np.concatenate([norms for _, norms in chunks]), trace)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    chunk = chunks[1][0]
+    assert chunk == 2 * lg._OU_BLOCK and len(chunks) == 6
+    # burn-ins at 0, inside the first chunk, on a chunk boundary and past one chunk
+    for burn_in in (0, chunk // 3, chunk, chunk + 7):
+        stats = orc._BatchMeans(n_steps - burn_in, 1)
+        for start, norms in chunks:
+            stats.add(norms[max(0, burn_in - start):, None])
+        assert stats.stderr()[0] == orc.batch_means_stderr(trace[burn_in:])
+        assert stats.mean()[0] == pytest.approx(trace[burn_in:].mean(), rel=1e-14)
+
+
 def test_ou_growth_is_monotone_toward_stationary():
     # ensemble mean of ||Z_n||^2 follows (eta/beta) * sum (s^2 - s^(2n))/(1-s^2)
     # the recursion at beta = 1.5 is the zero-gradient chain at 2*beta
