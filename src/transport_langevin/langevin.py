@@ -124,8 +124,9 @@ class Trajectory:
 
 
 # steps per block: per block, one noise draw per member, one finiteness check and one copy
-# into the record.  4,096 steps of 8 modes fill 256 KB, so that the block solve's three
-# buffers stay in L2 (16,384 steps ran about 3x slower)
+# into the record.  4,096 steps of 8 modes fill 256 KB, so that the block solve's state
+# buffer, which also takes the noise, and its AR(1) workspace stay in L2 (16,384 steps ran
+# about 3x slower)
 _BLOCK = 4096
 # a stack or a map with more coefficients takes fewer steps per block, so that a block buffer
 # holds at most _BLOCK_FLOATS floats whatever the number of members
@@ -234,8 +235,9 @@ def run_chains(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     (:func:`_ar1_block_length`), and the steps per block shrink with K.
 
     On either path a block's buffers hold at most ``_BLOCK_FLOATS`` floats each, so
-    they do not grow with K.  The steps run in the block stream of
-    :func:`_record_blocks`, and this function collects it: the record is one
+    they do not grow with K: the block solve draws the noise into the state buffer, and
+    the step-by-step path keeps a noise buffer beside it.  The steps run in the block
+    stream of :func:`_record_blocks`, and this function collects it: the record is one
     (K, n_records, n_modes, d_out) array, allocated once and filled once per block, so
     it holds every member's records at once; each trajectory holds its member's slice,
     and all share one array of record steps.  A block is checked for finiteness as a
@@ -270,6 +272,11 @@ def _record_blocks(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     read-only view into the reused block buffer, valid only until the next block, so
     a consumer that keeps no record holds at most one block.  The generator's return
     value is the final :class:`ChainState` of each member.
+
+    Each block's noise is drawn member by member into the block buffer when the block
+    solve runs, as ``solve`` reads it before it writes the states there, and into a
+    noise buffer of the same shape on the step-by-step path, where a step writes its
+    state before it reads its noise.
     """
     if cfg.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -300,7 +307,8 @@ def _record_blocks(cfg: DynamicsConfig, models, loss_kind, datasets, seeds, *,
     block = max(1, min(_BLOCK, _BLOCK_FLOATS // (K * m * d_out), cfg.steps))
     solve = _affine_solver(grad_fn, cfg, s_col, coeffs.shape, block)
     buf = np.empty((K, block, m, d_out))
-    noise = np.empty_like(buf) if amp > 0.0 else None
+    # the block solve reads a block's noise before it writes its states: one buffer for both
+    noise = None if amp == 0.0 else buf if solve is not None else np.empty_like(buf)
     # the steps of one member run on its 2-D arrays, where each numpy call costs less
     if K == 1:
         step_out, step_noise, step_s = buf[0], None if noise is None else noise[0], s_col[0]
@@ -378,7 +386,10 @@ def _affine_solver(grad_fn, cfg: DynamicsConfig, s_col, shape, block: int):
 
     ``solve`` writes the states after ``w`` (K, n_modes, 1) into ``out``
     (K, rows, n_modes, 1), given the block's scaled noise (K, rows, n_modes, 1), or
-    None when the amplitude is 0.
+    None when the amplitude is 0; ``noise`` may be ``out`` itself, as it is read in full
+    before ``out`` is written.  Its workspace is (n_blocks, L, K, N) for blocks of L
+    steps, and its gains (L, K, N), those of each distinct eigenvalue taken once, or
+    (L, 1, N) when every member has the same eigenvalues.
     """
     affine = getattr(grad_fn, "affine", None)
     K, N, d_out = shape
@@ -395,11 +406,15 @@ def _affine_solver(grad_fn, cfg: DynamicsConfig, s_col, shape, block: int):
     GT = G.swapaxes(1, 2)
     e0 = np.matmul(G, eta * b_vec)[..., 0]            # the drift's constant part, (K, N)
     L = min(_ar1_block_length(d), block)
-    # the gains of each distinct eigenvalue once: the members of a stack often share them
+    # the gains of each distinct eigenvalue once, (L, K, N), and (L, 1, N) when every member
+    # has the same eigenvalues, as the chains of one task do
     values, which = np.unique(d, return_inverse=True)
-    gains = tuple(gain[:, which.reshape(-1)] for gain in _ar1_gains(values, 1.0, L))
+    which = which.reshape(K, N)
+    if (which == which[0]).all():
+        which = which[:1]
+    gains = tuple(gain[:, which] for gain in _ar1_gains(values, 1.0, L))
     n_blocks = -(-block // L)
-    buf = np.empty((n_blocks, L, K * N))
+    buf = np.empty((n_blocks, L, K, N))
     flat = buf.reshape(n_blocks * L, K, N)
 
     def solve(w, noise, out):
@@ -414,7 +429,7 @@ def _affine_solver(grad_fn, cfg: DynamicsConfig, s_col, shape, block: int):
         nb = -(-rows // L)
         flat[rows:nb * L] = 0.0
         u0 = np.matmul((w / r).swapaxes(1, 2), Q)            # V^-1 w, (K, 1, N)
-        _ar1_blocks(buf[:nb], gains, u0.reshape(K * N))
+        _ar1_blocks(buf[:nb], gains, u0[:, 0])
         np.matmul(by_member, G, out=out[..., 0])
 
     return solve
@@ -440,11 +455,13 @@ def _ar1_gains(d, scale, L: int):
 
 
 def _ar1_blocks(x, gains, z):
-    """Solve u_t = d u_{t-1} + scale*e_t in place over whole blocks ``x`` (nb, L, m).
+    """Solve u_t = d u_{t-1} + scale*e_t in place over whole blocks ``x`` (nb, L, ...).
 
     ``x`` holds the inputs e_t; ``z`` is u before its first row.  Row j of a
     block is d^j * cumsum_i(d^-i * scale*e_i)_j + d^(j+1) * z_carry, z_carry the
-    last row of the block before.  Returns a copy of the last row.
+    last row of the block before.  Each gain is (L, ...) and broadcasts against a row of
+    blocks: the OU stream's are (L, m) for x (nb, L, m), the block solve's (L, K, N) or
+    (L, 1, N) for x (nb, L, K, N).  Returns a copy of the last row.
     """
     gain_in, gain_out, gain_carry = gains
     x *= gain_in

@@ -239,21 +239,18 @@ def _batch_grid(n: int) -> tuple[int, int, int]:
     return n - n_batches * batch, n_batches, batch
 
 
-def _batch_means(series: np.ndarray) -> np.ndarray:
-    """The batch means of a series on :func:`_batch_grid`."""
-    series = np.asarray(series, dtype=float)
-    skip, n_batches, batch = _batch_grid(series.size)
-    return series[skip:].reshape(n_batches, batch).mean(axis=1)
-
-
 def _means_stderr(means: np.ndarray) -> np.ndarray:
     """The batch-means standard error from each row of batch means."""
     return np.std(means, axis=-1, ddof=1) / np.sqrt(means.shape[-1])
 
 
 def batch_means_stderr(series: np.ndarray) -> float:
-    """Batch-means standard error of the mean of a correlated series of >= 2 values."""
-    return float(_means_stderr(_batch_means(series)))
+    """Batch-means standard error of the mean of a correlated series of >= 2 values: the
+    series fed to :class:`_BatchMeans` in one block."""
+    series = np.asarray(series, dtype=float).reshape(-1, 1)
+    stats = _BatchMeans(len(series), 1)
+    stats.add(series)
+    return float(stats.stderr()[0])
 
 
 class _BatchMeans:
@@ -262,8 +259,9 @@ class _BatchMeans:
 
     The batches are those of :func:`_batch_grid`.  Each block is copied series by series
     into one contiguous buffer, and a batch that spans blocks is staged contiguously,
-    so every batch mean is reduced as :func:`_batch_means` reduces it: the batch means
-    and :meth:`stderr` equal ``batch_means_stderr`` on each whole series bit for bit.
+    so every batch mean is reduced as the mean of a contiguous batch of the whole series:
+    the batch means and :meth:`stderr` do not depend on how the rows are cut into blocks,
+    bit for bit, and ``batch_means_stderr`` is one block of the whole series.
     :meth:`mean` sums the blocks' sums, so it equals the series' mean to rounding.
     Working memory is one block and one batch of each series, and the batch means.
     """

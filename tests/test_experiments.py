@@ -31,8 +31,8 @@ def test_preset_results_are_deterministic():
     assert a.extras == b.extras
 
 
-def test_ou_moment_holds_one_trace_at_a_time():
-    steps = ex.PRESET_DEFAULTS["ou-moment"]["steps"]
+def test_ou_moment_holds_one_chunk_and_its_batch_means():
+    p = ex.PRESET_DEFAULTS["ou-moment"]
     ex.run_preset("ou-moment", seed=0, overrides={"steps": 3000, "burn_in": 500})   # one-off state
     tracemalloc.start()
     try:
@@ -40,8 +40,10 @@ def test_ou_moment_holds_one_trace_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one config's trace, the solver's chunk buffer and small change
-    assert peak <= 8 * steps + 8 * lg._BLOCK_FLOATS + (1 << 19), peak
+    # one chunk buffer and its squared norms, at most _BLOCK_FLOATS floats each, the batch
+    # means and the batch under way, numpy's 64 KB ufunc buffer and small change
+    batch_means = 2 * 8 * math.isqrt(p["steps"] - p["burn_in"])
+    assert peak <= 2 * 8 * lg._BLOCK_FLOATS + batch_means + (1 << 18), peak
 
 
 def _peak_bytes(fn):

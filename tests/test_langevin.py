@@ -940,9 +940,11 @@ def test_a_linear_stack_is_solved_in_blocks_and_one_seed_reads_one_noise():
         for m, shift in zip(models, (0, 4, 0))]
     solves, ar1_blocks = [], lg._ar1_blocks
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lg, "_ar1_blocks", lambda *a: solves.append(1) or ar1_blocks(*a))
+        mp.setattr(lg, "_ar1_blocks",
+                   lambda x, gains, z: solves.append(gains[0].shape) or ar1_blocks(x, gains, z))
         stack = lg.run_chains(cfg, models, "squared", datas, seeds, init_states=starts)
-    assert len(solves) == 2
+    # two tasks: the gains of each member's eigenvalues, (L, K, N)
+    assert len(solves) == 2 and {shape[1:] for shape in solves} == {(3, 4)}
     for m, d, seed, state, traj in zip(models, datas, seeds, starts, stack):
         ref_steps, ref_coeffs, ref_final = _stepwise_record(dataclasses.replace(cfg, seed=seed),
                                                             m, d, state)
@@ -979,17 +981,18 @@ def test_a_member_with_a_near_zero_eigenvalue_shortens_the_ar1_blocks_of_the_who
     d_steep = _block_solve_eigenvalues(cfg, model, steep)
     assert np.abs(d_steep).min() < 1e-10 and np.abs(d_steep).max() < 1.0
     assert np.abs(_block_solve_eigenvalues(cfg, model, data)).min() > 1e-2
-    lengths, ar1_blocks = {}, lg._ar1_blocks
+    gains, ar1_blocks = {}, lg._ar1_blocks
 
     def run(models, datas, seeds, key):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lg, "_ar1_blocks",
-                       lambda x, *a: lengths.setdefault(key, x.shape[1]) and ar1_blocks(x, *a))
+                       lambda x, g, z: gains.setdefault(key, g[0].shape) and ar1_blocks(x, g, z))
             return lg.run_chains(cfg, models, "squared", datas, seeds)
 
     stack = run([model, model], [data, steep], [4, 5], "stack")
     (alone,) = run([model], [data], [4], "alone")
-    assert lengths == {"stack": 21, "alone": lg._OU_BLOCK}
+    # the gains' shape (L, K, N): one member keeps one set of gains
+    assert gains == {"stack": (21, 2, 3), "alone": (lg._OU_BLOCK, 1, 3)}
     for d, seed, traj in zip((data, steep), (4, 5), stack):
         start = _identity_start(model, 0)
         ref_steps, ref_coeffs, _ = _stepwise_record(dataclasses.replace(cfg, seed=seed),
@@ -998,6 +1001,42 @@ def test_a_member_with_a_near_zero_eigenvalue_shortens_the_ar1_blocks_of_the_who
         np.testing.assert_allclose(traj.coeffs, ref_coeffs, rtol=0, atol=1e-12)
     # member 0's records depend on its company by rounding only
     np.testing.assert_allclose(stack[0].coeffs, alone.coeffs, rtol=0, atol=1e-12)
+
+
+def test_a_one_task_stack_keeps_one_set_of_gains_and_draws_its_noise_into_its_states():
+    # ergodicity's stack, 64 chains of one task, consumed block by block with no record:
+    # the members share their eigenvalues, so the AR(1) gains are kept once, (L, 1, N), and
+    # the block solve draws each block's noise into the state buffer
+    p = ex.PRESET_DEFAULTS["ergodicity"]
+    _, model, data, _ = ex._linear_gaussian_setup(np.random.default_rng(0), p)
+    cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], steps=p["steps"])
+    K, N = 2 * p["n_pairs"], p["n_modes"]
+    seeds = [pair for pair in range(p["n_pairs"]) for _ in range(2)]
+
+    def consume():
+        _, _, blocks = lg._record_blocks(cfg, [model] * K, "squared", [data] * K, seeds)
+        for _ in blocks:
+            pass
+
+    gains, ar1_blocks = [], lg._ar1_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lg, "_ar1_blocks",
+                   lambda x, g, z: gains.append(g[0].shape) or ar1_blocks(x, g, z))
+        consume()
+    block = lg._BLOCK_FLOATS // (K * N)
+    assert gains == [(block, 1, N)] * -(-cfg.steps // block)
+    tracemalloc.start()
+    try:
+        consume()    # a traced warm-up: numpy's first calls under tracing leave buffers live
+        tracemalloc.reset_peak()
+        consume()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the state buffer and the AR(1) workspace, _BLOCK_FLOATS floats each, and the carry
+    # term of _ar1_blocks, one more block with numpy's ufunc buffers: 1.09 MB traced.  A
+    # separate noise buffer adds 256 KB, and gains kept member by member about 700 KB
+    assert peak <= 4 * 8 * lg._BLOCK_FLOATS + (1 << 17), peak
 
 
 def test_a_stack_holds_its_records_once_and_its_block_buffers_do_not_grow_with_k():

@@ -308,10 +308,15 @@ def test_streamed_batch_means_equal_those_of_the_whole_series(n, width, cuts):
         stats.add(block)
     assert stats.count == n
     stderr = stats.stderr()
+    skip, n_batches, batch = orc._batch_grid(n)
     for k in range(width):
+        # the reference: each contiguous batch of the whole series reduced on its own
         whole = np.ascontiguousarray(series[:, k])
-        np.testing.assert_array_equal(stats.means[k], orc._batch_means(whole))
-        np.testing.assert_array_equal(stderr[k], orc.batch_means_stderr(whole))
+        means = whole[skip:].reshape(n_batches, batch).mean(axis=1)
+        reference = np.std(means, ddof=1) / np.sqrt(n_batches)
+        np.testing.assert_array_equal(stats.means[k], means)
+        np.testing.assert_array_equal(stderr[k], reference)
+        np.testing.assert_array_equal(orc.batch_means_stderr(whole), reference)
     np.testing.assert_allclose(stats.mean(), series.mean(axis=0), rtol=1e-12,
                                atol=1e-12 * np.abs(series).max())
 

@@ -71,10 +71,12 @@ SWEEP = ["sweep", "--preset", "regression-rate", "--axis", "n",
 PROBE_PAIRS = 20
 # what the step-ratio pass times, each through the package's public API at one step
 # (or call) per unit: a two-layer chain at n = 64 and n = 1,024, an identity-map chain
-# with a logistic loss, the wasserstein gradient, and ten two-layer chains at n = 64 of
-# ten seeds, networks and datasets, as pac-bayes runs them (one step of all ten per unit)
+# with a logistic loss, the wasserstein gradient, ten two-layer chains at n = 64 of
+# ten seeds, networks and datasets, as pac-bayes runs them (one step of all ten per unit),
+# and the block-solved linear stack: 64 identity-map chains of one task and 32 seeds, two
+# chains a seed, as ergodicity runs them (one step of all 64 per unit)
 STEP_PROBES = ("two-layer-n64", "two-layer-n1024", "identity-logistic", "wasserstein-grad",
-               "pac-bayes-stack")
+               "pac-bayes-stack", "linear-stack")
 # prints the best of 15 timings of one probe, in µs per step or per call
 _PROBE = r"""
 import sys, time
@@ -99,6 +101,15 @@ if probe == "pac-bayes-stack":
 
     def once():
         lg.run_chains(cfg, models, "squared", datas, seeds, init="zero")
+elif probe == "linear-stack":
+    model = md.ModelSpec(arch="identity-map", basis=cosine_basis(4, dim_in=1))
+    x = rng.uniform(0, 1, (24, 1))
+    data = md.Dataset(x=x, y=eval_basis(model.basis, x) @ [0.9, 0.6, -0.45, 0.3])
+    seeds = [pair for pair in range(32) for _ in range(2)]
+    cfg = lg.DynamicsConfig(eta=0.05, beta=5.0, lam=1.0, steps=units, burn_in=units)
+
+    def once():
+        lg.run_chains(cfg, [model] * 64, "squared", [data] * 64, seeds)
 elif probe == "wasserstein-grad":
     src = rng.standard_normal((24, 1))
     tgt = 0.5 * rng.standard_normal((24, 1)) + 1.0
