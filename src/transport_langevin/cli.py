@@ -145,8 +145,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    if args.axis not in ex.SWEEPABLE_AXES:
-        raise ConfigError(f"axis {args.axis!r} not sweepable (choose from {ex.SWEEPABLE_AXES})")
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:
@@ -156,8 +154,11 @@ def _cmd_sweep(args) -> int:
     seed = _seed(args, cfg)
     preset = cfg["preset"]
     base_overrides = cfg.get("overrides", {})
-    # every value is checked against the preset's own keys before any run starts
-    for value in values:
+    # every value is checked against the preset's own keys before any run starts; a value
+    # given twice would run into one directory and count twice in the fit
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"sweep value {_fmt(value)} of {args.axis!r} given more than once")
         _check_overrides(preset, {**base_overrides, args.axis: value})
     out_dir = _out_dir(args, cfg, f"{preset}-sweep-{args.axis}")
 

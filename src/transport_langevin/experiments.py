@@ -26,7 +26,7 @@ from .spectral import (GaussianMeasureSpec, cosine_basis, eval_basis,
                        gram_eigenbasis, make_eigen_sequence)
 
 __all__ = ["ExperimentResult", "CriterionResult", "PRESETS", "PRESET_DEFAULTS",
-           "run_preset", "SWEEPABLE_AXES", "sweep", "sweep_fit"]
+           "run_preset", "sweep", "sweep_fit"]
 
 
 @dataclass
@@ -72,17 +72,16 @@ PRESET_DEFAULTS = {
                           lam=4.0, kept=300_000, ref_kept=1_200_000),
     "ergodicity": dict(n_modes=4, n=24, beta=5.0, lam=1.0, eta=0.05, steps=400,
                        n_pairs=32, gap_floor=1e-9),
-    "grad-check": dict(n_configs=100, step=1e-5, tol=1e-5),
-    "lipschitz-suite": dict(n_pairs=1000, n_grid=512, slack=1e-9),
+    "grad-check": dict(n_configs=100, step=1e-5),
+    "lipschitz-suite": dict(n_pairs=1000, n_grid=512),
     "bernstein-suite": dict(step=0.005, radii=[0.5, 1.0, 2.0]),
     "correlation-suite": dict(n_pairs=20, n_samples=1_000_000, max_dim=6),
     "regression-rate": dict(n=256, M=8, d=2, R=2.0, noise=0.2, eta=0.05, steps=8000,
                             burn_in=4000, thin=10),
     "classification-rate": dict(beta=100.0, n=300, n_modes=6, margin_amp=4.5, eta=0.05,
                                 steps=30_000, burn_in=10_000, thin=50),
-    "finite-width-demo": dict(M=8, d=2, n=48, R=2.0, eta=0.2, beta=1e6, lam=1e-5,
-                              max_steps=20_000, budget=50_000, check_every=250,
-                              teacher_scale=1.5),
+    "finite-width-demo": dict(M=8, n=48, R=2.0, eta=0.2, beta=1e6, lam=1e-5,
+                              max_steps=20_000, check_every=250, teacher_scale=1.5),
     "wasserstein-demo": dict(n_source=24, n_modes=12, penalty=25.0, mmd_bandwidth=0.8,
                              eta=0.05, beta=1e5, lam=1e-6, steps=20_000, target_shift=1.0,
                              target_scale=0.5),
@@ -148,7 +147,7 @@ _CHECKS = {
                                    records=(("steps", "burn_in", "thin", 1),),
                                    rules=(_BETA_ABOVE_ETA,)),
     "finite-width-demo": _Checks(records=(("max_steps", None, "check_every", 1),),
-                                 rules=(_D_IS_2, _BETA_ABOVE_ETA)),
+                                 rules=(_BETA_ABOVE_ETA,)),
     "wasserstein-demo": _Checks(rules=((
         ("n_modes", "n_source"), lambda p: p["n_modes"] <= p["n_source"],
         "'n_modes' <= 'n_source' (its basis is built on the source points)"), _BETA_ABOVE_ETA)),
@@ -494,7 +493,7 @@ def _random_model_config(arch, rng):
 def grad_check(seed, p):
     """Analytic gradients against central finite differences, per architecture."""
     header = ["arch", "config", "rel_err"]
-    rows, criteria = [], []
+    rows, criteria, tol = [], [], 1e-5
     # each architecture draws from its own stream, keyed by its position here
     for k, arch in enumerate(("two-layer", "identity", "resnet")):
         rng = np.random.default_rng([seed, k])
@@ -509,8 +508,8 @@ def grad_check(seed, p):
             rel = float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-10))
             worst = max(worst, rel)
             rows.append([arch, i, rel])
-        criteria.append(CriterionResult(f"grad-check-{arch}", worst <= p["tol"], worst,
-                                        f"<= {p['tol']:g}", "max relative error"))
+        criteria.append(CriterionResult(f"grad-check-{arch}", worst <= tol, worst,
+                                        f"<= {tol:g}", "max relative error"))
     return ExperimentResult("grad-check", seed, criteria, header, rows,
                             extras={"max_rel_err": max(r[2] for r in rows)})
 
@@ -525,7 +524,7 @@ def lipschitz_suite(seed, p):
     header = ["pair", "lhs", "rhs", "margin"]
     rows = []
     violations = 0
-    worst_margin = -np.inf
+    worst_margin, slack = -np.inf, 1e-9
     for i in range(p["n_pairs"]):
         M, d = int(rng.integers(2, 8)), int(rng.integers(1, 4))
         D = float(rng.uniform(0.5, 2.0))
@@ -539,11 +538,11 @@ def lipschitz_suite(seed, p):
         lhs, rhs = md.lipschitz_gap(model, Wa, Wb, grid)
         margin = lhs - rhs
         worst_margin = max(worst_margin, margin)
-        if margin > p["slack"]:
+        if margin > slack:
             violations += 1
         rows.append([i, lhs, rhs, margin])
     crit = CriterionResult("lipschitz-violations", violations == 0, violations,
-                           "= 0", f"worst margin {worst_margin:.3g} (slack {p['slack']:g})")
+                           "= 0", f"worst margin {worst_margin:.3g} (slack {slack:g})")
     return ExperimentResult("lipschitz-suite", seed, [crit], header, rows,
                             extras={"violations": violations, "worst_margin": worst_margin})
 
@@ -728,10 +727,10 @@ def classification_rate(seed, p):
 # ---------------------------------------------------------------------------
 
 def _finite_width_task(seed, p):
-    """The network and its noiseless teacher data."""
+    """The network on the unit disc's 2 dimensions and its noiseless teacher data."""
     rng = np.random.default_rng(seed)
-    model = _two_layer_setup(rng, M=p["M"], d=p["d"], R=p["R"], D=1.0)
-    teacher_coeffs = rng.standard_normal((model.basis.n_modes, p["d"] + 1)) \
+    model = _two_layer_setup(rng, M=p["M"], d=2, R=p["R"], D=1.0)
+    teacher_coeffs = rng.standard_normal((model.basis.n_modes, md.map_output_dim(model))) \
         * p["teacher_scale"] * np.sqrt(model.basis.mu)[:, None]
     teacher = md.TransportMap(coeffs=teacher_coeffs, basis=model.basis)
     x = _disc_points(rng, p["n"])
@@ -746,6 +745,7 @@ def finite_width_demo(seed, p):
     sits close to it); the step budget of the claim is 5*10^4 but the drop
     happens within the first few thousand steps.
     """
+    budget = 50_000
     model, data = _finite_width_task(seed, p)
     cfg = lg.DynamicsConfig(eta=p["eta"], beta=p["beta"], lam=p["lam"], steps=p["max_steps"],
                             burn_in=0, thin=p["check_every"], seed=seed)
@@ -754,11 +754,9 @@ def finite_width_demo(seed, p):
     traj = lg.run_chain(cfg, model, "squared", data, init="zero")
     loss = traj.risk(model, "squared", data)
     below = np.nonzero(loss < 0.1 * init_loss)[0]
-    steps_needed = int(traj.steps[below[0]]) if below.size else p["budget"] + 1
-    crit = CriterionResult("finite-width-loss-drop",
-                           below.size > 0 and steps_needed <= p["budget"],
-                           float(steps_needed),
-                           f"loss < 0.1x initial within {p['budget']} steps",
+    steps_needed = int(traj.steps[below[0]]) if below.size else budget + 1
+    crit = CriterionResult("finite-width-loss-drop", below.size > 0 and steps_needed <= budget,
+                           float(steps_needed), f"loss < 0.1x initial within {budget} steps",
                            f"initial {init_loss:.4g}, final {loss[-1]:.4g}")
     rows = [[int(s), float(l)] for s, l in zip(traj.steps, loss)]
     return ExperimentResult("finite-width-demo", seed, [crit], ["step", "train_loss"], rows,
@@ -853,8 +851,6 @@ PRESETS: dict[str, Callable] = {
     "wasserstein-demo": wasserstein_demo,
     "pac-bayes": pac_bayes,
 }
-
-SWEEPABLE_AXES = ("n", "beta", "eta", "lam", "M", "n_modes")
 
 
 def run_preset(name: str, seed: int = 0, overrides: Optional[dict] = None) -> ExperimentResult:

@@ -310,3 +310,35 @@ def test_step_probes_run_on_this_tree():
                              text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert float(out.stdout) > 0.0
+
+
+def test_size_record_counts_lines_and_preset_keys(tmp_path):
+    # a stand-in tree: three package files of 2 lines each (one in a subpackage, one with
+    # no newline after its last line, which wc -l does not count), 4 test lines, and a
+    # config table of 3 keys over two presets; other files count for nothing
+    package = tmp_path / "src" / "transport_langevin"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("\n\n")
+    (package / "sub" / "experiments.py").write_text("x = 1\ny = 2\nz = 3")
+    (package / "experiments.py").write_text(
+        "PRESET_DEFAULTS = {'a': dict(n=1, m=2),\n                   'b': dict(k=3)}\n")
+    (package / "notes.txt").write_text("\n" * 50)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("\n" * 4)
+    assert bp.size_record(tmp_path) == {"src_lines": 6, "tests_lines": 4,
+                                        "preset_default_keys": 3}
+    # a tree whose package does not import names itself
+    (package / "experiments.py").write_text("raise ImportError('boom')\n")
+    with pytest.raises(RuntimeError, match="(?s)preset keys in .*boom"):
+        bp.size_record(tmp_path)
+
+
+def test_size_record_reads_this_tree():
+    from transport_langevin import experiments as ex
+
+    root = _PATH.parent.parent
+    size = bp.size_record(root)
+    assert size["preset_default_keys"] == sum(map(len, ex.PRESET_DEFAULTS.values()))
+    src = root / "src" / "transport_langevin" / "experiments.py"
+    assert size["src_lines"] > len(src.read_text(encoding="utf-8").splitlines()) > 0
+    assert size["tests_lines"] > 0

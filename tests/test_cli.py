@@ -152,8 +152,14 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "got n_modes=30 and n_source=24"),
     ({"preset": "regression-rate", "overrides": {"d": 3}},
      "override 'd' for preset 'regression-rate' must be 2"),
-    ({"preset": "finite-width-demo", "overrides": {"d": 1}},
-     "override 'd' for preset 'finite-width-demo' must be 2"),
+    ({"preset": "finite-width-demo", "overrides": {"d": 2}},
+     "unknown override key 'd' for preset 'finite-width-demo'"),
+    ({"preset": "finite-width-demo", "overrides": {"budget": 50_000}},
+     "unknown override key 'budget' for preset 'finite-width-demo'"),
+    ({"preset": "grad-check", "overrides": {"tol": 1e-5}},
+     "unknown override key 'tol' for preset 'grad-check'"),
+    ({"preset": "lipschitz-suite", "overrides": {"slack": 1e-9}},
+     "unknown override key 'slack' for preset 'lipschitz-suite'"),
     ({"preset": "bernstein-suite", "overrides": {"step": 1e-6}},
      "override 'step' for preset 'bernstein-suite' must give at most 1000 grid values per axis"),
     ({"preset": "bernstein-suite", "overrides": {"step": 0.0}},
@@ -179,8 +185,8 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
      "(steps=2000, burn_in=2000, thin=10) record 0 sample(s)"),
     ({"preset": "grad-check", "overrides": {"n_configs": 10 ** 400}},
      "override 'n_configs' for preset 'grad-check' must be a finite number >= 1"),
-    ({"preset": "grad-check", "overrides": {"tol": 10 ** 400}},
-     "override 'tol' for preset 'grad-check' must be a finite number"),
+    ({"preset": "grad-check", "overrides": {"step": 10 ** 400}},
+     "override 'step' for preset 'grad-check' must be a finite number > 0"),
     ({"preset": "bernstein-suite", "overrides": {"step": 1e-310}},
      "override 'step' for preset 'bernstein-suite' must give at most 1000 grid values per axis"),
     ({"preset": ["ergodicity"]}, "unknown preset ['ergodicity']"),
@@ -198,7 +204,8 @@ def test_unknown_override_key_is_status_2(tmp_path, capsys):
         "ergodicity-too-few-steps-for-the-decay-fit", "correlation-one-sample-no-covariance",
         "correlation-dim-beyond-the-oracle-cap", "classification-one-mode-no-teacher",
         "wasserstein-more-modes-than-source-points", "regression-d-not-2",
-        "finite-width-d-not-2", "bernstein-grid-beyond-the-cap", "bernstein-zero-step",
+        "finite-width-d-unknown", "finite-width-budget-unknown", "grad-check-tol-unknown",
+        "lipschitz-slack-unknown", "bernstein-grid-beyond-the-cap", "bernstein-zero-step",
         "bernstein-negative-step", "bernstein-zero-radius", "bernstein-negative-radius",
         "grad-check-zero-step", "pac-bayes-eta-not-below-n", "pac-bayes-zero-ref-eta-factor",
         "pac-bayes-reference-eta-not-below-n", "pac-bayes-reference-records-nothing",
@@ -328,20 +335,51 @@ def test_sweep_single_value_flags_insufficient(tmp_path):
     assert "insufficient-points" in text
 
 
-def test_sweep_bad_axis_is_status_2(tmp_path, capsys):
+def test_sweep_bad_axis_is_status_2(tmp_path, capsys, monkeypatch):
     # an unknown axis, an axis the preset lacks (stepsize-bias takes its step
-    # sizes as one 'etas' list), a value its key rejects and a step size at or
-    # above the beta = n the preset runs at all end before anything runs
-    for preset, axis, values in (("regression-rate", "color", "1,2"),
-                                 ("grad-check", "n", "1,2"),
-                                 ("stepsize-bias", "eta", "0.2,0.1,0.05"),
-                                 ("regression-rate", "M", "0.5"),
-                                 ("regression-rate", "eta", "0.05,300")):
+    # sizes as one 'etas' list), a list key, a value its key rejects, a step size at
+    # or above the beta = n the preset runs at, and a value given twice (equal as
+    # floats) all end before anything runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep ran before its values were checked")
+
+    monkeypatch.setattr(ex, "sweep", no_run)
+    for preset, axis, values, needle in (
+            ("regression-rate", "color", "1,2",
+             "unknown override key 'color' for preset 'regression-rate'"),
+            ("grad-check", "n", "1,2", "unknown override key 'n' for preset 'grad-check'"),
+            ("stepsize-bias", "eta", "0.2,0.1,0.05",
+             "unknown override key 'eta' for preset 'stepsize-bias'"),
+            ("stepsize-bias", "etas", "0.2,0.1,0.05",
+             "override 'etas' for preset 'stepsize-bias' must be a non-empty list of numbers, "
+             "got 0.2"),
+            ("regression-rate", "M", "0.5",
+             "override 'M' for preset 'regression-rate' must be an integer >= 1, got 0.5"),
+            ("regression-rate", "eta", "0.05,300", "need 'n' > 'eta'"),
+            ("regression-rate", "n", "64,64,128,256", "sweep value 64 of 'n' given more than once"),
+            ("regression-rate", "n", "64,128,256,64.0",
+             "sweep value 64 of 'n' given more than once")):
         rc = cli.main(["sweep", "--preset", preset, "--axis", axis, "--values", values,
                        "--out", str(tmp_path / "s")])
         assert rc == 2, (preset, axis)
-        assert "config error" in capsys.readouterr().err
+        assert "config error" in (err := capsys.readouterr().err) and needle in err, err
         assert not (tmp_path / "s").exists()
+
+
+def test_sweep_runs_any_scalar_key_of_the_preset(tmp_path):
+    # an axis is any scalar key the preset's config check accepts; one with no fit writes
+    # its runs and a 'no fit defined' row
+    cfg = _write_cfg(tmp_path, {"preset": "ou-moment", "overrides": {"burn_in": 200}})
+    rc = cli.main(["sweep", "--config", cfg, "--axis", "steps", "--values", "1200,2200",
+                   "--out", str(tmp_path / "s"), "--seed", "0"])
+    out = tmp_path / "s" / "ou-moment-sweep-steps"
+    assert sorted(p.name for p in out.iterdir()) == ["steps=1200", "steps=2200", "sweep.csv"]
+    # with no fit, the sweep exits by its runs' verdicts alone
+    reports = [(out / f"steps={v}" / "report.txt").read_text() for v in (1200, 2200)]
+    assert rc == (0 if all("overall: PASS" in r for r in reports) else 1)
+    rows = _csv_rows(out / "sweep.csv")
+    assert [row[0] for row in rows[:-1]] == ["1200", "2200"]
+    assert rows[-1][:4] == ["fit", "none", "nan", "no fit defined for this preset/axis"]
 
 
 def test_sweep_is_byte_reproducible(tmp_path):

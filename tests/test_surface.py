@@ -24,11 +24,12 @@ _MODULES = sorted(m.name for m in pkgutil.iter_modules(transport_langevin.__path
                   if m.name != "__main__")
 
 # names deleted with the checkpoint, JSON and i.i.d.-cloud code, criterion 12's own
-# entry point, now the pac-bayes preset, and the activation choice; none may come back
+# entry point, now the pac-bayes preset, the activation choice, and the sweep's own list
+# of axes (an axis is any scalar key of the preset); none may come back
 _REMOVED = ("save_checkpoint", "load_checkpoint", "map_to_json", "map_from_json",
             "cloud_to_json", "cloud_from_json", "_basis_to_dict", "_basis_from_dict",
             "sample_cloud", "clip_deriv", "RateParams", "pac_bayes_check",
-            "_PAC_BAYES_DEFAULTS", "_activation")
+            "_PAC_BAYES_DEFAULTS", "_activation", "SWEEPABLE_AXES")
 
 
 def _module(name):

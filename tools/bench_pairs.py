@@ -32,6 +32,10 @@ end-to-end runs resolve tens of percent.  Each side's tier-1 suite then runs
 once under ``pytest --durations``; its record holds the passed, failed and error
 counts and pytest's exit code.
 
+The record also holds each side's size: the lines of the ``*.py`` files under
+``src/transport_langevin`` and under ``tests``, and the number of config keys in
+``experiments.PRESET_DEFAULTS`` over every preset.
+
 Per metric the record holds both sides' medians and quartiles over the pairs,
 the relative change of the medians, the parent's interquartile range relative
 to its median, the number of pairs the change won and a verdict:
@@ -156,6 +160,10 @@ print(json.dumps({"cpu_s": ru.ru_utime + ru.ru_stime, "max_rss_mb": ru.ru_maxrss
 sys.exit(code)
 """
 
+# prints the number of config keys over every preset of the package on PYTHONPATH
+_PRESET_KEYS = ("from transport_langevin.experiments import PRESET_DEFAULTS; "
+                "print(sum(map(len, PRESET_DEFAULTS.values())))")
+
 _spec = importlib.util.spec_from_file_location(
     "artifact_diff", Path(__file__).resolve().with_name("artifact_diff.py"))
 artifact_diff = importlib.util.module_from_spec(_spec)
@@ -235,6 +243,22 @@ def unpack(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def size_record(tree: Path) -> dict:
+    """The size of ``tree``: the lines (newlines, as ``wc -l`` counts them) of the ``*.py``
+    files under ``src/transport_langevin`` and under ``tests``, and the number of
+    ``PRESET_DEFAULTS`` keys, read from ``tree``'s own package."""
+    def lines(sub):
+        return sum(path.read_bytes().count(b"\n") for path in (tree / sub).rglob("*.py"))
+
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, "-c", _PRESET_KEYS], cwd=tree, env=env,
+                         capture_output=True, text=True, timeout=600)
+    if out.returncode != 0:
+        raise RuntimeError(f"preset keys in {tree}: exit {out.returncode}\n{out.stderr}")
+    return {"src_lines": lines("src/transport_langevin"), "tests_lines": lines("tests"),
+            "preset_default_keys": int(out.stdout)}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -433,6 +457,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
                    f"{seconds:g} --trace 0",
         "commits": commits,
+        "size": {side: size_record(tree) for side, tree in trees.items()},
         "workloads": {w: workload_record(seeds, runs[w], bounds) for w in workloads},
         "environment": env,
     }
